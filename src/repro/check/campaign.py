@@ -22,11 +22,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.am import attach_spam
 from repro.check.core import Sanitizer
 from repro.faults.injector import install_faults
+from repro.faults.payload import periodic_payload
 from repro.faults.plan import FaultPlan
 from repro.hardware.machine import build_sp_machine
 from repro.mpi import attach_mpi
@@ -72,9 +71,9 @@ def _subcomms(nodes: int) -> Dict[str, Tuple[List[int], int]]:
 
 
 def _pattern(i: int, src: int, nbytes: int) -> bytes:
-    """Deterministic payload of op ``i`` from sender ``src``."""
-    return bytes((31 * i + 17 * src + 5 * j + 11) % 251
-                 for j in range(nbytes))
+    """Deterministic payload of op ``i`` from sender ``src``:
+    byte ``j`` is ``(31 * i + 17 * src + 5 * j + 11) % 251``."""
+    return periodic_payload(31 * i + 17 * src + 11, 5, nbytes)
 
 
 def generate_ops(seed: int, nodes: int = 4, nops: int = 24) -> List[dict]:
@@ -366,7 +365,10 @@ class _CheckCampaign:
                 if out[r] != _pattern(i, 16 * r + local, n):
                     self._complain(w, i, f"alltoall slot {r} corrupted")
             return
-        # numeric collectives over a small int64 vector
+        # numeric collectives over a small int64 vector (the only ops
+        # that compute with arrays, hence the only ones that load numpy)
+        import numpy as np
+
         count = max(1, n // 8)
         arr = np.arange(count, dtype=np.int64) + w
         rank_sum = sum(comm.world_ranks)

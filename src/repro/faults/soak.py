@@ -42,12 +42,12 @@ are thin wrappers over :func:`run_soak`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional
 
 from repro.am import attach_spam
 from repro.am.constants import CHUNK_BYTES
 from repro.faults.injector import InjectedFault, install_faults
+from repro.faults.payload import periodic_payload
 from repro.faults.plan import FaultPlan
 from repro.hardware.machine import build_sp_machine
 from repro.obs.core import Observatory
@@ -100,16 +100,10 @@ def _h_done(token, src):
     token.am.node.soak_done_from.add(src)
 
 
-@lru_cache(maxsize=64)
-def _pattern_period(rank: int) -> bytes:
-    # (17*rank + 3*j + 7) % 251 depends only on j % 251 (gcd(3, 251) = 1),
-    # so one 251-byte period per rank covers any length by repetition
-    return bytes((17 * rank + 3 * j + 7) % 251 for j in range(251))
-
-
 def _pattern(rank: int, nbytes: int) -> bytes:
-    """Deterministic per-rank payload (verifiable byte-for-byte)."""
-    return (_pattern_period(rank) * (nbytes // 251 + 1))[:nbytes]
+    """Deterministic per-rank payload (verifiable byte-for-byte):
+    byte ``j`` is ``(17 * rank + 3 * j + 7) % 251``."""
+    return periodic_payload(17 * rank + 7, 3, nbytes)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Any, Dict, Optional
 
-import numpy as np
-
 from repro.hardware.params import HostParams, MachineParams
 from repro.sim import Delay, Simulator
 from repro.sim.stats import StatRegistry
@@ -32,17 +30,21 @@ class Memory:
     simulation (resizing a ``bytearray`` with exported buffers would raise
     ``BufferError``).  An allocation always lives inside one segment, so
     in-allocation reads/writes/views are contiguous.
+
+    The first segment is created by the first :meth:`alloc`, not by the
+    constructor: a node that never allocates (every rank of a one-word
+    request ring) holds no backing store, where it used to zero-fill
+    1 MB per node at machine construction.
     """
 
     _ALIGN = 64        # keep buffers cache-line aligned (flush model)
     _SEGMENT = 1 << 20  # default segment size
 
-    def __init__(self, initial: int = 1 << 16):
+    def __init__(self):
         self._seg_bases: list[int] = []   # sorted segment base addresses
         self._segments: list[bytearray] = []
         self._brk = 0                     # high-water address
         self._cur_free = 0                # free bytes in the last segment
-        self._new_segment(max(initial, self._ALIGN))
 
     def _new_segment(self, nbytes: int) -> None:
         size = max(self._SEGMENT, nbytes)
@@ -57,7 +59,10 @@ class Memory:
         """(segment, offset) containing [addr, addr+nbytes)."""
         i = bisect_right(self._seg_bases, addr) - 1
         if i < 0:
-            raise IndexError(f"address {addr:#x} below memory start")
+            raise IndexError(
+                f"address {addr:#x} below memory start" if self._segments
+                else f"address {addr:#x} in a memory that has allocated "
+                     f"nothing")
         base = self._seg_bases[i]
         seg = self._segments[i]
         off = addr - base
@@ -93,10 +98,14 @@ class Memory:
         seg, off = self._locate(addr, nbytes)
         return memoryview(seg)[off: off + nbytes]
 
-    def alloc_array(self, count: int, dtype=np.float64) -> tuple[int, np.ndarray]:
-        """Allocate space for ``count`` items of ``dtype``; return (addr,
-        ndarray view aliasing this memory)."""
-        dt = np.dtype(dtype)
+    def alloc_array(self, count: int, dtype=None) -> tuple[int, np.ndarray]:
+        """Allocate space for ``count`` items of ``dtype`` (float64 unless
+        given); return (addr, ndarray view aliasing this memory)."""
+        # numpy is imported where arrays are computed with, not on the
+        # path of every run that builds a machine
+        import numpy as np
+
+        dt = np.dtype(np.float64 if dtype is None else dtype)
         addr = self.alloc(count * dt.itemsize)
         arr = np.frombuffer(self.view(addr, count * dt.itemsize), dtype=dt)
         return addr, arr

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-import numpy as np
-
 from repro.mpi.comm import Communicator
 
 #: reserved tag space for collective traffic
@@ -26,12 +24,22 @@ TAG_SCATTER = 5 << 20
 TAG_ALLGATHER = 6 << 20
 TAG_ALLTOALL = 7 << 20
 
-REDUCE_OPS = {
-    "sum": np.add,
-    "max": np.maximum,
-    "min": np.minimum,
-    "prod": np.multiply,
-}
+class _ReduceOps(dict):
+    """Reduction name -> numpy ufunc, looked up in numpy the first time a
+    numeric collective asks for it: byte-moving MPI programs, and
+    everything that merely imports ``repro.mpi``, never load numpy."""
+
+    _UFUNC = {"sum": "add", "max": "maximum", "min": "minimum",
+              "prod": "multiply"}
+
+    def __missing__(self, op: str):
+        import numpy as np
+
+        fn = self[op] = getattr(np, self._UFUNC[op])
+        return fn
+
+
+REDUCE_OPS = _ReduceOps()
 
 
 class MPICollectives:
@@ -81,6 +89,8 @@ class MPICollectives:
     def reduce(self, array: np.ndarray, op: str = "sum", root: int = 0,
                comm: Optional[Communicator] = None) -> Optional[np.ndarray]:
         """Binomial-tree reduction of a numpy array; result at root."""
+        import numpy as np
+
         comm = comm or self.comm_world
         size, rank = comm.size, comm.rank
         fn = REDUCE_OPS[op]
@@ -110,6 +120,8 @@ class MPICollectives:
     def allreduce(self, array: np.ndarray, op: str = "sum",
                   comm: Optional[Communicator] = None) -> np.ndarray:
         """Generic MPICH allreduce: reduce to 0, then broadcast."""
+        import numpy as np
+
         comm = comm or self.comm_world
         acc = yield from self.reduce(array, op, 0, comm)
         raw = yield from self.bcast(acc.tobytes() if comm.rank == 0 else None,
@@ -204,6 +216,8 @@ class MPICollectives:
         The generic MPICH algorithm: receive the running prefix from
         rank-1, combine, forward to rank+1 — a linear pipeline.
         """
+        import numpy as np
+
         comm = comm or self.comm_world
         size, rank = comm.size, comm.rank
         fn = REDUCE_OPS[op]

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 
 class Datatype:
     """Base: a datatype maps (memory bytes) <-> (packed wire bytes)."""

@@ -21,6 +21,11 @@ from repro.obs.hist import Histogram
 from repro.obs.span import STAGES, MessageSpan
 
 
+#: the node attributes whose ``stats`` registry the hub reads (devices,
+#: then software layers); the gauge sampler watches the same ones
+LAYER_ATTRS = ("adapter", "nic", "am", "mpl", "mpi", "splitc")
+
+
 class Observatory:
     """Collects message spans, histograms, phase spans, and stat registries."""
 
@@ -122,7 +127,7 @@ class Observatory:
                     regs.append(holder.stats)
             for node in m.nodes:
                 regs.append(node.stats)
-                for attr in ("adapter", "nic", "am", "mpl", "mpi", "splitc"):
+                for attr in LAYER_ATTRS:
                     layer = getattr(node, attr, None)
                     st = getattr(layer, "stats", None)
                     if st is not None:

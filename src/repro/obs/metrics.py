@@ -26,6 +26,14 @@ one-way-reference rule.  Sampling is **opt-in**: without
 busy-time accumulators are only maintained inside existing
 ``obs is not None`` blocks, so an unobserved run pays nothing.
 
+Gauges are *compiled*: a tick runs a flat list of ``(series.record,
+getter)`` probes whose names, series, windows and counters were resolved
+once.  What a probe was resolved from can change under a running sampler
+— a layer attached late, a peer first contacted, a counter first bumped —
+so each tick compares a cheap signature of the machine's layout and
+recompiles on a difference, which keeps every series identical, sample
+for sample, to a walk of the whole machine per tick.
+
 The sampler keeps rescheduling itself until :meth:`MetricsSampler.stop`
 is called (or ``max_samples`` hits), so drive sampled runs with
 ``run_until_processes_done`` — a drain-the-queue ``run()`` would never
@@ -34,8 +42,9 @@ terminate while the recurring timer lives.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.obs.core import LAYER_ATTRS
 from repro.sim.stats import TimeSeries
 
 #: Chrome-trace "process" rows for counter tracks that belong to no node
@@ -51,6 +60,34 @@ RATE_COUNTERS: Tuple[str, ...] = (
 #: default ring-buffer bound per series (a long soak keeps the newest
 #: ~4k samples per gauge instead of growing without limit)
 DEFAULT_CAPACITY = 4096
+
+
+def _utilization_of(read_busy: Callable[[], float], last_busy: Dict,
+                    name: str, period_us: float) -> Callable[[], float]:
+    """Getter: the per-period utilization implied by a cumulative
+    busy-time counter (delta busy / period; may exceed 1.0 briefly — wire
+    time is charged at injection, ahead of serialization)."""
+    def getter() -> float:
+        busy = read_busy()
+        last = last_busy.get(name, 0.0)
+        last_busy[name] = busy
+        return (busy - last) / period_us
+    return getter
+
+
+def _rate_of(counters: List, last_counts: Dict, name: str,
+             period_us: float) -> Callable[[], float]:
+    """Getter: the per-period delta of ``counters``' total, in events per
+    simulated **second**."""
+    scale = 1e6 / period_us
+    def getter() -> float:
+        total = 0
+        for c in counters:
+            total += c.value
+        last = last_counts.get(name, 0)
+        last_counts[name] = total
+        return (total - last) * scale
+    return getter
 
 
 class MetricsSampler:
@@ -90,6 +127,14 @@ class MetricsSampler:
             (node.id, getattr(node, "adapter", None), node)
             for node in machine.nodes
         ]
+        #: one ``(series.record, getter)`` pair per live gauge, in the
+        #: order a walk of the machine visits them; a tick is one pass
+        #: over this list.  Rebuilt by :meth:`_compile` whenever
+        #: :meth:`_layout` reads differently from ``_compiled_layout``.
+        self._probes: List[Tuple[Callable, Callable]] = []
+        self._compiled_layout: Optional[Tuple[list, list]] = None
+        # the growable tables the last compile flattened into probes
+        self._sized: List = []
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -129,68 +174,89 @@ class MetricsSampler:
             self.pid_of[name] = pid
         return s
 
-    def _util(self, name: str, pid: int, t: float, busy: float) -> None:
-        """Record the per-period utilization implied by a cumulative
-        busy-time counter (delta busy / period; may exceed 1.0 briefly —
-        wire time is charged at injection, ahead of serialization)."""
-        last = self._last_busy.get(name, 0.0)
-        self._last_busy[name] = busy
-        self._series(name, pid).record(t, (busy - last) / self.period_us)
+    def _layout(self) -> Tuple[list, list]:
+        """Everything :meth:`_compile` resolved that can change under a
+        running sampler: the layers attached to each node, and the sizes
+        of the tables it flattened — the switch's links, the peers each
+        AM endpoint has contacted, the counters each registry holds
+        (``retransmissions`` first exists at the first retransmission).
+        Read every tick, in place of the walk itself."""
+        return ([getattr(node, attr, None) for _nid, _adapter, node
+                 in self._nodes for attr in LAYER_ATTRS],
+                list(map(len, self._sized)))
 
-    def _tick(self) -> None:
-        sim = self.sim
-        t = sim.now
-        self.samples_taken += 1
-        self._series("sched.live_pending", GLOBAL_PID).record(
-            t, sim.live_pending_count())
+    def _compile(self) -> None:
+        """Resolve every gauge that records *now* into a probe.
+
+        Series are created here, in walk order, exactly when the per-tick
+        walk used to create them (``bottleneck_verdict`` breaks p95 ties
+        by that order); a gauge whose subject does not exist yet — window
+        state before an endpoint is attached, window credit before its
+        first peer — gets its probe at the compile its subject's arrival
+        triggers, i.e. at the same tick as before.
+        """
+        probes = self._probes = []
+        sized = self._sized = [self.obs._registries]
+        period = self.period_us
+
+        def probe(name: str, pid: int, getter: Callable) -> None:
+            probes.append((self._series(name, pid).record, getter))
+
+        def util(name: str, pid: int, read_busy: Callable) -> None:
+            probe(name, pid, _utilization_of(read_busy, self._last_busy,
+                                             name, period))
+
+        probe("sched.live_pending", GLOBAL_PID, self.sim.live_pending_count)
         switch = getattr(self.machine, "switch", None)
         if switch is not None:
-            self._series("switch.in_flight", SWITCH_PID).record(
-                t, switch.in_flight)
-            for dst, busy in switch.link_busy_us.items():
-                self._util(f"link{dst}.util", SWITCH_PID, t, busy)
+            probe("switch.in_flight", SWITCH_PID, lambda: switch.in_flight)
+            link_busy = switch.link_busy_us
+            sized.append(link_busy)
+            for dst in link_busy:
+                util(f"link{dst}.util", SWITCH_PID,
+                     lambda dst=dst: link_busy[dst])
         for nid, adapter, node in self._nodes:
             if adapter is not None:
-                self._series(f"n{nid}.send_fifo", nid).record(
-                    t, adapter.send_fifo.occupied)
-                rf = adapter.recv_fifo
-                self._series(f"n{nid}.recv_fifo", nid).record(t, rf.occupied)
-                self._series(f"n{nid}.recv_visible", nid).record(
-                    t, len(rf.visible))
-                self._util(f"n{nid}.tx_util", nid, t, adapter.tx_busy_us)
+                sf, rf = adapter.send_fifo, adapter.recv_fifo
+                probe(f"n{nid}.send_fifo", nid, lambda sf=sf: sf.occupied)
+                probe(f"n{nid}.recv_fifo", nid, lambda rf=rf: rf.occupied)
+                probe(f"n{nid}.recv_visible", nid,
+                      lambda rf=rf: len(rf.visible))
+                util(f"n{nid}.tx_util", nid,
+                     lambda adapter=adapter: adapter.tx_busy_us)
             am = getattr(node, "am", None)
             if am is not None:
-                in_flight = 0
-                credit = None
-                for peer in am._peers.values():
-                    for win in peer.send:
-                        in_flight += win.in_flight
-                        c = win.window - win.in_flight
-                        if credit is None or c < credit:
-                            credit = c
-                self._series(f"n{nid}.win_inflight", nid).record(t, in_flight)
-                if credit is not None:
-                    self._series(f"n{nid}.win_credit", nid).record(t, credit)
-        self._sample_rates(t)
+                sized.append(am._peers)
+                wins = [win for peer in am._peers.values()
+                        for win in peer.send]
+                probe(f"n{nid}.win_inflight", nid, lambda wins=wins: sum(
+                    [win.in_flight for win in wins]))
+                if wins:
+                    # the tightest remaining credit
+                    probe(f"n{nid}.win_credit", nid, lambda wins=wins: min(
+                        [win.window - win.in_flight for win in wins]))
+        tables = [reg.counters for reg in self.obs._all_registries()]
+        sized.extend(tables)
+        for name in RATE_COUNTERS:
+            # summed across every registry that carries the counter
+            probe(f"rate.{name}_per_s", GLOBAL_PID, _rate_of(
+                [table[name] for table in tables if name in table],
+                self._last_counts, name, period))
+        self._compiled_layout = self._layout()
+
+    def _tick(self) -> None:
+        t = self.sim.now
+        self.samples_taken += 1
+        if self._layout() != self._compiled_layout:
+            self._compile()
+        for record, getter in self._probes:
+            record(t, getter())
         if (self.max_samples is not None
                 and self.samples_taken >= self.max_samples):
             self._timer = None
             return
         self._timer = self.sim.call_later_unsequenced(
             self.period_us, self._tick)
-
-    def _sample_rates(self, t: float) -> None:
-        """Counter-delta rates, in events per simulated **second**."""
-        regs = self.obs._all_registries()
-        scale = 1e6 / self.period_us  # per-period delta -> per-second
-        for name in RATE_COUNTERS:
-            total = 0
-            for reg in regs:
-                total += reg.get(name)
-            last = self._last_counts.get(name, 0)
-            self._last_counts[name] = total
-            self._series(f"rate.{name}_per_s", GLOBAL_PID).record(
-                t, (total - last) * scale)
 
     # ------------------------------------------------------------------
     # queries

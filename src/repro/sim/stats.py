@@ -37,13 +37,13 @@ class TimeSeries:
     """(time, value) samples, e.g. instantaneous window occupancy.
 
     With ``capacity`` set the series is a ring buffer: once full, each
-    new sample evicts the oldest one and bumps ``dropped_samples``.
+    new sample evicts the oldest one, which ``dropped_samples`` counts.
     Long soaks with a periodic gauge sampler need the bound — an
     unbounded series would grow by one tuple per sample for the entire
     run — while short benchmark runs keep the default unbounded list.
     """
 
-    __slots__ = ("name", "samples", "capacity", "dropped_samples")
+    __slots__ = ("name", "samples", "capacity", "recorded")
 
     def __init__(self, name: str, capacity: Optional[int] = None):
         if capacity is not None and capacity < 1:
@@ -54,14 +54,19 @@ class TimeSeries:
         #: a plain list (append is the hot operation either way)
         self.samples = (deque(maxlen=capacity) if capacity is not None
                         else [])
-        #: samples evicted by the ring buffer (0 when unbounded)
-        self.dropped_samples = 0
+        #: samples ever recorded, evicted ones included
+        self.recorded = 0
 
     def record(self, t: float, value: float) -> None:
-        s = self.samples
-        if self.capacity is not None and len(s) == self.capacity:
-            self.dropped_samples += 1
-        s.append((t, value))
+        # the gauge sampler's hot call: the deque evicts, nothing is
+        # compared per sample
+        self.recorded += 1
+        self.samples.append((t, value))
+
+    @property
+    def dropped_samples(self) -> int:
+        """Samples evicted by the ring buffer (0 when unbounded)."""
+        return self.recorded - len(self.samples)
 
     @property
     def values(self) -> List[float]:
@@ -122,6 +127,13 @@ class StatRegistry:
         self.prefix = prefix
         self._counters: Dict[str, Counter] = {}
         self._series: Dict[str, TimeSeries] = {}
+
+    @property
+    def counters(self) -> Dict[str, Counter]:
+        """The live name -> :class:`Counter` table (read, never written,
+        through this): a periodic reader binds the counters it wants
+        once and sees a new one arrive as a change of the table's size."""
+        return self._counters
 
     def counter(self, name: str) -> Counter:
         c = self._counters.get(name)

@@ -13,7 +13,31 @@ def alloc_script(draw):
         min_size=1, max_size=20))
 
 
+def eager_addresses(sizes):
+    """The addresses the allocator handed out when its constructor built
+    the first 1 MB segment (the reference for the demand-allocated one)."""
+    brk, free, out = 0, 1 << 20, []
+    for n in sizes:
+        rounded = -(-n // 64) * 64
+        if rounded > free:
+            free = max(1 << 20, rounded)   # brk is already 64-aligned
+        out.append(brk)
+        brk += rounded
+        free -= rounded
+    return out, brk
+
+
 class TestMemoryProperties:
+    @given(sizes=alloc_script())
+    @settings(max_examples=60)
+    def test_addresses_unchanged_by_demand_allocation(self, sizes):
+        mem = Memory()
+        assert mem.brk == 0
+        got = [mem.alloc(n) for n in sizes]
+        want, brk = eager_addresses(sizes)
+        assert got == want and mem.brk == brk
+        assert all(a % 64 == 0 for a in got)
+
     @given(sizes=alloc_script())
     @settings(max_examples=60)
     def test_allocations_disjoint_and_readable(self, sizes):
@@ -59,7 +83,7 @@ class TestMemoryProperties:
         exported numpy views (bytearray resize would raise BufferError)."""
         import numpy as np
 
-        mem = Memory(initial=1024)
+        mem = Memory()
         addr, arr = mem.alloc_array(128, np.int64)
         arr[:] = np.arange(128)
         # force several new segments

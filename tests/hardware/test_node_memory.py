@@ -25,16 +25,62 @@ class TestMemory:
         mem.write(addr, b"hello world")
         assert mem.read(addr, 11) == b"hello world"
 
-    def test_growth_beyond_initial_size(self):
-        mem = Memory(initial=128)
+    def test_growth_to_a_full_segment(self):
+        mem = Memory()
         addr = mem.alloc(1 << 20)
         mem.write(addr + (1 << 20) - 4, b"tail")
         assert mem.read(addr + (1 << 20) - 4, 4) == b"tail"
 
     def test_read_past_end_raises(self):
-        mem = Memory(initial=64)
-        with pytest.raises(IndexError):
+        mem = Memory()
+        mem.alloc(64)
+        with pytest.raises(IndexError, match="exceeds memory"):
             mem.read(1 << 30, 10)
+
+    def test_no_backing_store_before_the_first_alloc(self):
+        mem = Memory()
+        assert mem._segments == [] and mem.brk == 0
+        # access to a memory that holds nothing is the named error, not
+        # an index fault on the empty segment list
+        for access in (lambda: mem.read(0, 1), lambda: mem.write(0, b"x"),
+                       lambda: mem.view(64, 8)):
+            with pytest.raises(IndexError, match="allocated nothing"):
+                access()
+        assert mem._segments == [] and mem.brk == 0
+        assert mem.alloc(10) == 0
+        assert len(mem._segments) == 1 and mem.brk == 64
+        assert mem.read(0, 10) == bytes(10)
+
+    def test_initial_parameter_is_gone(self):
+        with pytest.raises(TypeError):
+            Memory(initial=1 << 16)
+
+    def test_alloc_array_defaults_to_float64(self):
+        mem = Memory()
+        mem.alloc(3)                      # the array must still be aligned
+        addr, arr = mem.alloc_array(5)
+        assert arr.dtype == np.float64 and arr.shape == (5,)
+        assert addr == 64 and mem.brk == 64 + 64
+        arr[:] = 1.5
+        assert np.frombuffer(mem.read(addr, 40), np.float64).tolist() == \
+            [1.5] * 5
+        for dtype in ("u1", np.int16, np.dtype(">i8"), np.complex128):
+            _, typed = mem.alloc_array(4, dtype)
+            assert typed.dtype == np.dtype(dtype) and len(typed) == 4
+
+    def test_256_node_machine_holds_no_node_memory(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            machine = build_sp_machine(Simulator(), 256)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one eager 1 MB segment per node alone would be 256 MB
+        assert peak < 32 << 20
+        assert all(n.memory._segments == [] and n.memory.brk == 0
+                   for n in machine.nodes)
 
     def test_negative_alloc_rejected(self):
         with pytest.raises(ValueError):

@@ -62,6 +62,30 @@ _RDMA_FIN = PacketKind.RDMA_FIN
 #: sentinel chunk index marking a rendezvous FIN in ``pending_units``
 _FIN_UNIT = -2
 
+#: send-FIFO backpressure retry: the adapter drains an entry every ~6.5 us
+_FIFO_BACKOFF = Delay(3.3)
+
+
+class _DelayCache(dict):
+    """One shared :class:`Delay` per size: ``cache[n]`` is
+    ``Delay(cost(n))``, built on first use.
+
+    The per-packet host charges of the bulk path are yielded from these
+    instead of a fresh ``Delay`` each: the engine only reads ``duration``
+    and the cost tables are frozen.  A hit is a plain dict subscript, not
+    a Python call.
+    """
+
+    __slots__ = ("_cost",)
+
+    def __init__(self, cost: Callable[[int], float]):
+        super().__init__()
+        self._cost = cost
+
+    def __missing__(self, n: int) -> Delay:
+        d = self[n] = Delay(self._cost(n))
+        return d
+
 
 class _RdmaGrant:
     """Receiver-side record of one granted rendezvous destination region.
@@ -217,6 +241,14 @@ class SPAM:
         self._poll_pkt_delay = Delay(self.host.poll_per_packet)
         self._save_retx_delay = Delay(self.costs.save_retransmit)
         self._mc_pio_delay = Delay(self.host.mc_pio)
+        # the bulk path's per-packet charges: build + flush one send-FIFO
+        # entry of n wire bytes; copy one received n-byte payload into the
+        # user buffer
+        costs, host = self.costs, self.host
+        self._stage_delays = _DelayCache(
+            lambda n: costs.store_per_packet + flush_cost(n, host))
+        self._copy_delays = _DelayCache(
+            lambda n: costs.bulk_recv_fixed + copy_cost(n, host))
         self._c_requests_sent = self.stats.counter("requests_sent")
         self._c_replies_sent = self.stats.counter("replies_sent")
         self._c_handlers_run = self.stats.counter("handlers_run")
@@ -530,46 +562,57 @@ class SPAM:
 
     def _send_chunk(self, op, peer, win, idx, off, length, npk):
         """Stage one chunk's packets, arming in ARM_BATCH sub-batches so
-        injection overlaps transmission on the wire."""
-        c = self.costs
+        injection overlaps transmission on the wire.
+
+        The packets are built in one pass before the first yield, so both
+        piggybacked acks are read once for the whole chunk (nothing can
+        move them in between), and each packet's staging charge is a
+        shared per-wire-size ``Delay``.
+        """
         seq = win.allocate(npk)
         self._note_occupancy(win)
-        kind = (PacketKind.STORE_DATA if op.channel == REQUEST_CHANNEL
-                else PacketKind.GET_DATA)
-        packets: List[Packet] = []
-        for poff in range(0, length, PACKET_PAYLOAD_BYTES):
-            payload = op.data[off + poff: off + min(poff + PACKET_PAYLOAD_BYTES, length)]
-            pkt = Packet(src=self.node.id, dst=op.dst, kind=kind,
-                         channel=op.channel, seq=seq,
-                         handler=op.handler, args=op.handler_args,
-                         payload=payload, addr=op.remote_addr,
-                         offset=off + poff, total_len=len(op.data),
-                         chunk_packets=npk, op_token=op.token)
-            self._stamp_acks(pkt, peer)
-            packets.append(pkt)
+        channel = op.channel
+        kind = _STORE_DATA if channel == REQUEST_CHANNEL else _GET_DATA
+        ack_req = peer.recv[REQUEST_CHANNEL].ack_value()
+        ack_rep = peer.recv[REPLY_CHANNEL].ack_value()
+        src = self.node.id
+        dst, data, handler, args = op.dst, op.data, op.handler, op.handler_args
+        addr, token, total_len = op.remote_addr, op.token, len(data)
+        end = off + length
+        step = PACKET_PAYLOAD_BYTES
+        packets = [
+            Packet(src=src, dst=dst, kind=kind, seq=seq, ack_req=ack_req,
+                   ack_rep=ack_rep, channel=channel, handler=handler,
+                   args=args, payload=data[poff:min(poff + step, end)],
+                   addr=addr, offset=poff, total_len=total_len,
+                   chunk_packets=npk, op_token=token)
+            for poff in range(off, end, step)
+        ]
         staged = 0
         node = self.node
         adapter = self.adapter
-        host = self.host
+        fifo = adapter.send_fifo
+        mc_pio = self.host.mc_pio
         mc_pio_delay = self._mc_pio_delay
-        per_packet = c.store_per_packet
+        arm_batch = self.ARM_BATCH
+        stage_delays = self._stage_delays
         for p in packets:
             # inlined node.compute: one generator frame less per packet
-            cost = per_packet + flush_cost(p.wire_bytes, host)
-            node.cpu_busy_us += cost
-            yield Delay(cost)
-            while not adapter.host_can_stage(1):
+            d = stage_delays[p.wire_bytes]
+            node.cpu_busy_us += d.duration
+            yield d
+            while fifo.occupied >= fifo.entries:
                 # send-FIFO backpressure: wait for the adapter to drain one
                 # entry (it transmits every ~6.5 us)
-                yield Delay(3.3)
+                yield _FIFO_BACKOFF
             adapter.host_stage(p)
             staged += 1
-            if staged % self.ARM_BATCH == 0:
-                node.cpu_busy_us += host.mc_pio
+            if staged % arm_batch == 0:
+                node.cpu_busy_us += mc_pio
                 yield mc_pio_delay
                 adapter.host_arm()
-        if staged % self.ARM_BATCH:
-            node.cpu_busy_us += host.mc_pio
+        if staged % arm_batch:
+            node.cpu_busy_us += mc_pio
             yield mc_pio_delay
             adapter.host_arm()
         win.save(seq, packets)
@@ -674,7 +717,7 @@ class SPAM:
             while not adapter.host_can_stage(1):
                 # adapter TX backpressure: the DMA engine shares the send
                 # pipeline with everything else on this node
-                yield Delay(3.3)
+                yield _FIFO_BACKOFF
             adapter.host_stage(p)
             staged += 1
             if staged % self.ARM_BATCH == 0:
@@ -724,21 +767,82 @@ class SPAM:
     # ------------------------------------------------------------------
 
     def _drain(self, limit: Optional[int] = None):
-        """Consume arrived packets + perform flow-control duties."""
+        """Consume arrived packets + perform flow-control duties.
+
+        Eager bulk data (STORE_DATA / GET_DATA, 36 packets per chunk) is
+        handled in this loop rather than in :meth:`_process`: its copy
+        charge is yielded from this frame, so resuming after it crosses no
+        nested generator.  Only the rare completion handler, NACK and
+        chunk ack drop into one.
+        """
         handled = 0
         node = self.node
+        memory = node.memory
         adapter = self.adapter
         fifo = adapter.recv_fifo
+        visible = fifo.visible
         pkt_delay = self._poll_pkt_delay
-        while fifo.visible:
+        copy_delays = self._copy_delays
+        peers = self._peers
+        bulk_recv = self._bulk_recv
+        while visible:
             if limit is not None and handled >= limit:
                 break
-            pkt = adapter.host_recv_consume()
+            if adapter.obs is None:
+                pkt = fifo.consume()
+            else:
+                pkt = adapter.host_recv_consume()
             node.cpu_busy_us += pkt_delay.duration
             yield pkt_delay
-            yield from self._process(pkt)
+            kind = pkt.kind
+            if kind is not _STORE_DATA and kind is not _GET_DATA:
+                yield from self._process(pkt)
+            else:
+                self._apply_acks(pkt)
+                src = pkt.src
+                peer = peers.get(src)  # inlined _peer fast path
+                if peer is None:
+                    peer = self._peer(src)
+                rwin = peer.recv[pkt.channel]
+                verdict = rwin.accept(pkt)[0]
+                if verdict == "partial" or verdict == "deliver":
+                    if verdict == "partial":
+                        # feed the stalled-assembly watchdog (§2.2
+                        # gap-less loss)
+                        rwin.assembly_progress_t = self.sim.now
+                    # copy payload out of the FIFO entry into the user
+                    # buffer (inlined node.compute)
+                    payload = pkt.payload
+                    npay = len(payload)
+                    d = copy_delays[npay]
+                    node.cpu_busy_us += d.duration
+                    yield d
+                    memory.write(pkt.addr + pkt.offset, payload)
+                    key = (src, pkt.op_token)
+                    st = bulk_recv.get(key)
+                    if st is None:
+                        st = bulk_recv[key] = BulkRecvState(
+                            src=src, token=pkt.op_token, addr=pkt.addr,
+                            total_len=pkt.total_len, handler=pkt.handler,
+                            handler_args=pkt.args)
+                    if st.add(npay):
+                        yield from self._bulk_complete(pkt, key, st)
+                    if verdict == "deliver":
+                        # one explicit acknowledgement per chunk (§2.2)
+                        yield from self._send_ack(src)
+                        self.stats.count("chunk_acks_sent")
+                elif verdict == "duplicate":
+                    if rwin._assembly is not None:
+                        # duplicates count as watchdog progress too: they
+                        # mean the sender's go-back-N burst is in flight,
+                        # so NACKing again would only trigger another
+                        # redundant full-window retransmission
+                        rwin.assembly_progress_t = self.sim.now
+                    self.stats.count("duplicates_dropped")
+                else:
+                    yield from self._send_nack(src, rwin)
             handled += 1
-            if fifo.should_pop():
+            if fifo.pending_pop >= fifo.lazy_pop_batch:  # should_pop()
                 # lazy pop: flush the consumed entries + one PIO (§2.1)
                 batch = fifo.pending_pop
                 cost = self.host.mc_pio + flush_cost(batch * 256, self.host)
@@ -786,8 +890,6 @@ class SPAM:
                 self.stats.count("duplicates_dropped")
             elif verdict == "nack":
                 yield from self._send_nack(pkt.src, rwin)
-        elif kind is _STORE_DATA or kind is _GET_DATA:
-            yield from self._process_bulk(pkt)
         elif kind is _GET_REQUEST:
             yield from self._process_get_request(pkt)
         elif kind is _RTS:
@@ -849,72 +951,35 @@ class SPAM:
             op.completion_fn(op)
         self.stats.count("bulk_ops_completed")
 
-    def _process_bulk(self, pkt: Packet):
-        channel = pkt.channel
-        peer = self._peers.get(pkt.src)  # inlined _peer fast path
-        if peer is None:
-            peer = self._peer(pkt.src)
-        rwin = peer.recv[channel]
-        verdict, unit = rwin.accept(pkt)
-        if rwin.has_partial_assembly and verdict in ("partial", "duplicate"):
-            # feed the stalled-assembly watchdog (§2.2 gap-less loss);
-            # duplicates count as progress too — they mean the sender's
-            # go-back-N burst is in flight, so NACKing again would only
-            # trigger another redundant full-window retransmission
-            rwin.assembly_progress_t = self.sim.now
-        if verdict in ("deliver", "partial"):
-            # copy payload out of the FIFO entry into the user buffer
-            # (inlined node.compute: one generator frame less per packet)
-            node = self.node
-            cost = (self.costs.bulk_recv_fixed
-                    + copy_cost(len(pkt.payload), self.host))
-            node.cpu_busy_us += cost
-            yield Delay(cost)
-            node.memory.write(pkt.addr + pkt.offset, pkt.payload)
-            yield from self._bulk_progress(pkt)
-            if verdict == "deliver":
-                # one explicit acknowledgement per chunk (§2.2)
-                yield from self._send_ack(pkt.src)
-                self.stats.count("chunk_acks_sent")
-        elif verdict == "duplicate":
-            self.stats.count("duplicates_dropped")
-        else:
-            yield from self._send_nack(pkt.src, rwin)
-
-    def _bulk_progress(self, pkt: Packet):
-        key = (pkt.src, pkt.op_token)
-        st = self._bulk_recv.get(key)
-        if st is None:
-            st = self._bulk_recv[key] = BulkRecvState(
-                src=pkt.src, token=pkt.op_token, addr=pkt.addr,
-                total_len=pkt.total_len, handler=pkt.handler,
-                handler_args=pkt.args)
-        if st.add(len(pkt.payload)):
-            del self._bulk_recv[key]
-            if pkt.kind == PacketKind.GET_DATA:
-                waiter = self._get_waiters.pop(key, None)
-                if waiter is not None:
-                    waiter.succeed(st)
-            if st.handler >= 0:
-                fn = self.handlers.lookup(st.handler)
-                token = ReplyToken(self, st.src)
-                obs = self._obs
-                t0 = self.sim.now
-                if obs is not None:
-                    obs.mark_packet(pkt, "handler_start", t0)
-                self._in_handler = True
-                try:
-                    yield from run_handler(fn, token, st.addr, st.total_len,
-                                           *st.handler_args)
-                finally:
-                    self._in_handler = False
-                if obs is not None:
-                    obs.mark_packet(pkt, "handler_end", self.sim.now)
-                    h = self._handler_hist
-                    if h is None:
-                        h = self._handler_hist = obs.hist("am.handler_us")
-                    h.observe(self.sim.now - t0)
-            self.stats.count("bulk_recv_completed")
+    def _bulk_complete(self, pkt: Packet, key: Tuple[int, int],
+                       st: BulkRecvState):
+        """The last byte of an incoming transfer landed (``pkt`` carried
+        it): wake a blocked get and run the completion handler."""
+        del self._bulk_recv[key]
+        if pkt.kind is _GET_DATA:
+            waiter = self._get_waiters.pop(key, None)
+            if waiter is not None:
+                waiter.succeed(st)
+        if st.handler >= 0:
+            fn = self.handlers.lookup(st.handler)
+            token = ReplyToken(self, st.src)
+            obs = self._obs
+            t0 = self.sim.now
+            if obs is not None:
+                obs.mark_packet(pkt, "handler_start", t0)
+            self._in_handler = True
+            try:
+                yield from run_handler(fn, token, st.addr, st.total_len,
+                                       *st.handler_args)
+            finally:
+                self._in_handler = False
+            if obs is not None:
+                obs.mark_packet(pkt, "handler_end", self.sim.now)
+                h = self._handler_hist
+                if h is None:
+                    h = self._handler_hist = obs.hist("am.handler_us")
+                h.observe(self.sim.now - t0)
+        self.stats.count("bulk_recv_completed")
 
     # ------------------------------------------------------------------
     # rendezvous (RTS/CTS + simulated RDMA) receiver side
@@ -1426,11 +1491,12 @@ class SPAM:
                 # going idle: return consumed receive-FIFO slots to the
                 # adapter even below the lazy-pop batch, so a near-full
                 # FIFO can't keep dropping the very retransmissions that
-                # would drain it
+                # would drain it (inlined node.compute: on a bulk stream
+                # this runs about once per three packets received)
                 batch = rf.pending_pop
-                yield from self.node.compute(
-                    self.host.mc_pio + flush_cost(batch * 256, self.host)
-                )
+                cost = self.host.mc_pio + flush_cost(batch * 256, self.host)
+                self.node.cpu_busy_us += cost
+                yield Delay(cost)
                 self.adapter.host_recv_pop_batch()
                 self.stats.count("idle_pop_flushes")
             timeout = self.costs.keepalive_idle * self._keepalive_backoff

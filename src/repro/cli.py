@@ -45,6 +45,30 @@ import sys
 from repro.bench.report import fmt_series, fmt_table, paper_vs_measured
 
 
+def _check_report_dir(args) -> None:
+    """Fail before running anything if the report could not be written.
+
+    A missing or read-only ``--report-dir`` would otherwise surface only
+    after the whole experiment had run.  Same message as the late failure
+    in :func:`_write_report`.
+    """
+    if getattr(args, "no_report", True):
+        return
+    import errno
+    import os
+    import tempfile
+
+    d = args.report_dir
+    try:
+        if not os.path.isdir(d):
+            code = errno.ENOTDIR if os.path.exists(d) else errno.ENOENT
+            raise OSError(code, os.strerror(code), d)
+        with tempfile.TemporaryFile(dir=d):
+            pass
+    except OSError as e:
+        raise SystemExit(f"spam-bench: cannot write report: {e}")
+
+
 def _write_report(args, experiment, entries, obs=None, extra=None) -> None:
     if getattr(args, "no_report", True):
         return
@@ -727,6 +751,7 @@ def main(argv=None) -> int:
                     help="reduced size sweep (CI smoke)")
     _add_report_opts(pb)
     args = parser.parse_args(argv)
+    _check_report_dir(args)
 
     if args.cmd in (None, "list"):
         parser.print_help()

@@ -582,6 +582,10 @@ def run_soak(
     bit-identical, but the gauge sampler must be off and the fault plan
     restricted to switch-site kinds (drop/corrupt/reorder/duplicate).
     """
+    if nodes < 2:
+        # every rank pings its right neighbour: one node would address
+        # itself, which AM refuses deep inside the fault-free run
+        raise ValueError(f"soak needs at least 2 nodes, got {nodes}")
     if workers > 1:
         sharding = True
     if sample_period_us is _SAMPLE_DEFAULT:

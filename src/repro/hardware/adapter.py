@@ -312,8 +312,9 @@ class TB2Adapter:
         self.recv_fifo.deliver(packet)
         for fn in self._arrival_listeners:
             fn(packet)
-        if self._arrival_event is not None and not self._arrival_event.triggered:
-            self._arrival_event.succeed(packet)
+        ev = self._arrival_event
+        if ev is not None and not ev._ok:  # Event.triggered, per arrival
+            ev.succeed(packet)
 
     def _rdma_deliver(self, packet: Packet) -> None:
         """RDMA landing: hand the packet to the AM sink (which writes the

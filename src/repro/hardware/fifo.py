@@ -52,7 +52,7 @@ class SendFIFO:
 
     def stage(self, packet: Packet) -> None:
         """Write a packet into the next entry (not yet visible to the TB2)."""
-        if self.free_entries <= 0:
+        if self.occupied >= self.entries:  # free_entries, per staged packet
             raise OverflowError("send FIFO full; caller must back off first")
         self._staged.append(packet)
         self.occupied += 1

@@ -13,10 +13,10 @@ each packet").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
+from operator import attrgetter
 from struct import Struct
-from typing import Optional, Tuple
+from typing import Tuple
 from zlib import crc32 as _crc32
 
 from repro.hardware.params import PACKET_HEADER_BYTES, PACKET_PAYLOAD_BYTES
@@ -67,72 +67,111 @@ SEQUENCED_KINDS = frozenset(
 )
 
 
-@dataclass
+#: the packet's fields, in constructor and comparison order (the derived
+#: ``wire_bytes`` / ``is_sequenced`` are not fields)
+FIELDS = (
+    "src", "dst", "kind", "seq", "ack_req", "ack_rep", "channel", "handler",
+    "args", "payload", "addr", "offset", "total_len", "chunk_packets",
+    "op_token", "header_bytes", "trace_id", "checksum",
+)
+
+_field_values = attrgetter(*FIELDS)
+_new = object.__new__
+
+
 class Packet:
-    """One packet as it exists in a FIFO entry and on the wire."""
+    """One packet as it exists in a FIFO entry and on the wire.
 
-    src: int
-    dst: int
-    kind: PacketKind
-    #: sliding-window sequence number (packets of one chunk share the
-    #: chunk's base sequence number, §2.2)
-    seq: int = 0
-    #: piggybacked cumulative acks: "every request-channel (resp.
-    #: reply-channel) sequence number below this value has been received
-    #: from you".  -1 = no information (control/raw packets).
-    ack_req: int = -1
-    ack_rep: int = -1
-    #: which traffic class this packet's own seq belongs to (requests and
-    #: replies use separate windows, §2.2): 0 = request, 1 = reply
-    channel: int = 0
-    #: AM handler id (index into the receiver's handler table)
-    handler: int = 0
-    #: up to four 32-bit word arguments (§1.1)
-    args: Tuple[int, ...] = ()
-    #: payload bytes for bulk transfers (<= 224)
-    payload: bytes = b""
-    #: destination base address of the bulk transfer
-    addr: int = 0
-    #: destination byte offset within the bulk transfer (orders packets
-    #: within a chunk, §2.2)
-    offset: int = 0
-    #: total bulk-transfer length (receiver-side completion detection)
-    total_len: int = 0
-    #: how many window sequence numbers this packet's transfer unit
-    #: consumes (36 for a full chunk, 1 for a plain request/reply)
-    chunk_packets: int = 1
-    #: opaque token identifying the bulk operation at its initiator
-    op_token: int = 0
-    #: on-wire header size; AM uses the full 32 bytes, MPL's leaner data
-    #: framing (30 bytes) is what gives it the marginally higher 34.6 MB/s
-    #: asymptote of Table 3
-    header_bytes: int = PACKET_HEADER_BYTES
-    #: observability correlation id (0 = untracked); assigned once by the
-    #: :class:`~repro.obs.core.Observatory` and carried end-to-end so every
-    #: layer's marks land on the same message-lifecycle span.  Not a wire
-    #: field: contributes nothing to ``wire_bytes``.
-    trace_id: int = 0
-    #: header/payload CRC, modelling the TB2's hardware packet CRC: stamped
-    #: by the adapter at send-FIFO staging, verified at wire arrival, and a
-    #: mismatch (payload corruption in the fabric) drops the packet exactly
-    #: like a loss so §2.2's go-back-N recovers it.  -1 = unstamped.  Part
-    #: of the 32-byte header, so it adds nothing to ``wire_bytes``.
-    checksum: int = -1
+    A slotted class with a hand-written constructor: a bulk transfer
+    builds one per 224 payload bytes, so construction is one Python call
+    and no per-instance dict.
 
-    def __post_init__(self) -> None:
-        if len(self.payload) > PACKET_PAYLOAD_BYTES:
+    Fields:
+
+    * ``seq`` — sliding-window sequence number (packets of one chunk share
+      the chunk's base sequence number, §2.2).
+    * ``ack_req`` / ``ack_rep`` — piggybacked cumulative acks: "every
+      request-channel (resp. reply-channel) sequence number below this
+      value has been received from you".  -1 = no information
+      (control/raw packets).
+    * ``channel`` — which traffic class ``seq`` belongs to (requests and
+      replies use separate windows, §2.2): 0 = request, 1 = reply.
+    * ``handler`` — AM handler id (index into the receiver's table).
+    * ``args`` — up to four 32-bit word arguments (§1.1).
+    * ``payload`` — payload bytes for bulk transfers (<= 224).
+    * ``addr`` — destination base address of the bulk transfer.
+    * ``offset`` — destination byte offset within the bulk transfer
+      (orders packets within a chunk, §2.2).
+    * ``total_len`` — total bulk-transfer length (receiver-side completion
+      detection).
+    * ``chunk_packets`` — how many window sequence numbers this packet's
+      transfer unit consumes (36 for a full chunk, 1 for a plain
+      request/reply).
+    * ``op_token`` — opaque token identifying the bulk operation at its
+      initiator.
+    * ``header_bytes`` — on-wire header size; AM uses the full 32 bytes,
+      MPL's leaner data framing (30 bytes) is what gives it the marginally
+      higher 34.6 MB/s asymptote of Table 3.
+    * ``trace_id`` — observability correlation id (0 = untracked);
+      assigned once by the :class:`~repro.obs.core.Observatory` and
+      carried end-to-end so every layer's marks land on the same
+      message-lifecycle span.  Not a wire field.
+    * ``checksum`` — header/payload CRC, modelling the TB2's hardware
+      packet CRC: stamped by the adapter at send-FIFO staging, verified at
+      wire arrival, and a mismatch (payload corruption in the fabric)
+      drops the packet exactly like a loss so §2.2's go-back-N recovers
+      it.  -1 = unstamped.  Part of the 32-byte header.
+
+    ``wire_bytes`` and ``is_sequenced`` are derived once at construction:
+    wire size and sequencing never change after staging (the corrupt
+    fault flips payload bytes but preserves length).
+    """
+
+    __slots__ = FIELDS + ("wire_bytes", "is_sequenced")
+
+    def __init__(self, src: int, dst: int, kind: PacketKind, seq: int = 0,
+                 ack_req: int = -1, ack_rep: int = -1, channel: int = 0,
+                 handler: int = 0, args: Tuple[int, ...] = (),
+                 payload: bytes = b"", addr: int = 0, offset: int = 0,
+                 total_len: int = 0, chunk_packets: int = 1,
+                 op_token: int = 0, header_bytes: int = PACKET_HEADER_BYTES,
+                 trace_id: int = 0, checksum: int = -1) -> None:
+        npay = len(payload)
+        if npay > PACKET_PAYLOAD_BYTES:
             raise ValueError(
-                f"payload {len(self.payload)} exceeds {PACKET_PAYLOAD_BYTES} bytes"
+                f"payload {npay} exceeds {PACKET_PAYLOAD_BYTES} bytes"
             )
-        if len(self.args) > 4:
+        nargs = len(args)
+        if nargs > 4:
             raise ValueError("AM packets carry at most four word arguments")
-        # wire size and sequencing never change after staging (the corrupt
-        # fault flips payload bytes but preserves length), so both are
-        # computed once here instead of per property access on the hot path
-        self.wire_bytes = (
-            self.header_bytes + len(self.payload) + 4 * len(self.args)
-        )
-        self.is_sequenced = self.kind in SEQUENCED_KINDS
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.seq = seq
+        self.ack_req = ack_req
+        self.ack_rep = ack_rep
+        self.channel = channel
+        self.handler = handler
+        self.args = args
+        self.payload = payload
+        self.addr = addr
+        self.offset = offset
+        self.total_len = total_len
+        self.chunk_packets = chunk_packets
+        self.op_token = op_token
+        self.header_bytes = header_bytes
+        self.trace_id = trace_id
+        self.checksum = checksum
+        self.wire_bytes = header_bytes + npay + 4 * nargs
+        self.is_sequenced = kind in SEQUENCED_KINDS
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Packet:
+            return NotImplemented
+        return _field_values(self) == _field_values(other)
+
+    #: mutable and compared by value, so unhashable
+    __hash__ = None  # type: ignore[assignment]
 
     def compute_checksum(self) -> int:
         """CRC32 over every field the receiver acts on (the TB2 CRC)."""
@@ -161,8 +200,27 @@ class Packet:
         and shared; ``trace_id`` is kept so every copy lands on the same
         observability span.
         """
-        new = object.__new__(Packet)
-        new.__dict__.update(self.__dict__)
+        new = _new(Packet)
+        new.src = self.src
+        new.dst = self.dst
+        new.kind = self.kind
+        new.seq = self.seq
+        new.ack_req = self.ack_req
+        new.ack_rep = self.ack_rep
+        new.channel = self.channel
+        new.handler = self.handler
+        new.args = self.args
+        new.payload = self.payload
+        new.addr = self.addr
+        new.offset = self.offset
+        new.total_len = self.total_len
+        new.chunk_packets = self.chunk_packets
+        new.op_token = self.op_token
+        new.header_bytes = self.header_bytes
+        new.trace_id = self.trace_id
+        new.checksum = self.checksum
+        new.wire_bytes = self.wire_bytes
+        new.is_sequenced = self.is_sequenced
         return new
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -1,0 +1,115 @@
+"""Golden event-order digests for the eager bulk paths.
+
+The receive loop handles STORE_DATA / GET_DATA inline and the sender
+stages a chunk in one pass; both are host-side shortcuts that must leave
+the simulated machine untouched.  These pins hash every executed event's
+``(time, seq, callback)`` for a blocking 3-chunk store + get and four
+pipelined ``store_async`` calls, once lossless and once under a seeded
+fault plan, and compare with digests recorded before those shortcuts
+existed.  The lossy leg is the one that reaches the partial / duplicate /
+nack branches the lossless benchmark never does.
+"""
+
+import hashlib
+import struct
+
+from repro.am import attach_spam
+from repro.am.constants import CHUNK_BYTES
+from repro.faults import FaultPlan, FaultRule, install_faults
+from repro.hardware import build_sp_machine
+from repro.sim import Simulator
+
+#: recorded at the commit before the flattened bulk receive loop
+LOSSLESS_DIGEST = "952d0ac86a3c097e6a62ad760105b2d5"
+LOSSY_DIGEST = "79ddbc9f3c5651cc4785e8968bc7ef31"
+
+#: drop, duplicate, reorder and corrupt, seeded: every run replays exactly
+LOSSY_PLAN = FaultPlan(seed=5, rules=(
+    FaultRule(kind="drop", rate=0.02),
+    FaultRule(kind="duplicate", rate=0.02),
+    FaultRule(kind="reorder", rate=0.02, delay_us=40.0),
+    FaultRule(kind="corrupt", rate=0.01),
+))
+
+_PACK = struct.Struct("<dq").pack
+
+
+class _Digest:
+    """``sim.check`` hook: hashes ``(time, seq, callback qualname)``."""
+
+    def __init__(self):
+        self._h = hashlib.blake2b(digest_size=16)
+
+    def on_execute(self, entry):
+        if entry[1] < 0:  # unsequenced observer lane: digest-neutral
+            return
+        self._h.update(_PACK(entry[0], entry[1]))
+        self._h.update(entry[2].__qualname__.encode())
+
+    def on_stale(self, entry):
+        pass
+
+    def on_cancel(self, entry):
+        pass
+
+    def hexdigest(self):
+        return self._h.hexdigest()
+
+
+def _run(plan=None):
+    sim = Simulator()
+    digest = sim.check = _Digest()
+    machine = build_sp_machine(sim, 2)
+    am0, am1 = attach_spam(machine)
+    if plan is not None:
+        install_faults(machine, plan)
+    mem0, mem1 = machine.node(0).memory, machine.node(1).memory
+    block = 3 * CHUNK_BYTES
+    data = bytes((7 * i + 3) % 251 for i in range(block + 4 * CHUNK_BYTES))
+    src = mem0.alloc(len(data))
+    mem0.write(src, data)
+    dst = mem1.alloc(len(data))
+    back = mem0.alloc(block)
+
+    def mover():
+        yield from am0.store(1, src, dst, block)
+        yield from am0.get(1, dst, back, block)
+        ops = []
+        for j in range(4):
+            off = block + j * CHUNK_BYTES
+            ops.append((yield from am0.store_async(
+                1, src + off, dst + off, CHUNK_BYTES)))
+        for op in ops:
+            yield from am0.wait_op(op)
+
+    def server():
+        # serve until every chunk is acked: a finished sender has had
+        # everything it needs from this node
+        while not sender.finished:
+            yield from am1._wait_progress()
+
+    sender = sim.spawn(mover(), name="mover")
+    procs = [sender, sim.spawn(server(), name="server")]
+    sim.run_until_processes_done(procs, limit=1e8)
+    assert mem1.read(dst, len(data)) == data
+    assert mem0.read(back, block) == data[:block]
+    counters = {}
+    for am in (am0, am1):
+        for key, value in am.stats.snapshot().items():
+            name = key.rsplit(".", 1)[-1]
+            counters[name] = counters.get(name, 0) + value
+    return digest.hexdigest(), counters
+
+
+def test_lossless_bulk_digest_is_pinned():
+    digest, counters = _run()
+    assert counters.get("retransmissions", 0) == 0
+    assert digest == LOSSLESS_DIGEST
+
+
+def test_lossy_bulk_digest_is_pinned():
+    digest, counters = _run(LOSSY_PLAN)
+    # the branches the flattened receive loop re-implements
+    for name in ("duplicates_dropped", "nacks_sent", "stall_nacks_sent"):
+        assert counters.get(name, 0) > 0, name
+    assert digest == LOSSY_DIGEST

@@ -72,6 +72,63 @@ def test_unstamped_checksum_always_passes():
     assert p.checksum == -1 and p.checksum_ok()
 
 
+#: every constructor field, in order (the derived wire_bytes / is_sequenced
+#: are not fields)
+FIELDS = ("src", "dst", "kind", "seq", "ack_req", "ack_rep", "channel",
+          "handler", "args", "payload", "addr", "offset", "total_len",
+          "chunk_packets", "op_token", "header_bytes", "trace_id", "checksum")
+
+
+def _full_packet():
+    return Packet(1, 2, PacketKind.STORE_DATA, 36, 5, 6, 1, 3, (7, 8),
+                  b"payload", 4096, 224, 8064, 36, 11, 30, 99, 12345)
+
+
+def test_positional_signature_matches_field_order():
+    p = _full_packet()
+    assert tuple(getattr(p, f) for f in FIELDS) == (
+        1, 2, PacketKind.STORE_DATA, 36, 5, 6, 1, 3, (7, 8), b"payload",
+        4096, 224, 8064, 36, 11, 30, 99, 12345)
+    assert p.wire_bytes == 30 + len(b"payload") + 8
+
+
+def test_clone_copies_every_field():
+    p = _full_packet()
+    q = p.clone()
+    assert q is not p
+    for name in FIELDS + ("wire_bytes", "is_sequenced"):
+        assert getattr(q, name) == getattr(p, name), name
+    assert q.checksum == 12345 and q.trace_id == 99
+
+
+def test_eq_compares_exactly_the_fields():
+    p = _full_packet()
+    assert p == _full_packet()
+    for name in FIELDS:
+        q = p.clone()
+        value = getattr(q, name)
+        setattr(q, name, value + value if name in ("args", "payload")
+                else value + 1)
+        assert q != p, name
+    # the derived attributes are not part of equality
+    q = p.clone()
+    q.wire_bytes += 1
+    q.is_sequenced = not q.is_sequenced
+    assert q == p
+    assert p != (1, 2) and (p == object()) is False
+
+
+def test_unknown_attribute_is_rejected():
+    p = Packet(src=0, dst=1, kind=PacketKind.REQUEST)
+    with pytest.raises(AttributeError):
+        p.not_a_field = 1
+
+
+def test_packets_are_unhashable():
+    with pytest.raises(TypeError):
+        hash(Packet(src=0, dst=1, kind=PacketKind.REQUEST))
+
+
 def test_clone_is_deep_enough_and_keeps_trace_id():
     p = Packet(src=0, dst=1, kind=PacketKind.STORE_DATA, seq=7,
                payload=b"data", args=(1, 2))

@@ -1,0 +1,48 @@
+"""Bad ``spam-bench`` inputs fail before any simulation runs, naming the
+cause."""
+
+import os
+import subprocess
+import sys
+import time
+
+import pytest
+
+from repro.cli import main
+from repro.faults import run_soak
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+
+
+def test_run_soak_rejects_a_single_node():
+    with pytest.raises(ValueError, match="^soak needs at least 2 nodes, "
+                                         "got 1$"):
+        run_soak(nodes=1)
+
+
+def test_soak_single_node_exits_with_the_message():
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "soak", "--nodes", "1",
+         "--no-report"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode != 0
+    assert "soak needs at least 2 nodes, got 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["soak"], ["check", "--seeds", "1"]])
+@pytest.mark.parametrize("bad", ["missing", "a_file"])
+def test_unwritable_report_dir_fails_at_argument_time(tmp_path, argv, bad):
+    if bad == "missing":
+        target = tmp_path / "nonexistent" / "x"
+    else:
+        target = tmp_path / "a_file"
+        target.write_text("")
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--report-dir", str(target)])
+    assert time.perf_counter() - t0 < 1.0
+    assert str(exc.value.code).startswith("spam-bench: cannot write report:")
+    assert str(target) in str(exc.value.code)
+    assert list(tmp_path.iterdir()) == ([] if bad == "missing" else [target])

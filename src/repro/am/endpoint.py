@@ -39,7 +39,8 @@ from repro.am.handler import HandlerRestrictionError, HandlerTable, run_handler
 from repro.am.window import RecvWindow, SendWindow
 from repro.hardware.cache import copy_cost, flush_cost
 from repro.hardware.packet import Packet, PacketKind
-from repro.sim.primitives import TIMED_OUT, Delay, Timeout
+from repro.hardware.params import PACKET_HEADER_BYTES
+from repro.sim.primitives import TIMED_OUT, Delay, Event, Timeout
 from repro.sim.stats import StatRegistry
 
 # PacketKind members as module constants: the receive path compares the
@@ -70,10 +71,10 @@ class _DelayCache(dict):
     """One shared :class:`Delay` per size: ``cache[n]`` is
     ``Delay(cost(n))``, built on first use.
 
-    The per-packet host charges of the bulk path are yielded from these
-    instead of a fresh ``Delay`` each: the engine only reads ``duration``
-    and the cost tables are frozen.  A hit is a plain dict subscript, not
-    a Python call.
+    The per-message host charges are yielded from these instead of a
+    fresh ``Delay`` each: the engine only reads ``duration`` and the cost
+    tables are frozen.  A hit is a plain dict subscript, not a Python
+    call.
     """
 
     __slots__ = ("_cost",)
@@ -123,11 +124,11 @@ class _PeerState:
 
     __slots__ = ("send", "recv", "pending_units")
 
-    def __init__(self) -> None:
+    def __init__(self, duty: set) -> None:
         self.send = (SendWindow(REQUEST_WINDOW), SendWindow(REPLY_WINDOW))
         self.recv = (
-            RecvWindow(REQUEST_WINDOW, REQUEST_WINDOW // ACK_FRACTION),
-            RecvWindow(REPLY_WINDOW, REPLY_WINDOW // ACK_FRACTION),
+            RecvWindow(REQUEST_WINDOW, REQUEST_WINDOW // ACK_FRACTION, duty),
+            RecvWindow(REPLY_WINDOW, REPLY_WINDOW // ACK_FRACTION, duty),
         )
         #: per channel: sorted list of (end_seq, op, chunk_idx) pending acks
         self.pending_units: Tuple[list, list] = ([], [])
@@ -142,11 +143,6 @@ class ReplyToken:
         self.am = am
         self.src = src
         self._used = False
-
-    def _claim(self) -> None:
-        if self._used:
-            raise HandlerRestrictionError("handler already sent its one reply")
-        self._used = True
 
     def reply_1(self, handler: Callable, a0: int):
         """Send the handler's one 1-word reply back to the requester."""
@@ -165,7 +161,9 @@ class ReplyToken:
         return self._reply(handler, (a0, a1, a2, a3))
 
     def _reply(self, handler: Callable, args: Tuple[int, ...]):
-        self._claim()
+        if self._used:
+            raise HandlerRestrictionError("handler already sent its one reply")
+        self._used = True
         return self.am._send_reply(self.src, handler, args)
 
 
@@ -193,6 +191,9 @@ class SPAM:
         self.host = node.host
         self.stats = StatRegistry(f"am[{node.id}].")
         self._peers: Dict[int, _PeerState] = {}
+        #: receive windows that may owe an explicit ack or a stall check
+        #: (see ``RecvWindow.duty``); pruned at the end of each duty pass
+        self._rx_duty: set = set()
         self._in_handler = False
         #: replies that found the reply window or send FIFO full; drained
         #: by subsequent polls
@@ -249,6 +250,27 @@ class SPAM:
             lambda n: costs.store_per_packet + flush_cost(n, host))
         self._copy_delays = _DelayCache(
             lambda n: costs.bulk_recv_fixed + copy_cost(n, host))
+        # the small-message charges, keyed by word-argument count: build +
+        # flush a request entry + its length PIO; a reply's handler-side
+        # build; flush + length PIO of a reply entry.  A request or reply
+        # entry is the header plus four bytes per word.
+        self._req_delays = _DelayCache(
+            lambda n: (costs.req_fixed + costs.per_word * (n - 1)
+                       + flush_cost(PACKET_HEADER_BYTES + 4 * n, host)
+                       + host.mc_pio))
+        self._rep_build_delays = _DelayCache(
+            lambda n: costs.rep_fixed + costs.per_word * (n - 1))
+        self._rep_emit_delays = _DelayCache(
+            lambda n: flush_cost(PACKET_HEADER_BYTES + 4 * n, host)
+            + host.mc_pio)
+        # returning n consumed receive-FIFO entries: one PIO plus the
+        # flush of the n 256-byte slots before their reuse
+        self._pop_delays = _DelayCache(
+            lambda n: host.mc_pio + flush_cost(n * 256, host))
+        # bound on first use, not here: a counter that exists reads 0 in
+        # every snapshot, report and sampler layout
+        self._c_idle_pop_flushes = None
+        self._idle_wait = Timeout(None, 0.0)
         self._c_requests_sent = self.stats.counter("requests_sent")
         self._c_replies_sent = self.stats.counter("replies_sent")
         self._c_handlers_run = self.stats.counter("handlers_run")
@@ -336,7 +358,9 @@ class SPAM:
         # inlined node.compute(poll_empty): no generator frame per poll
         self.node.cpu_busy_us += self._poll_empty_delay.duration
         yield self._poll_empty_delay
-        return (yield from self._drain(limit))
+        if self.adapter.recv_fifo.visible or self._duties_pending():
+            return (yield from self._drain(limit))
+        return 0  # an empty drain: skip its generator
 
     def wait_op(self, op: BulkSendOp):
         """Block until a bulk op completes (all chunks acknowledged)."""
@@ -350,77 +374,84 @@ class SPAM:
     def _peer(self, dst: int) -> _PeerState:
         st = self._peers.get(dst)
         if st is None:
-            st = self._peers[dst] = _PeerState()
+            st = self._peers[dst] = _PeerState(self._rx_duty)
             if self.check is not None:
                 self.check.adopt_peer(self, dst, st)
         return st
 
-    @property
-    def _obs(self):
-        """The machine's observability hub (None when unobserved)."""
-        return self.adapter.obs
-
     def _note_occupancy(self, win: "SendWindow") -> None:
         """Sample sliding-window occupancy into the observability layer
         (histogram for percentile queries + a time series on this
-        endpoint's registry)."""
-        obs = self._obs
-        if obs is not None:
-            h = self._occ_hist
-            if h is None:
-                h = self._occ_hist = obs.hist("am.window_occupancy")
-            h.observe(win.in_flight)
-            self._occ_series.record(self.sim.now, win.in_flight)
+        endpoint's registry).  Callers test ``adapter.obs`` first."""
+        h = self._occ_hist
+        if h is None:
+            h = self._occ_hist = self.adapter.obs.hist("am.window_occupancy")
+        h.observe(win.in_flight)
+        self._occ_series.record(self.sim.now, win.in_flight)
 
     def _request(self, dst: int, handler: Callable, args: Tuple[int, ...]):
         if self._in_handler:
             raise HandlerRestrictionError(
                 "handlers may not issue requests; reply via the token"
             )
-        if dst == self.node.id:
+        node = self.node
+        if dst == node.id:
             raise ValueError("AM requests must address a remote node")
-        c = self.costs
-        peer = self._peer(dst)
+        peer = self._peers.get(dst)  # inlined _peer fast path
+        if peer is None:
+            peer = self._peer(dst)
         win = peer.send[REQUEST_CHANNEL]
-        # credit + FIFO space: am_request services the network while blocked
-        while not (win.can_send(1) and self.adapter.host_can_stage(1)):
+        adapter = self.adapter
+        fifo = adapter.send_fifo
+        # credit + FIFO space (can_send / host_can_stage, open-coded):
+        # am_request services the network while blocked
+        while (win.next_seq - win.base >= win.window
+               or fifo.occupied >= fifo.entries):
             yield from self._wait_progress()
         hid = self.handlers.register(handler)
-        pkt = Packet(src=self.node.id, dst=dst, kind=PacketKind.REQUEST,
+        pkt = Packet(src=node.id, dst=dst, kind=_REQUEST,
                      channel=REQUEST_CHANNEL, handler=hid, args=args)
-        if self._obs is not None:
-            self._obs.begin_message(pkt, self.sim.now)
+        if adapter.obs is not None:
+            adapter.obs.begin_message(pkt, self.sim.now)
         # build + flush the FIFO entry, then the length-array PIO
         # (inlined node.compute: one generator frame less per request)
-        node = self.node
-        cost = (c.req_fixed + c.per_word * (len(args) - 1)
-                + flush_cost(pkt.wire_bytes, self.host) + self.host.mc_pio)
-        node.cpu_busy_us += cost
-        yield Delay(cost)
-        seq = win.allocate(1)
-        self._note_occupancy(win)
-        pkt.seq = seq
-        self._stamp_acks(pkt, peer)
-        self.adapter.host_stage(pkt)
-        self.adapter.host_arm()
-        node.cpu_busy_us += c.save_retransmit
-        yield self._save_retx_delay
+        d = self._req_delays[len(args)]
+        node.cpu_busy_us += d.duration
+        yield d
+        seq = self._stage_small(pkt, peer, win)
+        d = self._save_retx_delay
+        node.cpu_busy_us += d.duration
+        yield d
         win.save(seq, [pkt])
         self._c_requests_sent.value += 1
-        # "each call to am_request checks the network" (§1.1)
-        yield from self.poll()
+        # "each call to am_request checks the network" (§1.1): poll(),
+        # inlined; with nothing arrived and no duty owed its drain would
+        # be a no-op, so the generator is not even created
+        if self._in_handler:
+            raise HandlerRestrictionError(
+                "am_poll may not be called from a handler")
+        d = self._poll_empty_delay
+        node.cpu_busy_us += d.duration
+        yield d
+        if adapter.recv_fifo.visible or self._duties_pending():
+            yield from self._drain()
 
     def _send_reply(self, dst: int, handler: Callable, args: Tuple[int, ...]):
         """Reply path — runs inside a handler (driven by run_handler)."""
-        c = self.costs
         t_begin = self.sim.now
         hid = self.handlers.register(handler)
-        yield from self.node.compute(
-            c.rep_fixed + c.per_word * (len(args) - 1)
-        )
-        peer = self._peer(dst)
+        # inlined node.compute
+        node = self.node
+        d = self._rep_build_delays[len(args)]
+        node.cpu_busy_us += d.duration
+        yield d
+        peer = self._peers.get(dst)  # inlined _peer fast path
+        if peer is None:
+            peer = self._peer(dst)
         win = peer.send[REPLY_CHANNEL]
-        if not (win.can_send(1) and self.adapter.host_can_stage(1)):
+        fifo = self.adapter.send_fifo
+        if (win.next_seq - win.base >= win.window
+                or fifo.occupied >= fifo.entries):
             # handlers cannot block: defer; a later poll sends it
             self._deferred_replies.append((dst, hid, args))
             self.stats.count("replies_deferred")
@@ -429,30 +460,58 @@ class SPAM:
 
     def _emit_reply(self, dst: int, hid: int, args: Tuple[int, ...],
                     t_begin: Optional[float] = None):
-        c = self.costs
-        peer = self._peer(dst)
+        peer = self._peers.get(dst)  # inlined _peer fast path
+        if peer is None:
+            peer = self._peer(dst)
         win = peer.send[REPLY_CHANNEL]
-        pkt = Packet(src=self.node.id, dst=dst, kind=PacketKind.REPLY,
+        node = self.node
+        pkt = Packet(src=node.id, dst=dst, kind=_REPLY,
                      channel=REPLY_CHANNEL, handler=hid, args=args)
-        if self._obs is not None:
+        obs = self.adapter.obs
+        if obs is not None:
             # the reply's life starts when its handler began building it
             # (deferred replies: when the draining poll emits them)
-            self._obs.begin_message(
+            obs.begin_message(
                 pkt, self.sim.now if t_begin is None else t_begin)
         # inlined node.compute (hot reply path)
-        node = self.node
-        cost = flush_cost(pkt.wire_bytes, self.host) + self.host.mc_pio
-        node.cpu_busy_us += cost
-        yield Delay(cost)
-        pkt.seq = win.allocate(1)
-        self._note_occupancy(win)
-        self._stamp_acks(pkt, peer)
-        self.adapter.host_stage(pkt)
-        self.adapter.host_arm()
-        node.cpu_busy_us += c.save_retransmit
-        yield self._save_retx_delay
-        win.save(pkt.seq, [pkt])
+        d = self._rep_emit_delays[len(args)]
+        node.cpu_busy_us += d.duration
+        yield d
+        seq = self._stage_small(pkt, peer, win)
+        d = self._save_retx_delay
+        node.cpu_busy_us += d.duration
+        yield d
+        win.save(seq, [pkt])
         self._c_replies_sent.value += 1
+
+    def _stage_small(self, pkt: Packet, peer: _PeerState,
+                     win: SendWindow) -> int:
+        """Sequence one single-packet message, piggyback both cumulative
+        acks on it (§2.2) and stage + arm it; returns its sequence number.
+
+        A plain function, not a generator: the send paths yield their
+        charges around it, so it adds no frame to their resumes.
+        ``win.allocate(1)`` and both ``ack_value()`` calls are open-coded.
+        """
+        seq = win.next_seq
+        if seq - win.base >= win.window:
+            raise RuntimeError(
+                f"window overflow: {seq - win.base}+1 > {win.window}")
+        win.next_seq = seq + 1
+        if win.check is not None:
+            win.check.on_allocate(win, seq, 1)
+        adapter = self.adapter
+        if adapter.obs is not None:
+            self._note_occupancy(win)
+        pkt.seq = seq
+        r_req, r_rep = peer.recv
+        r_req.unacked_count = 0
+        pkt.ack_req = r_req.expected
+        r_rep.unacked_count = 0
+        pkt.ack_rep = r_rep.expected
+        adapter.host_stage(pkt)
+        adapter.host_arm()
+        return seq
 
     def _stamp_acks(self, pkt: Packet, peer: _PeerState) -> None:
         """Piggyback cumulative acks for both channels (§2.2)."""
@@ -516,18 +575,15 @@ class SPAM:
                      channel=REQUEST_CHANNEL, handler=hid,
                      args=(remote_addr, arg), addr=local_addr,
                      total_len=nbytes, op_token=token)
-        if self._obs is not None:
-            self._obs.begin_message(pkt, self.sim.now)
+        obs = self.adapter.obs
+        if obs is not None:
+            obs.begin_message(pkt, self.sim.now)
         yield from self.node.compute(
             c.get_fixed + flush_cost(pkt.wire_bytes, self.host) + self.host.mc_pio
         )
-        pkt.seq = win.allocate(1)
-        self._note_occupancy(win)
-        self._stamp_acks(pkt, peer)
-        self.adapter.host_stage(pkt)
-        self.adapter.host_arm()
+        seq = self._stage_small(pkt, peer, win)
         yield from self.node.compute(c.save_retransmit)
-        win.save(pkt.seq, [pkt])
+        win.save(seq, [pkt])
         # local completion bookkeeping: data arrives as GET_DATA
         self._bulk_recv[get_key] = BulkRecvState(
             src=dst, token=token, addr=local_addr, total_len=nbytes,
@@ -570,7 +626,8 @@ class SPAM:
         shared per-wire-size ``Delay``.
         """
         seq = win.allocate(npk)
-        self._note_occupancy(win)
+        if self.adapter.obs is not None:
+            self._note_occupancy(win)
         channel = op.channel
         kind = _STORE_DATA if channel == REQUEST_CHANNEL else _GET_DATA
         ack_req = peer.recv[REQUEST_CHANNEL].ack_value()
@@ -641,21 +698,17 @@ class SPAM:
                      channel=REQUEST_CHANNEL, handler=op.handler,
                      args=op.handler_args, addr=op.remote_addr,
                      total_len=len(op.data), op_token=op.token)
-        if self._obs is not None:
-            self._obs.begin_message(pkt, self.sim.now)
+        obs = self.adapter.obs
+        if obs is not None:
+            obs.begin_message(pkt, self.sim.now)
         node = self.node
         cost = (c.rts_fixed + flush_cost(pkt.wire_bytes, self.host)
                 + self.host.mc_pio)
         node.cpu_busy_us += cost
         yield Delay(cost)
-        seq = win.allocate(1)
-        self._note_occupancy(win)
-        pkt.seq = seq
+        seq = self._stage_small(pkt, peer, win)
         op.rts_seq = seq
         op.rts_sent_t = self.sim.now
-        self._stamp_acks(pkt, peer)
-        self.adapter.host_stage(pkt)
-        self.adapter.host_arm()
         node.cpu_busy_us += c.save_retransmit
         yield self._save_retx_delay
         win.save(seq, [pkt])
@@ -688,7 +741,8 @@ class SPAM:
         """
         c = self.costs
         seq = win.allocate(npk)
-        self._note_occupancy(win)
+        if self.adapter.obs is not None:
+            self._note_occupancy(win)
         packets: List[Packet] = []
         for poff in range(0, length, PACKET_PAYLOAD_BYTES):
             payload = op.data[off + poff: off + min(poff + PACKET_PAYLOAD_BYTES, length)]
@@ -742,19 +796,15 @@ class SPAM:
                      channel=op.channel, handler=op.handler,
                      args=op.handler_args, addr=op.remote_addr,
                      total_len=len(op.data), op_token=op.token)
-        if self._obs is not None:
-            self._obs.begin_message(pkt, self.sim.now)
+        obs = self.adapter.obs
+        if obs is not None:
+            obs.begin_message(pkt, self.sim.now)
         node = self.node
         cost = (c.ack_send + flush_cost(pkt.wire_bytes, self.host)
                 + self.host.mc_pio)
         node.cpu_busy_us += cost
         yield Delay(cost)
-        seq = win.allocate(1)
-        self._note_occupancy(win)
-        pkt.seq = seq
-        self._stamp_acks(pkt, peer)
-        self.adapter.host_stage(pkt)
-        self.adapter.host_arm()
+        seq = self._stage_small(pkt, peer, win)
         node.cpu_busy_us += c.save_retransmit
         yield self._save_retx_delay
         win.save(seq, [pkt])
@@ -769,11 +819,12 @@ class SPAM:
     def _drain(self, limit: Optional[int] = None):
         """Consume arrived packets + perform flow-control duties.
 
-        Eager bulk data (STORE_DATA / GET_DATA, 36 packets per chunk) is
-        handled in this loop rather than in :meth:`_process`: its copy
-        charge is yielded from this frame, so resuming after it crosses no
-        nested generator.  Only the rare completion handler, NACK and
-        chunk ack drop into one.
+        Requests, replies and eager bulk data (STORE_DATA / GET_DATA, 36
+        packets per chunk) are handled in this loop rather than in
+        :meth:`_process`: a handler is driven and the copy charge yielded
+        from this frame, so resuming after them crosses one nested
+        generator fewer.  Only the rare completion handler, NACK and chunk
+        ack drop into one.
         """
         handled = 0
         node = self.node
@@ -795,7 +846,8 @@ class SPAM:
             node.cpu_busy_us += pkt_delay.duration
             yield pkt_delay
             kind = pkt.kind
-            if kind is not _STORE_DATA and kind is not _GET_DATA:
+            small = kind is _REQUEST or kind is _REPLY
+            if not small and kind is not _STORE_DATA and kind is not _GET_DATA:
                 yield from self._process(pkt)
             else:
                 self._apply_acks(pkt)
@@ -805,7 +857,34 @@ class SPAM:
                     peer = self._peer(src)
                 rwin = peer.recv[pkt.channel]
                 verdict = rwin.accept(pkt)[0]
-                if verdict == "partial" or verdict == "deliver":
+                if small:
+                    if verdict == "deliver":
+                        fn = self.handlers.lookup(pkt.handler)
+                        token = ReplyToken(self, src)
+                        obs = adapter.obs
+                        t0 = self.sim.now
+                        if obs is not None:
+                            obs.mark_packet(pkt, "handler_start", t0)
+                        self._in_handler = True
+                        try:
+                            result = fn(token, *pkt.args)
+                            if type(result) is GeneratorType:
+                                yield from result
+                        finally:
+                            self._in_handler = False
+                        if obs is not None:
+                            obs.mark_packet(pkt, "handler_end", self.sim.now)
+                            h = self._handler_hist
+                            if h is None:
+                                h = self._handler_hist = obs.hist(
+                                    "am.handler_us")
+                            h.observe(self.sim.now - t0)
+                        self._c_handlers_run.value += 1
+                    elif verdict == "duplicate":
+                        self.stats.count("duplicates_dropped")
+                    elif verdict == "nack":
+                        yield from self._send_nack(src, rwin)
+                elif verdict == "partial" or verdict == "deliver":
                     if verdict == "partial":
                         # feed the stalled-assembly watchdog (§2.2
                         # gap-less loss)
@@ -844,53 +923,19 @@ class SPAM:
             handled += 1
             if fifo.pending_pop >= fifo.lazy_pop_batch:  # should_pop()
                 # lazy pop: flush the consumed entries + one PIO (§2.1)
-                batch = fifo.pending_pop
-                cost = self.host.mc_pio + flush_cost(batch * 256, self.host)
-                node.cpu_busy_us += cost  # inlined node.compute
-                yield Delay(cost)
+                d = self._pop_delays[fifo.pending_pop]
+                node.cpu_busy_us += d.duration  # inlined node.compute
+                yield d
                 adapter.host_recv_pop_batch()
         if self._duties_pending():
             yield from self._do_duties()
         return handled
 
     def _process(self, pkt: Packet):
+        """Every kind :meth:`_drain` does not handle inline."""
         self._apply_acks(pkt)
         kind = pkt.kind
-        if kind is _REQUEST or kind is _REPLY:
-            # _process_small + _dispatch + run_handler, flattened: this is
-            # the dominant receive path and every nested ``yield from``
-            # frame is traversed again on each of the handler's yields
-            peer = self._peers.get(pkt.src)  # inlined _peer fast path
-            if peer is None:
-                peer = self._peer(pkt.src)
-            rwin = peer.recv[pkt.channel]
-            verdict, _unit = rwin.accept(pkt)
-            if verdict == "deliver":
-                fn = self.handlers.lookup(pkt.handler)
-                token = ReplyToken(self, pkt.src)
-                obs = self._obs
-                t0 = self.sim.now
-                if obs is not None:
-                    obs.mark_packet(pkt, "handler_start", t0)
-                self._in_handler = True
-                try:
-                    result = fn(token, *pkt.args)
-                    if type(result) is GeneratorType:
-                        yield from result
-                finally:
-                    self._in_handler = False
-                if obs is not None:
-                    obs.mark_packet(pkt, "handler_end", self.sim.now)
-                    h = self._handler_hist
-                    if h is None:
-                        h = self._handler_hist = obs.hist("am.handler_us")
-                    h.observe(self.sim.now - t0)
-                self._c_handlers_run.value += 1
-            elif verdict == "duplicate":
-                self.stats.count("duplicates_dropped")
-            elif verdict == "nack":
-                yield from self._send_nack(pkt.src, rwin)
-        elif kind is _GET_REQUEST:
+        if kind is _GET_REQUEST:
             yield from self._process_get_request(pkt)
         elif kind is _RTS:
             yield from self._process_rts(pkt)
@@ -946,6 +991,10 @@ class SPAM:
     def _finish_send_op(self, op: BulkSendOp):
         if op in self._active_sends:
             self._active_sends.remove(op)
+        # every chunk is acked and retransmission works from saved clones:
+        # free the payload copy now, not when the cyclic GC finds the
+        # op <-> done cycle
+        op.data = None
         op.done.succeed(op)
         if op.completion_fn is not None:
             op.completion_fn(op)
@@ -963,7 +1012,7 @@ class SPAM:
         if st.handler >= 0:
             fn = self.handlers.lookup(st.handler)
             token = ReplyToken(self, st.src)
-            obs = self._obs
+            obs = self.adapter.obs
             t0 = self.sim.now
             if obs is not None:
                 obs.mark_packet(pkt, "handler_start", t0)
@@ -1028,23 +1077,20 @@ class SPAM:
         pkt = Packet(src=self.node.id, dst=dst, kind=PacketKind.CTS,
                      channel=REPLY_CHANNEL, addr=grant.addr,
                      total_len=grant.total_len, op_token=grant.token)
-        if self._obs is not None:
-            self._obs.begin_message(pkt, self.sim.now)
+        obs = self.adapter.obs
+        if obs is not None:
+            obs.begin_message(pkt, self.sim.now)
         node = self.node
         cost = (c.cts_fixed + flush_cost(pkt.wire_bytes, self.host)
                 + self.host.mc_pio)
         node.cpu_busy_us += cost
         yield Delay(cost)
-        pkt.seq = win.allocate(1)
-        self._note_occupancy(win)
-        grant.cts_seq = pkt.seq
+        seq = self._stage_small(pkt, peer, win)
+        grant.cts_seq = seq
         grant.progress_t = self.sim.now
-        self._stamp_acks(pkt, peer)
-        self.adapter.host_stage(pkt)
-        self.adapter.host_arm()
         node.cpu_busy_us += c.save_retransmit
         yield self._save_retx_delay
-        win.save(pkt.seq, [pkt])
+        win.save(seq, [pkt])
         self.stats.count("cts_sent")
 
     def _process_cts(self, pkt: Packet):
@@ -1145,7 +1191,7 @@ class SPAM:
         if grant.handler >= 0:
             fn = self.handlers.lookup(grant.handler)
             token = ReplyToken(self, grant.src)
-            obs = self._obs
+            obs = self.adapter.obs
             t0 = self.sim.now
             if obs is not None:
                 obs.mark_packet(pkt, "handler_start", t0)
@@ -1281,17 +1327,11 @@ class SPAM:
             return True
         if self._rdma_grants:
             return True  # the rendezvous stall watchdog needs the check
+        if self._rx_duty:
+            return True  # an explicit ack or an assembly stall check
         for op in self._active_sends:
             if op.rdzv and not op.cts_granted:
                 return True  # AWAIT_CTS stall watchdog
-        for peer in self._peers.values():
-            r_req, r_rep = peer.recv
-            if (r_req.unacked_count >= r_req.ack_threshold
-                    or r_rep.unacked_count >= r_rep.ack_threshold):
-                return True
-            if (r_req._assembly is not None
-                    or r_rep._assembly is not None):
-                return True  # the stall watchdog needs the timing check
         return False
 
     def _do_duties(self):
@@ -1341,6 +1381,10 @@ class SPAM:
                 if op.sendable_now() or (op.rdzv and op.cts_granted
                                          and not op.fin_sent):
                     yield from self._pump_send(op)
+        for rwin in list(self._rx_duty):
+            if (rwin.unacked_count < rwin.ack_threshold
+                    and rwin._assembly is None):
+                self._rx_duty.discard(rwin)
 
     def _check_stalled_assemblies(self):
         """Receiver-side recovery for gap-less mid-chunk losses (§2.2).
@@ -1467,9 +1511,8 @@ class SPAM:
         for op in self._active_sends:
             if op.rdzv and not op.cts_granted:
                 return self.costs.assembly_stall_timeout
-        for peer in self._peers.values():
-            r_req, r_rep = peer.recv
-            if r_req._assembly is not None or r_rep._assembly is not None:
+        for rwin in self._rx_duty:
+            if rwin._assembly is not None:
                 return self.costs.assembly_stall_timeout
         return None
 
@@ -1485,7 +1528,9 @@ class SPAM:
         """Blocked on credit / acks / completion: service the network; if
         idle, sleep until the next arrival (equivalent in simulated time
         to the paper's poll spinning) with a keep-alive timeout."""
-        rf = self.adapter.recv_fifo
+        adapter = self.adapter
+        rf = adapter.recv_fifo
+        node = self.node
         if not rf.visible:
             if rf.pending_pop > 0:
                 # going idle: return consumed receive-FIFO slots to the
@@ -1493,28 +1538,41 @@ class SPAM:
                 # FIFO can't keep dropping the very retransmissions that
                 # would drain it (inlined node.compute: on a bulk stream
                 # this runs about once per three packets received)
-                batch = rf.pending_pop
-                cost = self.host.mc_pio + flush_cost(batch * 256, self.host)
-                self.node.cpu_busy_us += cost
-                yield Delay(cost)
-                self.adapter.host_recv_pop_batch()
-                self.stats.count("idle_pop_flushes")
+                d = self._pop_delays[rf.pending_pop]
+                node.cpu_busy_us += d.duration
+                yield d
+                adapter.host_recv_pop_batch()
+                c = self._c_idle_pop_flushes
+                if c is None:
+                    c = self._c_idle_pop_flushes = self.stats.counter(
+                        "idle_pop_flushes")
+                c.value += 1
             timeout = self.costs.keepalive_idle * self._keepalive_backoff
             stall_cap = self._stall_wait_cap()
             if stall_cap is not None:
                 # a chunk is mid-reassembly: wake early enough for the
                 # stalled-assembly watchdog regardless of backoff
                 timeout = min(timeout, stall_cap)
-            ev = self.adapter.arrival_event()
-            res = yield Timeout(ev, timeout)
+            # inlined adapter.arrival_event(): one per idle wait
+            ev = adapter._arrival_event
+            if ev is None or ev._ok:
+                ev = adapter._arrival_event = Event(
+                    self.sim, adapter._arrival_event_name)
+            # one Timeout per endpoint, re-aimed per wait: the process
+            # reads both fields as it blocks and keeps no reference
+            wait = self._idle_wait
+            wait.event = ev
+            wait.duration = timeout
+            res = yield wait
             if res is TIMED_OUT:
                 yield from self._send_keepalives()
                 self._keepalive_backoff = min(self._keepalive_backoff * 2,
                                               64.0)
         # inlined poll() (blocked software never runs inside a handler):
         # empty-poll charge + drain without the extra generator frame
-        self.node.cpu_busy_us += self._poll_empty_delay.duration
-        yield self._poll_empty_delay
+        d = self._poll_empty_delay
+        node.cpu_busy_us += d.duration
+        yield d
         # re-check visibility after the yield (arrivals may have landed);
         # an idle spin with no packets and no duties skips the _drain
         # generator entirely — it would be a pure no-op

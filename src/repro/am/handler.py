@@ -34,11 +34,10 @@ class HandlerTable:
 
     def register(self, fn: Callable) -> int:
         """Register ``fn`` and return its handler id (idempotent)."""
-        if fn in self._ids:
-            return self._ids[fn]
-        hid = len(self._handlers)
-        self._handlers.append(fn)
-        self._ids[fn] = hid
+        hid = self._ids.get(fn)
+        if hid is None:
+            hid = self._ids[fn] = len(self._handlers)
+            self._handlers.append(fn)
         return hid
 
     def lookup(self, hid: int) -> Callable:

@@ -15,9 +15,13 @@ Invariants (property-tested in ``tests/am/test_window_properties.py``):
 
 from __future__ import annotations
 
+from operator import methodcaller
 from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.packet import Packet
+
+
+_clone = methodcaller("clone")
 
 
 class AckBeyondWindowError(ValueError):
@@ -79,7 +83,7 @@ class SendWindow:
         in-flight ``sim.at`` callbacks when a retransmission later
         re-stamps acknowledgements.
         """
-        self._saved[seq] = [p.clone() for p in packets]
+        self._saved[seq] = list(map(_clone, packets))
         if self.check is not None:
             self.check.on_save(self, seq, len(packets))
 
@@ -101,15 +105,22 @@ class SendWindow:
             raise AckBeyondWindowError(
                 f"ack {ack} beyond next_seq {self.next_seq} (corrupt peer?)"
             )
-        for s, unit in self._saved.items():
-            if s < ack < s + len(unit):
-                raise MidChunkAckError(
-                    f"ack {ack} splits transfer unit [{s}, {s + len(unit)}) "
-                    f"(base={self.base})"
-                )
+        saved = self._saved
+        acked = []
         freed = 0
-        for seq in [s for s in self._saved if s < ack]:
-            freed += len(self._saved.pop(seq))
+        # one pass: every unit below the ack is checked before any is freed
+        for s, unit in saved.items():
+            if s < ack:
+                n = len(unit)
+                if ack < s + n:
+                    raise MidChunkAckError(
+                        f"ack {ack} splits transfer unit [{s}, {s + n}) "
+                        f"(base={self.base})"
+                    )
+                acked.append(s)
+                freed += n
+        for s in acked:
+            del saved[s]
         self.base = ack
         return freed
 
@@ -158,9 +169,17 @@ class _ChunkAssembly:
 class RecvWindow:
     """Receiver side: in-sequence acceptance, chunk reassembly, ack duty."""
 
-    def __init__(self, window: int, ack_threshold: int):
+    def __init__(self, window: int, ack_threshold: int,
+                 duty: Optional[set] = None):
         self.window = window
         self.ack_threshold = ack_threshold
+        #: set shared with the owning endpoint.  The window adds itself
+        #: when a poll may owe the peer work: an explicit ack
+        #: (``unacked_count`` reached ``ack_threshold``) or a stall check
+        #: (a chunk assembly started).  Only the owner removes it, once
+        #: neither holds — so a window with work due is always in the set,
+        #: and a poll with nothing due walks no peers.
+        self.duty = duty if duty is not None else set()
         self.expected = 0
         #: how many accepted packets the peer hasn't been told about yet
         self.unacked_count = 0
@@ -203,12 +222,15 @@ class RecvWindow:
         if pkt.chunk_packets == 1:
             self.expected += 1
             self.unacked_count += 1
+            if self.unacked_count >= self.ack_threshold:
+                self.duty.add(self)
             self.nack_outstanding = False
             if self.check is not None:
                 self.check.on_deliver(self, pkt.seq, 1)
             return "deliver", [pkt]
         if self._assembly is None:
             self._assembly = _ChunkAssembly(pkt.chunk_packets)
+            self.duty.add(self)
         status = self._assembly.add(pkt)
         if status == "duplicate":
             return "duplicate", None
@@ -218,6 +240,8 @@ class RecvWindow:
             self.assembly_progress_t = None
             self.expected += pkt.chunk_packets
             self.unacked_count += pkt.chunk_packets
+            if self.unacked_count >= self.ack_threshold:
+                self.duty.add(self)
             self.nack_outstanding = False
             if self.check is not None:
                 self.check.on_deliver(self, pkt.seq, pkt.chunk_packets)

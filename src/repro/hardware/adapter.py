@@ -62,6 +62,9 @@ class TB2Adapter:
         self._c_tx_packets = self.stats.counter("tx_packets")
         self._c_tx_bytes = self.stats.counter("tx_bytes")
         self._c_rx_packets = self.stats.counter("rx_packets")
+        # bound on first use, not here: a counter that exists reads 0 in
+        # every snapshot, report and sampler layout
+        self._c_rx_pop_pio = None
         #: observability hub (set by Observatory.attach; None = untraced)
         self.obs = None
         #: optional :class:`~repro.faults.injector.FaultInjector` (set by
@@ -155,7 +158,10 @@ class TB2Adapter:
     def host_recv_pop_batch(self) -> int:
         """Return consumed entries to the adapter (caller charges ~1 us PIO)."""
         freed = self.recv_fifo.pop_batch()
-        self.stats.count("rx_pop_pio")
+        c = self._c_rx_pop_pio
+        if c is None:
+            c = self._c_rx_pop_pio = self.stats.counter("rx_pop_pio")
+        c.value += 1
         return freed
 
     def host_recv_available(self) -> int:

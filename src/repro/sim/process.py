@@ -26,7 +26,7 @@ class Process:
     """A generator registered with a :class:`~repro.sim.engine.Simulator`."""
 
     __slots__ = ("sim", "gen", "name", "done", "finished", "result", "error",
-                 "shard", "_waiting", "_send", "_resume", "_schedule")
+                 "shard", "_waiting", "_timer", "_send", "_resume", "_schedule")
 
     def __init__(self, sim, gen: Generator, name: str = "",
                  shard: Optional[int] = None):
@@ -45,6 +45,10 @@ class Process:
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self._waiting = False
+        #: the keep-alive timer of the ``Timeout`` this process is blocked
+        #: in (None otherwise); its identity also tells a live resume from
+        #: a stale one
+        self._timer = None
         # bound once: _step runs per event, and every schedule/add_waiter
         # callback would otherwise rebuild the bound method
         self._send = gen.send
@@ -68,7 +72,7 @@ class Process:
             return  # stale wakeup after kill()
         if self._waiting:
             self._waiting = False
-            self.sim._process_unblocked()
+            self.sim._blocked_processes -= 1
         try:
             instr = self._send(send_value)
         except StopIteration as stop:
@@ -85,7 +89,7 @@ class Process:
             self._schedule(instr.duration, self._resume)
         elif cls is WaitEvent:
             self._waiting = True
-            self.sim._process_blocked()
+            self.sim._blocked_processes += 1
             instr.event.add_waiter(self._resume)
         elif cls is Timeout:
             self._wait_with_timeout(instr)
@@ -98,7 +102,7 @@ class Process:
             self.sim.schedule(instr.duration, self._resume, None)
         elif isinstance(instr, WaitEvent):
             self._waiting = True
-            self.sim._process_blocked()
+            self.sim._blocked_processes += 1
             instr.event.add_waiter(self._resume)
         elif isinstance(instr, Timeout):
             self._wait_with_timeout(instr)
@@ -110,22 +114,26 @@ class Process:
             self.gen.throw(exc)
 
     def _wait_with_timeout(self, instr: Timeout) -> None:
+        sim = self.sim
         self._waiting = True
-        self.sim._process_blocked()
-        fired = [False]
-        handle: list = [None]
+        sim._blocked_processes += 1
 
+        # The name matters: event digests hash this closure's qualname
+        # (``Process._wait_with_timeout.<locals>.resume``).
         def resume(value: Any) -> None:
-            if fired[0]:
+            # whichever of event and timer comes second finds another
+            # handle (or none) on the process and is ignored
+            if self._timer is not handle:
                 return
-            fired[0] = True
+            self._timer = None
             if value is not TIMED_OUT:
                 # event won the race: the timer must never fire
-                handle[0].cancel()
+                handle.cancel()
             self._step(value)
 
         instr.event.add_waiter(resume)
-        handle[0] = self.sim.call_later(instr.duration, resume, TIMED_OUT)
+        handle = self._timer = sim.call_later(instr.duration, resume,
+                                              TIMED_OUT)
 
     def kill(self) -> None:
         """Terminate the process: ``ProcessKilled`` is raised inside the
@@ -135,7 +143,12 @@ class Process:
             return
         if self._waiting:
             self._waiting = False
-            self.sim._process_unblocked()
+            self.sim._blocked_processes -= 1
+        if self._timer is not None:
+            # a killed process's keep-alive timer must neither count as
+            # pending work nor fire into the dead generator
+            self._timer.cancel()
+            self._timer = None
         try:
             self.gen.throw(ProcessKilled(f"process {self.name!r} killed"))
         except (ProcessKilled, StopIteration):

@@ -1,16 +1,18 @@
-"""Host-call ratchet: Python calls per packet on the eager bulk path.
+"""Host-call ratchet: Python calls per message on the AM paths.
 
 The paper's Table 2 is a per-message ledger of host cost; this is the
-same ledger for the simulator's own interpreter time.  A blocking
-3-chunk ``store`` + ``get`` on two nodes runs under ``cProfile``, and the
-calls into functions defined in each machine layer (``repro.sim``,
+same ledger for the simulator's own interpreter time.  Two programs run
+on two nodes under ``cProfile``: a blocking 3-chunk ``store`` + ``get``
+(the eager bulk path, counted per packet the adapters put on the wire)
+and one-word ``request_1`` / ``reply_1`` ping-pong (the small-message
+path and the idle wait, counted per round trip).  The calls into
+functions defined in each machine layer (``repro.sim``,
 ``repro.hardware``, ``repro.am``; a generator resume counts as a call)
-are divided by the packets the adapters put on the wire.  The program is
-deterministic, so the counts are exact and repeat on every run.
+are divided by that unit.  The programs are deterministic, so the counts
+are exact and repeat on every run.
 
-Each budget is the value measured when the per-packet fast paths went
-in.  A change may lower a count (then lower its budget here too); it may
-not raise one.
+Each budget is the value measured when the fast paths went in.  A change
+may lower a count (then lower its budget here too); it may not raise one.
 """
 
 import cProfile
@@ -28,6 +30,14 @@ from repro.sim import Simulator
 #: calls per packet sent, by layer (measured, rounded up at the second
 #: decimal; before the bulk fast paths: sim 21.93, hardware 26.58, am 29.34)
 BUDGET = {"sim": 18.02, "hardware": 19.05, "am": 20.70}
+
+#: calls per ping-pong round trip, by layer (measured; before the
+#: small-message fast paths: sim 71.42, hardware 49.97, am 95.03 here, and
+#: 160.1 / 86.0 / 117.0 per op on perflab's ``am-pingpong``, which adds
+#: its probes)
+PINGPONG_BUDGET = {"sim": 52.51, "hardware": 38.0, "am": 57.09}
+
+PINGPONG_ITERS = 200
 
 _REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__))
 
@@ -58,7 +68,45 @@ def _calls_per_packet():
             yield from am1._wait_progress()
 
     sender = sim.spawn(mover(), name="mover")
-    procs = [sender, sim.spawn(server(), name="server")]
+    calls = _profiled_calls(sim, [sender, sim.spawn(server(), name="server")])
+    assert mem0.read(back, nbytes) == mem0.read(src, nbytes)
+    packets = sum(node.adapter.stats.snapshot()[f"tb2[{node.id}].tx_packets"]
+                  for node in machine.nodes)
+    return {layer: n / packets for layer, n in calls.items()}
+
+
+def _calls_per_round_trip():
+    sim = Simulator()
+    machine = build_sp_machine(sim, 2)
+    am0, am1 = attach_spam(machine)
+    counts = {"got": 0, "served": 0}
+
+    def h_reply(token, x):
+        counts["got"] += 1
+
+    def h_request(token, x):
+        counts["served"] += 1
+        yield from token.reply_1(h_reply, x)
+
+    def pinger():
+        for i in range(PINGPONG_ITERS):
+            before = counts["got"]
+            yield from am0.request_1(1, h_request, i)
+            while counts["got"] == before:
+                yield from am0._wait_progress()
+
+    def ponger():
+        while counts["served"] < PINGPONG_ITERS:
+            yield from am1._wait_progress()
+
+    calls = _profiled_calls(sim, [sim.spawn(pinger(), name="ping"),
+                                  sim.spawn(ponger(), name="pong")])
+    assert counts == {"got": PINGPONG_ITERS, "served": PINGPONG_ITERS}
+    return {layer: n / PINGPONG_ITERS for layer, n in calls.items()}
+
+
+def _profiled_calls(sim, procs):
+    """Run ``procs`` to completion under cProfile; calls by layer."""
     # earlier garbage must not be collected inside the profile: closing an
     # abandoned generator counts as a call into its layer
     gc.collect()
@@ -70,7 +118,6 @@ def _calls_per_packet():
     finally:
         prof.disable()
         gc.enable()
-    assert mem0.read(back, nbytes) == mem0.read(src, nbytes)
     calls = dict.fromkeys(BUDGET, 0)
     for entry in prof.getstats():
         if isinstance(entry.code, str):
@@ -78,9 +125,7 @@ def _calls_per_packet():
         layer = _layer(entry.code.co_filename)
         if layer is not None:
             calls[layer] += entry.callcount
-    packets = sum(node.adapter.stats.snapshot()[f"tb2[{node.id}].tx_packets"]
-                  for node in machine.nodes)
-    return {layer: n / packets for layer, n in calls.items()}
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +142,19 @@ def test_calls_per_packet_within_budget(per_packet, layer):
 
 def test_counts_are_deterministic(per_packet):
     assert _calls_per_packet() == per_packet
+
+
+@pytest.fixture(scope="module")
+def per_round_trip():
+    return _calls_per_round_trip()
+
+
+@pytest.mark.parametrize("layer", sorted(PINGPONG_BUDGET))
+def test_calls_per_round_trip_within_budget(per_round_trip, layer):
+    assert per_round_trip[layer] <= PINGPONG_BUDGET[layer], (
+        f"{layer}: {per_round_trip[layer]:.3f} calls/round trip over the "
+        f"{PINGPONG_BUDGET[layer]} budget")
+
+
+def test_round_trip_counts_are_deterministic(per_round_trip):
+    assert _calls_per_round_trip() == per_round_trip

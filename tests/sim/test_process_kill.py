@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Delay, Simulator, WaitEvent
+from repro.sim import TIMED_OUT, Delay, Simulator, Timeout, WaitEvent
 from repro.sim.errors import ProcessKilled
 
 
@@ -90,3 +90,66 @@ class TestKill:
         sim.schedule(10.0, b.kill)
         sim.run(check_deadlock=False)
         assert trace == ["a", "b", "a", "b", "a", "b"]
+
+
+class TestKillWhileBlocked:
+    """A killed process leaves no waiter, timer or blocked count behind."""
+
+    def test_kill_during_wait_event(self):
+        sim = Simulator()
+        ev = sim.event("later")
+        resumed = []
+
+        def stuck():
+            resumed.append((yield WaitEvent(ev)))
+
+        p = sim.spawn(stuck())
+        sim.run(check_deadlock=False)
+        assert sim._blocked_processes == 1
+        p.kill()
+        assert p.finished
+        assert sim._blocked_processes == 0
+        ev.succeed("late")
+        sim.run()  # the stale wakeup is ignored
+        assert resumed == []
+
+    def test_kill_during_timeout_cancels_its_timer(self):
+        sim = Simulator()
+        ev = sim.event("never")
+        resumed = []
+
+        def sleeper():
+            resumed.append((yield Timeout(ev, 400.0)))
+
+        p = sim.spawn(sleeper())
+        sim.run(until=1.0)
+        assert sim._blocked_processes == 1
+        assert sim.live_pending_count() == 1  # the keep-alive timer
+        p.kill()
+        assert sim._blocked_processes == 0
+        # nothing left that will run: a quiesce predicate sees an idle sim
+        assert sim.live_pending_count() == 0
+        executed = sim.events_executed
+        sim.run()
+        assert sim.events_executed == executed
+        assert resumed == []
+        assert p.finished and p.error is None
+
+    def test_timeout_accounting_across_both_outcomes(self):
+        sim = Simulator()
+        ev = sim.event("fires at 5")
+        seen = []
+
+        def waiter():
+            seen.append((yield Timeout(ev, 2.0)) is TIMED_OUT)
+            seen.append((yield Timeout(ev, 100.0)))
+
+        p = sim.spawn(waiter())
+        sim.schedule(5.0, ev.succeed, "ok")
+        sim.run()
+        assert seen == [True, "ok"]
+        assert p.finished
+        assert sim._blocked_processes == 0
+        # the event won the second wait: its timer was cancelled, and
+        # the first wait's stale event resume did not step the process
+        assert sim.live_pending_count() == 0

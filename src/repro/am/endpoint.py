@@ -177,6 +177,14 @@ class SPAM:
             raise ValueError(
                 f"xfer_mode must be one of {XFER_MODES}, got {xfer_mode!r}"
             )
+        entries = node.adapter.send_fifo.entries
+        if entries < self.ARM_BATCH:
+            # bulk sends stage a whole arm batch before arming it, and the
+            # adapter drains only armed entries: a smaller FIFO fills with
+            # unarmed packets and every bulk send backs off forever
+            raise ValueError(
+                f"send_fifo_entries={entries} is smaller than "
+                f"SPAM.ARM_BATCH={self.ARM_BATCH}")
         self.node = node
         self.adapter = node.adapter
         self.handlers = handlers

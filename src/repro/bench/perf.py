@@ -37,25 +37,16 @@ Regression gating (``--check``) is machine-independent: it compares the
 current wheel/heap events-per-second *ratio* per workload against the
 ratio stored in a committed ``BENCH_simperf.json``, so CI hardware speed
 cancels out and only scheduler regressions trip it.
-
-The multiprocessing worker backend (``--workers``) is covered twice:
-``determinism_workers`` proves ``workers=P`` runs bit-identical to the
-single-process sharded engine and the sequential heap on every workload
-plus the 1%-loss soak (gated unconditionally), and the scaling section
-grows one timed column per worker count (speedup ratios gated only when
-the committed report shows a gain and the runner has the cores — see
-the report's ``cpus`` field).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 import time
 from typing import Callable, Dict, List, Optional
 
-from repro.sim import ShardedSimulator, Simulator
+from repro.sim import Simulator
 
 #: committed pre-PR baseline (single-heap engine, counted-stale-wakeup
 #: semantics, reference dev box): adjusted events/sec on the full-size
@@ -111,43 +102,6 @@ DUAL_SCHEDULER = ("pingpong", "bulk", "alltoall")
 #: wheel scheduler and therefore include soak)
 ALL_WORKLOADS = ("pingpong", "bulk", "alltoall", "soak")
 
-#: node counts for the sharded scaling section (``--nodes``); iterations
-#: per ring round shrink with N so each config's wall stays ~seconds
-SCALING_NODES = (64, 256, 1024)
-SCALING_ITERS: Dict[int, int] = {64: 32, 256: 16, 1024: 4}
-
-#: worker-process counts for the scaling section's workers columns
-SCALING_WORKERS = (2, 4)
-
-#: sizes for the worker-backend digest runs (``workers=P`` must be
-#: bit-identical to every sequential engine); full-speed check-hook
-#: recording, like FF_DIGEST_SIZES, but small enough that the fork +
-#: round-barrier overhead keeps the suite snappy
-PARALLEL_DIGEST_SIZES: Dict[str, tuple] = {
-    "pingpong": (400,),
-    "bulk": (32_768, 1),
-    "alltoall": (4, 2_048, 1),
-    "soak": (12,),
-}
-
-
-def _make_sim(scheduler: str, idle_fast_forward: bool = True,
-              workers: int = 1) -> Simulator:
-    """``"wheel"`` / ``"heap"`` / ``"sharded"`` — one seam for the suite.
-
-    The sharded engine's shards and lookahead are configured by
-    ``build_sp_machine`` (one shard per node, lookahead = switch
-    latency), so the factory itself stays topology-free.  ``workers``
-    spreads the shards over that many processes (sharded only).
-    """
-    if scheduler == "sharded":
-        return ShardedSimulator(idle_fast_forward=idle_fast_forward,
-                                workers=workers)
-    if workers > 1:
-        raise ValueError("workers > 1 requires the sharded engine")
-    return Simulator(scheduler=scheduler,
-                     idle_fast_forward=idle_fast_forward)
-
 
 # ---------------------------------------------------------------------------
 # workload builders: populate ``sim`` and return the processes to wait on
@@ -172,11 +126,6 @@ def _build_pingpong(sim: Simulator, iterations: int,
         served[0] += 1
         yield from token.reply_1(reply_handler, x)
 
-    # SPMD discipline: handlers register on the shared (pre-fork) table
-    # so their ids resolve in every shard worker process
-    am0.register(reply_handler)
-    am0.register(request_handler)
-
     def pinger():
         for i in range(iterations):
             before = got[0]
@@ -185,14 +134,11 @@ def _build_pingpong(sim: Simulator, iterations: int,
                 yield from am0._wait_progress()
 
     def ponger():
-        # terminate on node-1-local state only (shard-clean): the old
-        # ``got[0] < iterations`` condition read node 0's counter across
-        # the shard boundary
         while served[0] < iterations:
             yield from am1._wait_progress()
 
-    p = sim.spawn(pinger(), name="perf-ping", shard=0)
-    sim.spawn(ponger(), name="perf-pong", shard=1)
+    p = sim.spawn(pinger(), name="perf-ping")
+    sim.spawn(ponger(), name="perf-pong")
     return [p]
 
 
@@ -209,27 +155,24 @@ def _build_bulk(sim: Simulator, nbytes: int, rounds: int,
     dst = machine.node(1).memory.alloc(nbytes)
     back = machine.node(0).memory.alloc(nbytes)
     machine.node(0).memory.write(src, bytes(i % 251 for i in range(nbytes)))
-    done = [False]  # node 1 state: set by the done-marker handler below
+    done = [False]  # set on node 1 by the done-marker handler below
 
     def h_bulk_done(token, x):
         done[0] = True
-
-    am0.register(h_bulk_done)  # pre-fork, for shard workers
 
     def mover():
         for _ in range(rounds):
             yield from am0.store(1, src, dst, nbytes)
             yield from am0.get(1, dst, back, nbytes)
-        # tell the server it can stop: the old shared ``done`` flag was
-        # node-0 state read from node 1 across the shard boundary
+        # tell the server it can stop
         yield from am0.request_1(1, h_bulk_done, 0)
 
     def server():
         while not done[0]:
             yield from am1._wait_progress()
 
-    p = sim.spawn(mover(), name="perf-bulk", shard=0)
-    sim.spawn(server(), name="perf-bulk-server", shard=1)
+    p = sim.spawn(mover(), name="perf-bulk")
+    sim.spawn(server(), name="perf-bulk-server")
     return [p]
 
 
@@ -244,15 +187,11 @@ def _build_alltoall(sim: Simulator, nodes: int, nbytes: int,
     srcs = [machine.node(i).memory.alloc(nbytes) for i in range(nodes)]
     dsts = [[machine.node(i).memory.alloc(nbytes) for _ in range(nodes)]
             for i in range(nodes)]
-    #: per-node set of peers that announced completion; entry ``r`` is
-    #: touched only by node-``r`` events, so the workload is shard-clean
-    #: (the old shared ``finished`` counter was written by every rank)
+    #: per-node set of peers that announced completion
     done_from = [set() for _ in range(nodes)]
 
     def h_a2a_done(token, src):
         done_from[token.am.node.id].add(src)
-
-    ams[0].register(h_a2a_done)  # pre-fork, for shard workers
 
     def rank(r):
         am = ams[r]
@@ -273,44 +212,7 @@ def _build_alltoall(sim: Simulator, nodes: int, nbytes: int,
         while len(done_from[r]) < nodes - 1:
             yield from am._wait_progress()
 
-    return [sim.spawn(rank(r), name=f"a2a{r}", shard=r)
-            for r in range(nodes)]
-
-
-def _build_ring(sim: Simulator, nodes: int, iterations: int) -> list:
-    """Neighbor ring for the scaling section: every rank fires
-    ``iterations`` one-word requests at its right neighbor, then serves
-    the network until all traffic has landed.  All work is node-local
-    except the switch traversals, so the shard decomposition carries the
-    whole workload — the scaling story in its purest form."""
-    from repro.am import attach_am
-    from repro.hardware.machine import build_machine
-
-    machine = build_machine(sim, nodes, "sp-thin")
-    attach_am(machine)
-    ams = [machine.node(i).am for i in range(nodes)]
-    got = [0] * nodes  # entry r is only touched by node-r events
-
-    def handler(token, x):
-        got[token.am.node.id] += 1
-
-    ams[0].register(handler)  # pre-fork, for shard workers
-
-    def rank(r):
-        am = ams[r]
-        right = (r + 1) % nodes
-        for i in range(iterations):
-            yield from am.request_1(right, handler, i)
-        # serve until my own inbox is full: my left neighbor can only
-        # push its full quota while I poll (window credits + acks), so
-        # this node-local condition is also the global-progress one —
-        # no shared ``finished`` counter needed, which keeps the
-        # workload shard-clean for the worker backend
-        while got[r] < iterations:
-            yield from am._wait_progress()
-
-    return [sim.spawn(rank(r), name=f"ring{r}", shard=r)
-            for r in range(nodes)]
+    return [sim.spawn(rank(r), name=f"a2a{r}") for r in range(nodes)]
 
 
 _BUILDERS: Dict[str, Callable] = {
@@ -409,7 +311,7 @@ def _digest_run(scheduler: str, name: str, sizes: tuple,
     observer lane: metrics-sampler ticks) are excluded — they are
     digest-neutral by contract.
     """
-    sim = _make_sim(scheduler)
+    sim = Simulator(scheduler=scheduler)
     procs = _BUILDERS[name](sim, *sizes, xfer_mode=xfer_mode)
     h = hashlib.blake2b(digest_size=16)
     pack = _DIGEST_PACK
@@ -424,30 +326,12 @@ def _digest_run(scheduler: str, name: str, sizes: tuple,
     return sim.now, h.hexdigest()
 
 
-def _soak_digest_run(pingpong: int, sharding: bool,
-                     xfer_mode: str = "eager"):
-    """One soak campaign with a digest recorder; ``(sim_us, digest)``."""
-    from repro.faults import run_soak
-
-    rec = _FFDigestRecorder()
-    res = run_soak(seed=11, loss=0.01, nodes=3, pingpong=pingpong,
-                   compare_clean=False, sim_check=rec,
-                   xfer_mode=xfer_mode, sharding=sharding)
-    if res.violations:
-        raise RuntimeError(
-            f"soak digest run violated reliability invariants: "
-            f"{res.violations}")
-    return res.elapsed_us, rec.hexdigest()
-
-
 def run_determinism(sizes: Optional[Dict[str, tuple]] = None,
                     xfer_mode: str = "eager") -> Dict:
-    """Differential check: sharded == wheel == heap per workload.
+    """Differential check: wheel == heap per workload.
 
-    Returns ``{workload: {wheel_digest, heap_digest, sharded_digest,
-    wheel_sim_us, heap_sim_us, sharded_sim_us, identical}}`` plus a
-    ``"soak"`` leg (sharded vs sequential at 1% loss) and an
-    ``"identical"`` rollup key.
+    Returns ``{workload: {wheel_digest, heap_digest, wheel_sim_us,
+    heap_sim_us, identical}}`` plus an ``"identical"`` rollup key.
     """
     sizes = sizes or DIGEST_SIZES
     out: Dict = {}
@@ -457,32 +341,15 @@ def run_determinism(sizes: Optional[Dict[str, tuple]] = None,
             continue
         w_now, w_dig = _digest_run("wheel", name, sizes[name], xfer_mode)
         h_now, h_dig = _digest_run("heap", name, sizes[name], xfer_mode)
-        s_now, s_dig = _digest_run("sharded", name, sizes[name], xfer_mode)
-        ok = (w_dig == h_dig == s_dig) and (w_now == h_now == s_now)
+        ok = (w_dig == h_dig) and (w_now == h_now)
         all_ok = all_ok and ok
         out[name] = {
             "wheel_digest": w_dig,
             "heap_digest": h_dig,
-            "sharded_digest": s_dig,
             "wheel_sim_us": w_now,
             "heap_sim_us": h_now,
-            "sharded_sim_us": s_now,
             "identical": ok,
         }
-    soak_pp = (sizes.get("soak") or FF_DIGEST_SIZES["soak"])[0]
-    q_now, q_dig = _soak_digest_run(soak_pp, sharding=False,
-                                    xfer_mode=xfer_mode)
-    s_now, s_dig = _soak_digest_run(soak_pp, sharding=True,
-                                    xfer_mode=xfer_mode)
-    ok = (q_dig == s_dig) and (q_now == s_now)
-    all_ok = all_ok and ok
-    out["soak"] = {
-        "sequential_digest": q_dig,
-        "sharded_digest": s_dig,
-        "sequential_sim_us": q_now,
-        "sharded_sim_us": s_now,
-        "identical": ok,
-    }
     out["identical"] = all_ok
     return out
 
@@ -598,182 +465,6 @@ def run_ff_determinism(sizes: Optional[Dict[str, tuple]] = None,
 
 
 # ---------------------------------------------------------------------------
-# differential determinism: the worker backend must agree as well
-# ---------------------------------------------------------------------------
-
-def _workers_recorded_run(name: str, sizes: tuple, workers: int,
-                          xfer_mode: str = "eager") -> Dict:
-    """One full-speed sharded run (``workers`` processes when > 1) with
-    an event-order digest recorder on the engine's check hooks.  Under
-    workers the parent replays every worker op through its real merge
-    path, so the recorder sees the exact committed order."""
-    rec = _FFDigestRecorder()
-    sim = _make_sim("sharded", workers=workers)
-    procs = _BUILDERS[name](sim, *sizes, xfer_mode=xfer_mode)
-    sim.check = rec
-    sim.run_until_processes_done(procs, limit=1e12)
-    return {
-        "digest": rec.hexdigest(),
-        "sim_us": sim.now,
-        "events": sim.events_executed,
-        "stale_skipped": sim.stale_events_skipped,
-    }
-
-
-def run_parallel_determinism(sizes: Optional[Dict[str, tuple]] = None,
-                             workers: int = 2,
-                             xfer_mode: str = "eager") -> Dict:
-    """Workers-on vs workers-off vs sequential heap, per workload.
-
-    ``identical`` requires byte-identical digests, bit-identical final
-    clocks, and equal executed/stale counts across all three engines —
-    plus a ``"soak"`` leg driving the 1%-loss chaos campaign through
-    ``run_soak(workers=...)``, whose digest, elapsed clock, and
-    retransmission counters must match the single-process run.
-    """
-    from repro.faults import run_soak
-
-    sizes = sizes or PARALLEL_DIGEST_SIZES
-    out: Dict = {"workers": workers}
-    all_ok = True
-    for name in DUAL_SCHEDULER:
-        if name not in sizes:
-            continue
-        sh = _workers_recorded_run(name, sizes[name], 1, xfer_mode)
-        wk = _workers_recorded_run(name, sizes[name], workers, xfer_mode)
-        h_now, h_dig = _digest_run("heap", name, sizes[name], xfer_mode)
-        ok = (sh["digest"] == wk["digest"] == h_dig
-              and sh["sim_us"] == wk["sim_us"] == h_now
-              and sh["events"] == wk["events"]
-              and sh["stale_skipped"] == wk["stale_skipped"])
-        all_ok = all_ok and ok
-        out[name] = {
-            "sharded_digest": sh["digest"],
-            "workers_digest": wk["digest"],
-            "heap_digest": h_dig,
-            "sharded_sim_us": sh["sim_us"],
-            "workers_sim_us": wk["sim_us"],
-            "heap_sim_us": h_now,
-            "identical": ok,
-        }
-    if "soak" in sizes:
-        legs = {}
-        for label, p in (("sharded", 1), ("workers", workers)):
-            rec = _FFDigestRecorder()
-            res = run_soak(seed=11, loss=0.01, nodes=3,
-                           pingpong=sizes["soak"][0],
-                           compare_clean=False, sim_check=rec,
-                           xfer_mode=xfer_mode, sharding=True,
-                           sample_period_us=None, workers=p)
-            if res.violations:
-                raise RuntimeError(
-                    f"soak workers digest run violated reliability "
-                    f"invariants: {res.violations}")
-            legs[label] = {
-                "digest": rec.hexdigest(),
-                "sim_us": res.elapsed_us,
-                "retransmissions": res.counters.get("retransmissions"),
-            }
-        ok = legs["sharded"] == legs["workers"]
-        all_ok = all_ok and ok
-        out["soak"] = {
-            "sharded_digest": legs["sharded"]["digest"],
-            "workers_digest": legs["workers"]["digest"],
-            "sharded_sim_us": legs["sharded"]["sim_us"],
-            "workers_sim_us": legs["workers"]["sim_us"],
-            "identical": ok,
-        }
-    out["identical"] = all_ok
-    return out
-
-
-# ---------------------------------------------------------------------------
-# sharded scaling: ring traffic at 64/256/1024 nodes
-# ---------------------------------------------------------------------------
-
-def _scaling_run(scheduler: str, nodes: int, iterations: int,
-                 workers: int = 1) -> Dict:
-    """One timed + digest-recorded ring run on one engine."""
-    rec = _FFDigestRecorder()
-    sim = _make_sim(scheduler, workers=workers)
-    procs = _build_ring(sim, nodes, iterations)
-    sim.check = rec
-    t0 = time.perf_counter()
-    sim.run_until_processes_done(procs, limit=1e12)
-    wall = time.perf_counter() - t0
-    out = {
-        "scheduler": scheduler,
-        "events": sim.events_executed,
-        "stale_skipped": sim.stale_events_skipped,
-        "wall_s": round(wall, 4),
-        "adj_eps": round(_adjusted_eps(sim, wall), 1),
-        "sim_us": sim.now,
-        "digest": rec.hexdigest(),
-    }
-    if scheduler == "sharded":
-        out["rounds"] = sim.rounds
-        out["cross_posts"] = sim.cross_posts
-        out["workers"] = workers
-    return out
-
-
-def run_scaling(nodes_list=None,
-                iters: Optional[Dict[int, int]] = None,
-                workers_list=None) -> Dict:
-    """The ``--nodes`` scaling columns: per node count, the sharded
-    engine vs the sequential wheel on the neighbor-ring workload —
-    digests must match, and the events/sec ratio is the committed,
-    machine-independent scaling record the ``--check`` gate defends.
-
-    ``workers_list`` adds one column per worker-process count P
-    (``workers=P`` on the sharded engine): the digest must again be
-    bit-identical, and the workers/sharded eps ratio is the scaling
-    curve the multicore story is judged by (see the ``cpus`` field of
-    the committed report — the ratio only exceeds 1 when the runner
-    actually has the cores).
-    """
-    nodes_list = list(nodes_list or SCALING_NODES)
-    iters = iters or SCALING_ITERS
-    out: Dict = {}
-    all_ok = True
-    for n in nodes_list:
-        iterations = iters.get(n, max(4, 2048 // max(n, 1)))
-        seq = _scaling_run("wheel", n, iterations)
-        sh = _scaling_run("sharded", n, iterations)
-        ok = (seq["digest"] == sh["digest"]
-              and seq["sim_us"] == sh["sim_us"]
-              and seq["events"] == sh["events"])
-        entry = {
-            "nodes": n,
-            "iterations": iterations,
-            "sequential": seq,
-            "sharded": sh,
-            "ratio_sharded_over_sequential": round(
-                sh["adj_eps"] / seq["adj_eps"], 4),
-            "identical": ok,
-        }
-        if workers_list:
-            entry["workers"] = {}
-            for p in workers_list:
-                wr = _scaling_run("sharded", n, iterations, workers=p)
-                wok = (wr["digest"] == seq["digest"]
-                       and wr["sim_us"] == seq["sim_us"]
-                       and wr["events"] == seq["events"])
-                ok = ok and wok
-                entry["workers"][str(p)] = {
-                    **wr,
-                    "ratio_workers_over_sharded": round(
-                        wr["adj_eps"] / sh["adj_eps"], 4),
-                    "identical": wok,
-                }
-            entry["identical"] = ok
-        all_ok = all_ok and ok
-        out[str(n)] = entry
-    out["identical"] = all_ok
-    return out
-
-
-# ---------------------------------------------------------------------------
 # critical-path attribution (embedded in the perf report)
 # ---------------------------------------------------------------------------
 
@@ -811,9 +502,6 @@ def run_perf(
     digest_sizes: Optional[Dict[str, tuple]] = None,
     ff_digest_sizes: Optional[Dict[str, tuple]] = None,
     xfer_mode: str = "eager",
-    scaling_nodes: Optional[List[int]] = None,
-    workers: Optional[List[int]] = None,
-    parallel_digest_sizes: Optional[Dict[str, tuple]] = None,
 ) -> Dict:
     """Run the whole suite; returns the report ``extra`` payload.
 
@@ -826,14 +514,6 @@ def run_perf(
     percentages on a noisy box.  ``xfer_mode`` selects the AM
     large-message strategy throughout (the determinism digests must be
     byte-identical under both ``eager`` and ``rendezvous``).
-    ``scaling_nodes`` adds the sharded scaling section (the ``--nodes``
-    columns) at the given node counts; ``None`` skips it.  ``workers``
-    lists worker-process counts: the scaling section grows one column
-    per count, and the workers-backend digest comparison
-    (``determinism_workers``) runs at the first count — it always runs
-    at ``workers=2`` even when the list is ``None``, because the
-    bit-identity contract must hold regardless of whether anyone asked
-    for the timing columns.
     """
     sizes = sizes or (QUICK_SIZES if quick else FULL_SIZES)
     if repeat is None:
@@ -867,22 +547,16 @@ def run_perf(
         per["ratio_ff_on_over_off"] = round(
             per["wheel"]["adj_eps"] / per["wheel_noff"]["adj_eps"], 4)
         workloads[name] = per
-    out = {
+    return {
         "quick": quick,
         "repeat": repeat,
         "xfer_mode": xfer_mode,
-        "cpus": os.cpu_count(),
         "workloads": workloads,
         "determinism": run_determinism(digest_sizes, xfer_mode),
         "determinism_ff": run_ff_determinism(ff_digest_sizes, xfer_mode),
-        "determinism_workers": run_parallel_determinism(
-            parallel_digest_sizes, (workers or [2])[0], xfer_mode),
         "attribution": _attribution_section(50 if quick else 200),
         "baseline_pre_pr": dict(PRE_PR_BASELINE),
     }
-    if scaling_nodes is not None:
-        out["scaling"] = run_scaling(scaling_nodes, workers_list=workers)
-    return out
 
 
 def report_entries(data: Dict) -> List[tuple]:
@@ -906,24 +580,6 @@ def report_entries(data: Dict) -> List[tuple]:
     if att is not None:
         entries.append(("pingpong attribution coverage", 1.0,
                         att["coverage"]["coverage"]))
-    scaling = data.get("scaling")
-    if scaling is not None:
-        for key, per in scaling.items():
-            if key == "identical":
-                continue
-            entries.append((
-                f"ring {per['nodes']}n sharded events/sec (adjusted)",
-                None, per["sharded"]["adj_eps"]))
-            entries.append((
-                f"ring {per['nodes']}n sharded/sequential eps ratio",
-                None, per["ratio_sharded_over_sequential"]))
-            for p, wper in per.get("workers", {}).items():
-                entries.append((
-                    f"ring {per['nodes']}n workers={p} events/sec "
-                    f"(adjusted)", None, wper["adj_eps"]))
-                entries.append((
-                    f"ring {per['nodes']}n workers={p}/sharded eps ratio",
-                    None, wper["ratio_workers_over_sharded"]))
     return entries
 
 
@@ -977,64 +633,8 @@ def check_regression(current: Dict, committed: Dict,
                 f"idle fast-forward regression")
     if not current["determinism"]["identical"]:
         problems.append(
-            "wheel/heap/sharded event-order digests differ")
+            "wheel/heap event-order digests differ")
     if not current.get("determinism_ff", {}).get("identical", True):
         problems.append(
             "idle fast-forward on/off event-order digests differ")
-    if not current.get("determinism_workers", {}).get("identical", True):
-        problems.append(
-            "worker-backend event-order digests differ from the "
-            "single-process engines")
-    # sharded scaling: digests must hold at every measured node count,
-    # and the sharded/sequential eps ratio must not collapse vs the
-    # committed record (same machine-independence argument as above)
-    cur_scaling = current.get("scaling")
-    if cur_scaling is not None:
-        if not cur_scaling.get("identical", True):
-            problems.append(
-                "sharded/sequential event-order digests differ in the "
-                "scaling section")
-        ref_scaling = committed.get("scaling", {})
-        for key, per in cur_scaling.items():
-            if key == "identical":
-                continue
-            ref = ref_scaling.get(key, {}).get(
-                "ratio_sharded_over_sequential")
-            if ref is None:
-                continue  # node count not in the committed report
-            cur = per["ratio_sharded_over_sequential"]
-            floor = (1.0 - tolerance) * ref
-            if cur < floor:
-                problems.append(
-                    f"scaling {per['nodes']}n: sharded/sequential eps "
-                    f"ratio {cur:.3f} fell below {floor:.3f} "
-                    f"({(1.0 - tolerance) * 100:.0f}% of the committed "
-                    f"{ref:.3f}) — sharded engine regression")
-            # workers speedup columns are CPU-aware: the committed
-            # ratio only constitutes a target when the committed run
-            # actually showed a gain (ref >= 1.1 — a 1-CPU reference
-            # box records honest sub-1 ratios, which are not a floor
-            # worth defending) AND this runner has at least P cores to
-            # reproduce it with.  Digest identity is gated above
-            # unconditionally either way.
-            for p, wref_per in ref_scaling.get(key, {}).get(
-                    "workers", {}).items():
-                wref = wref_per.get("ratio_workers_over_sharded")
-                if wref is None or wref < 1.1:
-                    continue
-                if (os.cpu_count() or 1) < int(p):
-                    continue
-                wcur = per.get("workers", {}).get(p, {}).get(
-                    "ratio_workers_over_sharded")
-                wfloor = 1.0 + (wref - 1.0) * 0.5
-                if wcur is None:
-                    problems.append(
-                        f"scaling {per['nodes']}n: missing workers={p} "
-                        f"column (committed ratio {wref:.3f})")
-                elif wcur < wfloor:
-                    problems.append(
-                        f"scaling {per['nodes']}n: workers={p}/sharded "
-                        f"eps ratio {wcur:.3f} fell below {wfloor:.3f} "
-                        f"(half the committed gain of {wref:.3f}) — "
-                        f"worker backend regression")
     return problems

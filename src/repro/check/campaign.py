@@ -32,7 +32,7 @@ from repro.mpi import attach_mpi
 from repro.mpi.comm import Communicator
 from repro.mpi.status import ANY_SOURCE
 from repro.obs.core import Observatory
-from repro.sim import ShardedSimulator, Simulator
+from repro.sim import Simulator
 from repro.sim.errors import SimulationError
 
 #: fixed communicator contexts, one per subcommunicator name; kept below
@@ -205,19 +205,14 @@ class _CheckCampaign:
     def __init__(self, seed: int, nodes: int, ops: List[dict], loss: float,
                  collect: bool, limit: float,
                  only: Optional[List[str]] = None,
-                 xfer_mode: str = "eager", sharding: bool = False,
-                 workers: int = 1):
+                 xfer_mode: str = "eager"):
         self.seed = seed
         self.nodes = nodes
         self.ops = ops
         self.limit = limit
         self.violations: List[str] = []
         self.aborted = False
-        if workers > 1 and not sharding:
-            raise ValueError("workers > 1 requires the sharded engine")
-        self.workers = workers
-        self.sim = (ShardedSimulator(workers=workers) if sharding
-                    else Simulator())
+        self.sim = Simulator()
         self.machine = build_sp_machine(self.sim, nodes)
         self.obs = Observatory().attach(self.machine)
         self.ams = attach_spam(self.machine, xfer_mode=xfer_mode)
@@ -400,10 +395,10 @@ class _CheckCampaign:
     # -- the per-rank program -------------------------------------------
 
     def _rank_quiet(self, w: int) -> bool:
-        """Is rank ``w``'s *own* protocol state drained?  Deliberately
-        node-local (no switch counters, no other rank's windows) so the
-        identical drain predicate runs inside shard worker processes
-        (``workers > 1``), where a rank cannot see foreign shards."""
+        """Is rank ``w``'s *own* protocol state drained?  Node-local (no
+        switch counters, no other rank's windows): traffic still in the
+        fabric shows up as a packet arrival that restarts the grace
+        window."""
         am = self.ams[w]
         if am._active_sends or am._deferred_replies:
             return False
@@ -462,11 +457,7 @@ class _CheckCampaign:
     # -- execution ------------------------------------------------------
 
     def run(self) -> float:
-        self._vio_baseline = len(self.violations)
-        self._san_baseline = len(self.san.violations)
-        if self.workers > 1:
-            self.sim.worker_finalize = self._finalize_span
-        procs = [self.sim.spawn(self._program(w), name=f"check{w}", shard=w)
+        procs = [self.sim.spawn(self._program(w), name=f"check{w}")
                  for w in range(self.nodes)]
         try:
             self.sim.run_until_processes_done(procs, limit=self.limit)
@@ -476,82 +467,13 @@ class _CheckCampaign:
         except (ValueError, AssertionError) as exc:
             self.aborted = True
             self.violations.append(f"{type(exc).__name__}: {exc}")
-        self._collect_finalizers()
+        if not self.aborted:
+            # conservation only means something on a drained machine
+            self.san.check_quiescent()
+        self.violations.extend(str(v) for v in self.san.violations)
+        self.check_counts = dict(self.san.snapshot())
+        self.delivered_units, self.digest = self.san.delivery_report()
         return self.sim.now
-
-    def _finalize_span(self, lo: int, hi: int) -> Dict:
-        """Runs inside each worker at shutdown: everything the parent
-        needs from this shard span's live state — workload complaints,
-        sanitizer violations (run-time and quiescence-time separately,
-        so an aborted parent can discard the latter), check counts,
-        delivery digest, and the conservation-equation operands."""
-        san = self.san
-        vio_base = len(san.violations)
-        numbers = san.quiescence_local(lo, hi)
-        return {
-            "lo": lo, "hi": hi,
-            "complaints": list(self.violations[self._vio_baseline:]),
-            "violations": [str(v)
-                           for v in san.violations[self._san_baseline:
-                                                   vio_base]],
-            "q_violations": [str(v) for v in san.violations[vio_base:]],
-            "numbers": numbers,
-            **san.span_report(lo, hi),
-        }
-
-    def _collect_finalizers(self) -> None:
-        """Populate ``check_counts`` / ``delivered_units`` / ``digest``
-        and fold worker payloads into ``violations``.  The sequential
-        path runs the exact same two quiescence phases over the single
-        span (0, nodes), so verdicts are engine-independent."""
-        if self.workers > 1:
-            payloads = getattr(self.sim, "worker_results", None)
-            if payloads is None:
-                # run died before the final round handshake; the
-                # SimulationError is already recorded above
-                self.violations.extend(
-                    str(v) for v in self.san.violations)
-                self.check_counts = dict(self.san.snapshot())
-                self.delivered_units = 0
-                self.digest = 0
-                return
-            payloads = sorted(payloads, key=lambda p: p["lo"])
-            numbers = {"outstanding": {}, "owed": {}}
-            for p in payloads:
-                self.violations.extend(p["complaints"])
-                self.violations.extend(p["violations"])
-                numbers["outstanding"].update(p["numbers"]["outstanding"])
-                numbers["owed"].update(p["numbers"]["owed"])
-            if not self.aborted:
-                for p in payloads:
-                    self.violations.extend(p["q_violations"])
-                # cross-node pair equation over the shipped numbers;
-                # failures land in the parent sanitizer's violations
-                self.san.quiescence_pairs(numbers)
-            self.violations.extend(str(v) for v in self.san.violations)
-            # parent snapshot covers the sequencer-side SchedulerCheck
-            # (workers run with sim.check cleared) plus the pair checks
-            # just counted; worker payloads carry every per-node checker
-            counts = dict(self.san.snapshot())
-            units = 0
-            digest = 0
-            for p in payloads:
-                for k, v in p["counts"].items():
-                    counts[k] = counts.get(k, 0) + v
-                units += p["units"]
-                digest ^= p["digest"]
-            self.check_counts = counts
-            self.delivered_units = units
-            self.digest = digest
-        else:
-            if not self.aborted:
-                # conservation only means something on a drained machine
-                self.san.check_quiescent()
-            self.violations.extend(str(v) for v in self.san.violations)
-            self.check_counts = dict(self.san.snapshot())
-            rep = self.san.span_report(0, self.nodes)
-            self.delivered_units = rep["units"]
-            self.digest = rep["digest"]
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +491,6 @@ def run_campaign(
     limit: float = 5e7,
     only: Optional[List[str]] = None,
     xfer_mode: str = "eager",
-    sharding: bool = False,
-    workers: int = 1,
 ) -> CampaignResult:
     """One seeded campaign under the sanitizer; returns its verdict.
 
@@ -578,22 +498,10 @@ def run_campaign(
     the ops are :func:`generate_ops(seed, nodes, nops)`.  ``xfer_mode``
     selects the AM large-message strategy, so the same op mix can
     cross-check the eager chunk protocol against rendezvous.
-    ``sharding`` runs the campaign on the per-node-sharded engine —
-    execution is digest-identical, so every sanitizer verdict carries
-    over unchanged.  ``workers`` additionally spreads the shards over
-    that many worker processes (implies ``sharding``): per-node checkers
-    then run inside the workers and their violations, check counts, and
-    delivery digests are shipped back at shutdown — verdicts, units,
-    and digests stay identical to every sequential engine.  Two
-    worker-mode caveats: the critical-path rollup is empty (traces are
-    recorded worker-side and not shipped), and an op that *raises*
-    inside a worker surfaces as the worker-failure traceback alone —
-    checker entries collected before the crash die with the worker.
     """
     ops = op_list if op_list is not None else generate_ops(seed, nodes, nops)
     camp = _CheckCampaign(seed, nodes, ops, loss, collect, limit, only,
-                          xfer_mode=xfer_mode,
-                          sharding=sharding or workers > 1, workers=workers)
+                          xfer_mode=xfer_mode)
     elapsed = camp.run()
     from repro.obs.critpath import critpath_rollup
 

@@ -636,12 +636,9 @@ class Sanitizer:
           ledger still holds equal the bytes the receiver legitimately
           owes back: batched frees below the combine threshold, stashed
           hybrid prefixes, and unconsumed unexpected eager messages.
-
-        Split into a span-local half (:meth:`quiescence_local`, reads
-        only per-node state, so it can run inside a shard worker) and a
-        parent-side pair equation (:meth:`quiescence_pairs`) over the
-        collected numbers.
         """
+        from repro.mpi.adi import ADI, _UnexpectedEager
+
         machine = self._machine
         if machine is None:
             # engine-level sanitizers (watch_sim) have no machine to
@@ -650,20 +647,14 @@ class Sanitizer:
                 if isinstance(c, (RecvFifoCheck, RdmaCheck)):
                     c.at_quiescence()
             return
-        self.quiescence_pairs(self.quiescence_local(0, len(machine.nodes)))
-
-    def quiescence_local(self, lo: int, hi: int) -> Dict:
-        """Quiescence work that touches only nodes ``lo..hi-1``: run the
-        per-node hooks (receive-FIFO accounting, RDMA grant table) and
-        collect the conservation-equation operands — what each sender's
-        allocator ledger still holds, and what each receiver legitimately
-        owes each sender.  Under shard workers this runs worker-side,
-        against live state, and only the numbers travel."""
-        from repro.mpi.adi import ADI, _UnexpectedEager
-
-        outstanding: Dict = {}
-        owed: Dict = {}
-        for node in self._machine.nodes[lo:hi]:
+        # per node: run the local hooks (receive-FIFO accounting, RDMA
+        # grant table) and collect the conservation operands — what each
+        # sender's allocator ledger still holds, and what each receiver
+        # legitimately owes each sender
+        adis: Dict[int, ADI] = {}
+        outstanding: Dict[Tuple[int, int], int] = {}
+        owed: Dict[Tuple[int, int], int] = {}
+        for node in machine.nodes:
             adapter = getattr(node, "adapter", None)
             if adapter is not None:
                 ck = getattr(adapter.recv_fifo, "check", None)
@@ -676,6 +667,7 @@ class Sanitizer:
             adi = getattr(getattr(node, "mpi", None), "adi", None)
             if not isinstance(adi, ADI):
                 continue
+            adis[node.id] = adi
             for rid, alloc in adi._alloc.items():
                 if alloc.check is not None:
                     outstanding[(node.id, rid)] = \
@@ -695,74 +687,36 @@ class Sanitizer:
                          and e.src == sid
                          and e.region_offset is not None)
                 owed[(rid, sid)] = o
-        return {"outstanding": outstanding, "owed": owed}
-
-    def quiescence_pairs(self, numbers: Dict) -> None:
-        """The cross-node half of the conservation check: compare each
-        (sender, receiver) pair's collected operands.  A missing ``owed``
-        entry means the receiver owes nothing."""
-        from repro.mpi.adi import ADI
-
-        machine = self._machine
-        if machine is None:
-            return
-        adis = {}
-        for node in machine.nodes:
-            adi = getattr(getattr(node, "mpi", None), "adi", None)
-            if isinstance(adi, ADI):
-                adis[node.id] = adi
-        for (sid, rid), held in sorted(numbers["outstanding"].items()):
-            if sid not in adis or rid not in adis:
+        # per (sender, receiver) pair: what the sender's ledger holds must
+        # equal what the receiver owes (nothing when it has no entry)
+        for (sid, rid), held in sorted(outstanding.items()):
+            if rid not in adis:
                 continue
             ck = adis[sid]._alloc[rid].check
-            if ck is None:
-                continue
             ck.checks += 1
-            owed = numbers["owed"].get((rid, sid), 0)
-            if held != owed:
+            o = owed.get((rid, sid), 0)
+            if held != o:
                 ck.fail("quiescence",
                         f"conservation broken: sender ledger holds "
                         f"{held} bytes but receiver "
-                        f"{rid} owes {owed}")
+                        f"{rid} owes {o}")
 
-    def span_report(self, lo: int, hi: int) -> Dict:
-        """Check counts, delivered units, and the delivery-order digest
-        for the checkers owned by nodes ``lo..hi-1`` (resolved through
-        their attachment points, so a worker reports exactly its own
-        span).  The engine-level :class:`SchedulerCheck` is excluded —
-        it runs on the parent sequencer and is counted there."""
-        counts: Dict[str, int] = {}
+    def delivery_report(self) -> Tuple[int, int]:
+        """``(units, digest)``: transfer units delivered across every
+        receive window, and their combined delivery-order digest."""
         units = 0
         digest = 0
-
-        def add(ck) -> None:
-            if ck is None:
-                return
-            counts[ck.kind] = counts.get(ck.kind, 0) + ck.checks
-
-        for node in self._machine.nodes[lo:hi]:
-            adapter = getattr(node, "adapter", None)
-            if adapter is not None:
-                add(getattr(adapter.send_fifo, "check", None))
-                add(getattr(adapter.recv_fifo, "check", None))
+        for node in self._machine.nodes:
             am = getattr(node, "am", None)
-            if am is not None and hasattr(am, "_peers"):
-                add(getattr(am, "rdma_check", None))
-                for st in am._peers.values():
-                    for win in st.send:
-                        add(win.check)
-                    for rwin in st.recv:
-                        add(rwin.check)
-                        ck = rwin.check
-                        if isinstance(ck, RecvWindowCheck):
-                            units += ck.delivered_units
-                            digest ^= ck.digest
-            adi = getattr(getattr(node, "mpi", None), "adi", None)
-            if adi is not None:
-                add(getattr(adi, "check", None))
-                for alloc in getattr(adi, "_alloc", {}).values():
-                    add(alloc.check)
-        return {"counts": counts, "units": units, "digest": digest}
+            if am is None or not hasattr(am, "_peers"):
+                continue
+            for st in am._peers.values():
+                for rwin in st.recv:
+                    ck = rwin.check
+                    if isinstance(ck, RecvWindowCheck):
+                        units += ck.delivered_units
+                        digest ^= ck.digest
+        return units, digest
 
     # -- reporting ------------------------------------------------------
 

@@ -18,9 +18,8 @@ network until every rank has announced done and its *own* state has been
 quiet for a grace window that outlasts the keep-alive machinery: send
 windows drained, no partial chunk assemblies, no deferred replies,
 nothing host-visible left unread, no packet arrivals.  The predicate is
-deliberately node-local, so the identical drain logic runs inside shard
-worker processes (``workers > 1``).  The run then
-reconciles three ledgers against each other:
+node-local: a rank reads only its own endpoint, adapter and windows.
+The run then reconciles three ledgers against each other:
 
 * the workload's own records (delivery order, memory contents),
 * the protocol state machines (window invariants fail loudly via
@@ -51,7 +50,7 @@ from repro.faults.payload import periodic_payload
 from repro.faults.plan import FaultPlan
 from repro.hardware.machine import build_sp_machine
 from repro.obs.core import Observatory
-from repro.sim import ShardedSimulator, Simulator
+from repro.sim import Simulator
 from repro.sim.errors import SimulationError
 from repro.splitc.gptr import GlobalPtr
 from repro.splitc.runtime import attach_splitc
@@ -59,12 +58,6 @@ from repro.splitc.runtime import attach_splitc
 #: fault kinds that destroy the packet and must therefore also show up
 #: as a ``packet_dropped`` observability event
 _LOSSY_KINDS = frozenset({"drop", "corrupt", "rx_overflow"})
-
-#: fault kinds whose injection point is the *adapter* (per-node code that
-#: runs worker-side under ``workers > 1``); their RNG draws and ledger
-#: writes would land in worker processes instead of the parent sequencer,
-#: so the multiprocessing backend rejects plans containing them
-_ADAPTER_SITE_KINDS = frozenset({"rx_overflow", "tx_stall"})
 
 #: how long a rank must stay *locally* quiet (all peers announced done,
 #: windows drained, FIFOs empty, no packet arrivals) before it leaves its
@@ -94,9 +87,7 @@ def _h_pong(token, src, i):
 
 
 def _h_done(token, src):
-    # done-broadcast marker: ``src`` has finished its workload phases.
-    # State is node-local (the handler runs on the receiving node's
-    # shard), so the drain protocol works unchanged in worker processes.
+    # done-broadcast marker: ``src`` has finished its workload phases
     token.am.node.soak_done_from.add(src)
 
 
@@ -193,34 +184,13 @@ class _Campaign:
                  plan: Optional[FaultPlan], limit: float,
                  idle_fast_forward: bool = True,
                  sample_period_us: Optional[float] = None,
-                 xfer_mode: str = "eager", sharding: bool = False,
-                 workers: int = 1):
+                 xfer_mode: str = "eager"):
         self.nodes = nodes
         self.pingpong = pingpong
         self.bulk_bytes = bulk_bytes
         self.limit = limit
-        self.workers = workers
         self.violations: List[str] = []
-        if workers > 1 and not sharding:
-            raise ValueError("workers > 1 requires the sharded engine")
-        if workers > 1 and sample_period_us is not None:
-            raise ValueError(
-                "the gauge sampler reads machine-wide state and cannot run "
-                "inside shard workers; pass sample_period_us=None with "
-                "workers > 1")
-        if workers > 1 and plan is not None:
-            bad = sorted({r.kind for r in plan.rules}
-                         & _ADAPTER_SITE_KINDS)
-            if bad:
-                raise ValueError(
-                    f"fault kinds {bad} inject at the adapter (worker-side "
-                    f"code); only switch-site kinds (drop/corrupt/reorder/"
-                    f"duplicate) replay deterministically with workers > 1")
-        if sharding:
-            self.sim = ShardedSimulator(idle_fast_forward=idle_fast_forward,
-                                        workers=workers)
-        else:
-            self.sim = Simulator(idle_fast_forward=idle_fast_forward)
+        self.sim = Simulator(idle_fast_forward=idle_fast_forward)
         self.machine = build_sp_machine(self.sim, nodes)
         self.obs = Observatory().attach(self.machine)
         if sample_period_us is not None:
@@ -232,10 +202,8 @@ class _Campaign:
             self.obs.start_sampler(period_us=sample_period_us)
         self.ams = attach_spam(self.machine, xfer_mode=xfer_mode)
         self.rts = attach_splitc(self.machine)
-        # pre-register the workload handlers (SPMD discipline): requests
-        # normally register handlers lazily at first send, but with shard
-        # workers a registration made inside one worker is invisible to
-        # the worker that must look the id up on receive
+        # pre-register the workload handlers (SPMD discipline): their ids
+        # are fixed before any rank runs instead of at first send
         for h in (_h_ping, _h_pong, _h_done):
             self.ams[0].register(h)
         self.injector = (install_faults(self.machine, plan)
@@ -260,10 +228,9 @@ class _Campaign:
 
     def _rank_quiet(self, rank: int) -> bool:
         """Node-local drain predicate: nothing *on this rank* awaits
-        recovery.  Deliberately reads only rank-owned state (its endpoint,
-        its adapter, its windows), so it evaluates identically inside a
-        shard worker — the old global predicate walked every node and the
-        switch, which only the parent sequencer can see."""
+        recovery.  Reads only rank-owned state (its endpoint, its adapter,
+        its windows); traffic still in the fabric shows up as a packet
+        arrival that restarts the grace window."""
         am = self.ams[rank]
         if am._active_sends or am._deferred_replies:
             return False
@@ -315,8 +282,7 @@ class _Campaign:
         total = yield from rt.allreduce_int(rank + 1)
         expect = self.nodes * (self.nodes + 1) // 2
         if total != expect:
-            # recorded node-locally: with shard workers this line runs in
-            # a worker process, and only per-node state ships back
+            # recorded per node, reported with the rank's final checks
             node.soak_violations.append(
                 f"rank {rank}: allreduce returned {total}, expected {expect}")
         node.memory.write(self.addrs[rank]["sc_src"],
@@ -359,80 +325,23 @@ class _Campaign:
     # -- execution + checks ---------------------------------------------------
 
     def run(self) -> float:
-        self._fault_baseline = len(self.obs.fault_events)
-        if self.workers > 1:
-            self.sim.worker_finalize = self._finalize_span
-        procs = [self.sim.spawn(self._program(r), name=f"soak{r}", shard=r)
+        procs = [self.sim.spawn(self._program(r), name=f"soak{r}")
                  for r in range(self.nodes)]
         try:
             self.sim.run_until_processes_done(procs, limit=self.limit)
         except SimulationError as exc:
             # includes SimTimeoutError (unbounded recovery → deadlock)
-            # and worker-failure errors from the multiprocessing backend
             self.violations.append(f"{type(exc).__name__}: {exc}")
         except (ValueError, AssertionError) as exc:
             # window invariant violations (MidChunkAckError &c.) and
             # accounting assertions surface here
             self.violations.append(f"{type(exc).__name__}: {exc}")
-        self._collect_finalizers()
+        for node in self.machine.nodes:
+            self.violations.extend(node.soak_violations)
+            self.violations.extend(self._check_rank(node.id))
         return self.sim.now
 
-    # -- per-rank evidence (runs worker-side under ``workers > 1``) ----------
-
-    def _finalize_span(self, lo: int, hi: int) -> Dict:
-        """Everything the parent needs from ranks ``lo..hi-1``: the
-        delivery/final-state checks run *here*, against live node state
-        (the parent's copies go stale at fork), and node-owned counters
-        plus adapter-site fault events ship back for the merged ledgers."""
-        violations: List[str] = []
-        counters: Dict[str, float] = {}
-        for rank in range(lo, hi):
-            violations.extend(self.machine.nodes[rank].soak_violations)
-            violations.extend(self._check_rank(rank))
-            node = self.machine.nodes[rank]
-            for holder in (node, getattr(node, "adapter", None),
-                           node.am, getattr(node, "splitc", None)):
-                st = getattr(holder, "stats", None)
-                if st is not None:
-                    counters.update(st.snapshot())
-        return {
-            "lo": lo,
-            "hi": hi,
-            "violations": violations,
-            "counters": counters,
-            "fault_events": self.obs.fault_events[self._fault_baseline:],
-        }
-
-    def _collect_finalizers(self) -> None:
-        """Merge per-span evidence — worker payloads under ``workers >
-        1``, one parent-side span otherwise — into the campaign ledgers."""
-        if self.workers > 1:
-            payloads = getattr(self.sim, "worker_results", None)
-            if payloads is None:
-                # the run died before finalizers could ship (the error is
-                # already in self.violations); nothing to merge
-                self._span_counters = {}
-                return
-            payloads = sorted(payloads, key=lambda p: p["lo"])
-        else:
-            payloads = [self._finalize_span(0, self.nodes)]
-        merged_counters: Dict[str, float] = {}
-        for p in payloads:
-            self.violations.extend(p["violations"])
-            merged_counters.update(p["counters"])
-            if self.workers > 1:
-                # adapter-site events (CRC rejects of corrupted clones,
-                # their packet_dropped records) happened worker-side;
-                # fold them into the parent ledger for reconcile_faults
-                self.obs.fault_events.extend(p["fault_events"])
-        self._span_counters = merged_counters
-
-    def merged_counters(self) -> Dict[str, float]:
-        """The run's counter snapshot with worker-side registries folded
-        in (per-node keys are unique, so the overlay is exact)."""
-        counters = dict(self.obs.snapshot()["counters"])
-        counters.update(self._span_counters)
-        return counters
+    # -- per-rank evidence -----------------------------------------------------
 
     def _check_rank(self, rank: int) -> List[str]:
         """Delivery + final-state checks that touch only ``rank``'s node.
@@ -440,8 +349,7 @@ class _Campaign:
         Cross-node assertions are phrased from the writer's perspective
         but *verified* on the node that owns the memory: checking rank
         ``r`` validates the bulk store and Split-C put that ``r-1``
-        landed here, so the union over all ranks covers every transfer
-        with the same messages the old global walk produced.
+        landed here, so the union over all ranks covers every transfer.
         """
         out: List[str] = []
         expect = list(range(self.pingpong))
@@ -536,12 +444,6 @@ def _abbrev(seq: List[int], limit: int = 12) -> str:
 # entry point
 # ---------------------------------------------------------------------------
 
-#: sentinel: "sampler period not chosen by the caller" — resolves to
-#: 50 us sequentially and to None (sampler off) with ``workers > 1``,
-#: where the sampler's machine-wide gauge reads are unavailable
-_SAMPLE_DEFAULT = object()
-
-
 def run_soak(
     seed: int = 7,
     loss: float = 0.01,
@@ -554,10 +456,8 @@ def run_soak(
     limit: float = 5e7,
     idle_fast_forward: bool = True,
     sim_check: Optional[object] = None,
-    sample_period_us: object = _SAMPLE_DEFAULT,
+    sample_period_us: Optional[float] = 50.0,
     xfer_mode: str = "eager",
-    sharding: bool = False,
-    workers: int = 1,
 ) -> SoakResult:
     """Run the soak workload under a fault plan; return the evidence.
 
@@ -573,23 +473,11 @@ def run_soak(
     unsequenced lane, so they no longer perturb the perf suite's
     event-order digests; pass ``None`` to disable).  ``xfer_mode``
     selects the AM large-message strategy for the bulk phase.
-    ``sharding`` runs the lossy campaign on the
-    :class:`~repro.sim.shard.ShardedSimulator` (one shard per node,
-    round barriers at the switch latency) — digest-identical to the
-    sequential engine by construction, and checked by the perf suite.
-    ``workers`` > 1 additionally executes the sharded campaign in that
-    many OS worker processes (implies ``sharding``); the result is still
-    bit-identical, but the gauge sampler must be off and the fault plan
-    restricted to switch-site kinds (drop/corrupt/reorder/duplicate).
     """
     if nodes < 2:
         # every rank pings its right neighbour: one node would address
         # itself, which AM refuses deep inside the fault-free run
         raise ValueError(f"soak needs at least 2 nodes, got {nodes}")
-    if workers > 1:
-        sharding = True
-    if sample_period_us is _SAMPLE_DEFAULT:
-        sample_period_us = None if workers > 1 else 50.0
     if plan is None:
         plan = (FaultPlan.chaos(seed, loss) if chaos
                 else FaultPlan.loss(seed, loss))
@@ -608,8 +496,7 @@ def run_soak(
     lossy = _Campaign(nodes, pingpong, bulk_bytes, plan=plan, limit=limit,
                       idle_fast_forward=idle_fast_forward,
                       sample_period_us=sample_period_us,
-                      xfer_mode=xfer_mode, sharding=sharding,
-                      workers=workers)
+                      xfer_mode=xfer_mode)
     if sim_check is not None:
         lossy.sim.check = sim_check
     elapsed = lossy.run()
@@ -636,6 +523,6 @@ def run_soak(
         recovery_bound_us=recovery_bound,
         injected=injected, injected_counts=counts,
         violations=lossy.violations,
-        counters=_merge_counters(lossy.merged_counters()),
+        counters=_merge_counters(lossy.obs.snapshot()["counters"]),
         obs=lossy.obs,
     )

@@ -65,10 +65,6 @@ def build_sp_machine(
     p = params if params is not None else machine_params("sp-thin")
     if p.nodes_kind != "sp":
         raise ValueError(f"{p.name!r} is not an SP parameter set")
-    if sim.sharded:
-        # one shard per node; the switch latency is the conservative
-        # lookahead (cross-node traffic cannot arrive sooner)
-        sim.configure_shards(nprocs, p.switch.latency)
     switch = Switch(sim, p.switch)
     nodes: List[Node] = []
     for i in range(nprocs):

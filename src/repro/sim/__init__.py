@@ -23,14 +23,11 @@ from repro.sim.engine import Simulator
 from repro.sim.errors import DeadlockError, SimulationError, SimTimeoutError
 from repro.sim.primitives import TIMED_OUT, Delay, Event, Timeout, WaitEvent
 from repro.sim.process import Process
-from repro.sim.shard import Shard, ShardedSimulator
 from repro.sim.stats import Counter, StatRegistry, TimeSeries
 from repro.sim.tracing import TraceEvent, Tracer
 
 __all__ = [
     "Simulator",
-    "ShardedSimulator",
-    "Shard",
     "Process",
     "Event",
     "Delay",

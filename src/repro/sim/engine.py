@@ -109,11 +109,6 @@ class TimerHandle:
         ck = sim.check
         if ck is not None:
             ck.on_cancel(e)
-        hook = sim._cancel_hook
-        if hook is not None:
-            # multiprocessing shard workers log cancels so the parent
-            # sequencer can tombstone its mirror entry (repro.sim.parallel)
-            hook(e)
         return True
 
     def _fire(self, gen: int, fn: Callable[..., None], args: tuple) -> None:
@@ -178,12 +173,8 @@ class Simulator:
         "_live_processes", "_blocked_processes", "_finish_stamp",
         "events_executed", "stale_events_skipped", "_stale_pending",
         "_queue", "_window_us", "_window_end", "_cur_list", "_cur_idx",
-        "_far", "check", "last_event", "_cancel_hook",
+        "_far", "check", "last_event",
     )
-
-    #: True on :class:`~repro.sim.shard.ShardedSimulator`; hardware
-    #: builders consult this to wire per-node shards
-    sharded = False
 
     def __init__(
         self,
@@ -229,8 +220,6 @@ class Simulator:
         self._far: List[list] = []       # heap of entries past the window
         #: event-ordering checker (repro.check), None when unchecked
         self.check = None
-        #: worker-side cancel logger (repro.sim.parallel), None otherwise
-        self._cancel_hook = None
         #: (when, seq, callback) of the event :meth:`step` last executed
         self.last_event: Optional[tuple] = None
 
@@ -284,24 +273,6 @@ class Simulator:
         else:
             heappush(self._queue, entry)
         return entry
-
-    def schedule_into(self, shard: int, delay: float,
-                      fn: Callable[..., None], *args: Any) -> list:
-        """Shard-aware :meth:`schedule`: the sequential engine has a single
-        event zone, so the shard id is accepted (for seam compatibility)
-        and ignored.  :class:`~repro.sim.shard.ShardedSimulator` overrides
-        this to place the entry in ``shard``'s local zone."""
-        return self.schedule(delay, fn, *args)
-
-    def post_cross(self, shard: int, when: float, fn: Callable[..., None],
-                   *args: Any) -> list:
-        """Shard-aware :meth:`at` — the cross-shard delivery seam used by
-        the switch.  Sequentially this *is* ``at`` (shard id ignored);
-        :class:`~repro.sim.shard.ShardedSimulator` overrides it to stamp
-        the entry's ``(when, seq)`` immediately but defer queue insertion
-        to the next round barrier, enforcing the conservative lookahead
-        bound (``when >= now + lookahead``)."""
-        return self.at(when, fn, *args)
 
     def call_later(self, delay: float, fn: Callable[..., None],
                    *args: Any) -> TimerHandle:
@@ -469,18 +440,11 @@ class Simulator:
 
     # -- running ----------------------------------------------------------
 
-    def spawn(self, gen, name: str = "",
-              shard: Optional[int] = None) -> "Process":  # noqa: F821
-        """Register a generator as a process starting at the current time.
-
-        ``shard`` pins the process's events to one node's shard zone on a
-        :class:`~repro.sim.shard.ShardedSimulator`; the sequential engine
-        accepts and ignores it, so workloads can pass node ids
-        unconditionally.
-        """
+    def spawn(self, gen, name: str = "") -> "Process":  # noqa: F821
+        """Register a generator as a process starting at the current time."""
         from repro.sim.process import Process
 
-        return Process(self, gen, name=name, shard=shard)
+        return Process(self, gen, name=name)
 
     def step(self) -> bool:
         """Execute one live event.  Returns False when the queue is empty.

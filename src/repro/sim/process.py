@@ -26,20 +26,12 @@ class Process:
     """A generator registered with a :class:`~repro.sim.engine.Simulator`."""
 
     __slots__ = ("sim", "gen", "name", "done", "finished", "result", "error",
-                 "shard", "_waiting", "_timer", "_send", "_resume", "_schedule")
+                 "_waiting", "_timer", "_send", "_resume", "_schedule")
 
-    def __init__(self, sim, gen: Generator, name: str = "",
-                 shard: Optional[int] = None):
+    def __init__(self, sim, gen: Generator, name: str = ""):
         self.sim = sim
         self.gen = gen
         self.name = name
-        #: the shard zone this process's events live in (None on the
-        #: sequential engine).  An unpinned spawn from a callback inherits
-        #: the executing event's shard — recorded here so the parallel
-        #: backend can partition watched processes across workers.
-        self.shard = shard
-        if shard is None and sim.sharded:
-            self.shard = sim._active_shard
         self.done: Event = sim.event(name=f"{name}.done")
         self.finished = False
         self.result: Any = None
@@ -55,15 +47,8 @@ class Process:
         self._resume = self._step
         self._schedule = sim.schedule
         sim._process_started()
-        # First step at the current instant, after already-queued events.
-        # Pinning the first resume to ``shard`` is enough to pin the whole
-        # process: every later schedule the process issues runs from one of
-        # its own callbacks, and a ShardedSimulator's ``schedule`` inherits
-        # the executing event's shard.
-        if shard is None:
-            sim.schedule(0.0, self._resume)
-        else:
-            sim.schedule_into(shard, 0.0, self._resume)
+        # first step at the current instant, after already-queued events
+        sim.schedule(0.0, self._resume)
 
     # -- engine-facing ----------------------------------------------------
 

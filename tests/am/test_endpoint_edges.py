@@ -45,6 +45,17 @@ class TestDeferredReplies:
 
 
 class TestSendFifoBackpressure:
+    def test_send_fifo_below_arm_batch_is_rejected(self):
+        """Bulk sends stage a whole arm batch before arming it and the
+        adapter drains only armed entries, so a send FIFO smaller than
+        one batch would livelock every store; attaching must refuse it."""
+        sim = Simulator()
+        p = with_overrides(machine_params("sp-thin"), send_fifo_entries=2)
+        m = build_sp_machine(sim, 2, p)
+        with pytest.raises(ValueError,
+                           match="send_fifo_entries=2.*ARM_BATCH=4"):
+            attach_spam(m)
+
     def test_tiny_send_fifo_still_delivers_bulk(self):
         """With a 8-entry send FIFO the chunk injection must interleave
         with drain instead of overflowing."""

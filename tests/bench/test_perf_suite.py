@@ -9,6 +9,8 @@ and trips on a doctored ratio.
 
 import copy
 
+import pytest
+
 from repro.bench.benchjson import make_report
 from repro.bench.perf import (
     PRE_PR_BASELINE,
@@ -30,22 +32,19 @@ _TINY_DIGESTS = {
     "bulk": (8_192, 1),
     "alltoall": (3, 2_048, 1),
 }
-_TINY_PARALLEL = {
-    "pingpong": (40,),
-    "bulk": (8_192, 1),
-    "soak": (6,),
-}
 
 
-def _tiny_run():
+@pytest.fixture(scope="module")
+def tiny_run():
+    """One tiny suite run shared by every test below (read-only: tests
+    that doctor the report deep-copy it first)."""
     return run_perf(quick=True, repeat=1, sizes=_TINY_SIZES,
-                    digest_sizes=_TINY_DIGESTS,
-                    parallel_digest_sizes=_TINY_PARALLEL)
+                    digest_sizes=_TINY_DIGESTS)
 
 
 class TestSuite:
-    def test_suite_runs_and_report_validates(self):
-        data = _tiny_run()
+    def test_suite_runs_and_report_validates(self, tiny_run):
+        data = tiny_run
         for name in ("pingpong", "bulk", "alltoall", "soak"):
             w = data["workloads"][name]["wheel"]
             assert w["events"] > 0
@@ -61,83 +60,20 @@ class TestSuite:
         report = make_report("simperf", report_entries(data), extra=data)
         assert validate_bench_report(report) == []
 
-    def test_regression_gate_self_and_doctored(self):
-        data = _tiny_run()
+    def test_regression_gate_self_and_doctored(self, tiny_run):
+        data = tiny_run
         assert check_regression(data, data) == []
         doctored = copy.deepcopy(data)
         doctored["workloads"]["pingpong"]["ratio_wheel_over_heap"] *= 2.0
         problems = check_regression(data, doctored)
         assert problems and "pingpong" in problems[0]
 
-    def test_regression_gate_flags_determinism_mismatch(self):
-        data = _tiny_run()
+    def test_regression_gate_flags_determinism_mismatch(self, tiny_run):
+        data = tiny_run
         broken = copy.deepcopy(data)
         broken["determinism"]["identical"] = False
         problems = check_regression(broken, data)
         assert any("digest" in p for p in problems)
-
-    def test_suite_covers_workers_backend(self):
-        data = _tiny_run()
-        dw = data["determinism_workers"]
-        assert dw["identical"], dw
-        for name in ("pingpong", "bulk", "soak"):
-            assert dw[name]["identical"], (name, dw[name])
-        assert data["cpus"] >= 1
-
-    def test_regression_gate_flags_workers_digest_mismatch(self):
-        data = _tiny_run()
-        broken = copy.deepcopy(data)
-        broken["determinism_workers"]["identical"] = False
-        problems = check_regression(broken, data)
-        assert any("worker-backend" in p for p in problems)
-
-
-class TestWorkersRatioGate:
-    """The workers speedup columns gate only when the committed report
-    shows a real gain AND this runner has the cores to reproduce it."""
-
-    @staticmethod
-    def _scaling(ratio):
-        base = {"nodes": 64, "iterations": 4,
-                "sequential": {"adj_eps": 1.0},
-                "sharded": {"adj_eps": 1.0},
-                "ratio_sharded_over_sequential": 1.0,
-                "workers": {"2": {"adj_eps": ratio,
-                                  "ratio_workers_over_sharded": ratio,
-                                  "identical": True}},
-                "identical": True}
-        return {"64": base, "identical": True}
-
-    def _reports(self, committed_ratio, current_ratio):
-        skeleton = {"workloads": {n: {"ratio_wheel_over_heap": 1.0}
-                                  for n in ("pingpong", "bulk",
-                                            "alltoall")},
-                    "determinism": {"identical": True}}
-        cur = {**copy.deepcopy(skeleton),
-               "scaling": self._scaling(current_ratio)}
-        ref = {**copy.deepcopy(skeleton),
-               "scaling": self._scaling(committed_ratio)}
-        return cur, ref
-
-    def test_collapsed_speedup_trips_when_cores_exist(self, monkeypatch):
-        import repro.bench.perf as perf
-        monkeypatch.setattr(perf.os, "cpu_count", lambda: 8)
-        cur, ref = self._reports(2.0, 1.0)
-        problems = check_regression(cur, ref)
-        assert any("worker backend regression" in p for p in problems)
-
-    def test_no_gate_without_the_cores(self, monkeypatch):
-        import repro.bench.perf as perf
-        monkeypatch.setattr(perf.os, "cpu_count", lambda: 1)
-        cur, ref = self._reports(2.0, 0.2)
-        assert check_regression(cur, ref) == []
-
-    def test_honest_sub_one_committed_ratio_is_not_a_target(self,
-                                                            monkeypatch):
-        import repro.bench.perf as perf
-        monkeypatch.setattr(perf.os, "cpu_count", lambda: 8)
-        cur, ref = self._reports(0.2, 0.1)
-        assert check_regression(cur, ref) == []
 
 
 def test_determinism_digests_are_stable_within_scheduler():

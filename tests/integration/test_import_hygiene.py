@@ -6,6 +6,10 @@ Importing numpy costs more host time and memory than importing all of
 check of them do.  A fresh interpreter imports every core package, builds
 and attaches a machine, and must not have loaded numpy — then uses the
 array paths, which must still work (and are what loads it).
+
+The same interpreter pins the engine surface: ``repro.sim`` has one
+sequential ``Simulator`` with no sharding seams, and importing the core
+layers does not load ``multiprocessing``.
 """
 
 import os
@@ -30,6 +34,18 @@ attach_spam(machine)
 mpis = attach_mpi(machine)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 assert not loaded, f"numpy on the import path: {loaded[:5]}"
+
+# one sequential engine: the only simulator class, its public surface
+# exactly this, and nothing loaded that would fork worker processes
+assert "multiprocessing" not in sys.modules
+assert [n for n in dir(repro.sim) if n.endswith("Simulator")] == ["Simulator"]
+assert sorted(n for n in dir(Simulator) if not n.startswith("_")) == [
+    "at", "call_later", "call_later_unsequenced", "check", "event",
+    "events_executed", "idle_fast_forward", "last_event",
+    "live_pending_count", "now", "run", "run_until_processes_done",
+    "schedule", "schedule_unsequenced", "scheduler", "spawn",
+    "stale_events_skipped", "step",
+], sorted(n for n in dir(Simulator) if not n.startswith("_"))
 
 # byte-moving MPI traffic does not need it either
 def mover(rank):

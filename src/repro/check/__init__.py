@@ -3,7 +3,8 @@
 Always-available runtime checking of the invariants the paper states but
 never mechanizes: FIFO slot conservation (§2.1), go-back-N window and
 exactly-once delivery (§2.2), MPI request lifecycle and receiver-region
-allocation conservation (§4.1–4.2), and event-scheduler ordering.
+allocation conservation (§4.1–4.2), and event-scheduler ordering —
+plus :class:`EventDigest`, the event-order hash the digest pins compare.
 
 Checking follows the observability zero-cost pattern: every instrumented
 component carries a ``check`` attribute that defaults to ``None``, and
@@ -14,6 +15,7 @@ See ``docs/checking.md`` for the invariant catalogue and campaign usage.
 """
 
 from repro.check.core import InvariantViolation, Sanitizer
+from repro.check.digest import EventDigest
 from repro.check.campaign import (
     CampaignResult,
     ShrinkResult,
@@ -24,6 +26,7 @@ from repro.check.campaign import (
 )
 
 __all__ = [
+    "EventDigest",
     "InvariantViolation",
     "Sanitizer",
     "CampaignResult",

@@ -472,9 +472,9 @@ class RdmaCheck(_Check):
 
 class SchedulerCheck(_Check):
     """Events execute in strictly increasing (time, seq) order; no
-    cancelled (tombstoned) timer ever fires; the idle fast-forward only
-    ever discards tombstones, in queue order — it can never jump the
-    clock over a live entry."""
+    cancelled (tombstoned) timer ever fires; the stale skip only ever
+    discards tombstones, in queue order — it can never jump the clock
+    over a live entry."""
 
     kind = "sched"
 
@@ -483,9 +483,9 @@ class SchedulerCheck(_Check):
         self.sim = sim
         self.last: Tuple[float, int] = (float("-inf"), -1)
         #: (time, seq) of the last entry consumed from the queue front,
-        #: executed *or* discarded as a tombstone.  Fast-forward's bulk
-        #: skip reports each discarded entry through on_stale, so a skip
-        #: that jumped past a live entry surfaces here: the live entry
+        #: executed *or* discarded as a tombstone.  The stale skip
+        #: reports each discarded entry through on_stale, so a skip that
+        #: jumped past a live entry surfaces here: the live entry
         #: eventually executes with a key behind this watermark.
         self.last_popped: Tuple[float, int] = (float("-inf"), -1)
         self.cancelled = 0
@@ -497,7 +497,7 @@ class SchedulerCheck(_Check):
             self.fail(op,
                       f"queue consumed (t={entry[0]}, seq={entry[1]}) after "
                       f"(t={self.last_popped[0]}, seq={self.last_popped[1]}) "
-                      "— fast-forward skipped over a live region")
+                      "— the queue skipped over a live entry")
         self.last_popped = key
         return key
 
@@ -523,7 +523,7 @@ class SchedulerCheck(_Check):
         self._note_popped(entry, "stale")
         if entry[2] is not None:
             self.fail("stale",
-                      "fast-forward discarded a live entry as a tombstone")
+                      "the stale skip discarded a live entry")
         if entry[3] != ():
             self.fail("stale", "tombstoned entry still holds callback args")
 

@@ -17,9 +17,6 @@ Usage::
                                         # attribution over three workloads
     spam-bench soak --seed 7 --loss 0.05 [--chaos] [--xfer-mode rendezvous]
                                         # chaos campaign vs the reliability layer
-    spam-bench perf [--quick] [--check BENCH_simperf.json]
-                                        # simulator events/sec + wheel-vs-heap
-                                        # determinism/regression gates
     spam-bench check --seeds 20 [--loss 0.01] [--shrink] [--xfer-mode auto]
                                         # randomized conformance campaigns
                                         # under the invariant sanitizer
@@ -404,47 +401,6 @@ def cmd_check(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_perf(args) -> int:
-    from repro.bench.perf import check_regression, report_entries, run_perf
-
-    data = run_perf(quick=args.quick, repeat=args.repeat,
-                    xfer_mode=args.xfer_mode)
-    rows = []
-    for name, per in data["workloads"].items():
-        w = per["wheel"]
-        rows.append((name, w["events"], w["stale_skipped"], w["wall_s"],
-                     w["adj_eps"], per.get("ratio_wheel_over_heap", "-")))
-    print(fmt_table("simulator core (wheel scheduler)",
-                    ["workload", "events", "stale", "wall(s)",
-                     "adj ev/s", "w/h ratio"], rows))
-    det = data["determinism"]
-    for name, d in det.items():
-        if name == "identical":
-            continue
-        verdict = "identical" if d["identical"] else "MISMATCH"
-        print(f"determinism {name}: wheel==heap {verdict} "
-              f"(digest {d['wheel_digest'][:12]}.., "
-              f"t={d['wheel_sim_us']:.3f}us)")
-    rc = 0
-    if not det["identical"]:
-        print("FAIL: the schedulers executed different event orders")
-        rc = 1
-    _write_report(args, "simperf", report_entries(data), extra=data)
-    if args.check:
-        import json
-
-        with open(args.check) as f:
-            committed = json.load(f)
-        problems = check_regression(data, committed, tolerance=args.tolerance)
-        for p in problems:
-            print(f"regression: {p}")
-        if problems:
-            rc = 1
-        else:
-            print(f"regression check vs {args.check}: OK")
-    return rc
-
-
 def cmd_protocols(args) -> int:
     from repro.bench.protocols import report_entries, run_protocols
 
@@ -615,20 +571,6 @@ def main(argv=None) -> int:
                     help="dump the ping-pong Chrome trace with counter "
                          "tracks")
     _add_report_opts(pf)
-    pp = sub.add_parser(
-        "perf", help="simulator-core events/sec suite + "
-                     "wheel/heap determinism check")
-    pp.add_argument("--quick", action="store_true",
-                    help="reduced workloads (CI smoke)")
-    pp.add_argument("--repeat", type=_positive_int, default=None,
-                    help="best-of-N timing (default: 3 quick, 1 full)")
-    pp.add_argument("--check", metavar="FILE", default=None,
-                    help="fail if the wheel/heap eps ratio regresses vs "
-                         "this committed BENCH_simperf.json")
-    pp.add_argument("--tolerance", type=float, default=0.2,
-                    help="allowed ratio drop for --check (default 0.2)")
-    _add_xfer_mode(pp)
-    _add_report_opts(pp)
     ps = sub.add_parser(
         "soak", help="chaos soak: full AM workload under injected faults")
     ps.add_argument("--seed", type=int, default=7,
@@ -690,8 +632,6 @@ def main(argv=None) -> int:
         return cmd_profile(args)
     if args.cmd == "soak":
         return cmd_soak(args)
-    if args.cmd == "perf":
-        return cmd_perf(args)
     if args.cmd == "check":
         return cmd_check(args)
     if args.cmd == "protocols":

@@ -182,7 +182,6 @@ class _Campaign:
 
     def __init__(self, nodes: int, pingpong: int, bulk_bytes: int,
                  plan: Optional[FaultPlan], limit: float,
-                 idle_fast_forward: bool = True,
                  sample_period_us: Optional[float] = None,
                  xfer_mode: str = "eager"):
         self.nodes = nodes
@@ -190,7 +189,7 @@ class _Campaign:
         self.bulk_bytes = bulk_bytes
         self.limit = limit
         self.violations: List[str] = []
-        self.sim = Simulator(idle_fast_forward=idle_fast_forward)
+        self.sim = Simulator()
         self.machine = build_sp_machine(self.sim, nodes)
         self.obs = Observatory().attach(self.machine)
         if sample_period_us is not None:
@@ -454,7 +453,6 @@ def run_soak(
     plan: Optional[FaultPlan] = None,
     compare_clean: bool = True,
     limit: float = 5e7,
-    idle_fast_forward: bool = True,
     sim_check: Optional[object] = None,
     sample_period_us: Optional[float] = 50.0,
     xfer_mode: str = "eager",
@@ -465,13 +463,13 @@ def run_soak(
     :meth:`FaultPlan.chaos` (all six kinds) over :meth:`FaultPlan.loss`
     (uniform fabric drops) at rate ``loss`` with seed ``seed``.  With
     ``compare_clean`` the identical workload also runs fault-free to
-    bound recovery time.  ``idle_fast_forward`` and ``sim_check`` reach
-    the lossy campaign's engine — the perf suite uses them to compare
-    fast-forward on/off walls and event-order digests on this workload.
+    bound recovery time.  ``sim_check`` is set as the lossy campaign's
+    ``sim.check`` hook — an event-order digest recorder such as
+    :class:`repro.check.EventDigest`, for instance.
     ``sample_period_us`` starts the periodic gauge sampler on the lossy
     campaign (default on at 50 us: the sampler's timers run on the
-    unsequenced lane, so they no longer perturb the perf suite's
-    event-order digests; pass ``None`` to disable).  ``xfer_mode``
+    unsequenced lane, so they do not perturb event-order digests; pass
+    ``None`` to disable).  ``xfer_mode``
     selects the AM large-message strategy for the bulk phase.
     """
     if nodes < 2:
@@ -494,7 +492,6 @@ def run_soak(
                 "fault-free soak run failed: " + "; ".join(clean.violations))
 
     lossy = _Campaign(nodes, pingpong, bulk_bytes, plan=plan, limit=limit,
-                      idle_fast_forward=idle_fast_forward,
                       sample_period_us=sample_period_us,
                       xfer_mode=xfer_mode)
     if sim_check is not None:

@@ -550,8 +550,8 @@ class ADI:
     def _wait_progress(self):
         """Blocked progress: no simulated spin-poll here — the AM layer's
         ``_wait_progress`` sleeps on the adapter arrival event under a
-        cancellable keep-alive timer, which is what makes the engine's
-        idle fast-forward safe to take through this path.  The rendezvous
+        cancellable keep-alive timer, so an idle rank leaves only that
+        timer (or its tombstone) on the queue.  The rendezvous
         pump and free flush are gated on having work: an idle spin would
         otherwise build two no-op generators and a list per call."""
         yield from self.am._wait_progress()

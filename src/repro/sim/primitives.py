@@ -27,7 +27,9 @@ class Delay:
     __slots__ = ("duration",)
 
     def __init__(self, duration: float):
-        if duration < 0:
+        if not duration >= 0:  # negative or NaN
+            if duration != duration:
+                raise ValueError("NaN delay")
             raise ValueError(f"negative delay: {duration}")
         self.duration = duration
 

@@ -46,7 +46,6 @@ class Process:
         self._send = gen.send
         self._resume = self._step
         self._schedule = sim.schedule
-        sim._process_started()
         # first step at the current instant, after already-queued events
         sim.schedule(0.0, self._resume)
 
@@ -146,7 +145,7 @@ class Process:
         self.finished = True
         self.result = result
         self.error = error
-        self.sim._process_finished()
+        self.sim._finish_stamp += 1
         if error is None:
             self.done.succeed(result)
 

@@ -10,11 +10,9 @@ existed.  The lossy leg is the one that reaches the partial / duplicate /
 nack branches the lossless benchmark never does.
 """
 
-import hashlib
-import struct
-
 from repro.am import attach_spam
 from repro.am.constants import CHUNK_BYTES
+from repro.check import EventDigest
 from repro.faults import FaultPlan, FaultRule, install_faults
 from repro.hardware import build_sp_machine
 from repro.sim import Simulator
@@ -31,34 +29,9 @@ LOSSY_PLAN = FaultPlan(seed=5, rules=(
     FaultRule(kind="corrupt", rate=0.01),
 ))
 
-_PACK = struct.Struct("<dq").pack
-
-
-class _Digest:
-    """``sim.check`` hook: hashes ``(time, seq, callback qualname)``."""
-
-    def __init__(self):
-        self._h = hashlib.blake2b(digest_size=16)
-
-    def on_execute(self, entry):
-        if entry[1] < 0:  # unsequenced observer lane: digest-neutral
-            return
-        self._h.update(_PACK(entry[0], entry[1]))
-        self._h.update(entry[2].__qualname__.encode())
-
-    def on_stale(self, entry):
-        pass
-
-    def on_cancel(self, entry):
-        pass
-
-    def hexdigest(self):
-        return self._h.hexdigest()
-
-
 def _run(plan=None):
     sim = Simulator()
-    digest = sim.check = _Digest()
+    digest = sim.check = EventDigest()
     machine = build_sp_machine(sim, 2)
     am0, am1 = attach_spam(machine)
     if plan is not None:

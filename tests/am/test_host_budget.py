@@ -29,13 +29,13 @@ from repro.sim import Simulator
 
 #: calls per packet sent, by layer (measured, rounded up at the second
 #: decimal; before the bulk fast paths: sim 21.93, hardware 26.58, am 29.34)
-BUDGET = {"sim": 18.02, "hardware": 19.05, "am": 20.70}
+BUDGET = {"sim": 15.27, "hardware": 19.05, "am": 20.70}
 
 #: calls per ping-pong round trip, by layer (measured; before the
 #: small-message fast paths: sim 71.42, hardware 49.97, am 95.03 here, and
 #: 160.1 / 86.0 / 117.0 per op on perflab's ``am-pingpong``, which adds
 #: its probes)
-PINGPONG_BUDGET = {"sim": 52.51, "hardware": 38.0, "am": 57.09}
+PINGPONG_BUDGET = {"sim": 52.13, "hardware": 38.0, "am": 57.09}
 
 PINGPONG_ITERS = 200
 

@@ -1,9 +1,9 @@
 """Property test: eager and rendezvous are observably the same transfer.
 
 For any payload size around the crossover (and well past it), any seed,
-with and without fabric loss, on both schedulers, a blocking store must
-land byte-identical data in the destination region in both modes — the
-``xfer_mode`` knob may change the wire protocol, never the result.
+with and without fabric loss, a blocking store must land byte-identical
+data in the destination region in both modes — the ``xfer_mode`` knob
+may change the wire protocol, never the result.
 """
 
 import pytest
@@ -22,8 +22,8 @@ SIZES = (RDZV_CROSSOVER - 1, RDZV_CROSSOVER, RDZV_CROSSOVER + 1,
          3 * RDZV_CROSSOVER + 17)
 
 
-def _run_store(mode, scheduler, nbytes, seed, loss):
-    sim = Simulator(scheduler=scheduler)
+def _run_store(mode, nbytes, seed, loss):
+    sim = Simulator()
     m = build_sp_machine(sim, 2)
     am0, am1 = attach_spam(m, xfer_mode=mode)
     if loss:
@@ -49,16 +49,13 @@ def _run_store(mode, scheduler, nbytes, seed, loss):
     return data, m.node(1).memory.read(dst, nbytes)
 
 
-@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
 @pytest.mark.parametrize("loss", [0.0, 0.01])
 class TestEagerRendezvousEquivalence:
     @settings(max_examples=6, deadline=None)
     @given(nbytes=st.sampled_from(SIZES), seed=st.integers(0, 2 ** 16))
-    def test_both_modes_land_identical_bytes(self, scheduler, loss,
-                                             nbytes, seed):
-        sent_e, got_e = _run_store("eager", scheduler, nbytes, seed, loss)
-        sent_r, got_r = _run_store("rendezvous", scheduler, nbytes, seed,
-                                   loss)
+    def test_both_modes_land_identical_bytes(self, loss, nbytes, seed):
+        sent_e, got_e = _run_store("eager", nbytes, seed, loss)
+        sent_r, got_r = _run_store("rendezvous", nbytes, seed, loss)
         assert sent_e == sent_r
         assert got_e == sent_e
         assert got_r == sent_r

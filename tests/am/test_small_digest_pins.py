@@ -16,11 +16,9 @@ existed:
   corrupt plan, which reaches NACKs, keep-alives and go-back-N.
 """
 
-import hashlib
-import struct
-
 from repro.am import attach_spam
 from repro.am.constants import CHUNK_BYTES
+from repro.check import EventDigest
 from repro.faults import FaultPlan, FaultRule, install_faults
 from repro.hardware import build_sp_machine
 from repro.hardware.params import machine_params, with_overrides
@@ -41,38 +39,13 @@ LOSSY_PLAN = FaultPlan(seed=5, rules=(
 
 MESSAGES = 160
 
-_PACK = struct.Struct("<dq").pack
-
-
-class _Digest:
-    """``sim.check`` hook: hashes ``(time, seq, callback qualname)``."""
-
-    def __init__(self):
-        self._h = hashlib.blake2b(digest_size=16)
-
-    def on_execute(self, entry):
-        if entry[1] < 0:  # unsequenced observer lane: digest-neutral
-            return
-        self._h.update(_PACK(entry[0], entry[1]))
-        self._h.update(entry[2].__qualname__.encode())
-
-    def on_stale(self, entry):
-        pass
-
-    def on_cancel(self, entry):
-        pass
-
-    def hexdigest(self):
-        return self._h.hexdigest()
-
-
 def _run(burst, params=None, plan=None, store_chunks=0):
     """``MESSAGES`` requests from node 0 to node 1, ``burst`` at a time,
     each waiting for its burst's replies, while node 1 keeps storing
     ``store_chunks`` chunks to node 0; returns the digest and the
     endpoints' summed counters."""
     sim = Simulator()
-    digest = sim.check = _Digest()
+    digest = sim.check = EventDigest()
     machine = build_sp_machine(sim, 2, params)
     am0, am1 = attach_spam(machine)
     if plan is not None:

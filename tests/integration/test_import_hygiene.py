@@ -41,10 +41,9 @@ assert "multiprocessing" not in sys.modules
 assert [n for n in dir(repro.sim) if n.endswith("Simulator")] == ["Simulator"]
 assert sorted(n for n in dir(Simulator) if not n.startswith("_")) == [
     "at", "call_later", "call_later_unsequenced", "check", "event",
-    "events_executed", "idle_fast_forward", "last_event",
-    "live_pending_count", "now", "run", "run_until_processes_done",
-    "schedule", "schedule_unsequenced", "scheduler", "spawn",
-    "stale_events_skipped", "step",
+    "events_executed", "last_event", "live_pending_count", "now", "run",
+    "run_until_processes_done", "schedule", "schedule_unsequenced",
+    "spawn", "stale_events_skipped", "step",
 ], sorted(n for n in dir(Simulator) if not n.startswith("_"))
 
 # byte-moving MPI traffic does not need it either

@@ -9,12 +9,12 @@ event-order digests the determinism gates compare.
 
 import pytest
 
-from repro.bench.perf import _FFDigestRecorder
+from repro.check import EventDigest
 from repro.faults import run_soak
 
 
 def _soak_digest(sample_period_us, xfer_mode):
-    rec = _FFDigestRecorder()
+    rec = EventDigest()
     res = run_soak(seed=13, loss=0.01, nodes=2, pingpong=8,
                    compare_clean=False, sim_check=rec,
                    sample_period_us=sample_period_us, xfer_mode=xfer_mode)

@@ -1,203 +1,71 @@
-"""Differential + cancellation tests for the timing-wheel event core.
+"""Timer contract tests: cancellable timers, a cancel racing a
+same-instant entry, stale generations, and the negative-delay clamp.
 
-The ``wheel`` scheduler is pure optimization: it must execute exactly
-the events the reference ``heap`` scheduler executes, at the same
-simulated times, in the same order — including under cancellation and
-with events landing on, inside, and far beyond the active window.
+Every case runs twice, under the ids ``heap`` and ``wheel``: the names of
+the two schedulers these cases were first written against, kept so the
+case names stay stable.  There is one scheduler now, the binary heap;
+the two ids cover its two execute paths — ``heap`` drains the queue with
+``run()``, ``wheel`` turns it one event at a time with ``step()``.  The
+same-instant race cases also run with the ``repro.check`` scheduler
+checker attached (``True``) and without it (``False``).
 """
 
-import random
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.check import Sanitizer
 from repro.sim import Simulator
-from repro.sim.engine import NEGATIVE_DELAY_EPSILON, TimerHandle
+from repro.sim.engine import NEGATIVE_DELAY_EPSILON
 from repro.sim.errors import DeadlockError
-from repro.sim.primitives import TIMED_OUT, Delay, Timeout
+from repro.sim.primitives import TIMED_OUT, Delay, Timeout, WaitEvent
 
 
-# ---------------------------------------------------------------------------
-# differential property: wheel == heap over randomized schedule/cancel
-# ---------------------------------------------------------------------------
-
-# delays straddle the default 64 us window: sub-window, exactly on the
-# boundary, just past it, and far beyond
-_DELAY_MENU = (0.0, 0.13, 1.0, 7.5, 63.9, 64.0, 64.1, 200.0, 5_000.0)
-
-
-def _run_random_workload(scheduler, seed, window_us=64.0, spawn_cap=2_000,
-                         idle_fast_forward=True):
-    """Self-similar random workload: callbacks schedule more callbacks
-    and randomly cancel pending timers.  Decisions are drawn from a
-    seeded RNG in execution order, so two schedulers draw identical
-    decisions iff they execute identical event orders — any divergence
-    snowballs into a log mismatch."""
-    sim = Simulator(scheduler=scheduler, wheel_window_us=window_us,
-                    idle_fast_forward=idle_fast_forward)
-    rng = random.Random(seed)
-    log = []
-    handles = []
-    next_tag = [0]
-
-    def cb(tag):
-        log.append((sim.now, tag))
-        if next_tag[0] < spawn_cap:
-            for _ in range(rng.randrange(3)):
-                next_tag[0] += 1
-                delay = rng.choice(_DELAY_MENU) + rng.random() * 3.0
-                if rng.random() < 0.3:
-                    handles.append(sim.call_later(delay, cb, next_tag[0]))
-                else:
-                    sim.schedule(delay, cb, next_tag[0])
-        if handles and rng.random() < 0.25:
-            handles.pop(rng.randrange(len(handles))).cancel()
-
-    for _ in range(20):
-        next_tag[0] += 1
-        sim.schedule(rng.choice(_DELAY_MENU), cb, next_tag[0])
+def _run(sim):
     sim.run()
-    return sim, log
 
 
-@pytest.mark.parametrize("seed", [1, 7, 42, 1234])
-def test_wheel_matches_heap_on_random_schedule_cancel(seed):
-    heap_sim, heap_log = _run_random_workload("heap", seed)
-    wheel_sim, wheel_log = _run_random_workload("wheel", seed)
-    assert wheel_log == heap_log
-    assert wheel_sim.now == heap_sim.now
-    assert wheel_sim.events_executed == heap_sim.events_executed
-    assert wheel_sim.stale_events_skipped == heap_sim.stale_events_skipped
+def _step(sim):
+    while sim.step():
+        pass
 
 
-@pytest.mark.parametrize("window_us", [0.5, 1.0, 16.0, 64.0, 1e9])
-def test_wheel_window_width_is_not_a_correctness_knob(window_us):
-    # any window width must give the heap's exact execution order
-    _, heap_log = _run_random_workload("heap", 99)
-    _, wheel_log = _run_random_workload("wheel", 99, window_us=window_us)
-    assert wheel_log == heap_log
+#: case id -> how the case drives the queue
+_DRIVES = {"wheel": _step, "heap": _run}
 
-
-def test_same_time_events_run_in_insertion_order_across_window_refills():
-    # events at one instant, scheduled before and after a window turn,
-    # must still run in global insertion order
-    sim = Simulator(scheduler="wheel", wheel_window_us=10.0)
-    log = []
-    sim.schedule(500.0, log.append, "first")
-    sim.schedule(500.0, log.append, "second")
-    sim.schedule(200.0, lambda: sim.schedule(300.0, log.append, "third"))
-    sim.run()
-    assert log == ["first", "second", "third"]
-    assert sim.now == 500.0
+by_drive = pytest.mark.parametrize(
+    "drive", list(_DRIVES.values()), ids=list(_DRIVES))
 
 
 # ---------------------------------------------------------------------------
-# idle fast-forward: pure optimization, must be behaviour-invisible
+# cancel racing a same-timestamp entry
 # ---------------------------------------------------------------------------
 
-def _run_random_timeout_workload(scheduler, seed, idle_fast_forward=True):
-    """Processes racing events against timeouts.  Every event win leaves a
-    cancelled timer tombstone in the queue, and every gap between firings
-    is an idle stretch the fast-forward path may jump — exactly the state
-    it must cross without executing, reordering, or dropping anything."""
-    sim = Simulator(scheduler=scheduler, idle_fast_forward=idle_fast_forward)
-    rng = random.Random(seed)
-    log = []
-
-    def waiter(i):
-        ev = sim.event(f"ev{i}")
-        fire_at = rng.random() * 400.0
-        timeout = 1e-9 + rng.random() * 400.0
-        if rng.random() < 0.6:
-            sim.schedule(fire_at, ev.succeed, i)
-        value = yield Timeout(ev, timeout)
-        log.append((sim.now, i, value is TIMED_OUT))
-        # long tail delays leave genuinely idle gaps between survivors
-        yield Delay(rng.choice((0.0, 3.0, 750.0, 12_000.0)))
-        log.append((sim.now, i, "done"))
-
-    procs = [sim.spawn(waiter(i), name=f"w{i}") for i in range(25)]
-    sim.run_until_processes_done(procs, limit=1e9)
-    return sim, log
-
-
-def _assert_runs_identical(a, b):
-    sim_a, log_a = a
-    sim_b, log_b = b
-    assert log_a == log_b
-    assert sim_a.now == sim_b.now
-    assert sim_a.events_executed == sim_b.events_executed
-    assert sim_a.stale_events_skipped == sim_b.stale_events_skipped
-
-
-class TestIdleFastForwardEquivalence:
-    """Property: fast-forward on vs off is observation-identical — same
-    execution log (the event-order digest of these workloads), same final
-    clock, same executed/stale counts."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           window_us=st.sampled_from([0.5, 16.0, 64.0, 1e9]))
-    def test_random_schedule_cancel(self, seed, window_us):
-        _assert_runs_identical(
-            _run_random_workload("wheel", seed, window_us=window_us,
-                                 spawn_cap=400),
-            _run_random_workload("wheel", seed, window_us=window_us,
-                                 spawn_cap=400, idle_fast_forward=False))
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_timeout_races(self, seed):
-        on = _run_random_timeout_workload("wheel", seed)
-        _assert_runs_identical(
-            on, _run_random_timeout_workload("wheel", seed,
-                                             idle_fast_forward=False))
-        # and both must match the reference heap scheduler
-        _assert_runs_identical(on, _run_random_timeout_workload("heap", seed))
-
-
-def test_live_pending_count_excludes_tombstones():
-    sim = Simulator()
-    handles = [sim.call_later(1_000.0 * (i + 1), lambda: None)
-               for i in range(5)]
-    sim.schedule(10.0, lambda: None)
-    assert sim.live_pending_count() == 6
-    for h in handles[1:]:
-        h.cancel()
-    assert sim.live_pending_count() == 2
-    sim.run()
-    assert sim.live_pending_count() == 0
-    assert sim.stale_events_skipped == 4
-
-
-# ---------------------------------------------------------------------------
-# cancel racing a same-timestamp batch (regression: the batched dispatch
-# loops must re-read the callback slot, not capture it at batch start)
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("idle_fast_forward", [True, False])
-@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
+@pytest.mark.parametrize("checked", [True, False])
+@by_drive
 class TestSameInstantCancelRace:
+    @staticmethod
+    def _sim(checked):
+        sim = Simulator()
+        if checked:
+            Sanitizer().watch_sim(sim)
+        return sim
+
     def test_cancel_of_later_same_instant_entry_never_fires(
-            self, scheduler, idle_fast_forward):
+            self, drive, checked):
         # the canceller executes at (T, seq_a); the victim timer sits at
-        # (T, seq_b > seq_a) in the same dispatch batch
-        sim = Simulator(scheduler=scheduler,
-                        idle_fast_forward=idle_fast_forward)
+        # (T, seq_b > seq_a), already queued behind it
+        sim = self._sim(checked)
         fired = []
         h = []
         sim.schedule(5.0, lambda: h[0].cancel())
         h.append(sim.call_later(5.0, fired.append, "boom"))
-        sim.run()
+        drive(sim)
         assert fired == []
         assert sim.events_executed == 1
         assert sim.stale_events_skipped == 1
 
     def test_cancel_then_reschedule_same_instant_fires_once(
-            self, scheduler, idle_fast_forward):
-        sim = Simulator(scheduler=scheduler,
-                        idle_fast_forward=idle_fast_forward)
+            self, drive, checked):
+        sim = self._sim(checked)
         fired = []
         h = []
 
@@ -207,29 +75,30 @@ class TestSameInstantCancelRace:
 
         sim.schedule(5.0, flip)
         h.append(sim.call_later(5.0, fired.append, "old"))
-        sim.run()
+        drive(sim)
         assert fired == ["new"]
         assert sim.stale_events_skipped == 1
 
-    def test_stale_generation_fire_fails_loudly(
-            self, scheduler, idle_fast_forward):
-        sim = Simulator(scheduler=scheduler,
-                        idle_fast_forward=idle_fast_forward)
+    def test_stale_generation_fire_fails_loudly(self, drive, checked):
+        sim = self._sim(checked)
         h = sim.call_later(1.0, lambda: None)
         stale_gen = h.gen
         h.cancel()
         with pytest.raises(RuntimeError):
             h._fire(stale_gen, lambda: None, ())
+        drive(sim)
+        assert sim.events_executed == 0
+        assert sim.stale_events_skipped == 1
 
 
 # ---------------------------------------------------------------------------
 # cancellable timers
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
+@by_drive
 class TestTimerCancellation:
-    def test_cancelled_timer_never_fires_and_is_not_counted(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_cancelled_timer_never_fires_and_is_not_counted(self, drive):
+        sim = Simulator()
         fired = []
         h = sim.call_later(10.0, fired.append, "boom")
         sim.schedule(20.0, lambda: None)  # keep the queue non-empty past 10
@@ -237,38 +106,38 @@ class TestTimerCancellation:
         assert h.cancel()
         assert not h.active
         assert not h.cancel()  # second cancel is a no-op
-        sim.run()
+        drive(sim)
         assert fired == []
         # the tombstone was skipped, not executed: only the keep-alive
         # event counts, and the skip is visible in its own counter
         assert sim.events_executed == 1
         assert sim.stale_events_skipped == 1
 
-    def test_cancel_after_fire_is_a_noop(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_cancel_after_fire_is_a_noop(self, drive):
+        sim = Simulator()
         fired = []
         h = sim.call_later(5.0, fired.append, "x")
-        sim.run()
+        drive(sim)
         assert fired == ["x"]
         assert not h.active
         assert not h.cancel()
 
-    def test_generation_bumps_on_cancel_and_fire(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_generation_bumps_on_cancel_and_fire(self, drive):
+        sim = Simulator()
         h1 = sim.call_later(1.0, lambda: None)
         g0 = h1.gen
         h1.cancel()
         assert h1.gen == g0 + 1
         h2 = sim.call_later(1.0, lambda: None)
         g1 = h2.gen
-        sim.run()
+        drive(sim)
         assert h2.gen == g1 + 1
 
-    def test_stale_timeout_wakeup_never_fires(self, scheduler):
+    def test_stale_timeout_wakeup_never_fires(self, drive):
         # A process blocks on Timeout(event, duration); the event wins the
         # race.  The loser timer must be discarded as a tombstone — it may
         # not re-resume the process, and it may not count as an event.
-        sim = Simulator(scheduler=scheduler)
+        sim = Simulator()
         ev = sim.event("ack")
         outcomes = []
 
@@ -281,13 +150,13 @@ class TestTimerCancellation:
 
         sim.spawn(waiter(), name="waiter")
         sim.schedule(5.0, ev.succeed, "acked")
-        sim.run()
+        drive(sim)
         assert outcomes == ["acked"]
         assert sim.stale_events_skipped == 1
         assert sim.now == 2_005.0
 
-    def test_timeout_path_still_fires_without_event(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_timeout_path_still_fires_without_event(self, drive):
+        sim = Simulator()
         ev = sim.event("never")
         outcomes = []
 
@@ -296,38 +165,29 @@ class TestTimerCancellation:
             outcomes.append(value is TIMED_OUT)
 
         sim.spawn(waiter(), name="waiter")
-        sim.run()
+        drive(sim)
         assert outcomes == [True]
         assert sim.now == 50.0
-
-
-def test_timer_handle_is_opaque_but_reprs():
-    sim = Simulator()
-    h = sim.call_later(1.0, lambda: None)
-    assert isinstance(h, TimerHandle)
-    assert "active" in repr(h)
-    h.cancel()
-    assert "idle" in repr(h)
 
 
 # ---------------------------------------------------------------------------
 # negative-delay epsilon clamp (float-error regression)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("scheduler", ["wheel", "heap"])
+@by_drive
 class TestNegativeDelayClamp:
-    def test_epsilon_negative_delay_clamps_to_now(self, scheduler):
+    def test_epsilon_negative_delay_clamps_to_now(self, drive):
         # Switch.inject's per-hop float sums can land an epsilon behind
         # sim.now; that must schedule "immediately", not raise
-        sim = Simulator(scheduler=scheduler)
+        sim = Simulator()
         fired = []
         sim.schedule(-1e-10, fired.append, "ok")
-        sim.run()
+        drive(sim)
         assert fired == ["ok"]
         assert sim.now == 0.0
 
-    def test_at_epsilon_in_the_past_clamps(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_at_epsilon_in_the_past_clamps(self, drive):
+        sim = Simulator()
         fired = []
 
         def late():
@@ -335,38 +195,50 @@ class TestNegativeDelayClamp:
             sim.at(sim.now - 1e-12, fired.append, "ok")
 
         sim.schedule(5.0, late)
-        sim.run()
+        drive(sim)
         assert fired == ["ok"]
         assert sim.now == 5.0
 
-    def test_real_past_scheduling_still_raises(self, scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def test_real_past_scheduling_still_raises(self, drive):
+        sim = Simulator()
+        sim.schedule(5.0, lambda: None)
+        drive(sim)
         with pytest.raises(ValueError):
             sim.schedule(-1e-6, lambda: None)
         with pytest.raises(ValueError):
-            sim.at(-1.0, lambda: None)
+            sim.at(sim.now - 1.0, lambda: None)
+        assert sim.live_pending_count() == 0  # nothing was queued
         assert -1e-6 < -NEGATIVE_DELAY_EPSILON  # the clamp is truly tiny
 
 
 # ---------------------------------------------------------------------------
-# engine contract smoke (wheel scheduler)
+# same-instant order and deadlock detection
 # ---------------------------------------------------------------------------
 
-def test_wheel_deadlock_detection_still_works():
-    from repro.sim.primitives import WaitEvent
+def test_same_time_events_run_in_insertion_order_across_window_refills():
+    # events at one instant, pushed from different instants — two at
+    # t=0 and one from t=200 — still run in global insertion order
+    sim = Simulator()
+    log = []
+    sim.schedule(500.0, log.append, "first")
+    sim.schedule(500.0, log.append, "second")
+    sim.schedule(200.0, lambda: sim.schedule(300.0, log.append, "third"))
+    sim.run()
+    assert log == ["first", "second", "third"]
+    assert sim.now == 500.0
 
-    sim = Simulator(scheduler="wheel")
+
+def test_wheel_deadlock_detection_still_works():
+    # a cancelled far-future timer is no future work: a queue holding
+    # only that tombstone has drained, and the blocked process is a
+    # deadlock
+    sim = Simulator()
 
     def blocked():
         yield WaitEvent(sim.event("forever"))
 
     sim.spawn(blocked(), name="blocked")
+    sim.call_later(1e9, lambda: None).cancel()
     with pytest.raises(DeadlockError):
         sim.run()
-
-
-def test_invalid_scheduler_and_window_rejected():
-    with pytest.raises(ValueError):
-        Simulator(scheduler="calendar")
-    with pytest.raises(ValueError):
-        Simulator(wheel_window_us=0.0)
+    assert sim.stale_events_skipped == 1

@@ -76,3 +76,23 @@ def test_twenty_seed_sweep_is_clean():
         r = run_campaign(100 + k, nodes=4, nops=24,
                          loss=0.01 if k % 3 == 2 else 0.0)
         assert r.ok, (r.seed, r.violations)
+
+
+class TestCampaignPins:
+    """Exact digests, unit counts, elapsed times and check counts of two
+    campaigns: the post-barrier drain must not move by one event."""
+
+    def test_clean_campaign_pin(self):
+        r = run_campaign(100, nodes=4, nops=24)
+        assert r.ok, r.violations
+        assert r.digest == 2066143693427323846
+        assert r.delivered_units == 40
+        assert r.elapsed_us == 52975.45
+        assert sum(r.checks.values()) == 4165
+
+    def test_lossy_campaign_pin(self):
+        r = run_campaign(102, loss=0.01)
+        assert r.ok, r.violations
+        assert r.digest == 155071329813858129
+        assert r.delivered_units == 65
+        assert r.elapsed_us == 54243.63000000002

@@ -89,11 +89,6 @@ class BulkSendOp:
     def complete(self) -> bool:
         return self.acked_chunks >= self.total_chunks
 
-    @property
-    def fully_acked(self) -> bool:
-        """Every chunk acked, plus the FIN for a rendezvous transfer."""
-        return self.complete and (not self.rdzv or self.fin_acked)
-
     def sendable_now(self) -> bool:
         """Chunk pacing: chunk i may go once chunk i-2 is acknowledged."""
         if self.next_chunk >= self.total_chunks:

@@ -1524,6 +1524,39 @@ class SPAM:
                 return self.costs.assembly_stall_timeout
         return None
 
+    def drained(self) -> bool:
+        """Is nothing on this endpoint awaiting recovery or service?
+
+        Node-local: no active sends, deferred replies, RDMA grants,
+        deferred CTS or owed RDMA acks; the send FIFO empty; no receive-FIFO
+        slot visible or mid-DMA; and per peer, no unacked send window and
+        no partial chunk assembly.  Traffic still in the fabric is not
+        visible here; a quiesce loop sees it as a packet arrival.
+        """
+        if self._active_sends or self._deferred_replies:
+            return False
+        if self._rdma_grants or self._deferred_cts or self._rdma_ack_due:
+            return False
+        adapter = self.adapter
+        if adapter.send_fifo.occupied > 0:
+            return False
+        rf = adapter.recv_fifo
+        visible = len(rf.visible)
+        if visible > 0:
+            return False
+        if rf.occupied != visible + rf.pending_pop:
+            return False  # a packet is mid-RX-DMA
+        # open-coded window-field reads (vs the has_unacked /
+        # has_partial_assembly properties): this runs on every idle wake
+        for peer in self._peers.values():
+            s_req, s_rep = peer.send
+            if s_req._saved or s_rep._saved:
+                return False
+            r_req, r_rep = peer.recv
+            if r_req._assembly is not None or r_rep._assembly is not None:
+                return False
+        return True
+
     def _send_keepalives(self):
         sent = 0
         for dst, peer in self._peers.items():

@@ -18,12 +18,11 @@ size where measured bandwidth crosses B/2 by interpolation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.am import attach_spam
-from repro.hardware.machine import build_sp_machine
+from repro.am import attach_am
+from repro.bench.harness import serve_until
+from repro.hardware.machine import build_generic_machine, build_sp_machine
 from repro.hardware.params import MachineParams
 from repro.mpl import attach_mpl
 from repro.sim import Simulator
@@ -36,16 +35,37 @@ MODES = ("am_store", "am_get", "mpl_send_reply",
          "am_store_async", "am_get_async", "mpl_send")
 
 
-def _measure_am(mode: str, n: int, total: int, params=None) -> float:
+def _measure_am(mode: str, n: int, total: int,
+                params: Optional[MachineParams] = None,
+                xfer_mode: str = "eager", obs=None,
+                sample_period_us: Optional[float] = None
+                ) -> Tuple[int, float]:
+    """The one two-node AM stream: node 0 moves ~``total`` bytes to node
+    1 in ``n``-byte ``mode`` ops while node 1 serves the network.
+
+    ``params`` picks the machine (SP thin nodes by default, or any
+    Table 4 peer); ``xfer_mode`` is the SP large-message strategy.  An
+    Observatory ``obs`` is attached before AM, and its gauge sampler
+    started at ``sample_period_us`` when given.  Returns ``(count,
+    elapsed_us)``: bandwidth is ``count * n / elapsed_us`` (bytes/us ==
+    MB/s), the mean blocking-op latency ``elapsed_us / count``.
+    """
     sim = Simulator()
-    machine = build_sp_machine(sim, 2, params)
-    am0, am1 = attach_spam(machine)
+    if params is None or params.nodes_kind == "sp":
+        machine = build_sp_machine(sim, 2, params)
+    else:
+        machine = build_generic_machine(sim, 2, params)
+    if obs is not None:
+        obs.attach(machine)
+    am0, am1 = attach_am(machine, xfer_mode=xfer_mode)
+    if sample_period_us is not None:
+        obs.start_sampler(period_us=sample_period_us)
     src = machine.node(0).memory.alloc(max(n, 1))
     dst = machine.node(1).memory.alloc(max(n, 1))
     count = max(1, total // max(n, 1))
     flag = [0]
 
-    def sender(_):
+    def sender():
         if mode == "am_store":
             for _i in range(count):
                 yield from am0.store(1, src, dst, n)
@@ -68,14 +88,10 @@ def _measure_am(mode: str, n: int, total: int, params=None) -> float:
             raise ValueError(mode)
         flag[0] = 1
 
-    def receiver(_):
-        while not flag[0]:
-            yield from am1._wait_progress()
-
-    p = sim.spawn(sender(0), name="bw-send")
-    sim.spawn(receiver(0), name="bw-recv")
+    p = sim.spawn(sender(), name="bw-send")
+    sim.spawn(serve_until(am1, flag), name="bw-recv")
     sim.run_until_processes_done([p], limit=1e10, max_events=80_000_000)
-    return count * n / sim.now  # bytes/us == MB/s
+    return count, sim.now
 
 
 def _measure_mpl(mode: str, n: int, total: int, params=None) -> float:
@@ -113,8 +129,10 @@ def measure_bandwidth(mode: str, n: int, total: int = 0, params=None) -> float:
     if total <= 0:
         # enough repetitions for steady state, bounded for tiny sizes
         total = min(1_000_000, max(150_000, 6 * n))
-    fn = _measure_mpl if mode.startswith("mpl") else _measure_am
-    return fn(mode, n, total, params)
+    if mode.startswith("mpl"):
+        return _measure_mpl(mode, n, total, params)
+    count, elapsed = _measure_am(mode, n, total, params)
+    return count * n / elapsed
 
 
 def sweep(mode: str, sizes: Sequence[int] = DEFAULT_SIZES,
@@ -126,6 +144,8 @@ def sweep(mode: str, sizes: Sequence[int] = DEFAULT_SIZES,
 def r_inf(series: Sequence[Tuple[int, float]]) -> float:
     """Asymptotic bandwidth from a linear fit of T(n) = t0 + n/B over the
     largest sizes (robust against fixed overheads)."""
+    import numpy as np
+
     big = sorted(series)[-4:]
     ns = np.array([n for n, _ in big], dtype=float)
     ts = ns / np.array([bw for _, bw in big], dtype=float)

@@ -4,16 +4,17 @@ A *node program* is a generator factory ``prog(node) -> generator``; the
 harness spawns one per node, runs the simulation until the programs that
 matter finish, and reports the elapsed simulated time.  Background service
 loops (e.g. a receiver that polls until told to stop) are supported via
-``serve_until``.
+``serve_until``, which is also the server rank of the one two-node AM
+stream every bandwidth and latency bench runs
+(``repro.bench.bandwidth._measure_am``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence
 
 from repro.hardware.machine import Machine
-from repro.sim import Simulator
 from repro.sim.process import Process
 
 
@@ -68,8 +69,3 @@ def serve_until(am, flag: list):
     """
     while not flag[0]:
         yield from am._wait_progress()
-
-
-def spmd(fn: Callable) -> List[Callable]:
-    """Helper: the same program factory for every rank."""
-    return fn

@@ -8,11 +8,13 @@ bulk bandwidth — using the same AM API everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.am import attach_am
-from repro.bench.pingpong import machine_roundtrip
+from repro.bench.bandwidth import measure_bandwidth
+from repro.bench.pingpong import am_roundtrip
 from repro.hardware.machine import build_machine
+from repro.hardware.params import machine_params
 from repro.sim import Simulator
 
 #: the four rows of Table 4, with the paper's values for comparison
@@ -69,26 +71,8 @@ def measure_send_overhead(machine_name: str, iterations: int = 50) -> float:
 
 def measure_bulk_bandwidth(machine_name: str, nbytes: int = 262144) -> float:
     """One-way bulk bandwidth via a large blocking store."""
-    sim = Simulator()
-    machine = build_machine(sim, 2, machine_name)
-    attach_am(machine)
-    am0, am1 = machine.node(0).am, machine.node(1).am
-    src = machine.node(0).memory.alloc(nbytes)
-    dst = machine.node(1).memory.alloc(nbytes)
-    flag = [0]
-
-    def sender():
-        yield from am0.store(1, src, dst, nbytes)
-        flag[0] = 1
-
-    def receiver():
-        while not flag[0]:
-            yield from am1._wait_progress()
-
-    p = sim.spawn(sender())
-    sim.spawn(receiver())
-    sim.run_until_processes_done([p], limit=1e9, max_events=40_000_000)
-    return nbytes / sim.now
+    return measure_bandwidth("am_store", nbytes, nbytes,
+                             machine_params(machine_name))
 
 
 def table4_rows() -> List[MachineRow]:
@@ -99,7 +83,7 @@ def table4_rows() -> List[MachineRow]:
             name=name,
             label=paper["label"],
             overhead_us=measure_send_overhead(name),
-            rtt_us=machine_roundtrip(name, iterations=60),
+            rtt_us=am_roundtrip(1, 60, name),
             bandwidth_mbs=measure_bulk_bandwidth(name),
         ))
     return rows

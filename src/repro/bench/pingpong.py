@@ -1,20 +1,19 @@
 """Round-trip latency benchmarks (§2.3, Table 3, Table 4).
 
 * :func:`am_roundtrip` — the paper's ping-pong with ``am_request_M`` /
-  ``am_reply_M`` on 2 SP thin nodes: 51.0 us for one word, +~0.5 us/word.
+  ``am_reply_M`` on 2 SP thin nodes: 51.0 us for one word, +~0.5 us/word;
+  on any registered machine (CM-5 / Meiko / U-Net) it is Table 4's
+  round-trip column.
 * :func:`raw_roundtrip` — the flow-control-free baseline: 47 us.
 * :func:`mpl_roundtrip` — mpc_bsend/mpc_recv ping-pong: 88 us.
-* :func:`machine_roundtrip` — same AM ping-pong on any registered
-  machine (CM-5 / Meiko / U-Net), for Table 4's round-trip column.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.am import attach_am, attach_spam, raw_pingpong_roundtrip
+from repro.am import attach_am, raw_pingpong_roundtrip
 from repro.hardware.machine import build_machine, build_sp_machine
-from repro.hardware.params import MachineParams
 from repro.sim import Simulator
 
 
@@ -74,13 +73,15 @@ def am_roundtrip(words: int = 1, iterations: int = 200,
 
 
 def am_roundtrip_observed(words: int = 1, iterations: int = 200,
-                          machine_name: str = "sp-thin"):
+                          machine_name: str = "sp-thin",
+                          sample_period_us: Optional[float] = None):
     """Like :func:`am_roundtrip` but with an Observatory attached.
 
     Returns ``(mean_rtt_us, obs)`` — the observatory holds one message
     span per packet (with the full stage breakdown), the ``am.rtt_us``
     round-trip histogram, handler-time and occupancy histograms, and the
-    merged counters of every layer, ready for the exporters.
+    merged counters of every layer, ready for the exporters.  With
+    ``sample_period_us`` its periodic gauge sampler runs as well.
     """
     from repro.obs import Observatory
 
@@ -88,10 +89,12 @@ def am_roundtrip_observed(words: int = 1, iterations: int = 200,
         raise ValueError("AM carries 1..4 word arguments")
     sim = Simulator()
     machine = build_machine(sim, 2, machine_name)
-    Observatory().attach(machine)
+    obs = Observatory().attach(machine)
     attach_am(machine)
+    if sample_period_us is not None:
+        obs.start_sampler(period_us=sample_period_us)
     mean = _am_pingpong(machine, words, iterations)
-    return mean, machine.obs
+    return mean, obs
 
 
 def stage_attribution(obs) -> dict:
@@ -130,12 +133,6 @@ def stage_attribution(obs) -> dict:
         total += half
     out["stage_sum_us"] = total
     return out
-
-
-def machine_roundtrip(machine_name: str, iterations: int = 200) -> float:
-    """Table 4: one-word AM round trip on any registered machine."""
-    return am_roundtrip(words=1, iterations=iterations,
-                        machine_name=machine_name)
 
 
 def mpl_roundtrip(iterations: int = 200) -> float:

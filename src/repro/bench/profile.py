@@ -4,10 +4,12 @@ Runs three observed workloads, each with the periodic gauge sampler
 attached (:meth:`Observatory.start_sampler`), and reduces every one to
 the same evidence bundle:
 
-* **pingpong** — the §2.3 AM ping-pong on 2 thin nodes.  The per-stage
+* **pingpong** — the §2.3 AM ping-pong on 2 thin nodes
+  (:func:`~repro.bench.pingpong.am_roundtrip_observed`).  The per-stage
   critical-path attribution must explain >= 95% of the measured RTT
   (``coverage``), reproducing Table 2 / §2.3 from live span marks.
-* **bulk** — a multi-chunk blocking ``am_store`` stream, where the
+* **bulk** — a multi-chunk blocking ``am_store`` through the two-node
+  AM stream of :mod:`repro.bench.bandwidth`, where the
   windowed pipeline (not per-message latency) dominates and the verdict
   should move toward wire/DMA occupancy.
 * **soak** — the chaos soak under packet loss, where retransmit backoff
@@ -27,6 +29,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.bench.bandwidth import _measure_am
+from repro.bench.pingpong import am_roundtrip_observed
+from repro.faults import run_soak
+from repro.obs.core import Observatory
 from repro.obs.critpath import (
     attribution_coverage,
     bottleneck_verdict,
@@ -42,11 +48,11 @@ _FULL = (200, 64 * 1024, 24)
 _QUICK = (40, 16 * 1024, 8)
 
 
-def _workload_bundle(obs, k: int, coverage: Optional[Dict] = None) -> Dict:
+def _workload_bundle(obs, k: int) -> Dict:
     """The common per-workload evidence: rollup, exemplars, verdict,
     gauge summaries."""
     rollup = critpath_rollup(obs)
-    bundle = {
+    return {
         "rollup": rollup,
         "exemplars": slowest_exemplars(obs, k),
         "verdict": bottleneck_verdict(rollup, obs.metrics),
@@ -55,69 +61,6 @@ def _workload_bundle(obs, k: int, coverage: Optional[Dict] = None) -> Dict:
         "sampler_ticks": (obs.metrics.samples_taken
                           if obs.metrics is not None else 0),
     }
-    if coverage is not None:
-        bundle["coverage"] = coverage
-    return bundle
-
-
-def _profile_pingpong(iterations: int, period_us: float, k: int,
-                      words: int = 1) -> Tuple[Dict, float, object]:
-    from repro.am import attach_am
-    from repro.bench.pingpong import _am_pingpong
-    from repro.hardware.machine import build_machine
-    from repro.obs import Observatory
-    from repro.sim import Simulator
-
-    sim = Simulator()
-    machine = build_machine(sim, 2, "sp-thin")
-    obs = Observatory().attach(machine)
-    attach_am(machine)
-    obs.start_sampler(period_us=period_us)
-    mean_rtt = _am_pingpong(machine, words, iterations)
-    cov = attribution_coverage(obs, mean_rtt)
-    return _workload_bundle(obs, k, coverage=cov), mean_rtt, obs
-
-
-def _profile_bulk(nbytes: int, period_us: float, k: int) -> Tuple[Dict, float]:
-    from repro.am import attach_spam
-    from repro.hardware.machine import build_sp_machine
-    from repro.obs import Observatory
-    from repro.sim import Simulator
-
-    sim = Simulator()
-    machine = build_sp_machine(sim, 2)
-    obs = Observatory().attach(machine)
-    ams = attach_spam(machine)
-    obs.start_sampler(period_us=period_us)
-    src = machine.nodes[0].memory.alloc(nbytes)
-    dst = machine.nodes[1].memory.alloc(nbytes)
-    machine.nodes[0].memory.write(src, bytes(i % 251 for i in range(nbytes)))
-
-    def storer():
-        yield from ams[0].store(1, src, dst, nbytes)
-
-    def server():
-        while machine.nodes[1].memory.read(dst, 1) == b"\x00":
-            yield from ams[1]._wait_progress()
-
-    t0 = sim.now
-    p = sim.spawn(storer(), name="bulk-store")
-    sim.spawn(server(), name="bulk-serve")
-    sim.run_until_processes_done([p], limit=1e9)
-    elapsed = sim.now - t0
-    return _workload_bundle(obs, k), elapsed
-
-
-def _profile_soak(pingpong: int, period_us: float, k: int,
-                  seed: int = 7, loss: float = 0.03) -> Tuple[Dict, object]:
-    from repro.faults import run_soak
-
-    result = run_soak(seed=seed, loss=loss, nodes=2, pingpong=pingpong,
-                      compare_clean=False, sample_period_us=period_us)
-    bundle = _workload_bundle(result.obs, k)
-    bundle["violations"] = result.violations
-    bundle["injected"] = result.total_injected
-    return bundle, result
 
 
 def run_profile(quick: bool = False, period_us: float = 50.0,
@@ -132,9 +75,21 @@ def run_profile(quick: bool = False, period_us: float = 50.0,
     """
     iters, bulk_bytes, soak_pp = _QUICK if quick else _FULL
 
-    pp_bundle, mean_rtt, pp_obs = _profile_pingpong(iters, period_us, topk)
-    bulk_bundle, bulk_elapsed = _profile_bulk(bulk_bytes, period_us, topk)
-    soak_bundle, soak_result = _profile_soak(soak_pp, period_us, topk)
+    mean_rtt, pp_obs = am_roundtrip_observed(1, iters,
+                                             sample_period_us=period_us)
+    pp_bundle = _workload_bundle(pp_obs, topk)
+    pp_bundle["coverage"] = attribution_coverage(pp_obs, mean_rtt)
+    bulk_obs = Observatory()
+    _count, bulk_elapsed = _measure_am("am_store", bulk_bytes, bulk_bytes,
+                                       obs=bulk_obs,
+                                       sample_period_us=period_us)
+    bulk_bundle = _workload_bundle(bulk_obs, topk)
+    # the chaos soak at 3% loss, fault-free reference run skipped
+    soak_result = run_soak(seed=7, loss=0.03, nodes=2, pingpong=soak_pp,
+                           compare_clean=False, sample_period_us=period_us)
+    soak_bundle = _workload_bundle(soak_result.obs, topk)
+    soak_bundle["violations"] = soak_result.violations
+    soak_bundle["injected"] = soak_result.total_injected
 
     coverage = pp_bundle["coverage"]["coverage"]
     entries: List[Tuple[str, Optional[float], float]] = [

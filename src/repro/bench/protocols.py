@@ -28,10 +28,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.am import attach_spam
 from repro.am.constants import RDZV_CROSSOVER
-from repro.hardware.machine import build_sp_machine
-from repro.sim import Simulator
+from repro.bench.bandwidth import _measure_am, measure_bandwidth
 
 #: curve names, in display order
 CURVES = ("eager", "rendezvous", "mpl", "mpi-f")
@@ -48,61 +46,6 @@ QUICK_SIZES = [4032, 8064, 16128, 32256, 64512]
 CROSSOVER_FACTOR = 4
 
 
-def _measure_am(xfer_mode: str, n: int, total: int) -> float:
-    """One-way bandwidth (MB/s) of pipelined AM stores in one mode."""
-    sim = Simulator()
-    machine = build_sp_machine(sim, 2)
-    am0, am1 = attach_spam(machine, xfer_mode=xfer_mode)
-    src = machine.node(0).memory.alloc(max(n, 1))
-    dst = machine.node(1).memory.alloc(max(n, 1))
-    count = max(1, total // max(n, 1))
-    flag = [0]
-
-    def sender(_):
-        ops = []
-        for _i in range(count):
-            ops.append((yield from am0.store_async(1, src, dst, n)))
-        for op in ops:
-            yield from am0.wait_op(op)
-        flag[0] = 1
-
-    def receiver(_):
-        while not flag[0]:
-            yield from am1._wait_progress()
-
-    p = sim.spawn(sender(0), name="proto-send")
-    sim.spawn(receiver(0), name="proto-recv")
-    sim.run_until_processes_done([p], limit=1e10, max_events=80_000_000)
-    return count * n / sim.now  # bytes/us == MB/s
-
-
-def _measure_am_latency(xfer_mode: str, n: int, iters: int = 4) -> float:
-    """Mean microseconds of one blocking ``store`` of ``n`` bytes."""
-    sim = Simulator()
-    machine = build_sp_machine(sim, 2)
-    am0, am1 = attach_spam(machine, xfer_mode=xfer_mode)
-    src = machine.node(0).memory.alloc(max(n, 1))
-    dst = machine.node(1).memory.alloc(max(n, 1))
-    flag = [0]
-    stamps: List[float] = []
-
-    def sender(_):
-        for _i in range(iters):
-            t0 = sim.now
-            yield from am0.store(1, src, dst, n)
-            stamps.append(sim.now - t0)
-        flag[0] = 1
-
-    def receiver(_):
-        while not flag[0]:
-            yield from am1._wait_progress()
-
-    p = sim.spawn(sender(0), name="lat-send")
-    sim.spawn(receiver(0), name="lat-recv")
-    sim.run_until_processes_done([p], limit=1e10)
-    return sum(stamps) / len(stamps)
-
-
 def measure_curve(curve: str, n: int, total: int = 0) -> float:
     """Bandwidth (MB/s) of one protocol at one transfer size."""
     if curve not in CURVES:
@@ -110,10 +53,10 @@ def measure_curve(curve: str, n: int, total: int = 0) -> float:
     if total <= 0:
         total = min(1_000_000, max(150_000, 6 * n))
     if curve in ("eager", "rendezvous"):
-        return _measure_am(curve, n, total)
+        count, elapsed = _measure_am("am_store_async", n, total,
+                                     xfer_mode=curve)
+        return count * n / elapsed
     if curve == "mpl":
-        from repro.bench.bandwidth import measure_bandwidth
-
         return measure_bandwidth("mpl_send", n, total=total)
     from repro.bench.figures import mpi_bandwidth
 
@@ -147,10 +90,15 @@ def run_protocols(quick: bool = False,
     for curve in CURVES:
         curves[curve] = [(n, round(measure_curve(curve, n), 3))
                          for n in sizes]
-    latency = {
-        mode: [(n, round(_measure_am_latency(mode, n), 3)) for n in sizes]
-        for mode in ("eager", "rendezvous")
-    }
+    # single-transfer latency: the mean of four back-to-back blocking
+    # stores per size
+    latency: Dict[str, List[Tuple[int, float]]] = {}
+    for mode in ("eager", "rendezvous"):
+        latency[mode] = []
+        for n in sizes:
+            count, elapsed = _measure_am("am_store", n, 4 * n,
+                                         xfer_mode=mode)
+            latency[mode].append((n, round(elapsed / count, 3)))
     data: Dict = {
         "quick": quick,
         "sizes": sizes,

@@ -14,6 +14,13 @@ receiver; a collective names its whole membership) executed by every
 participating rank in global index order, so any sub-list of ops is
 itself a deadlock-free campaign — the property :func:`shrink_failure`
 exploits to reduce a failing seed to a minimal op list.
+
+After a closing world barrier every rank quiesces through the soak
+harness's :func:`~repro.faults.soak.drain` (its endpoint's
+:meth:`~repro.am.endpoint.SPAM.drained` plus an idle ADI, no packet
+arrival for the same 30 ms grace window), and the run goes through
+:func:`~repro.faults.soak.run_capturing`, so an aborting error becomes a
+violation exactly as it does in a soak.
 """
 
 from __future__ import annotations
@@ -27,13 +34,13 @@ from repro.check.core import Sanitizer
 from repro.faults.injector import install_faults
 from repro.faults.payload import periodic_payload
 from repro.faults.plan import FaultPlan
+from repro.faults.soak import drain, run_capturing
 from repro.hardware.machine import build_sp_machine
 from repro.mpi import attach_mpi
 from repro.mpi.comm import Communicator
 from repro.mpi.status import ANY_SOURCE
 from repro.obs.core import Observatory
 from repro.sim import Simulator
-from repro.sim.errors import SimulationError
 
 #: fixed communicator contexts, one per subcommunicator name; kept below
 #: the Communicator auto-allocation floor (100) and distinct from
@@ -47,12 +54,6 @@ _P2P_SIZES = (0, 1, 17, 256, 1024, 4000, 8192, 12000, 20000)
 _COLL_SIZES = (1, 16, 64, 256)
 _COLLECTIVES = ("barrier", "bcast", "reduce", "allreduce", "gather",
                 "alltoall", "scan")
-
-#: post-barrier drain: a rank declares itself done once its own protocol
-#: state has been quiet this long.  Keep-alives back off up to
-#: ``keepalive_idle * 64`` = 25.6 ms between sends, so a 30 ms window
-#: outlasts the longest legitimate silent gap (mirrors repro.faults.soak)
-_DRAIN_GRACE_US = 30_000.0
 
 
 def _subcomms(nodes: int) -> Dict[str, Tuple[List[int], int]]:
@@ -394,39 +395,6 @@ class _CheckCampaign:
 
     # -- the per-rank program -------------------------------------------
 
-    def _rank_quiet(self, w: int) -> bool:
-        """Is rank ``w``'s *own* protocol state drained?  Node-local (no
-        switch counters, no other rank's windows): traffic still in the
-        fabric shows up as a packet arrival that restarts the grace
-        window."""
-        am = self.ams[w]
-        if am._active_sends or am._deferred_replies:
-            return False
-        if am._rdma_grants or am._deferred_cts or am._rdma_ack_due:
-            return False
-        adapter = am.adapter
-        if adapter.send_fifo.occupied > 0:
-            return False
-        rf = adapter.recv_fifo
-        visible = len(rf.visible)
-        if visible > 0:
-            return False
-        if rf.occupied != visible + rf.pending_pop:
-            return False  # a packet is mid-RX-DMA
-        # open-coded window-field reads (vs the has_unacked /
-        # has_partial_assembly properties): this runs per idle poll
-        for peer in am._peers.values():
-            s_req, s_rep = peer.send
-            if s_req._saved or s_rep._saved:
-                return False
-            r_req, r_rep = peer.recv
-            if r_req._assembly is not None or r_rep._assembly is not None:
-                return False
-        adi = self.mpis[w].adi
-        if adi._send_states or adi._recv_states:
-            return False
-        return True
-
     def _program(self, w: int):
         mpi = self.mpis[w]
         node = self.machine.nodes[w]
@@ -435,39 +403,26 @@ class _CheckCampaign:
         yield from mpi.barrier()
         # Drain.  The world barrier above proves every rank has finished
         # its ops; what remains is straggling protocol traffic (acks,
-        # batched frees, retransmissions under loss).  Serve the network
-        # until this rank's own state has been quiet — and no packet has
-        # arrived — for a grace window that outlasts the keep-alive
-        # backoff.  Any in-flight packet addressed to us lands within
-        # wire latency, bumps rx_packets, and restarts the window.
-        rx = node.adapter._c_rx_packets
-        quiet_since = None
-        last_rx = rx.value
-        while True:
-            if rx.value == last_rx and self._rank_quiet(w):
-                if quiet_since is None:
-                    quiet_since = self.sim.now
-                elif self.sim.now - quiet_since >= _DRAIN_GRACE_US:
-                    break
-            else:
-                quiet_since = None
-                last_rx = rx.value
-            yield from mpi.adi._wait_progress()
+        # batched frees, retransmissions under loss).  The MPI layer is
+        # quiet once its ADI has no send or receive protocol in flight.
+        am = self.ams[w]
+        adi = mpi.adi
+        yield from drain(
+            self.sim, node.adapter._c_rx_packets,
+            lambda: (am.drained() and not adi._send_states
+                     and not adi._recv_states),
+            adi._wait_progress)
 
     # -- execution ------------------------------------------------------
 
     def run(self) -> float:
         procs = [self.sim.spawn(self._program(w), name=f"check{w}")
                  for w in range(self.nodes)]
-        try:
-            self.sim.run_until_processes_done(procs, limit=self.limit)
-        except SimulationError as exc:
+        abort = run_capturing(self.sim, procs, self.limit)
+        if abort is not None:
             self.aborted = True
-            self.violations.append(f"{type(exc).__name__}: {exc}")
-        except (ValueError, AssertionError) as exc:
-            self.aborted = True
-            self.violations.append(f"{type(exc).__name__}: {exc}")
-        if not self.aborted:
+            self.violations.append(abort)
+        else:
             # conservation only means something on a drained machine
             self.san.check_quiescent()
         self.violations.extend(str(v) for v in self.san.violations)

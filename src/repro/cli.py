@@ -422,48 +422,42 @@ def cmd_protocols(args) -> int:
     return 0 if data["crossover_ok"] else 1
 
 
-def _inspect_chrome(path: str) -> None:
-    import json
-
+def _print_hists(title: str, key: str, samples) -> None:
+    """One histogram per name over ``(name, value)`` samples, as a
+    count/mean/p95/max table."""
     from repro.obs.hist import Histogram
 
-    with open(path) as f:
-        obj = json.load(f)
     hists = {}
-    for ev in obj["traceEvents"]:
-        if ev.get("ph") != "X":
-            continue
-        h = hists.get(ev["name"])
+    for name, value in samples:
+        h = hists.get(name)
         if h is None:
-            h = hists[ev["name"]] = Histogram(ev["name"])
-        h.observe(ev["dur"])
+            h = hists[name] = Histogram(name)
+        h.observe(value)
     rows = [(name, h.count, round(h.mean(), 2),
              round(h.percentile(95), 2), round(h.max(), 2))
             for name, h in sorted(hists.items())]
-    print(fmt_table("trace events (dur, us)",
-                    ["event", "count", "mean", "p95", "max"], rows))
+    print(fmt_table(title, [key, "count", "mean", "p95", "max"], rows))
+
+
+def _inspect_chrome(path: str) -> None:
+    import json
+
+    with open(path) as f:
+        obj = json.load(f)
+    _print_hists("trace events (dur, us)", "event",
+                 ((ev["name"], ev["dur"]) for ev in obj["traceEvents"]
+                  if ev.get("ph") == "X"))
 
 
 def _inspect_jsonl(path: str) -> None:
     from repro.obs import read_jsonl
-    from repro.obs.hist import Histogram
 
     meta, spans = read_jsonl(path)
     print(f"  {len(spans)} spans, {len(meta['phases'])} phase spans, "
           f"{meta.get('dropped_spans', 0)} dropped")
-    hists = {}
-    for s in spans:
-        for stage, dur in s.stage_durations().items():
-            key = f"{stage}:{s.kind}"
-            h = hists.get(key)
-            if h is None:
-                h = hists[key] = Histogram(key)
-            h.observe(dur)
-    rows = [(name, h.count, round(h.mean(), 2),
-             round(h.percentile(95), 2), round(h.max(), 2))
-            for name, h in sorted(hists.items())]
-    print(fmt_table("span stages (us)",
-                    ["stage", "count", "mean", "p95", "max"], rows))
+    _print_hists("span stages (us)", "stage",
+                 ((f"{stage}:{s.kind}", dur) for s in spans
+                  for stage, dur in s.stage_durations().items()))
 
 
 def _inspect_report(path: str) -> None:
@@ -509,6 +503,24 @@ def _positive_int(s: str) -> int:
     if v < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return v
+
+
+def _rate(s: str) -> float:
+    v = float(s)
+    if not 0.0 <= v <= 1.0:
+        raise argparse.ArgumentTypeError(f"{s} outside [0, 1]")
+    return v
+
+
+def _period(s: str) -> float:
+    v = float(s)
+    if not 0.0 < v < float("inf"):
+        raise argparse.ArgumentTypeError(f"{s} is not a positive period")
+    return v
+
+
+def _period_or_off(s: str) -> float:
+    return 0.0 if float(s) == 0.0 else _period(s)
 
 
 def _add_xfer_mode(p) -> None:
@@ -562,7 +574,7 @@ def main(argv=None) -> int:
                         "over pingpong/bulk/soak workloads")
     pf.add_argument("--quick", action="store_true",
                     help="reduced workloads (CI smoke)")
-    pf.add_argument("--period-us", type=float, default=50.0,
+    pf.add_argument("--period-us", type=_period, default=50.0,
                     help="gauge sampling period in simulated us "
                          "(default 50)")
     pf.add_argument("--topk", type=_positive_int, default=5,
@@ -575,7 +587,7 @@ def main(argv=None) -> int:
         "soak", help="chaos soak: full AM workload under injected faults")
     ps.add_argument("--seed", type=int, default=7,
                     help="fault-plan seed (campaigns replay exactly)")
-    ps.add_argument("--loss", type=float, default=0.05,
+    ps.add_argument("--loss", type=_rate, default=0.05,
                     help="fault rate per packet (0..1)")
     ps.add_argument("--nodes", type=_positive_int, default=2)
     ps.add_argument("--pingpong", type=_positive_int, default=24,
@@ -587,7 +599,7 @@ def main(argv=None) -> int:
                          "(disables the recovery-time bound)")
     ps.add_argument("--trace-out", metavar="FILE", default=None,
                     help="dump the message-span trace (JSONL)")
-    ps.add_argument("--sample-period-us", type=float, default=50.0,
+    ps.add_argument("--sample-period-us", type=_period_or_off, default=50.0,
                     metavar="US",
                     help="periodic gauge sampler on the lossy run; the "
                          "unsequenced lane keeps it digest-neutral "
@@ -604,7 +616,7 @@ def main(argv=None) -> int:
     pc.add_argument("--nodes", type=_positive_int, default=4)
     pc.add_argument("--ops", type=_positive_int, default=24,
                     help="random ops per campaign")
-    pc.add_argument("--loss", type=float, default=0.01,
+    pc.add_argument("--loss", type=_rate, default=0.01,
                     help="packet-loss rate applied to every third "
                          "campaign (default 0.01)")
     pc.add_argument("--shrink", action="store_true",
@@ -621,22 +633,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _check_report_dir(args)
 
-    if args.cmd in (None, "list"):
-        parser.print_help()
-        return 0
-    if args.cmd == "inspect":
-        return cmd_inspect(args)
-    if args.cmd == "validate":
-        return cmd_validate(args)
-    if args.cmd == "profile":
-        return cmd_profile(args)
-    if args.cmd == "soak":
-        return cmd_soak(args)
-    if args.cmd == "check":
-        return cmd_check(args)
-    if args.cmd == "protocols":
-        return cmd_protocols(args)
     dispatch = {
+        "list": lambda a: parser.print_help(),
         "roundtrip": cmd_roundtrip,
         "table2": cmd_table2,
         "table3": cmd_table3,
@@ -650,10 +648,14 @@ def main(argv=None) -> int:
         "fig9": lambda a: _fig_mpi("sp-thin", "bandwidth"),
         "fig10": lambda a: _fig_mpi("sp-wide", "latency"),
         "fig11": lambda a: _fig_mpi("sp-wide", "bandwidth"),
+        "inspect": cmd_inspect,
+        "validate": cmd_validate,
+        "profile": cmd_profile,
+        "soak": cmd_soak,
+        "check": cmd_check,
+        "protocols": cmd_protocols,
     }
-    dispatch[args.cmd](args)
-    return 0
-
+    return dispatch[args.cmd or "list"](args) or 0
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -13,13 +13,16 @@ three workload phases on every node:
 3. **Split-C** — barrier, allreduce, and a split-phase ``put_bulk`` +
    ``sync``, exercising the runtime's handler traffic under loss.
 
-After the phases, every rank broadcasts a done marker, then serves the
-network until every rank has announced done and its *own* state has been
-quiet for a grace window that outlasts the keep-alive machinery: send
-windows drained, no partial chunk assemblies, no deferred replies,
-nothing host-visible left unread, no packet arrivals.  The predicate is
-node-local: a rank reads only its own endpoint, adapter and windows.
-The run then reconciles three ledgers against each other:
+After the phases, every rank broadcasts a done marker, then runs
+:func:`drain`: it serves the network until every rank has announced done
+and its own endpoint reports :meth:`SPAM.drained
+<repro.am.endpoint.SPAM.drained>` with no packet arrival for
+:data:`_DRAIN_GRACE_US`, a window that outlasts the keep-alive backoff.
+The predicate is node-local: a rank reads only its own endpoint, adapter
+and windows.  :func:`drain` and :func:`run_capturing` (which turns an
+aborting error into a violation) are shared with
+:mod:`repro.check.campaign`.  The run then reconciles
+three ledgers against each other:
 
 * the workload's own records (delivery order, memory contents),
 * the protocol state machines (window invariants fail loudly via
@@ -41,7 +44,7 @@ are thin wrappers over :func:`run_soak`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Generator, List, Optional
 
 from repro.am import attach_spam
 from repro.am.constants import CHUNK_BYTES
@@ -70,6 +73,49 @@ _DRAIN_GRACE_US = 30_000.0
 #: Split-C put_bulk payload in phase 3 (small on purpose: the phase
 #: exercises handler traffic, not bandwidth)
 _SPLITC_BYTES = 1024
+
+
+# ---------------------------------------------------------------------------
+# the drain and the run capture (shared with repro.check.campaign)
+# ---------------------------------------------------------------------------
+
+def drain(sim: Simulator, rx, quiet: Callable[[], bool],
+          wait: Callable[[], Generator]):
+    """Serve the network until ``quiet()`` has held, with no packet
+    arrival on the adapter counter ``rx``, for :data:`_DRAIN_GRACE_US`.
+
+    ``wait`` is the rank's blocking wait (``am._wait_progress``, or the
+    MPI ADI's, which also pumps rendezvous and owed frees).
+    Recovery traffic a peer still needs from this rank (NACK service,
+    re-acks for retransmissions) arrives within wire latency, bumps
+    ``rx`` and restarts the window, so outlasting the keep-alive
+    machinery's longest backoff means nobody needs this rank anymore.
+    """
+    quiet_since = None
+    last_rx = rx.value
+    while True:
+        if rx.value == last_rx and quiet():
+            if quiet_since is None:
+                quiet_since = sim.now
+            elif sim.now - quiet_since >= _DRAIN_GRACE_US:
+                return
+        else:
+            quiet_since = None
+            last_rx = rx.value
+        yield from wait()
+
+
+def run_capturing(sim: Simulator, procs: List, limit: float
+                  ) -> Optional[str]:
+    """Run ``procs`` to completion; return the aborting error as a
+    violation string, or None when the run finished."""
+    try:
+        sim.run_until_processes_done(procs, limit=limit)
+    except (SimulationError, ValueError, AssertionError) as exc:
+        # SimTimeoutError (unbounded recovery, deadlock), window invariant
+        # violations (MidChunkAckError &c.) and accounting assertions
+        return f"{type(exc).__name__}: {exc}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +241,8 @@ class _Campaign:
         if sample_period_us is not None:
             # gauge sampler for critical-path reports; its timers run on
             # the unsequenced lane so the event-order digests don't see
-            # them, and the per-rank drain predicates below never consult
-            # the raw pending count, so live sampler timers can't stall
+            # them, and the drain predicate never consults the raw
+            # pending count, so live sampler timers can't stall
             # quiescence either
             self.obs.start_sampler(period_us=sample_period_us)
         self.ams = attach_spam(self.machine, xfer_mode=xfer_mode)
@@ -224,37 +270,6 @@ class _Campaign:
             })
 
     # -- the per-rank program ------------------------------------------------
-
-    def _rank_quiet(self, rank: int) -> bool:
-        """Node-local drain predicate: nothing *on this rank* awaits
-        recovery.  Reads only rank-owned state (its endpoint, its adapter,
-        its windows); traffic still in the fabric shows up as a packet
-        arrival that restarts the grace window."""
-        am = self.ams[rank]
-        if am._active_sends or am._deferred_replies:
-            return False
-        if am._rdma_grants or am._deferred_cts or am._rdma_ack_due:
-            return False
-        adapter = am.adapter
-        if adapter.send_fifo.occupied > 0:
-            return False
-        rf = adapter.recv_fifo
-        visible = len(rf.visible)
-        if visible > 0:
-            return False
-        if rf.occupied != visible + rf.pending_pop:
-            return False  # a packet is mid-RX-DMA
-        # unacked/partial-assembly checks open-coded: this predicate
-        # runs on every idle poll, and the window properties just wrap
-        # these two fields
-        for peer in am._peers.values():
-            s_req, s_rep = peer.send
-            if s_req._saved or s_rep._saved:
-                return False
-            r_req, r_rep = peer.recv
-            if r_req._assembly is not None or r_rep._assembly is not None:
-                return False
-        return True
 
     def _program(self, rank: int):
         am = self.ams[rank]
@@ -299,42 +314,22 @@ class _Campaign:
         node.soak_done_from.add(rank)
 
         # drain: serve the network until every rank has announced done
-        # and this rank has been locally quiet — windows drained, FIFOs
-        # empty, not a single packet arrival — for a full grace window.
-        # Recovery traffic a peer still needs from this rank (NACK
-        # service, re-acks for retransmissions) interrupts the silence,
-        # so outlasting the keep-alive machinery's longest backoff means
-        # nobody needs this rank anymore.
-        rx = am.adapter._c_rx_packets
-        quiet_since = None
-        last_rx = rx.value
-        while True:
-            if (rx.value == last_rx
-                    and len(node.soak_done_from) == self.nodes
-                    and self._rank_quiet(rank)):
-                if quiet_since is None:
-                    quiet_since = self.sim.now
-                elif self.sim.now - quiet_since >= _DRAIN_GRACE_US:
-                    break
-            else:
-                quiet_since = None
-                last_rx = rx.value
-            yield from am._wait_progress()
+        # and this rank's endpoint has been drained, with not a single
+        # packet arrival, for a full grace window
+        done_from = node.soak_done_from
+        yield from drain(
+            self.sim, am.adapter._c_rx_packets,
+            lambda: len(done_from) == self.nodes and am.drained(),
+            am._wait_progress)
 
     # -- execution + checks ---------------------------------------------------
 
     def run(self) -> float:
         procs = [self.sim.spawn(self._program(r), name=f"soak{r}")
                  for r in range(self.nodes)]
-        try:
-            self.sim.run_until_processes_done(procs, limit=self.limit)
-        except SimulationError as exc:
-            # includes SimTimeoutError (unbounded recovery → deadlock)
-            self.violations.append(f"{type(exc).__name__}: {exc}")
-        except (ValueError, AssertionError) as exc:
-            # window invariant violations (MidChunkAckError &c.) and
-            # accounting assertions surface here
-            self.violations.append(f"{type(exc).__name__}: {exc}")
+        abort = run_capturing(self.sim, procs, self.limit)
+        if abort is not None:
+            self.violations.append(abort)
         for node in self.machine.nodes:
             self.violations.extend(node.soak_violations)
             self.violations.extend(self._check_rank(node.id))

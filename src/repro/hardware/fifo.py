@@ -103,10 +103,6 @@ class RecvFIFO:
         #: slot-conservation checker (repro.check), None when unchecked
         self.check = None
 
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - self.occupied
-
     def reserve(self) -> bool:
         """Adapter side, at wire arrival: claim a slot or report overflow."""
         if self.occupied >= self.capacity:
@@ -138,17 +134,6 @@ class RecvFIFO:
         if self.check is not None:
             self.check.on_consume(self)
         return pkt
-
-    @property
-    def has_pending_pop(self) -> bool:
-        """Whether consumed slots are still charged against capacity.
-
-        Pollers must flush these (``pop_batch``) before going idle even
-        below the lazy batch: a near-full FIFO whose free space is all
-        consumed-but-unpopped slots would otherwise drop every incoming
-        retransmission — the exact packets that would drain it.
-        """
-        return self.pending_pop > 0
 
     def should_pop(self) -> bool:
         """True when enough entries have been consumed to justify the ~1 us

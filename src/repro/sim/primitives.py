@@ -18,7 +18,7 @@ the waiter may arrive before or after the signal.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
 
 class Delay:
@@ -117,7 +117,3 @@ class Timeout:
 
 TIMED_OUT = object()
 
-
-def make_event(sim: "Simulator", name: str = "") -> Event:  # noqa: F821
-    """Convenience constructor mirroring ``Simulator.event``."""
-    return Event(sim, name)

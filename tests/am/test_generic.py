@@ -4,7 +4,7 @@ import pytest
 
 from repro.am import attach_generic_am, attach_spam
 from repro.am.handler import HandlerRestrictionError
-from repro.bench.pingpong import machine_roundtrip
+from repro.bench.pingpong import am_roundtrip
 from repro.hardware import build_generic_machine, build_sp_machine
 from repro.hardware.params import machine_params
 from repro.sim import Simulator
@@ -149,7 +149,7 @@ class TestTable4RoundTrips:
 
     @pytest.mark.parametrize("name,rtt", sorted(EXPECTED.items()))
     def test_roundtrip_matches_table4(self, name, rtt):
-        measured = machine_roundtrip(name, iterations=40)
+        measured = am_roundtrip(1, 40, name)
         assert measured == pytest.approx(rtt, rel=0.10), name
 
 

@@ -46,3 +46,30 @@ def test_unwritable_report_dir_fails_at_argument_time(tmp_path, argv, bad):
     assert str(exc.value.code).startswith("spam-bench: cannot write report:")
     assert str(target) in str(exc.value.code)
     assert list(tmp_path.iterdir()) == ([] if bad == "missing" else [target])
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["check", "--seeds", "1", "--loss", "2"], "--loss"),
+    (["check", "--seeds", "3", "--loss", "2"], "--loss"),
+    (["check", "--seeds", "1", "--loss", "-0.5"], "--loss"),
+    (["soak", "--loss", "1.5"], "--loss"),
+    (["profile", "--quick", "--period-us", "0"], "--period-us"),
+    (["profile", "--quick", "--period-us", "-2"], "--period-us"),
+    (["soak", "--sample-period-us", "-3"], "--sample-period-us"),
+])
+def test_bad_rate_or_period_fails_at_argument_time(capsys, argv, flag):
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--no-report"])
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.code != 0
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err
+    assert "Traceback" not in err
+
+
+def test_zero_sample_period_still_means_off():
+    from repro.cli import _period_or_off
+
+    assert _period_or_off("0") == 0.0
+    assert _period_or_off("12.5") == 12.5

@@ -694,7 +694,7 @@ class SPAM:
 
         The RTS is a sequenced request-channel packet, so loss recovery
         rides the normal machinery; additionally the rendezvous stall
-        watchdog retransmits the saved clone if no CTS shows up within
+        watchdog retransmits a clone of it if no CTS shows up within
         the assembly-stall timeout.
         """
         c = self.costs
@@ -999,9 +999,9 @@ class SPAM:
     def _finish_send_op(self, op: BulkSendOp):
         if op in self._active_sends:
             self._active_sends.remove(op)
-        # every chunk is acked and retransmission works from saved clones:
-        # free the payload copy now, not when the cyclic GC finds the
-        # op <-> done cycle
+        # every chunk is acked and retransmission works from the saved
+        # packets: free the payload copy now, not when the cyclic GC finds
+        # the op <-> done cycle
         op.data = None
         op.done.succeed(op)
         if op.completion_fn is not None:
@@ -1049,7 +1049,7 @@ class SPAM:
         verdict, _ = rwin.accept(pkt)
         if verdict == "duplicate":
             # a stalled sender re-sent its RTS; if our CTS is still
-            # unacked the CTS was probably lost — re-send the saved clone
+            # unacked the CTS was probably lost — re-send the saved CTS
             # instead of waiting out our own stall timer
             self.stats.count("duplicates_dropped")
             grant = self._rdma_grants.get((pkt.src, pkt.op_token))
@@ -1271,10 +1271,10 @@ class SPAM:
     def _process_nack(self, pkt: Packet):
         """Go-back-N: retransmit saved packets the peer reports missing.
 
-        Fresh clones go on the wire: the retransmission buffer's copies
-        (and any earlier transmissions still referenced by in-flight
-        ``sim.at`` callbacks) must never be aliased by a packet whose ack
-        fields are being re-stamped.
+        Fresh clones go on the wire: the saved packets are the earlier
+        transmissions themselves (maybe still referenced by in-flight
+        ``sim.at`` callbacks) and must never be aliased by a packet whose
+        ack fields are being re-stamped.
         """
         yield from self.node.compute(self.costs.nack_process)
         peer = self._peer(pkt.src)
@@ -1429,9 +1429,9 @@ class SPAM:
         see, so each gets a watchdog on the assembly-stall clock:
 
         * **RTS lost** — the sender sits in AWAIT_CTS; after the stall
-          timeout it retransmits the saved RTS clone.
+          timeout it retransmits the saved RTS.
         * **CTS lost** — the receiver's grant sees no landings; it
-          retransmits the saved CTS clone (the sender's duplicate-RTS
+          retransmits the saved CTS (the sender's duplicate-RTS
           retransmissions also trigger this, whichever clock fires first).
         * **FIN / tail data lost** — the grant has (some) data but stalls;
           the receiver NACKs with its expected values and the sender

@@ -15,13 +15,9 @@ Invariants (property-tested in ``tests/am/test_window_properties.py``):
 
 from __future__ import annotations
 
-from operator import methodcaller
 from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.packet import Packet
-
-
-_clone = methodcaller("clone")
 
 
 class AckBeyondWindowError(ValueError):
@@ -78,12 +74,15 @@ class SendWindow:
     def save(self, seq: int, packets: List[Packet]) -> None:
         """Keep a transfer unit for possible go-back-N retransmission.
 
-        **Clones** are saved, not the caller's objects: the originals are
-        on their way through the send FIFO and may still be referenced by
-        in-flight ``sim.at`` callbacks when a retransmission later
-        re-stamps acknowledgements.
+        The caller's list and packets are kept by reference, not copied:
+        they are the objects already on their way through the send FIFO,
+        and nothing writes to a packet once it is staged.  Retransmission
+        clones before it re-stamps acknowledgements (see
+        :meth:`unacked_from`), so only resent packets pay for a copy.
+        Under the sanitizer, :class:`~repro.check.core.SendWindowCheck`
+        checks that a saved unit is unchanged when its ack frees it.
         """
-        self._saved[seq] = list(map(_clone, packets))
+        self._saved[seq] = packets
         if self.check is not None:
             self.check.on_save(self, seq, len(packets))
 
@@ -127,10 +126,10 @@ class SendWindow:
     def unacked_from(self, seq: int) -> List[Packet]:
         """All saved packets with sequence >= seq, in order (go-back-N).
 
-        Returns the saved clones themselves; callers that put them back on
-        the wire must clone again (see :meth:`~repro.hardware.packet.
-        Packet.clone`) so the retransmission buffer never aliases live
-        wire state.
+        Returns the saved packets themselves, which may still be in
+        flight; callers that put them back on the wire must clone them
+        (see :meth:`~repro.hardware.packet.Packet.clone`) before
+        re-stamping acks, so no copy already sent is ever written to.
         """
         out: List[Packet] = []
         for s in sorted(self._saved):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.hardware.packet import FIELDS, _field_values
 from repro.sim.engine import TimerHandle
 
 #: multiplier of the rolling delivery digest (a prime, per FNV-style mixes)
@@ -182,7 +183,14 @@ class RecvFifoCheck(_Check):
 
 class SendWindowCheck(_Check):
     """Sender window: credit never exceeded, cumulative acks monotone and
-    aligned to transfer-unit boundaries."""
+    aligned to transfer-unit boundaries, and saved packets never mutated.
+
+    The window saves the packets it is handed, not copies, so the same
+    objects are in flight; go-back-N must clone before it re-stamps acks.
+    Each saved unit's field values are recorded at save and compared when
+    its ack frees it: a write to a staged packet would otherwise change
+    what a later retransmission sends without anyone noticing.
+    """
 
     kind = "window"
 
@@ -193,6 +201,8 @@ class SendWindowCheck(_Check):
         #: (transfer-unit end points; chunks ack as one unit)
         self._ack_points: Set[int] = {win.next_seq}
         self.max_ack = win.base
+        #: seq -> field values of each packet of the saved unit, at save
+        self._saved_fields: Dict[int, List[tuple]] = {}
 
     def on_allocate(self, win, seq, npackets):
         self.checks += 1
@@ -204,6 +214,7 @@ class SendWindowCheck(_Check):
     def on_save(self, win, seq, npackets):
         self.checks += 1
         self._ack_points.add(seq + npackets)
+        self._saved_fields[seq] = list(map(_field_values, win._saved[seq]))
 
     def on_ack(self, win, ack):
         self.checks += 1
@@ -220,6 +231,28 @@ class SendWindowCheck(_Check):
                              f"({ack} < {self.max_ack})")
         self.max_ack = max(self.max_ack, ack)
         self._ack_points = {p for p in self._ack_points if p >= ack}
+        recorded = self._saved_fields
+        saved = win._saved
+        # the units this ack frees (seq < ack), by subscripts and type
+        # calls only: the scan adds no profiled call to a sanitized run
+        for seq in list(filter(ack.__gt__, recorded)):
+            was = recorded[seq]
+            del recorded[seq]
+            unit = saved[seq]
+            if list(map(_field_values, unit)) == was:
+                continue
+            changed = [(i, field, old, new)
+                       for i, (pkt, before) in enumerate(zip(unit, was))
+                       for field, old, new in zip(FIELDS, before,
+                                                  _field_values(pkt))
+                       if old != new]
+            if changed:
+                i, field, old, new = changed[0]
+                what = f"packet {i} field {field!r} {old!r} -> {new!r}"
+            else:
+                what = f"{len(was)} packets became {len(unit)}"
+            self.fail("ack", f"saved unit at seq {seq} was mutated before "
+                             f"its ack freed it: {what}")
 
 
 class RecvWindowCheck(_Check):

@@ -57,9 +57,14 @@ class FaultAction:
 
 
 def _corrupted(pkt: Packet) -> Packet:
-    """A clone with bits flipped but the original checksum — the receive
-    adapter's CRC check must reject it."""
+    """A clone stamped with the CRC of the original contents, then with
+    bits flipped — the receive adapter's CRC check must reject it.
+
+    This is the only place a packet's bytes change in flight, so it is
+    the only place a CRC is stamped: unstamped packets skip the check.
+    """
     bad = pkt.clone()
+    bad.checksum = pkt.compute_checksum()
     if bad.payload:
         flipped = bytearray(bad.payload)
         flipped[0] ^= 0x40

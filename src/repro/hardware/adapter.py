@@ -119,10 +119,12 @@ class TB2Adapter:
     def host_stage(self, packet: Packet) -> None:
         """Write one packet into the next send-FIFO entry.
 
-        Stamps the packet CRC (the TB2 computes it in hardware on the way
-        out) so fabric corruption is detectable at the receiving adapter.
+        Stamps no CRC: the fabric's corrupt fault is the only thing that
+        changes a staged packet's bytes, and it stamps the CRC of the
+        original contents on the copy it damages (see
+        :attr:`~repro.hardware.packet.Packet.checksum`), so an unaltered
+        packet passes the receive check on one int compare.
         """
-        packet.checksum = packet.compute_checksum()
         self.send_fifo.stage(packet)
         self._c_tx_staged.value += 1
         if self.obs is not None:
@@ -256,7 +258,9 @@ class TB2Adapter:
 
     def on_wire_arrival(self, packet: Packet) -> None:
         """Switch-facing: accept or drop (CRC failure, FIFO overflow)."""
-        cs = packet.checksum  # inlined checksum_ok (per-arrival path)
+        # inlined checksum_ok: -1 (one compare) unless the corrupt fault
+        # stamped the CRC of the contents it then damaged
+        cs = packet.checksum
         if cs >= 0 and cs != packet.compute_checksum():
             # Hardware CRC check: a packet corrupted in the fabric is
             # discarded here, indistinguishable from a loss to the layers
@@ -266,33 +270,13 @@ class TB2Adapter:
                 self.obs.packet_dropped(packet, "crc")
             return
         sim = self.sim
-        if packet.kind is _RDMA_DATA and self.rdma_sink is not None:
-            # simulated RDMA write: no receive-FIFO entry is consumed (the
-            # DMA engine targets the granted region directly), so overflow
-            # cannot drop it — only injected faults and CRC rejects can
-            if self.faults is not None and self.faults.at_rx(packet, sim.now):
-                self.stats.count("rx_dropped_overflow")
-                if self.obs is not None:
-                    self.obs.packet_dropped(packet, "overflow")
-                return
-            dma = packet.wire_bytes / self._mc_dma_rate
-            now = sim.now
-            rx_free = self._rx_free
-            start = now if now > rx_free else rx_free
-            occ = self._i860_rx_occupancy
-            self._rx_free = start + (dma if dma > occ else occ)
-            visible_at = start + dma + self._i860_rx_latency
-            self._c_rx_packets.value += 1
-            self.stats.count("rx_rdma_packets")
-            if self.obs is not None:
-                span = self.obs.spans.get(packet.trace_id)
-                if span is not None:
-                    span.marks["visible"] = visible_at
-            sim.at(visible_at, self._rdma_deliver_cb, packet)
-            return
-        forced = (self.faults is not None
-                  and self.faults.at_rx(packet, sim.now))
-        if forced or not self.recv_fifo.reserve():
+        now = sim.now
+        # simulated RDMA write: no receive-FIFO entry is consumed (the DMA
+        # engine targets the granted region directly), so overflow cannot
+        # drop it — only injected faults and CRC rejects can
+        rdma = packet.kind is _RDMA_DATA and self.rdma_sink is not None
+        if ((self.faults is not None and self.faults.at_rx(packet, now))
+                or not (rdma or self.recv_fifo.reserve())):
             # Input-buffer overflow (real or injected): the packet is
             # lost; §2.2's sequence numbers + NACK machinery must
             # recover it.
@@ -301,7 +285,6 @@ class TB2Adapter:
                 self.obs.packet_dropped(packet, "overflow")
             return
         dma = packet.wire_bytes / self._mc_dma_rate
-        now = sim.now
         rx_free = self._rx_free
         start = now if now > rx_free else rx_free
         occ = self._i860_rx_occupancy
@@ -312,7 +295,11 @@ class TB2Adapter:
             span = self.obs.spans.get(packet.trace_id)  # inlined mark_packet
             if span is not None:
                 span.marks["visible"] = visible_at
-        sim.at(visible_at, self._deliver_cb, packet)
+        if rdma:
+            self.stats.count("rx_rdma_packets")
+            sim.at(visible_at, self._rdma_deliver_cb, packet)
+        else:
+            sim.at(visible_at, self._deliver_cb, packet)
 
     def _deliver(self, packet: Packet) -> None:
         self.recv_fifo.deliver(packet)
@@ -329,8 +316,9 @@ class TB2Adapter:
         self.rdma_sink(packet)
         for fn in self._arrival_listeners:
             fn(packet)
-        if self._arrival_event is not None and not self._arrival_event.triggered:
-            self._arrival_event.succeed(packet)
+        ev = self._arrival_event
+        if ev is not None and not ev._ok:  # Event.triggered, per arrival
+            ev.succeed(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

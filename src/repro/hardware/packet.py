@@ -117,10 +117,12 @@ class Packet:
       carried end-to-end so every layer's marks land on the same
       message-lifecycle span.  Not a wire field.
     * ``checksum`` — header/payload CRC, modelling the TB2's hardware
-      packet CRC: stamped by the adapter at send-FIFO staging, verified at
-      wire arrival, and a mismatch (payload corruption in the fabric)
-      drops the packet exactly like a loss so §2.2's go-back-N recovers
-      it.  -1 = unstamped.  Part of the 32-byte header.
+      packet CRC.  -1 = never altered in flight: the check passes on one
+      compare.  The fabric's corrupt fault, the only path that changes a
+      packet's bytes after staging, stamps the CRC of the original
+      contents on the copy it damages; the receiving adapter verifies it
+      and a mismatch drops the packet exactly like a loss so §2.2's
+      go-back-N recovers it.  Part of the 32-byte header.
 
     ``wire_bytes`` and ``is_sequenced`` are derived once at construction:
     wire size and sequencing never change after staging (the corrupt
@@ -193,11 +195,11 @@ class Packet:
     def clone(self) -> "Packet":
         """An independent copy sharing no mutable state with this packet.
 
-        The retransmission buffer saves clones and go-back-N re-stages
-        clones, so a copy still in flight (duplicated, reordered, or held
-        in a ``sim.at`` callback) can never alias a packet whose ack
-        fields are being re-stamped.  ``payload``/``args`` are immutable
-        and shared; ``trace_id`` is kept so every copy lands on the same
+        Go-back-N re-stages clones of the saved packets, so a copy still
+        in flight (duplicated, reordered, or held in a ``sim.at``
+        callback) can never alias a packet whose ack fields are being
+        re-stamped.  ``payload``/``args`` are immutable and shared;
+        ``trace_id`` is kept so every copy lands on the same
         observability span.
         """
         new = _new(Packet)

@@ -1,8 +1,8 @@
 """A finished store frees its payload copy without the cyclic GC.
 
 ``store`` reads the source buffer into ``BulkSendOp.data`` once; chunks
-are sliced from it and retransmissions work from the window's saved
-clones.  The op sits in a reference cycle with its ``done`` event (the
+are sliced from it and retransmissions work from the packets the
+window saved (the ones first sent, kept by reference).  The op sits in a reference cycle with its ``done`` event (the
 event's value is the op), so whatever it still holds when it finishes
 lives until the cyclic collector runs.  Dropping ``data`` at the final
 ack frees the copy immediately; this runs with the collector off under

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.am import attach_spam
+from repro.am.constants import CHUNK_BYTES
 from repro.am.window import RecvWindow, SendWindow
 from repro.check import InvariantViolation, Sanitizer
 from repro.check.core import (
@@ -20,6 +22,8 @@ from repro.check.core import (
     SendFifoCheck,
     SendWindowCheck,
 )
+from repro.faults import FaultPlan, FaultRule, install_faults
+from repro.hardware import build_sp_machine
 from repro.hardware.fifo import RecvFIFO, SendFIFO
 from repro.hardware.packet import Packet, PacketKind
 from repro.mpi.allocator import FirstFitAllocator
@@ -150,6 +154,59 @@ class TestSendWindowCheck:
         ck.max_ack = 5
         with pytest.raises(InvariantViolation, match="moved backwards"):
             ck.on_ack(w, 3)
+
+    def test_restamped_saved_packet_caught_and_named(self):
+        w = self._checked()
+        w.save(w.allocate(1), [pkt(0)])
+        seq = w.allocate(4)
+        unit = [pkt(seq, 4, o) for o in range(4)]
+        w.save(seq, unit)
+        unit[2].ack_req = 9     # re-stamped in place after the save
+        with pytest.raises(InvariantViolation,
+                           match=r"send_window\[t\]\.ack\] saved unit at "
+                                 r"seq 1 .*packet 2 field 'ack_req' -1 -> 9"):
+            w.on_ack(5)
+
+    def test_aliasing_retransmission_caught(self, monkeypatch):
+        """The old aliasing bug: go-back-N re-stamping the saved packets
+        themselves instead of clones.  A reply lands between the chunk's
+        first send and its retransmission, so the re-stamp changes the
+        piggybacked reply-channel ack of a packet the window still holds."""
+        sim = Simulator()
+        m = build_sp_machine(sim, 2)
+        am0, am1 = attach_spam(m)
+        san = Sanitizer(collect=True).attach(m)
+        install_faults(m, FaultPlan(seed=3, rules=(
+            FaultRule(kind="drop", rate=1.0, after=4, budget=1,
+                      packet_kinds=frozenset({PacketKind.STORE_DATA})),)))
+        n = 2 * CHUNK_BYTES
+        src = m.node(0).memory.alloc(n)
+        dst = m.node(1).memory.alloc(n)
+        m.node(0).memory.write(src, bytes(i % 251 for i in range(n)))
+        done = []
+
+        def h_reply(token, x):
+            pass
+
+        def h_request(token, x):
+            yield from token.reply_1(h_reply, x)
+
+        def sender():
+            yield from am0.request_1(1, h_request, 7)
+            yield from am0.store(1, src, dst, n)
+            done.append(True)
+
+        def server():
+            while not done:
+                yield from am1._wait_progress()
+
+        monkeypatch.setattr(Packet, "clone", lambda self: self)
+        sim.run_until_processes_done(
+            [sim.spawn(sender()), sim.spawn(server())], limit=1e8)
+        assert am0.stats.get("retransmissions") > 0
+        assert [str(v) for v in san.violations] == [
+            "[send_window[0->1 ch0].ack] saved unit at seq 1 was mutated "
+            "before its ack freed it: packet 0 field 'ack_rep' 0 -> 1"]
 
 
 class TestRecvWindowCheck:

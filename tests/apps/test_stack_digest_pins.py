@@ -1,0 +1,109 @@
+"""Golden event-order digests for every Table-5 stack.
+
+Table 5 runs one Split-C text on five stacks: SP AM (``sp-am``), AM
+emulated over MPL (``sp-mpl``) and the LogP peers (``cm5``, ``meiko``,
+``unet``).  These pins hash every executed event's ``(time, seq,
+callback)`` and record the final simulated time of
+
+* a small Split-C program that reaches every runtime call that crosses
+  the network: word reads and writes, split-phase bulk get/put,
+  signaling bulk and word stores, the barrier and both collectives;
+* the portable AM program of ``test_api_conformance`` (one request /
+  reply, a blocking store and a blocking get), on its three stacks.
+
+A change to the AM front end that all three implementations share must
+leave every one of them untouched.
+"""
+
+import struct
+
+import pytest
+
+from repro.apps.workloads import STACKS, build_stack
+from repro.check import EventDigest
+from repro.splitc import GlobalPtr
+from tests.am.test_api_conformance import all_stacks, portable_program
+
+NPROCS = 4
+#: bulk bytes per rank: two SP chunks, many 1 KB generic-AM fragments
+BULK = 10_000
+
+#: stack -> (event digest, final simulated us), recorded before the AM
+#: implementations shared one front end
+SPLITC_PINS = {
+    "sp-am": ("9fd2bd58e347ac50852fbb615fa7b3a4", 2280.4800000000105),
+    "sp-mpl": ("d017a83f46cfb54e31e6f1395e431009", 4381.1955555555605),
+    "cm5": ("65edc2e79d81093df701013bc9ee4447", 3237.680000000001),
+    "meiko": ("7a40d476cf800bbe6cb3c17ecd0877a2", 1364.5000000000005),
+    "unet": ("d2ff0ff818bc051fc0c01c8af1fcf27e", 2908.8518796992457),
+}
+PORTABLE_PINS = {
+    "spam": ("349d29f4796fd76a764e24e4e2188e89", 381.4333333333334),
+    "generic": ("24e79333e0b909bd1795e74a09c95c68", 711.5600000000002),
+    "mpl-shim": ("a821724b23dc8582333fcb22bd06e48e", 672.2533333333337),
+}
+
+
+def _splitc_run(stack):
+    machine, rts = build_stack(stack, NPROCS)
+    sim = machine.sim
+    digest = sim.check = EventDigest()
+    data = [bytes((r * 31 + i) % 251 for i in range(BULK))
+            for r in range(NPROCS)]
+    regions = []
+    for r in range(NPROCS):
+        mem = machine.node(r).memory
+        # [source | put target | store target | fetched | word slot]
+        base = mem.alloc(4 * BULK + 8)
+        mem.write(base, data[r])
+        regions.append(base)
+
+    def prog(rank):
+        rt = rts[rank]
+        right, left = (rank + 1) % NPROCS, (rank - 1) % NPROCS
+        base = regions[rank]
+        yield from rt.barrier()
+        yield from rt.write_word(GlobalPtr(right, regions[right] + 4 * BULK),
+                                 100 + rank)
+        yield from rt.barrier()
+        word = yield from rt.read_word(GlobalPtr(left, regions[left] + 4 * BULK))
+        assert word == 100 + (left - 1) % NPROCS
+        yield from rt.put_bulk(GlobalPtr(right, regions[right] + BULK),
+                               base, BULK)
+        yield from rt.get_bulk(base + 3 * BULK, GlobalPtr(left, regions[left]),
+                               BULK)
+        yield from rt.sync()
+        yield from rt.store_bulk(GlobalPtr(right, regions[right] + 2 * BULK),
+                                 base, BULK)
+        yield from rt.store_word(GlobalPtr(left, regions[left] + 4 * BULK),
+                                 rank)
+        yield from rt.all_store_sync()
+        total = yield from rt.allreduce_int(rank + 1)
+        assert total == NPROCS * (NPROCS + 1) // 2
+        root = yield from rt.broadcast_int(7 if rank == 0 else None)
+        assert root == 7
+
+    procs = [sim.spawn(prog(r), name=f"pin{r}") for r in range(NPROCS)]
+    sim.run_until_processes_done(procs, limit=1e9)
+    for r in range(NPROCS):
+        mem, left = machine.node(r).memory, (r - 1) % NPROCS
+        base = regions[r]
+        assert mem.read(base + BULK, BULK) == data[left]
+        assert mem.read(base + 2 * BULK, BULK) == data[left]
+        assert mem.read(base + 3 * BULK, BULK) == data[left]
+        assert struct.unpack("<q", mem.read(base + 4 * BULK, 8))[0] \
+            == (r + 1) % NPROCS
+    return digest.hexdigest(), sim.now
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_splitc_program_pinned(stack):
+    assert _splitc_run(stack) == SPLITC_PINS[stack]
+
+
+@pytest.mark.parametrize("stack", sorted(PORTABLE_PINS))
+def test_portable_program_pinned(stack):
+    machine, ams = all_stacks()[stack]
+    digest = machine.sim.check = EventDigest()
+    end = portable_program(machine, ams)
+    assert (digest.hexdigest(), end) == PORTABLE_PINS[stack]

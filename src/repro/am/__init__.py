@@ -16,11 +16,11 @@ acks at a quarter window, NACK-triggered go-back-N retransmission, and a
 keep-alive probe for tail losses.
 
 Use :func:`attach_spam` on an SP machine or :func:`attach_generic_am` on a
-Table-4 peer machine; both install an object with the same API on each
+Table-4 peer machine; both install an :class:`ActiveMessages` on each
 ``node.am``.
 """
 
-from repro.am.api import ActiveMessages, ReplyToken, attach_am, attach_generic_am, attach_spam
+from repro.am.api import attach_am, attach_generic_am, attach_spam
 from repro.am.constants import (
     ACK_FRACTION,
     AMCosts,
@@ -31,7 +31,7 @@ from repro.am.constants import (
     REQUEST_CHANNEL,
     REQUEST_WINDOW,
 )
-from repro.am.handler import HandlerTable
+from repro.am.handler import ActiveMessages, HandlerTable, ReplyToken
 from repro.am.interrupts import compute_interruptible, compute_polled
 from repro.am.raw import raw_pingpong_roundtrip
 

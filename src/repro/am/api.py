@@ -9,6 +9,7 @@ Matching Table 1 of the paper::
     am.get(...)                          fetch data from a remote node
     am.poll()                            poll the network
 
+Every implementation is a :class:`~repro.am.handler.ActiveMessages`.
 ``attach_spam`` installs the full SP implementation (flow control, chunk
 protocol) on an SP machine; ``attach_generic_am`` installs the LogP-cost
 implementation on a Table-4 peer machine.  ``attach_am`` picks by machine
@@ -17,36 +18,33 @@ kind, so portable code (Split-C, the benchmarks) never branches.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.am.constants import AMCosts
-from repro.am.endpoint import ReplyToken, SPAM
+from repro.am.endpoint import SPAM
 from repro.am.generic import GenericAM
-from repro.am.handler import HandlerTable
+from repro.am.handler import ActiveMessages, HandlerTable
 from repro.hardware.machine import Machine
-
-#: anything usable as ``node.am``
-ActiveMessages = Union[SPAM, GenericAM]
 
 
 def attach_spam(
     machine: Machine, costs: Optional[AMCosts] = None,
-    xfer_mode: str = "eager", rdzv_crossover: Optional[int] = None,
+    xfer_mode: str = "eager",
 ) -> List[SPAM]:
     """Install SP AM on every node of an SP machine.
 
     ``xfer_mode`` selects the large-message strategy for stores: "eager"
     (the chunk protocol, default), "rendezvous" (RTS/CTS + simulated
-    RDMA), or "auto" (rendezvous above ``rdzv_crossover`` bytes,
-    defaulting to one chunk = 8064).
+    RDMA), or "auto" (rendezvous above one chunk, ``RDZV_CROSSOVER`` =
+    8064 bytes).
     """
     if not machine.is_sp:
         raise ValueError(
             f"{machine.params.name!r} is not an SP; use attach_generic_am"
         )
     table = HandlerTable()
-    return [SPAM(node, table, costs, xfer_mode=xfer_mode,
-                 rdzv_crossover=rdzv_crossover) for node in machine.nodes]
+    return [SPAM(node, table, costs, xfer_mode=xfer_mode)
+            for node in machine.nodes]
 
 
 def attach_generic_am(machine: Machine) -> List[GenericAM]:
@@ -59,13 +57,12 @@ def attach_generic_am(machine: Machine) -> List[GenericAM]:
     return [GenericAM(node, table) for node in machine.nodes]
 
 
-def attach_am(machine: Machine, xfer_mode: str = "eager",
-              rdzv_crossover: Optional[int] = None) -> List[ActiveMessages]:
+def attach_am(machine: Machine,
+              xfer_mode: str = "eager") -> List[ActiveMessages]:
     """Install the right AM implementation for the machine kind.
 
-    The rendezvous knobs only apply to the SP implementation; the generic
+    ``xfer_mode`` only applies to the SP implementation; the generic
     (LogP-cost) AM has no chunk protocol to switch."""
     if machine.is_sp:
-        return attach_spam(machine, xfer_mode=xfer_mode,
-                           rdzv_crossover=rdzv_crossover)
+        return attach_spam(machine, xfer_mode=xfer_mode)
     return attach_generic_am(machine)

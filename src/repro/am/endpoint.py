@@ -1,7 +1,11 @@
 """The SP Active Messages endpoint: one per node, over the TB2 adapter (§2).
 
-All public operations are generators (``yield from am.request_2(...)``);
-they charge the calibrated host costs of Table 2, move real packets through
+:class:`SPAM` takes the GAM 1.1 API (``register``, ``request_M``, the
+blocking ``store`` / ``get`` / ``wait_op``, the reply token and the handler
+rules) from :class:`~repro.am.handler.ActiveMessages` and supplies the
+transport under it: ``_request``, ``_send_reply``, ``store_async``,
+``get_async``, ``poll`` and ``_wait_progress``.  They are generators that
+charge the calibrated host costs of Table 2, move real packets through
 the simulated adapter/switch, and implement §2.2's reliability machinery:
 
 * per-peer, per-channel sliding windows (72 request / 76 reply packets),
@@ -12,8 +16,9 @@ the simulated adapter/switch, and implement §2.2's reliability machinery:
   unsuccessful-poll timeout),
 * pipelined chunk protocol for stores and gets (Figure 2).
 
-Handlers run inside :meth:`poll`, may charge CPU by being generators, and
-may send at most one reply through their :class:`ReplyToken`.
+Handlers run inside :meth:`SPAM.poll`; the request/reply hot loop in
+:meth:`SPAM._drain` drives them inline rather than through
+``_run_handler``.
 """
 
 from __future__ import annotations
@@ -35,7 +40,12 @@ from repro.am.constants import (
     REQUEST_WINDOW,
     XFER_MODES,
 )
-from repro.am.handler import HandlerRestrictionError, HandlerTable, run_handler
+from repro.am.handler import (
+    ActiveMessages,
+    HandlerRestrictionError,
+    HandlerTable,
+    ReplyToken,
+)
 from repro.am.window import RecvWindow, SendWindow
 from repro.hardware.cache import copy_cost, flush_cost
 from repro.hardware.packet import Packet, PacketKind
@@ -134,45 +144,11 @@ class _PeerState:
         self.pending_units: Tuple[list, list] = ([], [])
 
 
-class ReplyToken:
-    """Handed to request/store handlers; allows at most one reply."""
-
-    __slots__ = ("am", "src", "_used")
-
-    def __init__(self, am: "SPAM", src: int):
-        self.am = am
-        self.src = src
-        self._used = False
-
-    def reply_1(self, handler: Callable, a0: int):
-        """Send the handler's one 1-word reply back to the requester."""
-        return self._reply(handler, (a0,))
-
-    def reply_2(self, handler: Callable, a0: int, a1: int):
-        """Send the handler's one 2-word reply back to the requester."""
-        return self._reply(handler, (a0, a1))
-
-    def reply_3(self, handler: Callable, a0: int, a1: int, a2: int):
-        """Send the handler's one 3-word reply back to the requester."""
-        return self._reply(handler, (a0, a1, a2))
-
-    def reply_4(self, handler: Callable, a0: int, a1: int, a2: int, a3: int):
-        """Send the handler's one 4-word reply back to the requester."""
-        return self._reply(handler, (a0, a1, a2, a3))
-
-    def _reply(self, handler: Callable, args: Tuple[int, ...]):
-        if self._used:
-            raise HandlerRestrictionError("handler already sent its one reply")
-        self._used = True
-        return self.am._send_reply(self.src, handler, args)
-
-
-class SPAM:
+class SPAM(ActiveMessages):
     """SP Active Messages on one node.  Access as ``node.am``."""
 
     def __init__(self, node, handlers: HandlerTable, costs: Optional[AMCosts] = None,
-                 xfer_mode: str = "eager",
-                 rdzv_crossover: Optional[int] = None):
+                 xfer_mode: str = "eager"):
         if xfer_mode not in XFER_MODES:
             raise ValueError(
                 f"xfer_mode must be one of {XFER_MODES}, got {xfer_mode!r}"
@@ -185,24 +161,19 @@ class SPAM:
             raise ValueError(
                 f"send_fifo_entries={entries} is smaller than "
                 f"SPAM.ARM_BATCH={self.ARM_BATCH}")
-        self.node = node
+        super().__init__(node, handlers)
         self.adapter = node.adapter
-        self.handlers = handlers
         self.costs = costs if costs is not None else AMCosts()
         #: large-message strategy: "eager" (chunk protocol through the
         #: host path, the default), "rendezvous" (RTS/CTS + simulated
-        #: RDMA), or "auto" (rendezvous above ``rdzv_crossover`` bytes)
+        #: RDMA), or "auto" (rendezvous above ``RDZV_CROSSOVER`` bytes)
         self.xfer_mode = xfer_mode
-        self.rdzv_crossover = (RDZV_CROSSOVER if rdzv_crossover is None
-                               else rdzv_crossover)
-        self.sim = node.sim
         self.host = node.host
         self.stats = StatRegistry(f"am[{node.id}].")
         self._peers: Dict[int, _PeerState] = {}
         #: receive windows that may owe an explicit ack or a stall check
         #: (see ``RecvWindow.duty``); pruned at the end of each duty pass
         self._rx_duty: set = set()
-        self._in_handler = False
         #: replies that found the reply window or send FIFO full; drained
         #: by subsequent polls
         self._deferred_replies: Deque[Tuple[int, int, Tuple[int, ...]]] = deque()
@@ -210,7 +181,6 @@ class SPAM:
         self._bulk_recv: Dict[Tuple[int, int], BulkRecvState] = {}
         #: bulk send ops with chunks still to transmit
         self._active_sends: List[BulkSendOp] = []
-        self._next_token = 1
         #: raw (flow-control-free) packets land here for repro.am.raw
         self._raw_inbox: Deque[Packet] = deque()
         #: blocking-get completion events, keyed like _bulk_recv
@@ -290,41 +260,10 @@ class SPAM:
         #: RDMA landings bypass the host path entirely — the adapter hands
         #: them to this sink at visible time
         self.adapter.rdma_sink = self._rdma_land
-        node.am = self
 
     # ------------------------------------------------------------------
-    # public GAM 1.1 API — all generators
+    # the transport under the GAM 1.1 API — all generators
     # ------------------------------------------------------------------
-
-    def register(self, fn: Callable) -> int:
-        """Register an AM handler; same id on every node of the machine."""
-        return self.handlers.register(fn)
-
-    def request_1(self, dst, handler, a0):
-        """Send a 1-word request; ``handler`` runs on ``dst`` (Table 1)."""
-        return self._request(dst, handler, (a0,))
-
-    def request_2(self, dst, handler, a0, a1):
-        """Send a 2-word request; ``handler`` runs on ``dst`` (Table 1)."""
-        return self._request(dst, handler, (a0, a1))
-
-    def request_3(self, dst, handler, a0, a1, a2):
-        """Send a 3-word request; ``handler`` runs on ``dst`` (Table 1)."""
-        return self._request(dst, handler, (a0, a1, a2))
-
-    def request_4(self, dst, handler, a0, a1, a2, a3):
-        """Send a 4-word request; ``handler`` runs on ``dst`` (Table 1)."""
-        return self._request(dst, handler, (a0, a1, a2, a3))
-
-    def store(self, dst: int, local_addr: int, remote_addr: int, nbytes: int,
-              handler: Callable = None, arg: int = 0):
-        """Blocking bulk store: returns when every chunk is acknowledged
-        ("the sender blocks after every transfer waiting for an
-        acknowledgement", §2.4)."""
-        op = yield from self._begin_store(dst, local_addr, remote_addr,
-                                          nbytes, handler, arg)
-        yield from self.wait_op(op)
-        return op
 
     def store_async(self, dst: int, local_addr: int, remote_addr: int,
                     nbytes: int, handler: Callable = None, arg: int = 0,
@@ -332,27 +271,69 @@ class SPAM:
         """Non-blocking bulk store: returns a :class:`BulkSendOp` handle
         immediately after injecting what the chunk pipeline allows;
         ``completion_fn(op)`` runs (inside a later poll) when done."""
-        op = yield from self._begin_store(dst, local_addr, remote_addr,
-                                          nbytes, handler, arg, completion_fn)
+        self._check_transfer("store", nbytes, 0)
+        c = self.costs
+        yield from self.node.compute(c.store_fixed)
+        hid = self.handlers.register(handler) if handler is not None else -1
+        data = self.node.memory.read(local_addr, nbytes)
+        done = self.sim.event(f"am[{self.node.id}].store")
+        # `arg` may be a single word or a tuple of up to four words; the
+        # completion handler receives them after (addr, nbytes) — this is
+        # how MPI's buffered protocol ships its envelope (§4.1)
+        handler_args = arg if isinstance(arg, tuple) else (arg,)
+        mode = self.xfer_mode
+        rdzv = (nbytes > 0
+                and (mode == "rendezvous"
+                     or (mode == "auto" and nbytes > RDZV_CROSSOVER)))
+        op = BulkSendOp(self._take_token(), dst, REQUEST_CHANNEL, data,
+                        remote_addr, hid, handler_args, done, completion_fn,
+                        rdzv=rdzv)
+        self.stats.count("stores_started")
+        if op.total_chunks == 0:
+            done.succeed(op)
+            if completion_fn is not None:
+                completion_fn(op)
+            return op
+        self._active_sends.append(op)
+        if rdzv:
+            yield from self._send_rts(op)
+        else:
+            yield from self._pump_send(op)
         return op
-
-    def get(self, dst: int, remote_addr: int, local_addr: int, nbytes: int,
-            handler: Callable = None, arg: int = 0):
-        """Blocking bulk get: fetch ``nbytes`` from ``dst``'s memory."""
-        op_done = self.sim.event(f"am[{self.node.id}].get")
-        yield from self._begin_get(dst, remote_addr, local_addr, nbytes,
-                                   handler, arg, op_done)
-        while not op_done.triggered:
-            yield from self._wait_progress()
-        return op_done.value
 
     def get_async(self, dst: int, remote_addr: int, local_addr: int,
                   nbytes: int, handler: Callable = None, arg: int = 0):
         """Non-blocking get; completion signalled via the returned event
         (and ``handler`` runs locally when the data has landed)."""
+        self._check_transfer("get", nbytes, 1)
         op_done = self.sim.event(f"am[{self.node.id}].get")
-        yield from self._begin_get(dst, remote_addr, local_addr, nbytes,
-                                   handler, arg, op_done)
+        c = self.costs
+        peer = self._peer(dst)
+        win = peer.send[REQUEST_CHANNEL]
+        while not (win.can_send(1) and self.adapter.host_can_stage(1)):
+            yield from self._wait_progress()
+        hid = self.handlers.register(handler) if handler is not None else -1
+        token = self._take_token()
+        get_key = (dst, token)
+        pkt = Packet(src=self.node.id, dst=dst, kind=PacketKind.GET_REQUEST,
+                     channel=REQUEST_CHANNEL, handler=hid,
+                     args=(remote_addr, arg), addr=local_addr,
+                     total_len=nbytes, op_token=token)
+        obs = self.adapter.obs
+        if obs is not None:
+            obs.begin_message(pkt, self.sim.now)
+        yield from self.node.compute(
+            c.get_fixed + flush_cost(pkt.wire_bytes, self.host) + self.host.mc_pio
+        )
+        seq = self._stage_small(pkt, peer, win)
+        yield from self.node.compute(c.save_retransmit)
+        win.save(seq, [pkt])
+        # local completion bookkeeping: data arrives as GET_DATA
+        self._bulk_recv[get_key] = BulkRecvState(
+            src=dst, token=token, addr=local_addr, total_len=nbytes,
+            handler=hid, handler_args=(arg,))
+        self._get_waiters[get_key] = op_done
+        self.stats.count("gets_started")
         return op_done
 
     def poll(self, limit: Optional[int] = None):
@@ -369,11 +350,6 @@ class SPAM:
         if self.adapter.recv_fifo.visible or self._duties_pending():
             return (yield from self._drain(limit))
         return 0  # an empty drain: skip its generator
-
-    def wait_op(self, op: BulkSendOp):
-        """Block until a bulk op completes (all chunks acknowledged)."""
-        while not op.done.triggered:
-            yield from self._wait_progress()
 
     # ------------------------------------------------------------------
     # request / reply internals
@@ -398,10 +374,6 @@ class SPAM:
         self._occ_series.record(self.sim.now, win.in_flight)
 
     def _request(self, dst: int, handler: Callable, args: Tuple[int, ...]):
-        if self._in_handler:
-            raise HandlerRestrictionError(
-                "handlers may not issue requests; reply via the token"
-            )
         node = self.node
         if dst == node.id:
             raise ValueError("AM requests must address a remote node")
@@ -435,9 +407,6 @@ class SPAM:
         # "each call to am_request checks the network" (§1.1): poll(),
         # inlined; with nothing arrived and no duty owed its drain would
         # be a no-op, so the generator is not even created
-        if self._in_handler:
-            raise HandlerRestrictionError(
-                "am_poll may not be called from a handler")
         d = self._poll_empty_delay
         node.cpu_busy_us += d.duration
         yield d
@@ -445,7 +414,7 @@ class SPAM:
             yield from self._drain()
 
     def _send_reply(self, dst: int, handler: Callable, args: Tuple[int, ...]):
-        """Reply path — runs inside a handler (driven by run_handler)."""
+        """Reply path — runs inside a handler."""
         t_begin = self.sim.now
         hid = self.handlers.register(handler)
         # inlined node.compute
@@ -529,80 +498,6 @@ class SPAM:
     # ------------------------------------------------------------------
     # bulk transfer internals
     # ------------------------------------------------------------------
-
-    def _begin_store(self, dst, local_addr, remote_addr, nbytes,
-                     handler, arg, completion_fn=None):
-        if self._in_handler:
-            raise HandlerRestrictionError("handlers may not start stores")
-        if nbytes < 0:
-            raise ValueError("negative store size")
-        c = self.costs
-        yield from self.node.compute(c.store_fixed)
-        hid = self.handlers.register(handler) if handler is not None else -1
-        data = self.node.memory.read(local_addr, nbytes)
-        done = self.sim.event(f"am[{self.node.id}].store")
-        # `arg` may be a single word or a tuple of up to four words; the
-        # completion handler receives them after (addr, nbytes) — this is
-        # how MPI's buffered protocol ships its envelope (§4.1)
-        handler_args = arg if isinstance(arg, tuple) else (arg,)
-        mode = self.xfer_mode
-        rdzv = (nbytes > 0
-                and (mode == "rendezvous"
-                     or (mode == "auto" and nbytes > self.rdzv_crossover)))
-        op = BulkSendOp(self._take_token(), dst, REQUEST_CHANNEL, data,
-                        remote_addr, hid, handler_args, done, completion_fn,
-                        rdzv=rdzv)
-        self.stats.count("stores_started")
-        if op.total_chunks == 0:
-            done.succeed(op)
-            if completion_fn is not None:
-                completion_fn(op)
-            return op
-        self._active_sends.append(op)
-        if rdzv:
-            yield from self._send_rts(op)
-        else:
-            yield from self._pump_send(op)
-        return op
-
-    def _begin_get(self, dst, remote_addr, local_addr, nbytes,
-                   handler, arg, op_done):
-        if self._in_handler:
-            raise HandlerRestrictionError("handlers may not start gets")
-        if nbytes <= 0:
-            raise ValueError("get size must be positive")
-        c = self.costs
-        peer = self._peer(dst)
-        win = peer.send[REQUEST_CHANNEL]
-        while not (win.can_send(1) and self.adapter.host_can_stage(1)):
-            yield from self._wait_progress()
-        hid = self.handlers.register(handler) if handler is not None else -1
-        token = self._take_token()
-        get_key = (dst, token)
-        pkt = Packet(src=self.node.id, dst=dst, kind=PacketKind.GET_REQUEST,
-                     channel=REQUEST_CHANNEL, handler=hid,
-                     args=(remote_addr, arg), addr=local_addr,
-                     total_len=nbytes, op_token=token)
-        obs = self.adapter.obs
-        if obs is not None:
-            obs.begin_message(pkt, self.sim.now)
-        yield from self.node.compute(
-            c.get_fixed + flush_cost(pkt.wire_bytes, self.host) + self.host.mc_pio
-        )
-        seq = self._stage_small(pkt, peer, win)
-        yield from self.node.compute(c.save_retransmit)
-        win.save(seq, [pkt])
-        # local completion bookkeeping: data arrives as GET_DATA
-        self._bulk_recv[get_key] = BulkRecvState(
-            src=dst, token=token, addr=local_addr, total_len=nbytes,
-            handler=hid, handler_args=(arg,))
-        self._get_waiters[get_key] = op_done
-        self.stats.count("gets_started")
-
-    def _take_token(self) -> int:
-        t = self._next_token
-        self._next_token += 1
-        return t
 
     def _pump_send(self, op: BulkSendOp):
         """Transmit every chunk the pipeline and window currently allow."""
@@ -1019,17 +914,12 @@ class SPAM:
                 waiter.succeed(st)
         if st.handler >= 0:
             fn = self.handlers.lookup(st.handler)
-            token = ReplyToken(self, st.src)
             obs = self.adapter.obs
             t0 = self.sim.now
             if obs is not None:
                 obs.mark_packet(pkt, "handler_start", t0)
-            self._in_handler = True
-            try:
-                yield from run_handler(fn, token, st.addr, st.total_len,
-                                       *st.handler_args)
-            finally:
-                self._in_handler = False
+            yield from self._run_handler(fn, st.src, st.addr, st.total_len,
+                                         *st.handler_args)
             if obs is not None:
                 obs.mark_packet(pkt, "handler_end", self.sim.now)
                 h = self._handler_hist
@@ -1198,17 +1088,12 @@ class SPAM:
             return
         if grant.handler >= 0:
             fn = self.handlers.lookup(grant.handler)
-            token = ReplyToken(self, grant.src)
             obs = self.adapter.obs
             t0 = self.sim.now
             if obs is not None:
                 obs.mark_packet(pkt, "handler_start", t0)
-            self._in_handler = True
-            try:
-                yield from run_handler(fn, token, grant.addr,
-                                       grant.total_len, *grant.handler_args)
-            finally:
-                self._in_handler = False
+            yield from self._run_handler(fn, grant.src, grant.addr,
+                                         grant.total_len, *grant.handler_args)
             if obs is not None:
                 obs.mark_packet(pkt, "handler_end", self.sim.now)
                 h = self._handler_hist

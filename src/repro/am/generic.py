@@ -2,12 +2,12 @@
 
 The CM-5, Meiko CS-2, and U-Net/ATM AM ports are characterized in the
 paper purely by their LogP numbers (per-message overhead, latency,
-bandwidth).  This implementation provides the same API as
-:class:`~repro.am.endpoint.SPAM` with those costs and a reliable, ordered
-fabric underneath — the right level of detail for the Split-C
-cross-machine comparison (Table 5 / Figure 4), which depends on message
-counts, overheads, and bandwidths rather than on the SP-specific
-flow-control machinery.
+bandwidth).  This implementation is an
+:class:`~repro.am.handler.ActiveMessages` transport with those costs and
+a reliable, ordered fabric underneath — the right level of detail for
+the Split-C cross-machine comparison (Table 5 / Figure 4), which depends
+on message counts, overheads, and bandwidths rather than on the
+SP-specific flow-control machinery.
 
 Bulk transfers fragment at 1 KB: large enough that these machines' bulk
 bandwidth is wire-limited (as measured in their AM papers), small enough
@@ -16,12 +16,16 @@ that per-fragment overhead shows up for medium messages.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.am.handler import HandlerRestrictionError, HandlerTable, run_handler
+from repro.am.handler import (
+    ActiveMessages,
+    HandlerRestrictionError,
+    HandlerTable,
+    OpHandle,
+)
 from repro.hardware.packet import PACKET_HEADER_BYTES
-from repro.sim.primitives import TIMED_OUT, Delay, Timeout
+from repro.sim.primitives import TIMED_OUT, Timeout
 from repro.sim.stats import StatRegistry
 
 
@@ -66,57 +70,7 @@ class _Request:
         self.wire_bytes = PACKET_HEADER_BYTES + 4 * nwords
 
 
-class GenericReplyToken:
-    """Reply capability for generic-AM handlers (one reply max)."""
-
-    __slots__ = ("am", "src", "_used")
-
-    def __init__(self, am: "GenericAM", src: int):
-        self.am = am
-        self.src = src
-        self._used = False
-
-    def _claim(self):
-        if self._used:
-            raise HandlerRestrictionError("handler already sent its one reply")
-        self._used = True
-
-    def reply_1(self, handler, a0):
-        """Send the handler's one 1-word reply."""
-        self._claim()
-        return self.am._send_reply(self.src, handler, (a0,))
-
-    def reply_2(self, handler, a0, a1):
-        """Send the handler's one 2-word reply."""
-        self._claim()
-        return self.am._send_reply(self.src, handler, (a0, a1))
-
-    def reply_3(self, handler, a0, a1, a2):
-        """Send the handler's one 3-word reply."""
-        self._claim()
-        return self.am._send_reply(self.src, handler, (a0, a1, a2))
-
-    def reply_4(self, handler, a0, a1, a2, a3):
-        """Send the handler's one 4-word reply."""
-        self._claim()
-        return self.am._send_reply(self.src, handler, (a0, a1, a2, a3))
-
-
-class _OpHandle:
-    """Async-op handle matching SPAM's BulkSendOp surface (.done event)."""
-
-    __slots__ = ("done",)
-
-    def __init__(self, done):
-        self.done = done
-
-    @property
-    def complete(self) -> bool:
-        """Whether the operation's done event has fired."""
-        return self.done.triggered
-
-
-class GenericAM:
+class GenericAM(ActiveMessages):
     """Active Messages with LogP costs on a generic machine."""
 
     FRAGMENT_BYTES = 1024
@@ -124,46 +78,19 @@ class GenericAM:
     def __init__(self, node, handlers: HandlerTable):
         if node.nic is None:
             raise ValueError("GenericAM needs a node with a GenericNIC")
-        self.node = node
+        super().__init__(node, handlers)
         self.nic = node.nic
-        self.handlers = handlers
-        self.sim = node.sim
         self.host = node.host
         self.params = node.nic.params
         self.stats = StatRegistry(f"gam[{node.id}].")
-        self._in_handler = False
-        self._next_token = 1
         self._bulk_recv: Dict[Tuple[int, int], list] = {}
         self._store_waiters: Dict[Tuple[int, int], Any] = {}
         self._get_waiters: Dict[Tuple[int, int], Any] = {}
         self.net_time_accum = 0.0
-        node.am = self
 
     # -- small messages -----------------------------------------------
 
-    def register(self, fn: Callable) -> int:
-        """Register an AM handler (machine-wide id)."""
-        return self.handlers.register(fn)
-
-    def request_1(self, dst, handler, a0):
-        """Send a 1-word request (LogP o_send charged)."""
-        return self._request(dst, handler, (a0,))
-
-    def request_2(self, dst, handler, a0, a1):
-        """Send a 2-word request (LogP o_send charged)."""
-        return self._request(dst, handler, (a0, a1))
-
-    def request_3(self, dst, handler, a0, a1, a2):
-        """Send a 3-word request (LogP o_send charged)."""
-        return self._request(dst, handler, (a0, a1, a2))
-
-    def request_4(self, dst, handler, a0, a1, a2, a3):
-        """Send a 4-word request (LogP o_send charged)."""
-        return self._request(dst, handler, (a0, a1, a2, a3))
-
     def _request(self, dst, handler, args):
-        if self._in_handler:
-            raise HandlerRestrictionError("handlers may not issue requests")
         hid = self.handlers.register(handler)
         msg = _Request(self.node.id, dst, "request", hid, args,
                        nwords=len(args))
@@ -186,31 +113,16 @@ class GenericAM:
 
     # -- bulk ------------------------------------------------------------
 
-    def store(self, dst, local_addr, remote_addr, nbytes,
-              handler: Callable = None, arg: int = 0):
-        """Blocking bulk store (completes on the receiver's ack)."""
-        op = yield from self.store_async(dst, local_addr, remote_addr,
-                                         nbytes, handler, arg)
-        yield from self.wait_op(op)
-        return op
-
-    def wait_op(self, op: "_OpHandle"):
-        """Block until an async bulk op completes."""
-        while not op.done.triggered:
-            yield from self._wait_progress()
-
     def store_async(self, dst, local_addr, remote_addr, nbytes,
                     handler: Callable = None, arg: int = 0,
                     completion_fn: Optional[Callable] = None):
         """Non-blocking bulk store; returns a handle with a .done event."""
-        if self._in_handler:
-            raise HandlerRestrictionError("handlers may not start stores")
+        self._check_transfer("store", nbytes, 0)
         hid = self.handlers.register(handler) if handler is not None else -1
-        token = self._next_token
-        self._next_token += 1
+        token = self._take_token()
         data = self.node.memory.read(local_addr, nbytes)
         done = self.sim.event(f"gam[{self.node.id}].store")
-        handle = _OpHandle(done)
+        handle = OpHandle(done)
         if completion_fn is not None:
             done.add_waiter(lambda _v: completion_fn(handle))
         if nbytes == 0:
@@ -225,25 +137,12 @@ class GenericAM:
         self.stats.count("stores_started")
         return handle
 
-    def get(self, dst, remote_addr, local_addr, nbytes,
-            handler: Callable = None, arg: int = 0):
-        """Blocking bulk get from the remote node's memory."""
-        done = yield from self.get_async(dst, remote_addr, local_addr,
-                                         nbytes, handler, arg)
-        while not done.triggered:
-            yield from self._wait_progress()
-        return done
-
     def get_async(self, dst, remote_addr, local_addr, nbytes,
                   handler: Callable = None, arg: int = 0):
         """Non-blocking get; returns the completion event."""
-        if self._in_handler:
-            raise HandlerRestrictionError("handlers may not start gets")
-        if nbytes <= 0:
-            raise ValueError("get size must be positive")
+        self._check_transfer("get", nbytes, 1)
         hid = self.handlers.register(handler) if handler is not None else -1
-        token = self._next_token
-        self._next_token += 1
+        token = self._take_token()
         done = self.sim.event(f"gam[{self.node.id}].get")
         self._get_waiters[(dst, token)] = done
         yield from self.node.compute(self.params.o_send)
@@ -284,16 +183,11 @@ class GenericAM:
         if isinstance(msg, _Request):
             if msg.kind in ("request", "reply"):
                 fn = self.handlers.lookup(msg.handler)
-                token = GenericReplyToken(self, msg.src)
                 obs = self.nic.obs
                 t0 = self.sim.now
                 if obs is not None:
                     obs.mark_packet(msg, "handler_start", t0)
-                self._in_handler = True
-                try:
-                    yield from run_handler(fn, token, *msg.args)
-                finally:
-                    self._in_handler = False
+                yield from self._run_handler(fn, msg.src, *msg.args)
                 if obs is not None:
                     obs.mark_packet(msg, "handler_end", self.sim.now)
                     obs.hist("am.handler_us").observe(self.sim.now - t0)
@@ -328,13 +222,8 @@ class GenericAM:
                                                 op_token=msg.op_token))
                 if msg.handler >= 0:
                     fn = self.handlers.lookup(msg.handler)
-                    token = GenericReplyToken(self, msg.src)
-                    self._in_handler = True
-                    try:
-                        yield from run_handler(fn, token, msg.addr,
-                                               msg.total_len, *msg.args)
-                    finally:
-                        self._in_handler = False
+                    yield from self._run_handler(fn, msg.src, msg.addr,
+                                                 msg.total_len, *msg.args)
                 self.stats.count("bulk_recv_completed")
             else:
                 self._bulk_recv[key] = got

@@ -139,10 +139,6 @@ class TB2Adapter:
             self.sim.schedule(self.params.length_scan, self._tx_service_cb)
         return armed
 
-    def host_recv_peek(self) -> Optional[Packet]:
-        """Head of the receive queue without consuming it."""
-        return self.recv_fifo.peek()
-
     def host_recv_consume(self) -> Packet:
         """Read the head packet out of the receive queue (host copy cost is
         charged by the poller)."""

@@ -96,10 +96,6 @@ class GenericNIC:
             fn(packet, start + wire)
         self.fabric.deliver(packet, arrive_at)
 
-    def host_recv_peek(self) -> Optional[Packet]:
-        """Head of the receive queue without consuming it."""
-        return self._rx_queue[0] if self._rx_queue else None
-
     def host_recv_consume(self) -> Packet:
         """Pop the head of the receive queue."""
         pkt = self._rx_queue.popleft()

@@ -5,9 +5,9 @@ MPL.  That port funnels the Split-C runtime's communication through MPL
 send/receive, so every fine-grain operation pays MPL's per-message
 software overhead — the very effect Table 5 and Figure 4 quantify.
 
-This shim exposes the same API surface as :class:`repro.am.endpoint.SPAM`
-(request_M / reply via token / store / store_async / get / get_async /
-poll / wait_op), implemented with MPL messages:
+This shim is an :class:`~repro.am.handler.ActiveMessages` transport (the
+same request_M / reply via token / store / store_async / get / get_async /
+poll / wait_op surface as SP AM), implemented with MPL messages:
 
 * requests/replies: one small MPL message carrying (handler, args);
 * stores: one MPL message with a 16-byte header + payload; the receiver
@@ -21,11 +21,15 @@ runtime runs unmodified on top.
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.am.handler import HandlerRestrictionError, HandlerTable, run_handler
+from repro.am.handler import (
+    ActiveMessages,
+    HandlerRestrictionError,
+    HandlerTable,
+    OpHandle,
+)
 from repro.mpl.api import MPL
-from repro.mpl.engine import ANY
 from repro.sim.primitives import TIMED_OUT, Timeout
 from repro.sim.stats import StatRegistry
 
@@ -41,94 +45,21 @@ TAG_REQ_ACK = 0x5C07
 _HDR = struct.Struct("<qqqq")  # handler/addr/len/token — 32-byte header
 
 
-class _OpHandle:
-    __slots__ = ("done",)
-
-    def __init__(self, done):
-        self.done = done
-
-    @property
-    def complete(self) -> bool:
-        """Whether the operation's done event has fired."""
-        return self.done.triggered
-
-
-class MPLReplyToken:
-    """Reply capability inside a handler running over the MPL shim."""
-
-    __slots__ = ("am", "src", "_used")
-
-    def __init__(self, am: "MPLAM", src: int):
-        self.am = am
-        self.src = src
-        self._used = False
-
-    def _claim(self):
-        if self._used:
-            raise HandlerRestrictionError("handler already sent its one reply")
-        self._used = True
-
-    def reply_1(self, handler, a0):
-        """Emulated 1-word reply (one MPL message)."""
-        self._claim()
-        return self.am._send_am(self.src, TAG_REPLY, handler, (a0,))
-
-    def reply_2(self, handler, a0, a1):
-        """Emulated 2-word reply (one MPL message)."""
-        self._claim()
-        return self.am._send_am(self.src, TAG_REPLY, handler, (a0, a1))
-
-    def reply_3(self, handler, a0, a1, a2):
-        """Emulated 3-word reply (one MPL message)."""
-        self._claim()
-        return self.am._send_am(self.src, TAG_REPLY, handler, (a0, a1, a2))
-
-    def reply_4(self, handler, a0, a1, a2, a3):
-        """Emulated 4-word reply (one MPL message)."""
-        self._claim()
-        return self.am._send_am(self.src, TAG_REPLY, handler, (a0, a1, a2, a3))
-
-
-class MPLAM:
+class MPLAM(ActiveMessages):
     """The AM-over-MPL shim on one node (installs itself as ``node.am``)."""
 
     def __init__(self, node, handlers: HandlerTable):
         if node.mpl is None:
             raise ValueError("attach MPL before the AM-over-MPL shim")
-        self.node = node
+        super().__init__(node, handlers)
         self.mpl: MPL = node.mpl
         self.engine = node.mpl.engine
-        self.handlers = handlers
-        self.sim = node.sim
         self.stats = StatRegistry(f"mplam[{node.id}].")
-        self._in_handler = False
-        self._next_token = 1
         self._store_waiters: Dict[int, Any] = {}
         self._get_waiters: Dict[int, Any] = {}
         self._req_ack_waiters: Dict[int, Any] = {}
-        node.am = self
 
     # -- small messages ------------------------------------------------------
-
-    def register(self, fn: Callable) -> int:
-        """Register an AM handler (machine-wide id)."""
-        return self.handlers.register(fn)
-
-    def request_1(self, dst, handler, a0):
-        """Emulated 1-word request (one MPL message + MPL-level ack)."""
-        return self._request(dst, handler, (a0,))
-
-    def request_2(self, dst, handler, a0, a1):
-        """Emulated 2-word request (one MPL message + MPL-level ack)."""
-        return self._request(dst, handler, (a0, a1))
-
-    def request_3(self, dst, handler, a0, a1, a2):
-        """Emulated 3-word request (one MPL message + MPL-level ack)."""
-        return self._request(dst, handler, (a0, a1, a2))
-
-    def request_4(self, dst, handler, a0, a1, a2, a3):
-        """Emulated 4-word request (one MPL message + MPL-level ack)."""
-        return self._request(dst, handler, (a0, a1, a2, a3))
 
     def _request(self, dst, handler, args):
         """Emulated requests are acknowledged at the MPL level: the port
@@ -136,10 +67,7 @@ class MPLAM:
         matching queues, so each request round-trips before the next —
         the dominant cost of Split-C-over-MPL's fine-grain traffic (§3).
         """
-        if self._in_handler:
-            raise HandlerRestrictionError("handlers may not issue requests")
-        token = self._next_token
-        self._next_token += 1
+        token = self._take_token()
         ack = self.sim.event(f"mplam[{self.node.id}].reqack")
         self._req_ack_waiters[token] = ack
         yield from self._send_am(dst, TAG_REQUEST, handler, args, token)
@@ -147,6 +75,10 @@ class MPLAM:
         yield from self.poll()
         while not ack.triggered:
             yield from self._wait_progress()
+
+    def _send_reply(self, dst, handler, args):
+        """Emulated reply: one MPL message."""
+        return self._send_am(dst, TAG_REPLY, handler, args)
 
     def _send_am(self, dst, tag, handler, args, token=0):
         hid = self.handlers.register(handler)
@@ -156,25 +88,15 @@ class MPLAM:
 
     # -- bulk ----------------------------------------------------------------
 
-    def store(self, dst, local_addr, remote_addr, nbytes,
-              handler: Callable = None, arg: int = 0):
-        """Blocking bulk store over one MPL message (+ack)."""
-        op = yield from self.store_async(dst, local_addr, remote_addr,
-                                         nbytes, handler, arg)
-        yield from self.wait_op(op)
-        return op
-
     def store_async(self, dst, local_addr, remote_addr, nbytes,
                     handler: Callable = None, arg: int = 0,
                     completion_fn: Optional[Callable] = None):
         """Non-blocking bulk store over MPL; handle completes on the ack."""
-        if self._in_handler:
-            raise HandlerRestrictionError("handlers may not start stores")
+        self._check_transfer("store", nbytes, 0)
         hid = self.handlers.register(handler) if handler is not None else -1
-        token = self._next_token
-        self._next_token += 1
+        token = self._take_token()
         done = self.sim.event(f"mplam[{self.node.id}].store")
-        handle = _OpHandle(done)
+        handle = OpHandle(done)
         if completion_fn is not None:
             done.add_waiter(lambda _v: completion_fn(handle))
         if nbytes == 0:
@@ -187,29 +109,12 @@ class MPLAM:
         self.stats.count("stores_sent")
         return handle
 
-    def wait_op(self, op: _OpHandle):
-        """Block until an async op's MPL-level ack arrives."""
-        while not op.done.triggered:
-            yield from self._wait_progress()
-
-    def get(self, dst, remote_addr, local_addr, nbytes,
-            handler: Callable = None, arg: int = 0):
-        """Blocking bulk get over an MPL request/data exchange."""
-        done = yield from self.get_async(dst, remote_addr, local_addr,
-                                         nbytes, handler, arg)
-        while not done.triggered:
-            yield from self._wait_progress()
-        return done
-
     def get_async(self, dst, remote_addr, local_addr, nbytes,
                   handler: Callable = None, arg: int = 0):
-        if self._in_handler:
-            raise HandlerRestrictionError("handlers may not start gets")
-        if nbytes <= 0:
-            raise ValueError("get size must be positive")
+        """Non-blocking get over MPL; returns the completion event."""
+        self._check_transfer("get", nbytes, 1)
         hid = self.handlers.register(handler) if handler is not None else -1
-        token = self._next_token
-        self._next_token += 1
+        token = self._take_token()
         done = self.sim.event(f"mplam[{self.node.id}].get")
         self._get_waiters[token] = (done, local_addr, hid, arg)
         msg = _HDR.pack(hid, remote_addr, nbytes, token) + struct.pack(
@@ -262,12 +167,7 @@ class MPLAM:
                 yield from self.engine.send_message(
                     src, struct.pack("<q", req_token), TAG_REQ_ACK)
             fn = self.handlers.lookup(hid)
-            token = MPLReplyToken(self, src)
-            self._in_handler = True
-            try:
-                yield from run_handler(fn, token, *args)
-            finally:
-                self._in_handler = False
+            yield from self._run_handler(fn, src, *args)
             self.stats.count("handlers_run")
         elif tag == TAG_REQ_ACK:
             req_token = struct.unpack("<q", data)[0]
@@ -281,12 +181,7 @@ class MPLAM:
                 src, struct.pack("<q", token_id), TAG_STORE_ACK)
             if hid >= 0:
                 fn = self.handlers.lookup(hid)
-                tok = MPLReplyToken(self, src)
-                self._in_handler = True
-                try:
-                    yield from run_handler(fn, tok, addr, nbytes, 0)
-                finally:
-                    self._in_handler = False
+                yield from self._run_handler(fn, src, addr, nbytes, 0)
         elif tag == TAG_STORE_ACK:
             token_id = struct.unpack("<q", data)[0]
             waiter = self._store_waiters.pop(token_id, None)
@@ -306,12 +201,7 @@ class MPLAM:
                 done, _local, hid2, arg = entry
                 if hid2 >= 0:
                     fn = self.handlers.lookup(hid2)
-                    tok = MPLReplyToken(self, src)
-                    self._in_handler = True
-                    try:
-                        yield from run_handler(fn, tok, addr, nbytes, arg)
-                    finally:
-                        self._in_handler = False
+                    yield from self._run_handler(fn, src, addr, nbytes, arg)
                 done.succeed(None)
         else:  # pragma: no cover - exhaustive
             raise AssertionError(hex(tag))

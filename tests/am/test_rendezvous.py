@@ -19,10 +19,10 @@ def _payload(n, seed=0):
     return bytes((i * 37 + seed) % 256 for i in range(n))
 
 
-def make_pair(xfer_mode, **kw):
+def make_pair(xfer_mode):
     sim = Simulator()
     m = build_sp_machine(sim, 2)
-    am0, am1 = attach_spam(m, xfer_mode=xfer_mode, **kw)
+    am0, am1 = attach_spam(m, xfer_mode=xfer_mode)
     return m, am0, am1
 
 
@@ -66,11 +66,6 @@ class TestModeSelection:
     def test_auto_goes_rendezvous_above_crossover(self):
         m, am0, am1 = make_pair("auto")
         _store(m, am0, am1, RDZV_CROSSOVER + 1)
-        assert am0.stats.get("rts_sent") == 1
-
-    def test_custom_crossover_respected(self):
-        m, am0, am1 = make_pair("auto", rdzv_crossover=1000)
-        _store(m, am0, am1, 1001)
         assert am0.stats.get("rts_sent") == 1
 
 

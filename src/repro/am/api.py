@@ -29,22 +29,14 @@ from repro.hardware.machine import Machine
 
 def attach_spam(
     machine: Machine, costs: Optional[AMCosts] = None,
-    xfer_mode: str = "eager",
 ) -> List[SPAM]:
-    """Install SP AM on every node of an SP machine.
-
-    ``xfer_mode`` selects the large-message strategy for stores: "eager"
-    (the chunk protocol, default), "rendezvous" (RTS/CTS + simulated
-    RDMA), or "auto" (rendezvous above one chunk, ``RDZV_CROSSOVER`` =
-    8064 bytes).
-    """
+    """Install SP AM on every node of an SP machine."""
     if not machine.is_sp:
         raise ValueError(
             f"{machine.params.name!r} is not an SP; use attach_generic_am"
         )
     table = HandlerTable()
-    return [SPAM(node, table, costs, xfer_mode=xfer_mode)
-            for node in machine.nodes]
+    return [SPAM(node, table, costs) for node in machine.nodes]
 
 
 def attach_generic_am(machine: Machine) -> List[GenericAM]:
@@ -57,12 +49,8 @@ def attach_generic_am(machine: Machine) -> List[GenericAM]:
     return [GenericAM(node, table) for node in machine.nodes]
 
 
-def attach_am(machine: Machine,
-              xfer_mode: str = "eager") -> List[ActiveMessages]:
-    """Install the right AM implementation for the machine kind.
-
-    ``xfer_mode`` only applies to the SP implementation; the generic
-    (LogP-cost) AM has no chunk protocol to switch."""
+def attach_am(machine: Machine) -> List[ActiveMessages]:
+    """Install the right AM implementation for the machine kind."""
     if machine.is_sp:
-        return attach_spam(machine, xfer_mode=xfer_mode)
+        return attach_spam(machine)
     return attach_generic_am(machine)

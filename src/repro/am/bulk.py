@@ -52,7 +52,6 @@ class BulkSendOp:
         handler_args: Tuple[int, ...],
         done: Event,
         completion_fn: Optional[Callable[["BulkSendOp"], None]] = None,
-        rdzv: bool = False,
     ):
         self.token = token
         self.dst = dst
@@ -66,20 +65,6 @@ class BulkSendOp:
         self.acked_chunks = 0
         self.done = done
         self.completion_fn = completion_fn
-        #: rendezvous mode: the transfer starts with an RTS/CTS handshake
-        #: and the payload goes out as RDMA_DATA + a trailing RDMA_FIN
-        self.rdzv = rdzv
-        #: sequence number the RTS went out under (-1 = not sent yet);
-        #: the stall watchdog retransmits the saved clone under this key
-        self.rts_seq = -1
-        #: when the RTS (or its last stall retransmission) went out
-        self.rts_sent_t = float("-inf")
-        #: set when the peer's CTS arrives; gates the RDMA pump
-        self.cts_granted = False
-        self.fin_sent = False
-        #: the op completes only once the FIN is acknowledged too — the
-        #: FIN is what fires the remote completion handler exactly once
-        self.fin_acked = False
 
     @property
     def total_chunks(self) -> int:

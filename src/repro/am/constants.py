@@ -29,9 +29,6 @@ __all__ = [
     "CHUNK_PACKETS",
     "PACKET_PAYLOAD_BYTES",
     "ACK_FRACTION",
-    "RDZV_CROSSOVER",
-    "XFER_MODES",
-    "RDMA_HEADER_BYTES",
     "AMCosts",
 ]
 
@@ -47,23 +44,6 @@ REPLY_WINDOW = 2 * CHUNK_PACKETS + 4        # 76
 #: traffic reaches window/ACK_FRACTION (§2.2: "when one-quarter of the
 #: window remains unacknowledged")
 ACK_FRACTION = 4
-
-#: eager/rendezvous crossover in bytes for ``xfer_mode="auto"``: stores
-#: strictly larger than this go rendezvous.  One chunk is the natural
-#: boundary — below it the RTS/CTS round trip (~one AM RTT, 51 us)
-#: cannot be amortized against the saved per-packet receiver work
-RDZV_CROSSOVER = CHUNK_BYTES
-
-#: accepted values of the endpoint's ``xfer_mode`` knob
-XFER_MODES = ("eager", "rendezvous", "auto")
-
-#: on-wire header of an RDMA_DATA packet.  Once the CTS has pinned the
-#: destination region, the DMA stream needs only route + sequence +
-#: intra-chunk offset + op token + CRC — no handler id, no argument
-#: words, no piggybacked acks (control rides RTS/CTS/FIN/ACK packets).
-#: The leaner framing is the same effect that gives MPL's 30-byte header
-#: its bandwidth edge over AM's 32 (Table 3), taken further.
-RDMA_HEADER_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -117,18 +97,3 @@ class AMCosts:
     #: per-packet receiver cost of copying bulk payload to the user buffer
     #: is charged via HostParams.copy_rate; this is the fixed part
     bulk_recv_fixed: float = 0.3
-    #: building an RTS (advertising length + source region) — like a
-    #: small request minus the handler-argument marshalling
-    rts_fixed: float = 3.0
-    #: receiver-side CTS service: allocate the destination region, build
-    #: and send the grant
-    cts_fixed: float = 2.5
-    #: per-packet sender cost of descriptor-driven RDMA streaming — the
-    #: host only rings the DMA engine, it never copies or flushes the
-    #: payload through the FIFO entry, so this is far below
-    #: store_per_packet (the crossover exists because of this gap)
-    rdma_per_packet: float = 0.6
-    #: fixed sender cost of posting one RDMA chunk descriptor
-    rdma_post_fixed: float = 1.2
-    #: receiver-side completion bookkeeping when the FIN arrives
-    fin_process: float = 1.0

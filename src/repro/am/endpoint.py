@@ -32,13 +32,10 @@ from repro.am.constants import (
     ACK_FRACTION,
     AMCosts,
     PACKET_PAYLOAD_BYTES,
-    RDMA_HEADER_BYTES,
-    RDZV_CROSSOVER,
     REPLY_CHANNEL,
     REPLY_WINDOW,
     REQUEST_CHANNEL,
     REQUEST_WINDOW,
-    XFER_MODES,
 )
 from repro.am.handler import (
     ActiveMessages,
@@ -65,13 +62,6 @@ _ACK = PacketKind.ACK
 _NACK = PacketKind.NACK
 _KEEPALIVE = PacketKind.KEEPALIVE
 _RAW = PacketKind.RAW
-_RTS = PacketKind.RTS
-_CTS = PacketKind.CTS
-_RDMA_DATA = PacketKind.RDMA_DATA
-_RDMA_FIN = PacketKind.RDMA_FIN
-
-#: sentinel chunk index marking a rendezvous FIN in ``pending_units``
-_FIN_UNIT = -2
 
 #: send-FIFO backpressure retry: the adapter drains an entry every ~6.5 us
 _FIFO_BACKOFF = Delay(3.3)
@@ -98,37 +88,6 @@ class _DelayCache(dict):
         return d
 
 
-class _RdmaGrant:
-    """Receiver-side record of one granted rendezvous destination region.
-
-    Created when an RTS is delivered (CTS goes back immediately or from a
-    later poll), written into by the RDMA landing path, and released
-    exactly once when the FIN is delivered.  ``progress_t`` feeds the
-    rendezvous stall watchdog: a grant with no landings for the stall
-    timeout either retransmits its CTS (the sender never started — the
-    CTS was lost) or NACKs the sender (tail loss after the last data
-    packet, which produces no sequence gap the normal path could see).
-    """
-
-    __slots__ = ("src", "token", "addr", "total_len", "received",
-                 "handler", "handler_args", "cts_seq", "granted_t",
-                 "progress_t", "stall_nack_t")
-
-    def __init__(self, src: int, token: int, addr: int, total_len: int,
-                 handler: int, handler_args: Tuple[int, ...], now: float):
-        self.src = src
-        self.token = token
-        self.addr = addr
-        self.total_len = total_len
-        self.received = 0
-        self.handler = handler
-        self.handler_args = handler_args
-        self.cts_seq = -1
-        self.granted_t = now
-        self.progress_t = now
-        self.stall_nack_t = float("-inf")
-
-
 class _PeerState:
     """Everything one endpoint tracks about one remote node."""
 
@@ -147,12 +106,8 @@ class _PeerState:
 class SPAM(ActiveMessages):
     """SP Active Messages on one node.  Access as ``node.am``."""
 
-    def __init__(self, node, handlers: HandlerTable, costs: Optional[AMCosts] = None,
-                 xfer_mode: str = "eager"):
-        if xfer_mode not in XFER_MODES:
-            raise ValueError(
-                f"xfer_mode must be one of {XFER_MODES}, got {xfer_mode!r}"
-            )
+    def __init__(self, node, handlers: HandlerTable,
+                 costs: Optional[AMCosts] = None):
         entries = node.adapter.send_fifo.entries
         if entries < self.ARM_BATCH:
             # bulk sends stage a whole arm batch before arming it, and the
@@ -164,10 +119,6 @@ class SPAM(ActiveMessages):
         super().__init__(node, handlers)
         self.adapter = node.adapter
         self.costs = costs if costs is not None else AMCosts()
-        #: large-message strategy: "eager" (chunk protocol through the
-        #: host path, the default), "rendezvous" (RTS/CTS + simulated
-        #: RDMA), or "auto" (rendezvous above ``RDZV_CROSSOVER`` bytes)
-        self.xfer_mode = xfer_mode
         self.host = node.host
         self.stats = StatRegistry(f"am[{node.id}].")
         self._peers: Dict[int, _PeerState] = {}
@@ -185,24 +136,6 @@ class SPAM(ActiveMessages):
         self._raw_inbox: Deque[Packet] = deque()
         #: blocking-get completion events, keyed like _bulk_recv
         self._get_waiters: Dict[Tuple[int, int], Any] = {}
-        #: rendezvous grants this node is receiving into, keyed by
-        #: (src, op_token); released exactly once at FIN delivery
-        self._rdma_grants: Dict[Tuple[int, int], _RdmaGrant] = {}
-        #: grants whose CTS could not go out when the RTS was delivered
-        #: (reply window or send FIFO full); drained by _do_duties
-        self._deferred_cts: Deque[Tuple[int, int]] = deque()
-        #: peers owed a chunk ack for RDMA landings (the DMA path runs
-        #: with no host CPU, so the ack is a poll-time duty)
-        self._rdma_ack_due: set = set()
-        #: last RDMA landing time per source.  The tail-loss watchdog
-        #: keys off the per-peer *stream*, not individual grants: a
-        #: pipelined sender interleaves chunks of several ops, so any one
-        #: grant may legitimately sit idle while the channel is flowing
-        self._rdma_stream_t: Dict[int, float] = {}
-        #: last stall-NACK time per source (rate limit, one per timeout)
-        self._rdma_stall_nack_t: Dict[int, float] = {}
-        #: rendezvous-invariant checker (repro.check), None when unchecked
-        self.rdma_check = None
         self._sendable_ops_dirty = False
         #: keep-alive backoff: doubles while probes go unanswered (peers
         #: deep in compute phases), resets on any ack progress
@@ -257,9 +190,6 @@ class SPAM(ActiveMessages):
         self._occ_hist = None
         self._occ_series = self.stats.series("window_occupancy")
         self._handler_hist = None
-        #: RDMA landings bypass the host path entirely — the adapter hands
-        #: them to this sink at visible time
-        self.adapter.rdma_sink = self._rdma_land
 
     # ------------------------------------------------------------------
     # the transport under the GAM 1.1 API — all generators
@@ -281,13 +211,8 @@ class SPAM(ActiveMessages):
         # completion handler receives them after (addr, nbytes) — this is
         # how MPI's buffered protocol ships its envelope (§4.1)
         handler_args = arg if isinstance(arg, tuple) else (arg,)
-        mode = self.xfer_mode
-        rdzv = (nbytes > 0
-                and (mode == "rendezvous"
-                     or (mode == "auto" and nbytes > RDZV_CROSSOVER)))
         op = BulkSendOp(self._take_token(), dst, REQUEST_CHANNEL, data,
-                        remote_addr, hid, handler_args, done, completion_fn,
-                        rdzv=rdzv)
+                        remote_addr, hid, handler_args, done, completion_fn)
         self.stats.count("stores_started")
         if op.total_chunks == 0:
             done.succeed(op)
@@ -295,10 +220,7 @@ class SPAM(ActiveMessages):
                 completion_fn(op)
             return op
         self._active_sends.append(op)
-        if rdzv:
-            yield from self._send_rts(op)
-        else:
-            yield from self._pump_send(op)
+        yield from self._pump_send(op)
         return op
 
     def get_async(self, dst: int, remote_addr: int, local_addr: int,
@@ -501,10 +423,6 @@ class SPAM(ActiveMessages):
 
     def _pump_send(self, op: BulkSendOp):
         """Transmit every chunk the pipeline and window currently allow."""
-        if op.rdzv:
-            yield from self._pump_rdzv(op)
-            return
-        c = self.costs
         peer = self._peer(op.dst)
         win = peer.send[op.channel]
         while op.sendable_now():
@@ -579,141 +497,6 @@ class SPAM(ActiveMessages):
         peer.pending_units[op.channel].append((seq + npk, op, idx))
         self.stats.count("chunks_sent")
         self.stats.count("bulk_packets_sent", npk)
-
-    # ------------------------------------------------------------------
-    # rendezvous (RTS/CTS + simulated RDMA) sender side
-    # ------------------------------------------------------------------
-
-    def _send_rts(self, op: BulkSendOp):
-        """Advertise the transfer: length + destination region + token.
-
-        The RTS is a sequenced request-channel packet, so loss recovery
-        rides the normal machinery; additionally the rendezvous stall
-        watchdog retransmits a clone of it if no CTS shows up within
-        the assembly-stall timeout.
-        """
-        c = self.costs
-        peer = self._peer(op.dst)
-        win = peer.send[REQUEST_CHANNEL]
-        while not (win.can_send(1) and self.adapter.host_can_stage(1)):
-            yield from self._wait_progress()
-        pkt = Packet(src=self.node.id, dst=op.dst, kind=PacketKind.RTS,
-                     channel=REQUEST_CHANNEL, handler=op.handler,
-                     args=op.handler_args, addr=op.remote_addr,
-                     total_len=len(op.data), op_token=op.token)
-        obs = self.adapter.obs
-        if obs is not None:
-            obs.begin_message(pkt, self.sim.now)
-        node = self.node
-        cost = (c.rts_fixed + flush_cost(pkt.wire_bytes, self.host)
-                + self.host.mc_pio)
-        node.cpu_busy_us += cost
-        yield Delay(cost)
-        seq = self._stage_small(pkt, peer, win)
-        op.rts_seq = seq
-        op.rts_sent_t = self.sim.now
-        node.cpu_busy_us += c.save_retransmit
-        yield self._save_retx_delay
-        win.save(seq, [pkt])
-        self.stats.count("rts_sent")
-
-    def _pump_rdzv(self, op: BulkSendOp):
-        """Stream granted RDMA chunks; queue the FIN after the last one."""
-        if not op.cts_granted:
-            return
-        peer = self._peer(op.dst)
-        win = peer.send[op.channel]
-        while op.sendable_now():
-            npk = packets_in_chunk(op.chunks[op.next_chunk][1])
-            if not win.can_send(npk):
-                break
-            idx, off, length = op.take_chunk()
-            yield from self._send_rdma_chunk(op, peer, win, idx, off,
-                                             length, npk)
-        if (op.next_chunk >= op.total_chunks and not op.fin_sent
-                and win.can_send(1) and self.adapter.host_can_stage(1)):
-            yield from self._send_fin(op, peer, win)
-
-    def _send_rdma_chunk(self, op, peer, win, idx, off, length, npk):
-        """Post one chunk of RDMA_DATA descriptors.
-
-        Far cheaper than :meth:`_send_chunk`: the host rings the DMA
-        engine with a descriptor per packet but never copies or flushes
-        the payload through a FIFO entry — this cost gap (rdma_per_packet
-        vs store_per_packet + flush) is what the crossover buys.
-        """
-        c = self.costs
-        seq = win.allocate(npk)
-        if self.adapter.obs is not None:
-            self._note_occupancy(win)
-        packets: List[Packet] = []
-        for poff in range(0, length, PACKET_PAYLOAD_BYTES):
-            payload = op.data[off + poff: off + min(poff + PACKET_PAYLOAD_BYTES, length)]
-            # lean framing, no piggybacked acks: the granted region is
-            # pinned, so each packet carries only what the DMA engine
-            # needs (the FIN/control packets carry this op's acks)
-            pkt = Packet(src=self.node.id, dst=op.dst,
-                         kind=PacketKind.RDMA_DATA,
-                         channel=op.channel, seq=seq,
-                         payload=payload, addr=op.remote_addr,
-                         offset=off + poff, total_len=len(op.data),
-                         chunk_packets=npk, op_token=op.token,
-                         header_bytes=RDMA_HEADER_BYTES)
-            packets.append(pkt)
-        node = self.node
-        adapter = self.adapter
-        host = self.host
-        mc_pio_delay = self._mc_pio_delay
-        node.cpu_busy_us += c.rdma_post_fixed
-        yield Delay(c.rdma_post_fixed)
-        per_packet = c.rdma_per_packet
-        staged = 0
-        for p in packets:
-            node.cpu_busy_us += per_packet
-            yield Delay(per_packet)
-            while not adapter.host_can_stage(1):
-                # adapter TX backpressure: the DMA engine shares the send
-                # pipeline with everything else on this node
-                yield _FIFO_BACKOFF
-            adapter.host_stage(p)
-            staged += 1
-            if staged % self.ARM_BATCH == 0:
-                node.cpu_busy_us += host.mc_pio
-                yield mc_pio_delay
-                adapter.host_arm()
-        if staged % self.ARM_BATCH:
-            node.cpu_busy_us += host.mc_pio
-            yield mc_pio_delay
-            adapter.host_arm()
-        win.save(seq, packets)
-        peer.pending_units[op.channel].append((seq + npk, op, idx))
-        self.stats.count("rdma_chunks_sent")
-        self.stats.count("rdma_packets_sent", npk)
-
-    def _send_fin(self, op, peer, win):
-        """Completion notification, sequenced after the last RDMA_DATA:
-        in-order window delivery guarantees the receiver sees it only
-        once every payload packet has landed (or go-back-N re-sends)."""
-        c = self.costs
-        pkt = Packet(src=self.node.id, dst=op.dst, kind=PacketKind.RDMA_FIN,
-                     channel=op.channel, handler=op.handler,
-                     args=op.handler_args, addr=op.remote_addr,
-                     total_len=len(op.data), op_token=op.token)
-        obs = self.adapter.obs
-        if obs is not None:
-            obs.begin_message(pkt, self.sim.now)
-        node = self.node
-        cost = (c.ack_send + flush_cost(pkt.wire_bytes, self.host)
-                + self.host.mc_pio)
-        node.cpu_busy_us += cost
-        yield Delay(cost)
-        seq = self._stage_small(pkt, peer, win)
-        node.cpu_busy_us += c.save_retransmit
-        yield self._save_retx_delay
-        win.save(seq, [pkt])
-        op.fin_sent = True
-        peer.pending_units[op.channel].append((seq + 1, op, _FIN_UNIT))
-        self.stats.count("fins_sent")
 
     # ------------------------------------------------------------------
     # the poll loop
@@ -840,12 +623,6 @@ class SPAM(ActiveMessages):
         kind = pkt.kind
         if kind is _GET_REQUEST:
             yield from self._process_get_request(pkt)
-        elif kind is _RTS:
-            yield from self._process_rts(pkt)
-        elif kind is _CTS:
-            yield from self._process_cts(pkt)
-        elif kind is _RDMA_FIN:
-            yield from self._process_fin(pkt)
         elif kind is _ACK:
             pass  # carried only its ack fields, already applied
         elif kind is _NACK:
@@ -882,12 +659,8 @@ class SPAM(ActiveMessages):
     def _complete_units(self, peer: _PeerState, channel: int, ack: int):
         pending = peer.pending_units[channel]
         while pending and pending[0][0] <= ack:
-            _end, op, idx = pending.pop(0)
-            if idx == _FIN_UNIT:
-                op.fin_acked = True
-                if op.complete:
-                    self._finish_send_op(op)
-            elif op.on_chunk_acked() and (not op.rdzv or op.fin_acked):
+            _end, op, _idx = pending.pop(0)
+            if op.on_chunk_acked():
                 self._finish_send_op(op)
             self._sendable_ops_dirty = True
 
@@ -927,182 +700,6 @@ class SPAM(ActiveMessages):
                     h = self._handler_hist = obs.hist("am.handler_us")
                 h.observe(self.sim.now - t0)
         self.stats.count("bulk_recv_completed")
-
-    # ------------------------------------------------------------------
-    # rendezvous (RTS/CTS + simulated RDMA) receiver side
-    # ------------------------------------------------------------------
-
-    def _process_rts(self, pkt: Packet):
-        """RTS delivered: grant the destination region and send the CTS."""
-        peer = self._peer(pkt.src)
-        rwin = peer.recv[pkt.channel]
-        verdict, _ = rwin.accept(pkt)
-        if verdict == "duplicate":
-            # a stalled sender re-sent its RTS; if our CTS is still
-            # unacked the CTS was probably lost — re-send the saved CTS
-            # instead of waiting out our own stall timer
-            self.stats.count("duplicates_dropped")
-            grant = self._rdma_grants.get((pkt.src, pkt.op_token))
-            if grant is not None and grant.cts_seq >= 0:
-                unit = peer.send[REPLY_CHANNEL]._saved.get(grant.cts_seq)
-                if unit is not None:
-                    yield from self._retransmit_unit(peer, unit)
-                    self.stats.count("cts_retransmits")
-            return
-        if verdict == "nack":
-            yield from self._send_nack(pkt.src, rwin)
-            return
-        grant = _RdmaGrant(pkt.src, pkt.op_token, pkt.addr, pkt.total_len,
-                           pkt.handler, pkt.args, self.sim.now)
-        self._rdma_grants[(pkt.src, pkt.op_token)] = grant
-        if self.rdma_check is not None:
-            self.rdma_check.on_grant(self, grant)
-        self.stats.count("rts_received")
-        win = peer.send[REPLY_CHANNEL]
-        if win.can_send(1) and self.adapter.host_can_stage(1):
-            yield from self._emit_cts(pkt.src, grant)
-        else:
-            # reply window or FIFO full: a later poll sends it (blocking
-            # here would wedge the drain loop that frees the window)
-            self._deferred_cts.append((pkt.src, pkt.op_token))
-            self.stats.count("cts_deferred")
-
-    def _emit_cts(self, dst: int, grant: _RdmaGrant):
-        """Build + send the clear-to-send carrying the granted region."""
-        c = self.costs
-        peer = self._peer(dst)
-        win = peer.send[REPLY_CHANNEL]
-        pkt = Packet(src=self.node.id, dst=dst, kind=PacketKind.CTS,
-                     channel=REPLY_CHANNEL, addr=grant.addr,
-                     total_len=grant.total_len, op_token=grant.token)
-        obs = self.adapter.obs
-        if obs is not None:
-            obs.begin_message(pkt, self.sim.now)
-        node = self.node
-        cost = (c.cts_fixed + flush_cost(pkt.wire_bytes, self.host)
-                + self.host.mc_pio)
-        node.cpu_busy_us += cost
-        yield Delay(cost)
-        seq = self._stage_small(pkt, peer, win)
-        grant.cts_seq = seq
-        grant.progress_t = self.sim.now
-        node.cpu_busy_us += c.save_retransmit
-        yield self._save_retx_delay
-        win.save(seq, [pkt])
-        self.stats.count("cts_sent")
-
-    def _process_cts(self, pkt: Packet):
-        """CTS delivered at the sender: open the RDMA pump."""
-        peer = self._peer(pkt.src)
-        rwin = peer.recv[pkt.channel]
-        verdict, _ = rwin.accept(pkt)
-        if verdict == "duplicate":
-            self.stats.count("duplicates_dropped")
-            return
-        if verdict == "nack":
-            yield from self._send_nack(pkt.src, rwin)
-            return
-        op = None
-        for cand in self._active_sends:
-            if (cand.rdzv and cand.dst == pkt.src
-                    and cand.token == pkt.op_token):
-                op = cand
-                break
-        if op is None or op.cts_granted:
-            # the op already completed or this CTS re-delivered after a
-            # window resync; nothing to grant
-            self.stats.count("stale_cts_dropped")
-            return
-        op.cts_granted = True
-        self.stats.count("cts_received")
-        # ack the CTS explicitly: RDMA_DATA carries no piggybacked acks,
-        # so nothing else would ack it until the FIN — leaving the
-        # receiver's grant watchdog unable to tell "CTS lost" from "CTS
-        # fine, stream long (or queued behind earlier ops)"
-        yield from self._send_ack(pkt.src)
-        yield from self._pump_rdzv(op)
-
-    def _rdma_land(self, pkt: Packet) -> None:
-        """RDMA_DATA landing — called by the adapter at visible time.
-
-        Runs with **zero host CPU** (plain callback, no generator): the
-        DMA engine writes the granted region directly.  Acks and NACKs it
-        provokes are deferred to the host's poll loop via duty flags.  A
-        sequence gap here may just mean older sequenced traffic is still
-        sitting unpolled in the receive FIFO ahead of this landing, so a
-        gap drops the packet silently and leaves recovery to the grant
-        stall watchdog (a real loss shows up as no-progress).
-        """
-        self._apply_acks(pkt)
-        peer = self._peers.get(pkt.src)
-        if peer is None:
-            peer = self._peer(pkt.src)
-        rwin = peer.recv[pkt.channel]
-        verdict, _ = rwin.accept(pkt)
-        now = self.sim.now
-        if rwin._assembly is not None and verdict in ("partial", "duplicate"):
-            rwin.assembly_progress_t = now
-        if verdict == "deliver" or verdict == "partial":
-            self._rdma_stream_t[pkt.src] = now
-            grant = self._rdma_grants.get((pkt.src, pkt.op_token))
-            if self.rdma_check is not None:
-                self.rdma_check.on_write(self, grant, pkt)
-            if grant is None:
-                # no active grant: the write has nowhere legal to land
-                # (the sanitizer flags this as a CTS-before-write breach)
-                self.stats.count("rdma_orphan_writes")
-                return
-            # the engine writes the *granted* region — the per-packet
-            # address is never trusted after the CTS pinned the target
-            self.node.memory.write(grant.addr + pkt.offset, pkt.payload)
-            grant.received += len(pkt.payload)
-            grant.progress_t = now
-            if verdict == "deliver":
-                # one explicit ack per completed chunk, sent host-side
-                self._rdma_ack_due.add(pkt.src)
-        elif verdict == "duplicate":
-            self.stats.count("duplicates_dropped")
-        else:
-            self.stats.count("rdma_out_of_order_dropped")
-
-    def _process_fin(self, pkt: Packet):
-        """FIN delivered: release the grant, run the completion handler
-        exactly once, and ack so the sender's op can finish."""
-        peer = self._peer(pkt.src)
-        rwin = peer.recv[pkt.channel]
-        verdict, _ = rwin.accept(pkt)
-        if verdict == "duplicate":
-            self.stats.count("duplicates_dropped")
-            return
-        if verdict == "nack":
-            yield from self._send_nack(pkt.src, rwin)
-            return
-        yield from self.node.compute(self.costs.fin_process)
-        grant = self._rdma_grants.pop((pkt.src, pkt.op_token), None)
-        if self.rdma_check is not None:
-            self.rdma_check.on_fin(self, grant, pkt)
-        if grant is None:
-            # in-order delivery makes a FIN without a grant a protocol
-            # breach (flagged above), not a recoverable condition
-            self.stats.count("fin_without_grant")
-            return
-        if grant.handler >= 0:
-            fn = self.handlers.lookup(grant.handler)
-            obs = self.adapter.obs
-            t0 = self.sim.now
-            if obs is not None:
-                obs.mark_packet(pkt, "handler_start", t0)
-            yield from self._run_handler(fn, grant.src, grant.addr,
-                                         grant.total_len, *grant.handler_args)
-            if obs is not None:
-                obs.mark_packet(pkt, "handler_end", self.sim.now)
-                h = self._handler_hist
-                if h is None:
-                    h = self._handler_hist = obs.hist("am.handler_us")
-                h.observe(self.sim.now - t0)
-        self.stats.count("rdma_recv_completed")
-        # prompt ack: the sender is blocked on exactly this
-        yield from self._send_ack(pkt.src)
 
     def _process_get_request(self, pkt: Packet):
         peer = self._peer(pkt.src)
@@ -1216,15 +813,8 @@ class SPAM(ActiveMessages):
         """
         if self._deferred_replies or self._sendable_ops_dirty:
             return True
-        if self._deferred_cts or self._rdma_ack_due:
-            return True
-        if self._rdma_grants:
-            return True  # the rendezvous stall watchdog needs the check
         if self._rx_duty:
             return True  # an explicit ack or an assembly stall check
-        for op in self._active_sends:
-            if op.rdzv and not op.cts_granted:
-                return True  # AWAIT_CTS stall watchdog
         return False
 
     def _do_duties(self):
@@ -1238,24 +828,6 @@ class SPAM(ActiveMessages):
                 break
             self._deferred_replies.popleft()
             yield from self._emit_reply(dst, hid, args)
-        while self._deferred_cts:
-            src, token = self._deferred_cts[0]
-            grant = self._rdma_grants.get((src, token))
-            if grant is None:
-                self._deferred_cts.popleft()  # released before we could send
-                continue
-            win = self._peer(src).send[REPLY_CHANNEL]
-            if not (win.can_send(1) and self.adapter.host_can_stage(1)):
-                break
-            self._deferred_cts.popleft()
-            yield from self._emit_cts(src, grant)
-        while self._rdma_ack_due:
-            # lowest peer id first: deterministic duty order regardless of
-            # set-iteration quirks (digest stability)
-            dst = min(self._rdma_ack_due)
-            self._rdma_ack_due.discard(dst)
-            yield from self._send_ack(dst)
-            self.stats.count("chunk_acks_sent")
         for dst, peer in self._peers.items():
             # open-coded explicit_ack_due, once per channel (hot loop)
             r_req, r_rep = peer.recv
@@ -1264,15 +836,10 @@ class SPAM(ActiveMessages):
             if r_rep.unacked_count >= r_rep.ack_threshold:
                 yield from self._send_ack(dst)
         yield from self._check_stalled_assemblies()
-        yield from self._check_rdzv_stalls()
         if self._sendable_ops_dirty:
             self._sendable_ops_dirty = False
             for op in list(self._active_sends):
-                # a rendezvous op with every chunk staged still owes its
-                # FIN (sendable_now is False then, but the pump sends it
-                # once window credit frees up)
-                if op.sendable_now() or (op.rdzv and op.cts_granted
-                                         and not op.fin_sent):
+                if op.sendable_now():
                     yield from self._pump_send(op)
         for rwin in list(self._rx_duty):
             if (rwin.unacked_count < rwin.ack_threshold
@@ -1307,103 +874,9 @@ class SPAM(ActiveMessages):
                     yield from self._send_control(dst, PacketKind.NACK)
                     self.stats.count("stall_nacks_sent")
 
-    def _check_rdzv_stalls(self):
-        """Mid-handshake and tail-loss recovery for rendezvous (§2.2 style).
-
-        Three losses produce no sequence gap the normal NACK path could
-        see, so each gets a watchdog on the assembly-stall clock:
-
-        * **RTS lost** — the sender sits in AWAIT_CTS; after the stall
-          timeout it retransmits the saved RTS.
-        * **CTS lost** — the receiver's grant sees no landings; it
-          retransmits the saved CTS (the sender's duplicate-RTS
-          retransmissions also trigger this, whichever clock fires first).
-        * **FIN / tail data lost** — the grant has (some) data but stalls;
-          the receiver NACKs with its expected values and the sender
-          goes-back-N over the missing RDMA_DATA/FIN packets.
-        """
-        threshold = self.costs.assembly_stall_timeout
-        now = self.sim.now
-        for op in self._active_sends:
-            if not op.rdzv or op.cts_granted:
-                continue
-            if now - op.rts_sent_t < threshold:
-                continue
-            peer = self._peer(op.dst)
-            unit = peer.send[REQUEST_CHANNEL]._saved.get(op.rts_seq)
-            op.rts_sent_t = now
-            if unit is None:
-                # RTS already acked: the CTS is in flight (or lost — the
-                # receiver-side grant watchdog owns that case)
-                continue
-            yield from self._retransmit_unit(peer, unit)
-            self.stats.count("rts_retransmits")
-        nack_srcs = set()
-        for (src, _token), grant in list(self._rdma_grants.items()):
-            if grant.received == 0:
-                # stream never started for this grant.  If its CTS is
-                # still unacked, assume the CTS was lost and retransmit
-                # it; if it was acked, the sender has the grant and is
-                # merely busy (queued behind earlier pipelined ops) or
-                # lost *everything* it sent — the sender's own keep-alive
-                # probe recovers that case, so a NACK here would only
-                # trigger spurious go-back-N storms.
-                if (now - grant.progress_t < threshold
-                        or now - grant.stall_nack_t < threshold):
-                    continue
-                peer = self._peer(src)
-                unit = (peer.send[REPLY_CHANNEL]._saved.get(grant.cts_seq)
-                        if grant.cts_seq >= 0 else None)
-                if unit is not None:
-                    grant.stall_nack_t = now
-                    yield from self._retransmit_unit(peer, unit)
-                    self.stats.count("cts_retransmits")
-                continue
-            # this grant's stream started — judge silence on the whole
-            # per-peer stream, not the grant: a pipelined sender
-            # interleaves chunks of several ops, so one grant sitting
-            # idle while another lands is progress, not loss
-            if now - self._rdma_stream_t.get(src, grant.progress_t) < threshold:
-                continue
-            if now - self._rdma_stall_nack_t.get(src, float("-inf")) < threshold:
-                continue
-            nack_srcs.add(src)
-        for src in sorted(nack_srcs):
-            # the stream went silent mid-transfer: tail data or FIN lost
-            # — NACK so the sender goes-back-N from our expected values
-            self._rdma_stall_nack_t[src] = now
-            rwin = self._peer(src).recv[REQUEST_CHANNEL]
-            rwin.nack_outstanding = True
-            yield from self._send_control(src, PacketKind.NACK)
-            self.stats.count("rdzv_stall_nacks_sent")
-
-    def _retransmit_unit(self, peer: _PeerState, unit: List[Packet]):
-        """Re-stage saved control packets (RTS/CTS stall retransmission).
-
-        Clones go on the wire, ack fields re-stamped — same aliasing rule
-        as :meth:`_process_nack`.
-        """
-        for old in unit:
-            while not self.adapter.host_can_stage(1):
-                yield Delay(2.0)
-            rt = old.clone()
-            self._stamp_acks(rt, peer)
-            yield from self.node.compute(
-                self.costs.ack_send + flush_cost(rt.wire_bytes, self.host)
-                + self.host.mc_pio
-            )
-            self.adapter.host_stage(rt)
-            self.adapter.host_arm()
-        self.stats.count("retransmissions", len(unit))
-
     def _stall_wait_cap(self) -> Optional[float]:
-        """How long _wait_progress may sleep before a stall watchdog
-        (partial assembly, AWAIT_CTS, or active grant) must run again."""
-        if self._rdma_grants:
-            return self.costs.assembly_stall_timeout
-        for op in self._active_sends:
-            if op.rdzv and not op.cts_granted:
-                return self.costs.assembly_stall_timeout
+        """How long _wait_progress may sleep before the stalled-assembly
+        watchdog must run again."""
         for rwin in self._rx_duty:
             if rwin._assembly is not None:
                 return self.costs.assembly_stall_timeout
@@ -1412,15 +885,13 @@ class SPAM(ActiveMessages):
     def drained(self) -> bool:
         """Is nothing on this endpoint awaiting recovery or service?
 
-        Node-local: no active sends, deferred replies, RDMA grants,
-        deferred CTS or owed RDMA acks; the send FIFO empty; no receive-FIFO
-        slot visible or mid-DMA; and per peer, no unacked send window and
-        no partial chunk assembly.  Traffic still in the fabric is not
-        visible here; a quiesce loop sees it as a packet arrival.
+        Node-local: no active sends or deferred replies; the send FIFO
+        empty; no receive-FIFO slot visible or mid-DMA; and per peer, no
+        unacked send window and no partial chunk assembly.  Traffic still
+        in the fabric is not visible here; a quiesce loop sees it as a
+        packet arrival.
         """
         if self._active_sends or self._deferred_replies:
-            return False
-        if self._rdma_grants or self._deferred_cts or self._rdma_ack_due:
             return False
         adapter = self.adapter
         if adapter.send_fifo.occupied > 0:

@@ -36,19 +36,18 @@ MODES = ("am_store", "am_get", "mpl_send_reply",
 
 
 def _measure_am(mode: str, n: int, total: int,
-                params: Optional[MachineParams] = None,
-                xfer_mode: str = "eager", obs=None,
+                params: Optional[MachineParams] = None, obs=None,
                 sample_period_us: Optional[float] = None
                 ) -> Tuple[int, float]:
     """The one two-node AM stream: node 0 moves ~``total`` bytes to node
     1 in ``n``-byte ``mode`` ops while node 1 serves the network.
 
     ``params`` picks the machine (SP thin nodes by default, or any
-    Table 4 peer); ``xfer_mode`` is the SP large-message strategy.  An
-    Observatory ``obs`` is attached before AM, and its gauge sampler
-    started at ``sample_period_us`` when given.  Returns ``(count,
-    elapsed_us)``: bandwidth is ``count * n / elapsed_us`` (bytes/us ==
-    MB/s), the mean blocking-op latency ``elapsed_us / count``.
+    Table 4 peer).  An Observatory ``obs`` is attached before AM, and its
+    gauge sampler started at ``sample_period_us`` when given.  Returns
+    ``(count, elapsed_us)``: bandwidth is ``count * n / elapsed_us``
+    (bytes/us == MB/s), the mean blocking-op latency ``elapsed_us /
+    count``.
     """
     sim = Simulator()
     if params is None or params.nodes_kind == "sp":
@@ -57,7 +56,7 @@ def _measure_am(mode: str, n: int, total: int,
         machine = build_generic_machine(sim, 2, params)
     if obs is not None:
         obs.attach(machine)
-    am0, am1 = attach_am(machine, xfer_mode=xfer_mode)
+    am0, am1 = attach_am(machine)
     if sample_period_us is not None:
         obs.start_sampler(period_us=sample_period_us)
     src = machine.node(0).memory.alloc(max(n, 1))

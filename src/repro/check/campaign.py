@@ -148,8 +148,6 @@ class CampaignResult:
     nodes: int
     loss: float
     nops: int
-    #: large-message strategy the campaign's AM layer ran with
-    xfer_mode: str
     #: sanitizer violations + workload mismatches + aborting exceptions
     violations: List[str]
     #: check counts per checker kind (all must be > 0 on a real run)
@@ -175,8 +173,7 @@ class CampaignResult:
         state = ("FAIL" if self.violations else "ok")
         counts = " ".join(f"{k}={v}" for k, v in sorted(self.checks.items()))
         return (f"check seed={self.seed} nodes={self.nodes} "
-                f"loss={self.loss} mode={self.xfer_mode} "
-                f"ops={self.nops}: {state} "
+                f"loss={self.loss} ops={self.nops}: {state} "
                 f"[{counts}] units={self.delivered_units} "
                 f"t={self.elapsed_us:.0f}us")
 
@@ -205,8 +202,7 @@ class ShrinkResult:
 class _CheckCampaign:
     def __init__(self, seed: int, nodes: int, ops: List[dict], loss: float,
                  collect: bool, limit: float,
-                 only: Optional[List[str]] = None,
-                 xfer_mode: str = "eager"):
+                 only: Optional[List[str]] = None):
         self.seed = seed
         self.nodes = nodes
         self.ops = ops
@@ -216,7 +212,7 @@ class _CheckCampaign:
         self.sim = Simulator()
         self.machine = build_sp_machine(self.sim, nodes)
         self.obs = Observatory().attach(self.machine)
-        self.ams = attach_spam(self.machine, xfer_mode=xfer_mode)
+        self.ams = attach_spam(self.machine)
         self.mpis = attach_mpi(self.machine)
         if loss > 0.0:
             install_faults(self.machine, FaultPlan.loss(seed, loss))
@@ -445,24 +441,19 @@ def run_campaign(
     collect: bool = True,
     limit: float = 5e7,
     only: Optional[List[str]] = None,
-    xfer_mode: str = "eager",
 ) -> CampaignResult:
     """One seeded campaign under the sanitizer; returns its verdict.
 
     ``op_list`` overrides generation (shrinking and tests); otherwise
-    the ops are :func:`generate_ops(seed, nodes, nops)`.  ``xfer_mode``
-    selects the AM large-message strategy, so the same op mix can
-    cross-check the eager chunk protocol against rendezvous.
+    the ops are :func:`generate_ops(seed, nodes, nops)`.
     """
     ops = op_list if op_list is not None else generate_ops(seed, nodes, nops)
-    camp = _CheckCampaign(seed, nodes, ops, loss, collect, limit, only,
-                          xfer_mode=xfer_mode)
+    camp = _CheckCampaign(seed, nodes, ops, loss, collect, limit, only)
     elapsed = camp.run()
     from repro.obs.critpath import critpath_rollup
 
     return CampaignResult(
         seed=seed, nodes=nodes, loss=loss, nops=len(ops),
-        xfer_mode=xfer_mode,
         violations=camp.violations, checks=camp.check_counts,
         delivered_units=camp.delivered_units, digest=camp.digest,
         elapsed_us=elapsed,
@@ -485,7 +476,6 @@ def shrink_failure(
     loss: float = 0.0,
     op_list: Optional[List[dict]] = None,
     limit: float = 5e7,
-    xfer_mode: str = "eager",
 ) -> ShrinkResult:
     """Minimize a failing campaign to its smallest failing op list.
 
@@ -501,8 +491,7 @@ def shrink_failure(
         nonlocal runs
         runs += 1
         res = run_campaign(seed, nodes=nodes, loss=loss,
-                           op_list=candidate, collect=True, limit=limit,
-                           xfer_mode=xfer_mode)
+                           op_list=candidate, collect=True, limit=limit)
         return res.violations if not res.ok else None
 
     first = fails(ops)

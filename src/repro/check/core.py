@@ -12,8 +12,6 @@ Checker kinds (the ``only=`` vocabulary of :class:`Sanitizer`):
 * ``window``  — go-back-N credit, ack alignment, exactly-once (§2.2)
 * ``request`` — MPI request lifecycle posted→matched→completed (§4.1)
 * ``alloc``   — receiver-region allocate/free conservation (§4.1–4.2)
-* ``rdma``    — rendezvous grants: CTS-before-write, region bounds and
-  disjointness, exactly-once FIN release, no grant leaks
 * ``sched``   — event execution in strict (time, seq) order
 """
 
@@ -403,102 +401,6 @@ class AllocCheck(_Check):
 
 
 # ---------------------------------------------------------------------------
-# rendezvous grants (RTS/CTS + simulated RDMA)
-# ---------------------------------------------------------------------------
-
-
-class RdmaCheck(_Check):
-    """Shadow ledger of one endpoint's incoming rendezvous grants.
-
-    Invariants: a grant is issued at most once per (src, token) and its
-    region is in bounds and disjoint from every live grant; RDMA writes
-    land only inside an active grant (CTS-before-write) and within its
-    bounds; the FIN releases a fully-landed grant exactly once; at
-    quiescence no grant is outstanding (region leak) and no sender op is
-    still waiting on a CTS.
-    """
-
-    kind = "rdma"
-
-    def __init__(self, san, name, am):
-        super().__init__(san, name)
-        self.am = am
-        #: (src, token) -> (addr, total_len) of live grants
-        self.live: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        self.granted = 0
-        self.released = 0
-        self.bytes_written = 0
-
-    def on_grant(self, am, grant):
-        self.checks += 1
-        key = (grant.src, grant.token)
-        if key in self.live:
-            self.fail("grant", f"grant {key} issued twice")
-        if grant.total_len <= 0 or grant.addr < 0:
-            self.fail("grant", f"grant {key} malformed: "
-                               f"[{grant.addr}, +{grant.total_len})")
-        lo, hi = grant.addr, grant.addr + grant.total_len
-        for k, (a, length) in self.live.items():
-            if lo < a + length and a < hi:
-                self.fail("grant",
-                          f"granted region [{lo}, {hi}) of {key} overlaps "
-                          f"live grant [{a}, {a + length}) of {k}")
-        self.live[key] = (grant.addr, grant.total_len)
-        self.granted += 1
-
-    def on_write(self, am, grant, pkt):
-        self.checks += 1
-        key = (pkt.src, pkt.op_token)
-        if grant is None or key not in self.live:
-            self.fail("write",
-                      f"RDMA write {key} offset {pkt.offset} with no "
-                      f"active grant (CTS-before-write broken)")
-            return
-        if pkt.offset < 0 or pkt.offset + len(pkt.payload) > grant.total_len:
-            self.fail("write",
-                      f"RDMA write {key} [{pkt.offset}, "
-                      f"{pkt.offset + len(pkt.payload)}) outside granted "
-                      f"{grant.total_len} bytes")
-        self.bytes_written += len(pkt.payload)
-
-    def on_fin(self, am, grant, pkt):
-        self.checks += 1
-        key = (pkt.src, pkt.op_token)
-        if grant is None:
-            self.fail("fin", f"FIN {key} with no active grant "
-                             f"(duplicate FIN, or FIN before RTS)")
-            return
-        if key not in self.live:
-            self.fail("fin", f"FIN released grant {key} unknown to the "
-                             f"ledger")
-            return
-        if grant.received != grant.total_len:
-            self.fail("fin", f"FIN {key} with only {grant.received} of "
-                             f"{grant.total_len} bytes landed")
-        del self.live[key]
-        self.released += 1
-
-    def at_quiescence(self):
-        self.checks += 1
-        am = self.am
-        if am._rdma_grants:
-            keys = sorted(am._rdma_grants)
-            self.fail("quiescence",
-                      f"region leak: {len(keys)} grant(s) outstanding at "
-                      f"quiescence: {keys[:4]}")
-        if set(am._rdma_grants) != set(self.live):
-            self.fail("quiescence",
-                      f"ledger desync: endpoint holds "
-                      f"{sorted(am._rdma_grants)[:4]}, ledger "
-                      f"{sorted(self.live)[:4]}")
-        for op in am._active_sends:
-            if op.rdzv and not op.cts_granted:
-                self.fail("quiescence",
-                          f"op token {op.token} -> node {op.dst} still "
-                          f"awaiting CTS at quiescence")
-
-
-# ---------------------------------------------------------------------------
 # event scheduler
 # ---------------------------------------------------------------------------
 
@@ -571,7 +473,7 @@ class SchedulerCheck(_Check):
 # the sanitizer
 # ---------------------------------------------------------------------------
 
-_KINDS = ("fifo", "window", "request", "alloc", "rdma", "sched")
+_KINDS = ("fifo", "window", "request", "alloc", "sched")
 
 
 class Sanitizer:
@@ -646,8 +548,6 @@ class Sanitizer:
                 am.check = self
                 for dst, st in am._peers.items():
                     self.adopt_peer(am, dst, st)
-                if self._want("rdma") and hasattr(am, "_rdma_grants"):
-                    am.rdma_check = RdmaCheck(self, f"rdma[{node.id}]", am)
             mpi = getattr(node, "mpi", None)
             adi = getattr(mpi, "adi", None) if mpi is not None else None
             if adi is not None:
@@ -677,13 +577,13 @@ class Sanitizer:
             # engine-level sanitizers (watch_sim) have no machine to
             # walk; run whatever quiescence hooks were planted directly
             for c in self._checkers:
-                if isinstance(c, (RecvFifoCheck, RdmaCheck)):
+                if isinstance(c, RecvFifoCheck):
                     c.at_quiescence()
             return
-        # per node: run the local hooks (receive-FIFO accounting, RDMA
-        # grant table) and collect the conservation operands — what each
-        # sender's allocator ledger still holds, and what each receiver
-        # legitimately owes each sender
+        # per node: run the local hook (receive-FIFO accounting) and
+        # collect the conservation operands — what each sender's allocator
+        # ledger still holds, and what each receiver legitimately owes
+        # each sender
         adis: Dict[int, ADI] = {}
         outstanding: Dict[Tuple[int, int], int] = {}
         owed: Dict[Tuple[int, int], int] = {}
@@ -693,10 +593,6 @@ class Sanitizer:
                 ck = getattr(adapter.recv_fifo, "check", None)
                 if isinstance(ck, RecvFifoCheck):
                     ck.at_quiescence()
-            am = getattr(node, "am", None)
-            rck = getattr(am, "rdma_check", None) if am is not None else None
-            if isinstance(rck, RdmaCheck):
-                rck.at_quiescence()
             adi = getattr(getattr(node, "mpi", None), "adi", None)
             if not isinstance(adi, ADI):
                 continue

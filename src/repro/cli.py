@@ -15,13 +15,13 @@ Usage::
     spam-bench profile [--quick] [--period-us 50] [--topk 5]
                                         # metrics sampler + critical-path
                                         # attribution over three workloads
-    spam-bench soak --seed 7 --loss 0.05 [--chaos] [--xfer-mode rendezvous]
+    spam-bench soak --seed 7 --loss 0.05 [--chaos]
                                         # chaos campaign vs the reliability layer
-    spam-bench check --seeds 20 [--loss 0.01] [--shrink] [--xfer-mode auto]
+    spam-bench check --seeds 20 [--loss 0.01] [--shrink]
                                         # randomized conformance campaigns
                                         # under the invariant sanitizer
-    spam-bench protocols [--quick]      # eager vs rendezvous vs MPL vs MPI-F
-                                        # bandwidth curves + crossover gate
+    spam-bench protocols [--quick]      # AM eager vs MPL vs MPI-F
+                                        # bandwidth curves
 
 Table-style experiments also leave a machine-readable
 ``BENCH_<experiment>.json`` report next to the ASCII table (suppress with
@@ -304,7 +304,6 @@ def cmd_soak(args) -> int:
             pingpong=args.pingpong, chaos=args.chaos,
             compare_clean=not args.no_clean,
             sample_period_us=sample,
-            xfer_mode=args.xfer_mode,
         )
     except ValueError as e:
         # e.g. --nodes 1: every rank needs a right neighbour
@@ -341,7 +340,7 @@ def cmd_soak(args) -> int:
         entries.append(("clean elapsed (us)", None, result.clean_elapsed_us))
     _write_report(args, "soak", entries, obs=result.obs, extra={
         "seed": result.seed, "loss": result.loss, "nodes": result.nodes,
-        "chaos": result.chaos, "xfer_mode": result.xfer_mode,
+        "chaos": result.chaos,
         "injected_counts": result.injected_counts,
         "violations": result.violations,
         "critpath": critpath, "bottleneck": verdict,
@@ -359,8 +358,7 @@ def cmd_check(args) -> int:
         # every third campaign runs under packet loss so the sanitizer
         # also sees the retransmission/go-back-N paths
         loss = args.loss if k % 3 == 2 else 0.0
-        r = run_campaign(seed, nodes=args.nodes, nops=args.ops, loss=loss,
-                         xfer_mode=args.xfer_mode)
+        r = run_campaign(seed, nodes=args.nodes, nops=args.ops, loss=loss)
         results.append(r)
         print(r.summary())
         for v in r.violations:
@@ -369,7 +367,7 @@ def cmd_check(args) -> int:
             failures.append(r)
             if args.shrink:
                 s = shrink_failure(seed, nodes=args.nodes, nops=args.ops,
-                                   loss=loss, xfer_mode=args.xfer_mode)
+                                   loss=loss)
                 if s.reproduced:
                     print(f"  shrunk to {len(s.minimal)}/{s.original_nops} "
                           f"ops in {s.runs} runs:")
@@ -390,7 +388,6 @@ def cmd_check(args) -> int:
     _write_report(args, "check", entries, extra={
         "seed_base": args.seed_base, "seeds": args.seeds,
         "nodes": args.nodes, "ops": args.ops, "loss": args.loss,
-        "xfer_mode": args.xfer_mode,
         "campaigns": [{
             "seed": r.seed, "loss": r.loss, "ok": r.ok,
             "checks": r.checks, "delivered_units": r.delivered_units,
@@ -405,21 +402,12 @@ def cmd_protocols(args) -> int:
     from repro.bench.protocols import report_entries, run_protocols
 
     data = run_protocols(quick=args.quick)
-    print(fmt_series("protocol bandwidth (eager vs rendezvous vs MPL "
-                     "vs MPI-F)", data["curves"]))
-    eager = dict(data["latency_us"]["eager"])
-    rows = [(n, eager[n], us, round(us / eager[n], 2))
-            for n, us in data["latency_us"]["rendezvous"]]
-    print(fmt_table("single-transfer latency (us)",
-                    ["bytes", "eager", "rendezvous", "ratio"], rows))
-    for p in data["crossover_problems"]:
-        print(f"crossover: {p}")
-    verdict = "OK" if data["crossover_ok"] else "FAIL"
-    print(f"crossover gate (rendezvous >= eager from "
-          f"{data['crossover_factor']}x {data['crossover_bytes']} B): "
-          f"{verdict}")
+    print(fmt_series("protocol bandwidth (eager vs MPL vs MPI-F)",
+                     data["curves"]))
+    print(fmt_table("single-transfer latency (us)", ["bytes", "eager"],
+                    data["latency_us"]["eager"]))
     _write_report(args, "protocols", report_entries(data), extra=data)
-    return 0 if data["crossover_ok"] else 1
+    return 0
 
 
 def _print_hists(title: str, key: str, samples) -> None:
@@ -523,15 +511,6 @@ def _period_or_off(s: str) -> float:
     return 0.0 if float(s) == 0.0 else _period(s)
 
 
-def _add_xfer_mode(p) -> None:
-    from repro.am.constants import XFER_MODES
-
-    p.add_argument("--xfer-mode", choices=XFER_MODES, default="eager",
-                   help="AM large-message strategy: eager chunks, "
-                        "RTS/CTS rendezvous, or auto crossover "
-                        "(default eager)")
-
-
 def _add_report_opts(p) -> None:
     p.add_argument("--report-dir", default=".", metavar="DIR",
                    help="where to write BENCH_<experiment>.json")
@@ -604,7 +583,6 @@ def main(argv=None) -> int:
                     help="periodic gauge sampler on the lossy run; the "
                          "unsequenced lane keeps it digest-neutral "
                          "(default 50, 0 disables)")
-    _add_xfer_mode(ps)
     _add_report_opts(ps)
     pc = sub.add_parser(
         "check", help="seeded randomized MPI/AM campaigns under the "
@@ -622,11 +600,9 @@ def main(argv=None) -> int:
     pc.add_argument("--shrink", action="store_true",
                     help="minimize any failing campaign to its smallest "
                          "failing op list")
-    _add_xfer_mode(pc)
     _add_report_opts(pc)
     pb = sub.add_parser(
-        "protocols", help="eager vs rendezvous vs MPL vs MPI-F bandwidth "
-                          "curves + the rendezvous crossover gate")
+        "protocols", help="AM eager vs MPL vs MPI-F bandwidth curves")
     pb.add_argument("--quick", action="store_true",
                     help="reduced size sweep (CI smoke)")
     _add_report_opts(pb)

@@ -155,8 +155,6 @@ class SoakResult:
     loss: float
     nodes: int
     chaos: bool
-    #: AM large-message strategy the workload's bulk phase used
-    xfer_mode: str
     pingpong: int
     bulk_bytes: int
     #: simulated microseconds the lossy run took
@@ -189,7 +187,7 @@ class SoakResult:
         c = self.counters
         lines = [
             f"soak seed={self.seed} loss={self.loss} nodes={self.nodes}"
-            f" chaos={self.chaos} mode={self.xfer_mode}",
+            f" chaos={self.chaos}",
             f"  workload: {self.pingpong} ping-pongs/rank,"
             f" {self.bulk_bytes}B bulk/rank, Split-C phase",
             f"  injected: {self.total_injected} faults "
@@ -228,8 +226,7 @@ class _Campaign:
 
     def __init__(self, nodes: int, pingpong: int, bulk_bytes: int,
                  plan: Optional[FaultPlan], limit: float,
-                 sample_period_us: Optional[float] = None,
-                 xfer_mode: str = "eager"):
+                 sample_period_us: Optional[float] = None):
         self.nodes = nodes
         self.pingpong = pingpong
         self.bulk_bytes = bulk_bytes
@@ -245,7 +242,7 @@ class _Campaign:
             # pending count, so live sampler timers can't stall
             # quiescence either
             self.obs.start_sampler(period_us=sample_period_us)
-        self.ams = attach_spam(self.machine, xfer_mode=xfer_mode)
+        self.ams = attach_spam(self.machine)
         self.rts = attach_splitc(self.machine)
         # pre-register the workload handlers (SPMD discipline): their ids
         # are fixed before any rank runs instead of at first send
@@ -450,7 +447,6 @@ def run_soak(
     limit: float = 5e7,
     sim_check: Optional[object] = None,
     sample_period_us: Optional[float] = 50.0,
-    xfer_mode: str = "eager",
 ) -> SoakResult:
     """Run the soak workload under a fault plan; return the evidence.
 
@@ -464,8 +460,7 @@ def run_soak(
     ``sample_period_us`` starts the periodic gauge sampler on the lossy
     campaign (default on at 50 us: the sampler's timers run on the
     unsequenced lane, so they do not perturb event-order digests; pass
-    ``None`` to disable).  ``xfer_mode``
-    selects the AM large-message strategy for the bulk phase.
+    ``None`` to disable).
     """
     if nodes < 2:
         # every rank pings its right neighbour: one node would address
@@ -478,8 +473,7 @@ def run_soak(
     clean_elapsed = None
     recovery_bound = None
     if compare_clean:
-        clean = _Campaign(nodes, pingpong, bulk_bytes, plan=None, limit=limit,
-                          xfer_mode=xfer_mode)
+        clean = _Campaign(nodes, pingpong, bulk_bytes, plan=None, limit=limit)
         clean_elapsed = clean.run()
         if clean.violations:
             # the workload must be sound before faults mean anything
@@ -487,8 +481,7 @@ def run_soak(
                 "fault-free soak run failed: " + "; ".join(clean.violations))
 
     lossy = _Campaign(nodes, pingpong, bulk_bytes, plan=plan, limit=limit,
-                      sample_period_us=sample_period_us,
-                      xfer_mode=xfer_mode)
+                      sample_period_us=sample_period_us)
     if sim_check is not None:
         lossy.sim.check = sim_check
     elapsed = lossy.run()
@@ -509,7 +502,6 @@ def run_soak(
 
     return SoakResult(
         seed=seed, loss=loss, nodes=nodes, chaos=chaos,
-        xfer_mode=xfer_mode,
         pingpong=pingpong, bulk_bytes=bulk_bytes,
         elapsed_us=elapsed, clean_elapsed_us=clean_elapsed,
         recovery_bound_us=recovery_bound,

@@ -24,15 +24,11 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.hardware.fifo import RecvFIFO, SendFIFO
-from repro.hardware.packet import Packet, PacketKind
+from repro.hardware.packet import Packet
 from repro.hardware.params import AdapterParams, SwitchParams
 from repro.sim import Simulator
 from repro.sim.primitives import Event
 from repro.sim.stats import StatRegistry
-
-#: module constant: the RX path identity-compares every arrival's kind
-_RDMA_DATA = PacketKind.RDMA_DATA
-
 
 class TB2Adapter:
     """One node's network adapter, attached to a :class:`Switch`."""
@@ -98,15 +94,9 @@ class TB2Adapter:
         self._arrival_event: Optional[Event] = None
         # precomputed once: arrival_event() runs per blocked-wait cycle
         self._arrival_event_name = f"tb2[{node_id}].arrival"
-        #: rendezvous landing callback (set by the AM layer): RDMA_DATA
-        #: packets bypass the receive FIFO / host poll path and are handed
-        #: straight to this sink at visible time, modelling the DMA engine
-        #: writing the granted region without host involvement
-        self.rdma_sink: Optional[Callable[[Packet], None]] = None
         # bound once: these are scheduled per packet
         self._tx_service_cb = self._tx_service
         self._deliver_cb = self._deliver
-        self._rdma_deliver_cb = self._rdma_deliver
 
     # ------------------------------------------------------------------
     # Host-facing API (costs are charged by the calling software layer)
@@ -267,12 +257,8 @@ class TB2Adapter:
             return
         sim = self.sim
         now = sim.now
-        # simulated RDMA write: no receive-FIFO entry is consumed (the DMA
-        # engine targets the granted region directly), so overflow cannot
-        # drop it — only injected faults and CRC rejects can
-        rdma = packet.kind is _RDMA_DATA and self.rdma_sink is not None
         if ((self.faults is not None and self.faults.at_rx(packet, now))
-                or not (rdma or self.recv_fifo.reserve())):
+                or not self.recv_fifo.reserve()):
             # Input-buffer overflow (real or injected): the packet is
             # lost; §2.2's sequence numbers + NACK machinery must
             # recover it.
@@ -291,25 +277,10 @@ class TB2Adapter:
             span = self.obs.spans.get(packet.trace_id)  # inlined mark_packet
             if span is not None:
                 span.marks["visible"] = visible_at
-        if rdma:
-            self.stats.count("rx_rdma_packets")
-            sim.at(visible_at, self._rdma_deliver_cb, packet)
-        else:
-            sim.at(visible_at, self._deliver_cb, packet)
+        sim.at(visible_at, self._deliver_cb, packet)
 
     def _deliver(self, packet: Packet) -> None:
         self.recv_fifo.deliver(packet)
-        for fn in self._arrival_listeners:
-            fn(packet)
-        ev = self._arrival_event
-        if ev is not None and not ev._ok:  # Event.triggered, per arrival
-            ev.succeed(packet)
-
-    def _rdma_deliver(self, packet: Packet) -> None:
-        """RDMA landing: hand the packet to the AM sink (which writes the
-        granted region with zero host CPU) and wake any blocked waiter —
-        the completion/ack duties still run from the host's poll loop."""
-        self.rdma_sink(packet)
         for fn in self._arrival_listeners:
             fn(packet)
         ev = self._arrival_event

@@ -42,13 +42,6 @@ class PacketKind(IntEnum):
     KEEPALIVE = 9     # keep-alive probe (§2.2)
     MPL_DATA = 10     # IBM MPL data traffic (independent protocol stack)
     MPL_ACK = 11      # MPL credit return
-    RTS = 12          # rendezvous request-to-send (length + source region)
-    CTS = 13          # rendezvous clear-to-send (granted region + credit)
-    RDMA_DATA = 14    # rendezvous payload streamed by the DMA engine;
-                      # lands directly in the granted region, bypassing
-                      # the host handler/poll path
-    RDMA_FIN = 15     # rendezvous completion notification (sequenced
-                      # after the last RDMA_DATA packet)
 
 
 #: kinds that consume a slot in the sender's sliding window / need acking
@@ -59,10 +52,6 @@ SEQUENCED_KINDS = frozenset(
         PacketKind.STORE_DATA,
         PacketKind.GET_REQUEST,
         PacketKind.GET_DATA,
-        PacketKind.RTS,
-        PacketKind.CTS,
-        PacketKind.RDMA_DATA,
-        PacketKind.RDMA_FIN,
     }
 )
 

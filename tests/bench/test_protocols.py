@@ -1,71 +1,34 @@
 """The protocol-comparison bench (repro.bench.protocols).
 
 Real measurement at one small size per curve (keeping the suite fast),
-plus pure-function coverage of the crossover gate and report rows that
-``spam-bench protocols`` and the committed BENCH_protocols.json rely on.
+plus pure-function coverage of the report rows that ``spam-bench
+protocols`` and the committed BENCH_protocols.json rely on.
 """
 
 from repro.bench.protocols import (
-    CROSSOVER_FACTOR,
     CURVES,
-    crossover_problems,
     measure_curve,
     report_entries,
     run_protocols,
 )
 
 
-def _fake(eager, rdzv, crossover=8064):
+def _fake(eager):
     return {
-        "crossover_bytes": crossover,
-        "crossover_factor": CROSSOVER_FACTOR,
         "curves": {
-            "eager": eager, "rendezvous": rdzv,
+            "eager": eager,
             "mpl": [(n, 20.0) for n, _ in eager],
             "mpi-f": [(n, 25.0) for n, _ in eager],
         },
-        "latency_us": {
-            "eager": [(n, 100.0) for n, _ in eager],
-            "rendezvous": [(n, 90.0) for n, _ in rdzv],
-        },
+        "latency_us": {"eager": [(n, 100.0) for n, _ in eager]},
     }
 
 
-class TestCrossoverGate:
-    def test_rendezvous_ahead_everywhere_passes(self):
-        data = _fake([(8064, 33.0), (64512, 33.0)],
-                     [(8064, 28.0), (64512, 35.0)])
-        assert crossover_problems(data) == []
-
-    def test_slow_rendezvous_below_floor_is_allowed(self):
-        # 2x crossover is below the 4x floor: eager may win there
-        data = _fake([(16128, 33.0), (64512, 33.0)],
-                     [(16128, 30.0), (64512, 35.0)])
-        assert crossover_problems(data) == []
-
-    def test_slow_rendezvous_above_floor_is_flagged(self):
-        data = _fake([(64512, 33.0)], [(64512, 31.0)])
-        problems = crossover_problems(data)
-        assert len(problems) == 1
-        assert "64512" in problems[0]
-
-
 class TestReportRows:
-    def test_entries_cover_every_curve_and_the_gate(self):
-        data = _fake([(8064, 33.0)], [(8064, 28.0)])
-        data["crossover_ok"] = True
+    def test_entries_cover_every_curve(self):
+        data = _fake([(8064, 33.0)])
         names = [name for name, _p, _m in report_entries(data)]
-        for curve in CURVES:
-            assert f"{curve} 8064B (MB/s)" in names
-        assert "rendezvous/eager latency ratio 8064B" in names
-        assert any("4x crossover" in n for n in names)
-
-    def test_gate_row_encodes_failure(self):
-        data = _fake([(64512, 33.0)], [(64512, 30.0)])
-        data["crossover_ok"] = False
-        gate = [m for n, _p, m in report_entries(data)
-                if "crossover" in n][0]
-        assert gate == 0.0
+        assert names == [f"{curve} 8064B (MB/s)" for curve in CURVES]
 
 
 class TestMeasurement:
@@ -79,5 +42,4 @@ class TestMeasurement:
         assert data["sizes"] == [1024]
         assert set(data["curves"]) == set(CURVES)
         assert all(len(series) == 1 for series in data["curves"].values())
-        # no size reaches the 4x-crossover floor, so the gate is vacuous
-        assert data["crossover_ok"] is True
+        assert [n for n, _us in data["latency_us"]["eager"]] == [1024]

@@ -1,7 +1,7 @@
 """Exact values of the two-node AM stream measurements.
 
-Table 4's bulk column, the protocol bench's eager/rendezvous bandwidth
-and its single-transfer latency all drive the same sender-loop/server
+Table 4's bulk column, the protocol bench's eager bandwidth and its
+single-transfer latency all drive the same sender-loop/server
 shape; these pins hold every one of them to the simulated microsecond.
 """
 
@@ -23,16 +23,13 @@ def test_table4_bulk_bandwidth_pin(machine, mbs):
 
 @pytest.mark.parametrize("curve,mbs", [
     ("eager", 30.20135170773629),
-    ("rendezvous", 28.686789633766537),
 ])
 def test_protocol_curve_pin(curve, mbs):
     assert measure_curve(curve, 8064, total=64512) == mbs
 
 
 def test_protocol_latency_pin():
-    # unrounded means: eager 316.21666666666727, rendezvous 332.55000000000064
+    # unrounded mean: eager 316.21666666666727
     data = run_protocols(sizes=[8064])
-    assert data["latency_us"] == {"eager": [(8064, 316.217)],
-                                  "rendezvous": [(8064, 332.55)]}
+    assert data["latency_us"] == {"eager": [(8064, 316.217)]}
     assert data["curves"]["eager"] == [(8064, 33.207)]
-    assert data["curves"]["rendezvous"] == [(8064, 28.752)]

@@ -4,9 +4,9 @@ The adapter stamps no CRC at staging; the fabric's ``corrupt`` fault,
 the only path that changes a packet after it is staged, stamps the CRC
 of the original contents on the copy it damages.  So an arrival with
 ``checksum == -1`` must be field-for-field what some adapter staged, and
-every CRC reject must be an injected corruption.  Three §2.2 shapes run
-under a plan with every fault kind: a ping-pong, a 3-chunk eager
-``store`` + ``get`` and a rendezvous ``store``.
+every CRC reject must be an injected corruption.  Two §2.2 shapes run
+under a plan with every fault kind: a ping-pong and a 3-chunk eager
+``store`` + ``get``.
 """
 
 import pytest
@@ -65,11 +65,11 @@ class _CrcScope:
         adapter.on_wire_arrival = on_wire_arrival
 
 
-def _machine(xfer_mode="eager", seed=5):
+def _machine():
     sim = Simulator()
     m = build_sp_machine(sim, 2)
-    am0, am1 = attach_spam(m, xfer_mode=xfer_mode)
-    inj = install_faults(m, FaultPlan.chaos(seed, 0.04, delay_us=30.0))
+    am0, am1 = attach_spam(m)
+    inj = install_faults(m, FaultPlan.chaos(5, 0.04, delay_us=30.0))
     return m, am0, am1, inj, _CrcScope(m)
 
 
@@ -113,8 +113,8 @@ def _ping_pong(iters=150):
     return m, inj, scope
 
 
-def _store_get(xfer_mode="eager", seed=5, get=True):
-    m, am0, am1, inj, scope = _machine(xfer_mode, seed)
+def _store_get():
+    m, am0, am1, inj, scope = _machine()
     mem0, mem1 = m.node(0).memory, m.node(1).memory
     data = bytes((i * 37 + 11) % 256 for i in range(NBYTES))
     src, back = mem0.alloc(NBYTES), mem0.alloc(NBYTES)
@@ -123,20 +123,17 @@ def _store_get(xfer_mode="eager", seed=5, get=True):
 
     def mover():
         yield from am0.store(1, src, dst, NBYTES)
-        if get:
-            yield from am0.get(1, dst, back, NBYTES)
+        yield from am0.get(1, dst, back, NBYTES)
 
     _run(m, mover(), am1)
     assert mem1.read(dst, NBYTES) == data
-    if get:
-        assert mem0.read(back, NBYTES) == data
+    assert mem0.read(back, NBYTES) == data
     return m, inj, scope
 
 
 SCENARIOS = {
     "ping-pong": _ping_pong,
     "eager-store-get": _store_get,
-    "rendezvous-store": lambda: _store_get("rendezvous", seed=2, get=False),
 }
 
 

@@ -7,25 +7,22 @@ events in byte-identical order at identical times — that is what lets
 event-order digests the determinism gates compare.
 """
 
-import pytest
-
 from repro.check import EventDigest
 from repro.faults import run_soak
 
 
-def _soak_digest(sample_period_us, xfer_mode):
+def _soak_digest(sample_period_us):
     rec = EventDigest()
     res = run_soak(seed=13, loss=0.01, nodes=2, pingpong=8,
                    compare_clean=False, sim_check=rec,
-                   sample_period_us=sample_period_us, xfer_mode=xfer_mode)
+                   sample_period_us=sample_period_us)
     assert not res.violations
     return rec.hexdigest(), res
 
 
-@pytest.mark.parametrize("xfer_mode", ["eager", "rendezvous"])
-def test_sampler_on_off_digests_identical(xfer_mode):
-    d_off, r_off = _soak_digest(None, xfer_mode)
-    d_on, r_on = _soak_digest(50.0, xfer_mode)
+def test_sampler_on_off_digests_identical():
+    d_off, r_off = _soak_digest(None)
+    d_on, r_on = _soak_digest(50.0)
     assert d_on == d_off
     assert r_on.elapsed_us == r_off.elapsed_us
     # and the sampler really ran: its ticks add (unsequenced) events

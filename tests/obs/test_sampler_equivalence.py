@@ -9,8 +9,6 @@ Chrome-trace rows, holding the same ``(time, value)`` samples and the
 same eviction counts.
 """
 
-import pytest
-
 import repro.obs.metrics as metrics_mod
 from repro.am import attach_spam
 from repro.faults import run_soak
@@ -119,12 +117,10 @@ def _assert_same(compiled, walked):
     assert compiled == walked
 
 
-@pytest.mark.parametrize("xfer_mode", ["eager", "auto"])
-def test_lossy_soak_series_identical(monkeypatch, xfer_mode):
+def test_lossy_soak_series_identical(monkeypatch):
     def scenario():
         res = run_soak(seed=21, loss=0.02, nodes=3, pingpong=12,
-                       compare_clean=False, sample_period_us=20.0,
-                       xfer_mode=xfer_mode)
+                       compare_clean=False, sample_period_us=20.0)
         assert not res.violations
         assert isinstance(res.obs.metrics, metrics_mod.MetricsSampler)
         return res.obs.metrics

@@ -13,6 +13,20 @@ and each run loop is one flat ``heappop`` loop.  Events execute in strict
 ``(time, seq)`` order — ``seq`` is unique, so that order is total and
 every run is a pure function of its inputs.
 
+The commonest event is a process's ``Delay`` resume, and most of them are
+the next event the moment they are made.  Such a resume skips the heap:
+:meth:`Process._step` runs it inline (the *run-ahead*) when nothing live
+is queued at or before it, it lies within the run loop's horizon, the
+event budget is not spent and no process finished during the event.  It
+then does what the run loop would after a push and a pop of that entry:
+it discards and counts the tombstones ahead of it, moves the clock,
+counts the event and reports ``[t, seq, callback, ()]`` to ``check``.
+Every executed ``(time, seq, callback)``, count and clock value is
+therefore the one the heap gives.  The run loop publishes its bounds in
+``_horizon`` and ``_stop`` while it runs; outside it (and so under
+:meth:`Simulator.step`) the horizon is :data:`NO_HORIZON` and every
+resume is queued.
+
 Timers are cancellable: :meth:`Simulator.call_later` returns a
 :class:`TimerHandle` whose ``cancel()`` is O(1) — it bumps the handle's
 generation and tombstones the queue entry in place; the scheduler skips
@@ -23,6 +37,7 @@ second-scale receive timeouts) from churning the queue with stale wakeups.
 
 from __future__ import annotations
 
+import sys
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional
 
@@ -37,6 +52,23 @@ from repro.sim.primitives import Event
 NEGATIVE_DELAY_EPSILON = 1e-9
 
 _INF = float("inf")
+
+#: the event budget of an unbounded run: a count no run reaches, and an
+#: int, because the per-event ``events_executed >= stop`` compare is
+#: measurably slower against a float
+_NO_BUDGET = sys.maxsize
+
+#: ``Simulator._horizon`` outside the run loop.  NaN: no time lies within
+#: it (``t <= nan`` is false) and it equals no horizon, so a process that
+#: finishes sets it to tell the run loop to look at its processes again.
+NO_HORIZON = float("nan")
+
+
+def _check_max_events(caller: str, max_events: Optional[int]) -> None:
+    if max_events is not None and not max_events >= 0:  # negative or NaN
+        raise ValueError(
+            f"{caller}(max_events={max_events}): the event budget must be "
+            "a count >= 0")
 
 
 class TimerHandle:
@@ -129,8 +161,9 @@ class Simulator:
 
     __slots__ = (
         "now", "_seq", "_useq", "_blocked_processes",
-        "_finish_stamp", "events_executed", "stale_events_skipped",
+        "events_executed", "stale_events_skipped",
         "_stale_pending", "_queue", "check", "last_event",
+        "_horizon", "_stop",
     )
 
     def __init__(self) -> None:
@@ -142,10 +175,6 @@ class Simulator:
         #: recorders recognise observer events by ``entry[1] < 0``
         self._useq = 0
         self._blocked_processes = 0
-        #: bumped by every process that finishes; lets the run loop
-        #: re-evaluate "are my processes done?" only when the answer can
-        #: have changed instead of per event
-        self._finish_stamp = 0
         self.events_executed = 0
         #: tombstoned (cancelled) entries discarded at the queue front
         self.stale_events_skipped = 0
@@ -157,6 +186,13 @@ class Simulator:
         self.check = None
         #: (when, seq, callback) of the event :meth:`step` last executed
         self.last_event: Optional[tuple] = None
+        #: the running run loop's bounds, which a process's run-ahead obeys
+        #: (:meth:`Process._step`): events past ``_horizon`` or at
+        #: ``events_executed >= _stop`` stay queued.  Outside the run loop,
+        #: and from a process's finish until the run loop has looked at its
+        #: processes, the horizon is ``NO_HORIZON``.
+        self._horizon = NO_HORIZON
+        self._stop = 0
 
     # -- scheduling -------------------------------------------------------
 
@@ -297,9 +333,12 @@ class Simulator:
         :returns: the final simulated time.
         """
         if until is not None and not until >= self.now:
+            if until != until:
+                raise ValueError("run(until=nan): the horizon is NaN")
             raise ValueError(
                 f"run(until={until}) lies behind now={self.now}: "
                 "the clock cannot move backwards")
+        _check_max_events("run", max_events)
         entry = self._drain(_INF if until is None else until, max_events,
                             None)
         if entry is not None:
@@ -326,6 +365,10 @@ class Simulator:
         cancelled timer beyond the limit is discarded, not misreported
         as a timeout.
         """
+        if limit != limit:
+            raise ValueError(
+                "run_until_processes_done(limit=nan): the limit is NaN")
+        _check_max_events("run_until_processes_done", max_events)
         entry = self._drain(limit, max_events, procs)
         if entry is not None:
             if entry[0] > limit:
@@ -356,40 +399,55 @@ class Simulator:
         and never executed — before the ``horizon``/``max_events`` gates,
         so a cancelled far-future timer can neither stop a bounded run
         early nor trip its time limit.
+
+        While it runs, ``_horizon`` and ``_stop`` hold its bounds, and a
+        process it resumes may execute its own next resume inline (the
+        run-ahead, see :meth:`Process._step`).  Events are counted straight
+        into ``events_executed``, so inline resumes share the
+        ``max_events`` budget and the count is exact on every exit,
+        exceptions included.  A finishing process sets the horizon to
+        ``NO_HORIZON``, which ends any run-ahead until the loop has looked
+        at ``procs`` and put its horizon back.  On exit the horizon is
+        ``NO_HORIZON`` again, so :meth:`step`, which executes its event
+        after a zero-budget pass, queues every resume.
         """
-        cap = _INF if max_events is None else max_events
         queue = self._queue
         check = self.check
-        executed = 0
-        # re-check "all done?" only when a process actually finished —
-        # the stamp compare is one int per event instead of a scan
-        seen_stamp = -1
-        # folded into events_executed on every exit, exceptions included
+        stop = (_NO_BUDGET if max_events is None
+                else self.events_executed + max_events)
+        # makes the first pass look at ``procs`` even when a callback
+        # re-entered the run loop with the outer loop's horizon
+        self._horizon = NO_HORIZON
         try:
             while queue:
-                if seen_stamp != self._finish_stamp:
-                    seen_stamp = self._finish_stamp
+                # true on the first pass and after a process finished (or a
+                # nested run loop returned): only then can "all done?" have
+                # changed, so one float compare per event replaces a scan
+                if self._horizon != horizon:
+                    self._horizon = horizon
+                    self._stop = stop
                     if procs is not None and all(p.finished for p in procs):
                         return None
-                entry = queue[0]
+                entry = heappop(queue)
                 fn = entry[2]
                 if fn is None:
-                    heappop(queue)
                     self.stale_events_skipped += 1
                     self._stale_pending -= 1
                     if check is not None:
                         check.on_stale(entry)
                     continue
-                if entry[0] > horizon or executed >= cap:
+                if entry[0] > horizon or self.events_executed >= stop:
+                    heappush(queue, entry)  # still queued for the caller
                     return entry
-                heappop(queue)
                 self.now = entry[0]
-                executed += 1
+                self.events_executed += 1
                 if check is not None:
                     check.on_execute(entry)
                 fn(*entry[3])
         finally:
-            self.events_executed += executed
+            # nothing runs ahead outside the run loop; a run loop that a
+            # callback re-entered takes its bounds back on its next pass
+            self._horizon = NO_HORIZON
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -12,13 +12,20 @@ with ``yield from``, so protocol layers stack naturally::
 
 When the generator returns, the process's :attr:`done` event fires with the
 return value (``StopIteration.value``).
+
+A ``Delay`` whose resume would be the run loop's next event anyway is run
+in place, without a heap round trip (see :meth:`Process._step`): the
+process keeps running until another event comes first, and every event
+digest stays what the heap gives.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any, Generator, Optional
 
 from repro.sim.errors import ProcessKilled, SimulationError
+from repro.sim.engine import NO_HORIZON
 from repro.sim.primitives import TIMED_OUT, Delay, Event, Timeout, WaitEvent
 
 
@@ -26,7 +33,7 @@ class Process:
     """A generator registered with a :class:`~repro.sim.engine.Simulator`."""
 
     __slots__ = ("sim", "gen", "name", "done", "finished", "result", "error",
-                 "_waiting", "_timer", "_send", "_resume", "_schedule")
+                 "_waiting", "_timer", "_send", "_resume", "_queue")
 
     def __init__(self, sim, gen: Generator, name: str = ""):
         self.sim = sim
@@ -45,40 +52,89 @@ class Process:
         # callback would otherwise rebuild the bound method
         self._send = gen.send
         self._resume = self._step
-        self._schedule = sim.schedule
+        #: the simulator's heap, which a ``Delay`` resume goes straight
+        #: into; None on a scheduler without one (it gets ``schedule``)
+        self._queue = getattr(sim, "_queue", None)
         # first step at the current instant, after already-queued events
         sim.schedule(0.0, self._resume)
 
     # -- engine-facing ----------------------------------------------------
 
     def _step(self, send_value: Any = None) -> None:
+        """Resume the generator and act on what it yields.
+
+        A ``Delay`` resume at ``t = now + duration`` normally becomes the
+        heap entry ``[t, seq, _resume, ()]``.  When the run loop would pop
+        that very entry next — nothing live is queued at or before ``t``,
+        ``t`` is within its horizon (``sim._horizon``) and its event budget
+        (``sim._stop``) is not spent — the resume runs here instead (the
+        *run-ahead*): front tombstones up to ``t`` are discarded and
+        counted as the run loop would, then the clock moves to ``t``, the
+        event is counted and reported to ``sim.check`` under the same
+        ``(t, seq)``, and the generator is resumed again in this loop.
+        Every executed ``(time, seq, callback)``, count and clock value is
+        the one the heap round trip would give, so event digests and
+        simulated times do not move.  Outside the run loop (``step()``
+        included) and from a process's finish until the run loop has looked
+        at its processes, the horizon is ``NO_HORIZON``; then, and on a
+        scheduler without a heap, the entry is always queued.
+        """
         if self.finished:
             return  # stale wakeup after kill()
+        sim = self.sim
+        queue = self._queue
         if self._waiting:
             self._waiting = False
-            self.sim._blocked_processes -= 1
-        try:
-            instr = self._send(send_value)
-        except StopIteration as stop:
-            self._finish(stop.value, None)
+            sim._blocked_processes -= 1
+        while True:
+            try:
+                instr = self._send(send_value)
+            except StopIteration as stop:
+                self._finish(stop.value, None)
+                return
+            except Exception as exc:  # propagate with context, fail loudly
+                self._finish(None, exc)
+                raise
+            # dispatch, most frequent instruction first
+            cls = instr.__class__
+            if cls is Delay:
+                if queue is None:
+                    sim.schedule(instr.duration, self._resume)
+                    return
+                t = sim.now + instr.duration
+                sim._seq = seq = sim._seq + 1
+                # everything queued at or before t comes before (t, seq)
+                while queue and queue[0][0] <= t:
+                    if queue[0][2] is not None or not t <= sim._horizon:
+                        break  # a live entry comes first: queue the resume
+                    # a tombstone: discard it, as the run loop would next
+                    entry = heappop(queue)
+                    sim.stale_events_skipped += 1
+                    sim._stale_pending -= 1
+                    if sim.check is not None:
+                        sim.check.on_stale(entry)
+                else:
+                    # (t, seq) is the next event: run it here if the run
+                    # loop's horizon and event budget allow
+                    if t <= sim._horizon and sim.events_executed < sim._stop:
+                        sim.now = t
+                        sim.events_executed += 1
+                        if sim.check is not None:
+                            sim.check.on_execute([t, seq, self._resume, ()])
+                        send_value = None
+                        continue
+                # no args: a plain-Delay resume sends None, and skipping the
+                # (None,) pack/unpack matters at one resume per event
+                heappush(queue, [t, seq, self._resume, ()])
+            elif cls is WaitEvent:
+                self._waiting = True
+                sim._blocked_processes += 1
+                instr.event.add_waiter(self._resume)
+            elif cls is Timeout:
+                self._wait_with_timeout(instr)
+            else:
+                self._dispatch_slow(instr)
             return
-        except Exception as exc:  # propagate with context, fail loudly
-            self._finish(None, exc)
-            raise
-        # dispatch, most frequent instruction first
-        cls = instr.__class__
-        if cls is Delay:
-            # no args: a plain-Delay resume sends None, and skipping the
-            # (None,) pack/unpack matters at one resume per event
-            self._schedule(instr.duration, self._resume)
-        elif cls is WaitEvent:
-            self._waiting = True
-            self.sim._blocked_processes += 1
-            instr.event.add_waiter(self._resume)
-        elif cls is Timeout:
-            self._wait_with_timeout(instr)
-        else:
-            self._dispatch_slow(instr)
 
     def _dispatch_slow(self, instr: Any) -> None:
         # duck-typed instruction objects (tests/extensions) still work
@@ -145,7 +201,9 @@ class Process:
         self.finished = True
         self.result = result
         self.error = error
-        self.sim._finish_stamp += 1
+        # the run loop must look at its processes before anything else
+        # runs, and nothing runs ahead until it has
+        self.sim._horizon = NO_HORIZON
         if error is None:
             self.done.succeed(result)
 

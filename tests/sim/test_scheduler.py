@@ -4,8 +4,12 @@ The heap scheduler must execute exactly the events a trivially correct
 model executes — a plain list whose next event is the ``min()`` over it —
 at the same simulated times, in the same order, with the same executed
 and stale counts, including under cancellation and timeout races.
+The Delay-chain workload checks the run-ahead: on the heap a process whose
+``Delay`` resume is the next event runs it inline, on the model every
+resume goes through ``schedule``, and the two must not be told apart.
 The timer contract itself (cancel, stale generations, the negative-delay
-clamp) is tested in ``test_timer_wheel.py``.
+clamp) is tested in ``test_timer_wheel.py``; the run-ahead's edges
+(``until``, ``max_events``, ``step()``, exceptions) in ``test_run_ahead.py``.
 """
 
 import math
@@ -16,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
+from repro.sim import process as process_module
 from repro.sim.engine import TimerHandle
+from repro.sim.errors import ProcessKilled
 from repro.sim.primitives import TIMED_OUT, Delay, Event, Timeout
 from repro.sim.process import Process
 
@@ -176,6 +182,125 @@ class TestHeapMatchesModel:
             _run_random_timeout_workload(ModelScheduler(), seed))
 
 
+# ---------------------------------------------------------------------------
+# differential property: Delay chains, where the heap runs resumes ahead
+# ---------------------------------------------------------------------------
+
+class _ObserverLaneModel(ModelScheduler):
+    """The model plus the unsequenced observer lane: decreasing negative
+    seqs, so a lane entry sorts before every ordinary entry of its time."""
+
+    def __init__(self):
+        super().__init__()
+        self._useq = 0
+
+    def schedule_unsequenced(self, delay, fn, *args):
+        self._useq -= 1
+        entry = _Entry([self.now + delay, self._useq, fn, args])
+        self._entries.append(entry)
+        return entry
+
+
+# binary fractions: chain sums tie exactly with callbacks and each other
+_CHAIN_DELAYS = (0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 3.0)
+
+
+def _run_delay_chain_workload(sim, seed, kill=False):
+    """Three processes in ``Delay`` chains that also schedule callbacks on
+    the chains' own instants, arm and cancel timers (tombstones that reach
+    the queue front mid-chain) and plant observer-lane entries.  With
+    ``kill``, a fourth process kills chain 0 at a drawn instant and the run
+    waits for chain 0 only, so it stops in the middle of the others."""
+    rng = random.Random(seed)
+    log = []
+    timers = []
+
+    def cb(tag):
+        log.append((sim.now, tag))
+
+    def chain(k):
+        try:
+            for i in range(40):
+                yield Delay(rng.choice(_CHAIN_DELAYS))
+                log.append((sim.now, (k, i)))
+                r = rng.random()
+                if r < 0.2:
+                    sim.schedule(rng.choice(_CHAIN_DELAYS), cb, ("cb", k, i))
+                elif r < 0.45:
+                    timer = sim.call_later(rng.choice(_CHAIN_DELAYS),
+                                           cb, ("timer", k, i))
+                    if rng.random() < 0.5:
+                        timer.cancel()  # a tombstone on the chain's path
+                    else:
+                        timers.append(timer)
+                elif r < 0.6 and timers:
+                    timers.pop(rng.randrange(len(timers))).cancel()
+                elif r < 0.7:
+                    sim.schedule_unsequenced(rng.choice((0.25, 1.0, 2.0)),
+                                             cb, ("lane", k, i))
+        except ProcessKilled:
+            log.append((sim.now, ("killed", k)))
+            raise
+
+    def killer(victim):
+        yield Delay(rng.choice((13.0, 19.5, 26.0)))
+        victim.kill()
+        log.append((sim.now, "kill"))
+        for _ in range(20):
+            yield Delay(rng.choice(_CHAIN_DELAYS))
+
+    procs = [sim.spawn(chain(k), name=f"chain{k}") for k in range(3)]
+    if kill:
+        sim.spawn(killer(procs[0]), name="killer")
+        sim.run_until_processes_done(procs[:1], limit=1e9)
+    else:
+        sim.run()
+    return sim, log
+
+
+def _count_process_heap_ops(monkeypatch):
+    """Count the resumes :class:`Process` queues instead of running ahead
+    (``push``) and the tombstones it discards on the way (``pop``)."""
+    counts = {"push": 0, "pop": 0}
+    push, pop = process_module.heappush, process_module.heappop
+
+    def counting_push(queue, entry):
+        counts["push"] += 1
+        push(queue, entry)
+
+    def counting_pop(queue):
+        counts["pop"] += 1
+        return pop(queue)
+
+    monkeypatch.setattr(process_module, "heappush", counting_push)
+    monkeypatch.setattr(process_module, "heappop", counting_pop)
+    return counts
+
+
+@pytest.mark.parametrize("kill", [False, True], ids=["drain", "kill"])
+@pytest.mark.parametrize("seed", [3, 11, 2024])
+def test_heap_matches_model_on_delay_chains(seed, kill, monkeypatch):
+    heap_ops = _count_process_heap_ops(monkeypatch)
+    heap = _run_delay_chain_workload(Simulator(), seed, kill)
+    _assert_runs_identical(
+        heap, _run_delay_chain_workload(_ObserverLaneModel(), seed, kill))
+    resumes = sum(isinstance(tag, tuple) and len(tag) == 2
+                  for _, tag in heap[1])
+    # the cases the run-ahead must get right all occurred: resumes run
+    # ahead and queued, tombstones discarded inline
+    assert 0 < heap_ops["push"] < resumes
+    assert heap_ops["pop"] > 0
+
+
+class TestDelayChainsMatchModel:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kill=st.booleans())
+    def test_delay_chains(self, seed, kill):
+        _assert_runs_identical(
+            _run_delay_chain_workload(Simulator(), seed, kill),
+            _run_delay_chain_workload(_ObserverLaneModel(), seed, kill))
+
+
 def test_live_pending_count_excludes_tombstones():
     sim = Simulator()
     handles = [sim.call_later(1_000.0 * (i + 1), lambda: None)
@@ -237,3 +362,43 @@ def test_run_until_behind_now_is_refused():
     sim.schedule(1.0, seen.append, 16.0)
     sim.run()
     assert seen == [10.0, 16.0, 20.0]
+
+
+# ---------------------------------------------------------------------------
+# run-loop arguments are checked before anything runs
+# ---------------------------------------------------------------------------
+
+def _five_delays(sim):
+    def prog():
+        for _ in range(5):
+            yield Delay(10.0)
+    return sim.spawn(prog(), name="five")
+
+
+def test_nan_limit_is_refused():
+    # NaN compares false against every time: as a limit it bounded nothing
+    sim = Simulator()
+    proc = _five_delays(sim)
+    with pytest.raises(ValueError, match="limit=nan"):
+        sim.run_until_processes_done([proc], limit=math.nan)
+    assert (sim.now, sim.events_executed) == (0.0, 0)
+
+
+def test_nan_until_is_refused():
+    sim = Simulator()
+    _five_delays(sim)
+    with pytest.raises(ValueError, match=r"until=nan\): the horizon is NaN"):
+        sim.run(until=math.nan)
+    assert (sim.now, sim.events_executed) == (0.0, 0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda sim, proc: sim.run(max_events=-3),
+    lambda sim, proc: sim.run_until_processes_done([proc], max_events=-3),
+], ids=["run", "run_until_processes_done"])
+def test_negative_max_events_is_refused(run):
+    sim = Simulator()
+    proc = _five_delays(sim)
+    with pytest.raises(ValueError, match="max_events=-3"):
+        run(sim, proc)
+    assert (sim.now, sim.events_executed) == (0.0, 0)

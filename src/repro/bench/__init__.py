@@ -1,8 +1,8 @@
 """Benchmark harness: experiment runners and paper-format reporting.
 
-Each table/figure of the paper has a module in ``benchmarks/`` that drives
-the functions here; everything below is also importable for interactive
-use::
+``repro.claims`` builds every table, figure and ablation of the paper
+from the functions here; everything below is also importable for
+interactive use::
 
     from repro.bench import pingpong, bandwidth
     pingpong.am_roundtrip(words=1)          # -> ~51.0 (us)

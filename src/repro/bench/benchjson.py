@@ -20,19 +20,22 @@ from repro.obs.schema import BENCH_SCHEMA
 
 def make_report(
     experiment: str,
-    entries: Iterable[Tuple[str, Optional[float], float]],
+    entries: Iterable[Tuple],
     obs=None,
     extra: Optional[Dict] = None,
 ) -> Dict:
     """Build a ``spam-bench/1`` report from ``(name, paper, measured)``
     rows (``paper`` may be ``None`` for measurements without a published
-    counterpart).  ``obs`` contributes its snapshot + stage summary."""
+    counterpart), each optionally followed by a dict of further fields
+    for its row.  ``obs`` contributes its snapshot + stage summary."""
     results = []
-    for name, paper, measured in entries:
+    for name, paper, measured, *fields in entries:
         row: Dict = {"name": name, "paper": paper,
                      "measured": round(float(measured), 3)}
         if paper:
             row["dev_pct"] = round((measured - paper) / paper * 100.0, 2)
+        for more in fields:
+            row.update(more)
         results.append(row)
     report: Dict = {
         "schema": BENCH_SCHEMA,

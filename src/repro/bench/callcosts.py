@@ -12,11 +12,6 @@ from repro.am import attach_spam
 from repro.hardware import build_sp_machine
 from repro.sim import Simulator
 
-#: the paper's Table 2 values, microseconds
-PAPER_REQUEST = {1: 7.7, 2: 7.9, 3: 8.0, 4: 8.2}
-PAPER_REPLY = {1: 4.0, 2: 4.1, 3: 4.3, 4: 4.4}
-
-
 def request_call_cost(words: int) -> float:
     """Duration of one am_request_N call (empty-network poll included)."""
     sim = Simulator()

@@ -8,6 +8,8 @@
   Figs 8/10.
 * :func:`protocol_bandwidth` — Fig 7: buffered vs rendez-vous vs hybrid,
   forced via configuration.
+* :func:`mpi_stream` — the one two-node blocking send/recv stream under
+  an MPI-AM configuration, which Fig 7 and the MPI ablations time.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.am import attach_spam
+from repro.bench.harness import run_programs
 from repro.hardware import build_sp_machine
-from repro.hardware.params import machine_params
+from repro.hardware.params import MachineParams, machine_params
 from repro.mpi import OPTIMIZED, UNOPTIMIZED, attach_mpi, attach_mpif
 from repro.mpi.config import variant as cfg_variant
 from repro.sim import Simulator
@@ -141,13 +144,22 @@ PROTOCOL_CONFIGS = {
 def protocol_bandwidth(protocol: str, nbytes: int,
                        node_kind: str = "sp-thin") -> float:
     """Fig 7: bandwidth of one protocol, forced regardless of size."""
-    cfg = PROTOCOL_CONFIGS[protocol]
-    sim = Simulator()
-    machine = build_sp_machine(sim, 2, machine_params(node_kind))
-    attach_spam(machine)
-    mpis = attach_mpi(machine, cfg)
     total = min(400_000, max(100_000, 5 * nbytes))
     count = max(1, total // max(nbytes, 1))
+    elapsed = mpi_stream(PROTOCOL_CONFIGS[protocol], nbytes, count,
+                         machine_params(node_kind))
+    return count * nbytes / elapsed
+
+
+def mpi_stream(cfg, nbytes: int, count: int,
+               params: Optional[MachineParams] = None) -> float:
+    """Elapsed simulated us while rank 0 sends ``count`` blocking
+    ``nbytes`` messages that rank 1 receives in order, over MPI-AM
+    configured by ``cfg`` (SP thin nodes unless ``params`` says
+    otherwise)."""
+    machine = build_sp_machine(Simulator(), 2, params)
+    attach_spam(machine)
+    mpis = attach_mpi(machine, cfg)
     data = bytes(nbytes)
 
     def sender(_):
@@ -158,7 +170,5 @@ def protocol_bandwidth(protocol: str, nbytes: int,
         for i in range(count):
             yield from mpis[1].recv(nbytes, 0, tag=i)
 
-    p = sim.spawn(sender(0))
-    q = sim.spawn(receiver(0))
-    sim.run_until_processes_done([p, q], limit=1e10, max_events=80_000_000)
-    return count * nbytes / sim.now
+    return run_programs(machine, [sender, receiver],
+                        max_events=80_000_000).elapsed_us

@@ -6,23 +6,22 @@ so EXPERIMENTS.md and the benchmark logs read the same way.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 def fmt_table(title: str, headers: Sequence[str],
               rows: Sequence[Sequence], width: int = 12) -> str:
-    """A fixed-width text table."""
-    out = [title, "=" * len(title)]
-    out.append("  ".join(f"{h:>{width}}" for h in headers))
-    out.append("  ".join("-" * width for _ in headers))
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(f"{v:>{width}.2f}")
-            else:
-                cells.append(f"{str(v):>{width}}")
-        out.append("  ".join(cells))
+    """A text table, right-aligned; each column at least ``width`` wide
+    and wide enough for its longest cell."""
+    cells = [[f"{v:.2f}" if isinstance(v, float) else str(v) for v in row]
+             for row in rows]
+    widths = [max([width, len(h)] + [len(row[i]) for row in cells])
+              for i, h in enumerate(headers)]
+    out = [title, "=" * len(title),
+           "  ".join(f"{h:>{w}}" for h, w in zip(headers, widths)),
+           "  ".join("-" * w for w in widths)]
+    out += ["  ".join(f"{c:>{w}}" for c, w in zip(row, widths))
+            for row in cells]
     return "\n".join(out)
 
 
@@ -44,16 +43,19 @@ def fmt_series(title: str, series: Dict[str, Sequence[Tuple[int, float]]],
 
 
 def paper_vs_measured(title: str,
-                      entries: Sequence[Tuple[str, object, float]],
-                      unit: str = "") -> str:
-    """Rows of (quantity, paper value, measured value, deviation)."""
+                      entries: Sequence[Tuple],
+                      unit: str = "",
+                      extra: Sequence[str] = ()) -> str:
+    """Rows of (quantity, paper value, measured value, deviation), each
+    entry ``(quantity, paper, measured, *cells)`` with one trailing cell
+    per ``extra`` header."""
     rows = []
-    for label, paper, measured in entries:
+    for label, paper, measured, *cells in entries:
         if isinstance(paper, (int, float)) and paper:
             dev = f"{(measured - paper) / paper * 100:+.1f}%"
         else:
             dev = "-"
         rows.append((label, paper if paper is not None else "-",
-                     round(measured, 2), dev))
-    return fmt_table(title, ["quantity", "paper", "measured", "dev"], rows,
-                     width=16) + (f"\n(units: {unit})" if unit else "")
+                     round(measured, 2), dev, *cells))
+    return fmt_table(title, ["quantity", "paper", "measured", "dev", *extra],
+                     rows, width=8) + (f"\n(units: {unit})" if unit else "")

@@ -9,7 +9,7 @@ Usage::
     spam-bench table2|table3|table4|table6
     spam-bench fig3|fig7|fig8|fig9|fig10|fig11
     spam-bench table5 [--keys 2048]
-    spam-bench nas [BT|FT|LU|MG|SP] [--variant mpi-am|mpi-f]
+    spam-bench nas [BT|FT|LU|MG|SP]
     spam-bench inspect FILE...          # validate + summarize traces/reports
     spam-bench validate FILE...         # schema validation only (CI gate)
     spam-bench profile [--quick] [--period-us 50] [--topk 5]
@@ -20,16 +20,15 @@ Usage::
     spam-bench check --seeds 20 [--loss 0.01] [--shrink]
                                         # randomized conformance campaigns
                                         # under the invariant sanitizer
-    spam-bench protocols [--quick]      # AM eager vs MPL vs MPI-F
-                                        # bandwidth curves
 
 Table-style experiments also leave a machine-readable
 ``BENCH_<experiment>.json`` report next to the ASCII table (suppress with
 ``--no-report``); ``roundtrip --trace-out`` dumps the full message-span
 trace in Chrome trace-event or JSONL form (see docs/observability.md).
 
-Everything is also runnable through pytest (``pytest benchmarks/``); this
-driver is for quick interactive looks at single experiments.
+The table and figure commands print the claim rows of
+:mod:`repro.claims` — paper value, measured value, bound and status —
+that ``pytest benchmarks/`` checks.
 """
 
 from __future__ import annotations
@@ -37,7 +36,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.report import fmt_series, fmt_table, paper_vs_measured
+from repro.bench.report import fmt_series, fmt_table
+
+#: the commands that run one experiment of :mod:`repro.claims`
+EXPERIMENT_COMMANDS = ("roundtrip", "table2", "table3", "table4", "table5",
+                       "table6", "nas", "fig3", "fig7", "fig8", "fig9",
+                       "fig10", "fig11")
+#: ``spam-bench nas`` kernels: the keys of ``repro.apps.nas.NAS_KERNELS``,
+#: spelled out so that parsing arguments does not import the apps
+NAS_KERNELS = ("BT", "FT", "LU", "MG", "SP")
 
 
 def _check_report_dir(args) -> None:
@@ -77,22 +84,40 @@ def _write_report(args, experiment, entries, obs=None, extra=None) -> None:
     print(f"report: {path}")
 
 
-def cmd_roundtrip(args) -> None:
-    from repro.bench.pingpong import (
-        am_roundtrip_observed,
-        mpl_roundtrip,
-        raw_roundtrip,
-        stage_attribution,
-    )
+def _print_data(name: str, result) -> None:
+    """The measurements behind an experiment's claim rows, where the rows
+    show only ratios: figure curves, Table 4/5/6 cells."""
+    from repro.claims import title
 
-    iters = getattr(args, "iters", 100)
-    am_mean, obs = am_roundtrip_observed(1, iters)
-    entries = [("raw ping-pong", 47.0, raw_roundtrip(iters)),
-               ("SP AM one word", 51.0, am_mean),
-               ("IBM MPL", 88.0, mpl_roundtrip(iters))]
-    print(paper_vs_measured("S2.3 round-trip latency (us)", entries))
+    heading = title(name)
+    if name.startswith("fig"):
+        unit = "us/hop" if name in ("fig8", "fig10") else "MB/s"
+        print(fmt_series(heading, {k: list(v.items())
+                                   for k, v in result.items()}, ylabel=unit))
+    elif name == "table5":
+        rows = []
+        for (bench, stack), r in result.runs.items():
+            f = result.scale if "sort" in bench else 1
+            rows.append((bench, stack, *(f"{t * f:.4g}" for t in
+                                         (r.elapsed_s, r.cpu_s, r.net_s))))
+        print(fmt_table(f"{heading}, sorts projected x{result.scale}",
+                        ["bench", "stack", "total", "cpu", "net"], rows))
+    elif name in ("table4", "table6"):
+        cols = list(next(iter(result.values())))
+        print(fmt_table(heading, ["", *cols],
+                        [(k, *(f"{v:.4g}" if isinstance(v, float) else v
+                               for v in row.values()))
+                         for k, row in result.items()]))
+
+
+def _observed_roundtrip(args):
+    """The §2.3 ping-pong again with an Observatory: ``--stats``,
+    ``--trace-out`` and the report's stage attribution."""
+    from repro.bench.pingpong import am_roundtrip_observed, stage_attribution
+
+    am_mean, obs = am_roundtrip_observed(1, args.iters)
     att = stage_attribution(obs)
-    if getattr(args, "stats", False):
+    if args.stats:
         rows = []
         for kind in ("REQUEST", "REPLY"):
             for stage, mean in att["stages"].get(kind, {}).items():
@@ -105,156 +130,44 @@ def cmd_roundtrip(args) -> None:
                         ["stat", "value"],
                         [(k, round(v, 2)) for k, v in
                          obs.hist("am.rtt_us").snapshot().items()]))
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out:
+    if args.trace_out:
         from repro.obs import write_chrome_trace, write_jsonl
 
-        fmt = getattr(args, "trace_format", "chrome")
         try:
-            if fmt == "jsonl":
-                write_jsonl(obs, trace_out)
+            if args.trace_format == "jsonl":
+                write_jsonl(obs, args.trace_out)
             else:
-                write_chrome_trace(obs, trace_out)
+                write_chrome_trace(obs, args.trace_out)
         except OSError as e:
             raise SystemExit(f"spam-bench: cannot write trace: {e}")
-        print(f"trace: {trace_out} ({fmt})")
-    _write_report(args, "roundtrip", entries, obs=obs,
-                  extra={"iterations": iters, "stage_attribution": att})
+        print(f"trace: {args.trace_out} ({args.trace_format})")
+    return obs, {"iterations": args.iters, "stage_attribution": att}
 
 
-def cmd_table2(args) -> None:
-    from repro.bench.callcosts import (
-        PAPER_REPLY,
-        PAPER_REQUEST,
-        reply_call_cost,
-        request_call_cost,
-    )
+def cmd_experiment(args) -> None:
+    """Run one experiment of :mod:`repro.claims` and print its claim rows
+    (the rows ``pytest benchmarks/`` checks) with paper value, measured
+    value, bound and status."""
+    from repro import claims
 
-    rows = []
-    entries = []
-    for n in (1, 2, 3, 4):
-        for name, paper, measured in (
-            (f"am_request_{n}", PAPER_REQUEST[n], request_call_cost(n)),
-            (f"am_reply_{n}", PAPER_REPLY[n], reply_call_cost(n)),
-        ):
-            rows.append((name, paper, round(measured, 2)))
-            entries.append((name, paper, measured))
-    print(fmt_table("Table 2: AM call costs (us)",
-                    ["call", "paper", "measured"], rows))
-    _write_report(args, "table2", entries)
-
-
-def cmd_table3(args) -> None:
-    from repro.bench.bandwidth import n_half, r_inf, sweep
-    from repro.bench.pingpong import am_roundtrip, mpl_roundtrip
-
-    sizes = [128, 256, 512, 1024, 4096, 16384, 262144, 1048576]
-    am = sweep("am_store_async", sizes)
-    mpl = sweep("mpl_send", sizes)
-    entries = [("AM round trip (us)", 51.0, am_roundtrip(1, 100)),
-               ("MPL round trip (us)", 88.0, mpl_roundtrip(100)),
-               ("AM r_inf (MB/s)", 34.3, r_inf(am)),
-               ("MPL r_inf (MB/s)", 34.6, r_inf(mpl)),
-               ("AM n1/2 async (B)", 260, n_half(am, 34.3)),
-               ("MPL n1/2 async (B)", 2040, n_half(mpl, 34.6))]
-    print(paper_vs_measured("Table 3: SP AM vs IBM MPL", entries))
-    _write_report(args, "table3", entries)
-
-
-def cmd_table4(args) -> None:
-    from repro.bench.machines import TABLE4_PAPER, table4_rows
-
-    rows = []
-    entries = []
-    for r in table4_rows():
-        p = TABLE4_PAPER[r.name]
-        rows.append((p["label"], p["rtt"], round(r.rtt_us, 1),
-                     p["bw"], round(r.bandwidth_mbs, 1)))
-        entries.append((f"{p['label']} rtt (us)", p["rtt"], r.rtt_us))
-        entries.append((f"{p['label']} bw (MB/s)", p["bw"], r.bandwidth_mbs))
-    print(fmt_table("Table 4 (paper/measured)",
-                    ["machine", "rtt(p)", "rtt(m)", "bw(p)", "bw(m)"], rows))
-    _write_report(args, "table4", entries)
-
-
-def cmd_fig3(_args) -> None:
-    from repro.bench.bandwidth import MODES, sweep
-
-    sizes = [64, 256, 1024, 8064, 65536, 1048576]
-    print(fmt_series("Figure 3: bulk-transfer bandwidth",
-                     {m: sweep(m, sizes) for m in MODES}))
-
-
-def cmd_fig7(_args) -> None:
-    from repro.bench.figures import PROTOCOL_CONFIGS, protocol_bandwidth
-
-    sizes = [512, 1024, 2048, 4096, 8192, 16384]
-    print(fmt_series(
-        "Figure 7: protocol bandwidth",
-        {p: [(n, protocol_bandwidth(p, n)) for n in sizes]
-         for p in PROTOCOL_CONFIGS}))
-
-
-def _fig_mpi(kind: str, what: str) -> None:
-    from repro.bench.figures import MPI_VARIANTS, mpi_bandwidth, mpi_ring_latency
-
-    if what == "latency":
-        sizes = [4, 64, 256, 1024, 4096, 16384]
-        fn = lambda v, n: mpi_ring_latency(v, n, kind)  # noqa: E731
-        unit = "us/hop"
+    name = "table6" if args.cmd == "nas" else args.cmd
+    kernel = getattr(args, "kernel", None)
+    if name == "table5":
+        result = claims.table5(args.keys)
+    elif kernel:
+        result = claims.table6((kernel,))
     else:
-        sizes = [1024, 4096, 8192, 16384, 65536, 262144]
-        fn = lambda v, n: mpi_bandwidth(v, n, kind)  # noqa: E731
-        unit = "MB/s"
-    print(fmt_series(f"MPI {what}, {kind}",
-                     {v: [(n, fn(v, n)) for n in sizes]
-                      for v in MPI_VARIANTS}, ylabel=unit))
-
-
-def cmd_table5(args) -> None:
-    from repro.apps.matmul import run_matmul
-    from repro.apps.radix_sort import run_radix_sort
-    from repro.apps.sample_sort import run_sample_sort
-    from repro.apps.workloads import STACKS
-
-    keys = args.keys
-    rows = []
-    for stack in ("sp-am", "sp-mpl"):
-        for tag, (n, b) in (("mm128", (4, 128)), ("mm16", (16, 16))):
-            r = run_matmul(stack, nprocs=8, n=n, b=b)
-            rows.append((tag, stack, round(r.elapsed_s, 3),
-                         round(r.cpu_s, 3), round(r.net_s, 3)))
-    for variant in ("small", "bulk"):
-        for stack in STACKS:
-            r = run_sample_sort(stack, nprocs=8, keys_per_proc=keys,
-                                variant=variant)
-            rows.append((f"smpsort-{variant}", stack,
-                         round(r.elapsed_s, 3), round(r.cpu_s, 3),
-                         round(r.net_s, 3)))
-    for variant in ("small", "large"):
-        for stack in ("sp-am", "sp-mpl"):
-            r = run_radix_sort(stack, nprocs=8, keys_per_proc=keys,
-                               variant=variant)
-            rows.append((f"rdxsort-{variant}", stack,
-                         round(r.elapsed_s, 3), round(r.cpu_s, 3),
-                         round(r.net_s, 3)))
-    print(fmt_table(f"Table 5 / Fig 4 ({keys} keys/proc; seconds)",
-                    ["bench", "stack", "total", "cpu", "net"], rows))
-
-
-def cmd_nas(args) -> None:
-    from repro.apps.nas import NAS_KERNELS
-
-    kernels = [args.kernel.upper()] if args.kernel else sorted(NAS_KERNELS)
-    rows = []
-    for name in kernels:
-        am = NAS_KERNELS[name]("mpi-am")
-        f = NAS_KERNELS[name]("mpi-f")
-        rows.append((name, round(f.elapsed_s, 4), round(am.elapsed_s, 4),
-                     round(am.elapsed_s / f.elapsed_s, 2),
-                     am.verified and f.verified))
-    print(fmt_table("Table 6: NAS kernels (16 thin nodes; seconds)",
-                    ["bench", "MPI-F", "MPI-AM", "ratio", "ok"], rows))
+        result = claims.EXPERIMENTS[name]()
+    rows = [claims.evaluate(c, result) for c in claims.CLAIMS
+            if c.experiment == name
+            and (kernel is None or c.id == f"table6.{kernel}")]
+    _print_data(name, result)
+    print(claims.render(claims.title(name), rows))
+    obs = extra = None
+    if name == "roundtrip":
+        obs, extra = _observed_roundtrip(args)
+    _write_report(args, name, claims.report_entries(rows), obs=obs,
+                  extra=extra)
 
 
 def cmd_profile(args) -> int:
@@ -398,18 +311,6 @@ def cmd_check(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_protocols(args) -> int:
-    from repro.bench.protocols import report_entries, run_protocols
-
-    data = run_protocols(quick=args.quick)
-    print(fmt_series("protocol bandwidth (eager vs MPL vs MPI-F)",
-                     data["curves"]))
-    print(fmt_table("single-transfer latency (us)", ["bytes", "eager"],
-                    data["latency_us"]["eager"]))
-    _write_report(args, "protocols", report_entries(data), extra=data)
-    return 0
-
-
 def _print_hists(title: str, key: str, samples) -> None:
     """One histogram per name over ``(name, value)`` samples, as a
     count/mean/p95/max table."""
@@ -527,7 +428,9 @@ def main(argv=None) -> int:
     for name in ("list", "fig3", "fig7", "fig8", "fig9", "fig10", "fig11"):
         sub.add_parser(name)
     pr = sub.add_parser("roundtrip")
-    pr.add_argument("--iters", type=_positive_int, default=100)
+    pr.add_argument("--iters", type=_positive_int, default=100,
+                    help="round trips of the observed ping-pong behind "
+                         "--stats, --trace-out and the report")
     pr.add_argument("--stats", action="store_true",
                     help="print stage attribution + rtt histogram")
     pr.add_argument("--trace-out", metavar="FILE", default=None,
@@ -538,10 +441,12 @@ def main(argv=None) -> int:
     for name in ("table2", "table3", "table4"):
         _add_report_opts(sub.add_parser(name))
     p5 = sub.add_parser("table5")
-    p5.add_argument("--keys", type=int, default=2048)
+    p5.add_argument("--keys", type=_positive_int, default=2048,
+                    help="sort keys per processor (default 2048)")
     sub.add_parser("table6")
     pn = sub.add_parser("nas")
-    pn.add_argument("kernel", nargs="?", default=None)
+    pn.add_argument("kernel", nargs="?", default=None, type=str.upper,
+                    choices=NAS_KERNELS)
     pi = sub.add_parser("inspect")
     pi.add_argument("files", nargs="+", metavar="FILE")
     pv = sub.add_parser(
@@ -601,35 +506,17 @@ def main(argv=None) -> int:
                     help="minimize any failing campaign to its smallest "
                          "failing op list")
     _add_report_opts(pc)
-    pb = sub.add_parser(
-        "protocols", help="AM eager vs MPL vs MPI-F bandwidth curves")
-    pb.add_argument("--quick", action="store_true",
-                    help="reduced size sweep (CI smoke)")
-    _add_report_opts(pb)
     args = parser.parse_args(argv)
     _check_report_dir(args)
 
     dispatch = {
         "list": lambda a: parser.print_help(),
-        "roundtrip": cmd_roundtrip,
-        "table2": cmd_table2,
-        "table3": cmd_table3,
-        "table4": cmd_table4,
-        "table5": cmd_table5,
-        "table6": lambda a: cmd_nas(argparse.Namespace(kernel=None)),
-        "nas": cmd_nas,
-        "fig3": cmd_fig3,
-        "fig7": cmd_fig7,
-        "fig8": lambda a: _fig_mpi("sp-thin", "latency"),
-        "fig9": lambda a: _fig_mpi("sp-thin", "bandwidth"),
-        "fig10": lambda a: _fig_mpi("sp-wide", "latency"),
-        "fig11": lambda a: _fig_mpi("sp-wide", "bandwidth"),
+        **{name: cmd_experiment for name in EXPERIMENT_COMMANDS},
         "inspect": cmd_inspect,
         "validate": cmd_validate,
         "profile": cmd_profile,
         "soak": cmd_soak,
         "check": cmd_check,
-        "protocols": cmd_protocols,
     }
     return dispatch[args.cmd or "list"](args) or 0
 

@@ -20,8 +20,9 @@ registers per-node buffer addresses — the kind of persistent collective
 state MPICH's generic layer cannot assume, which is exactly why the paper
 calls this a specialization.
 
-The ablation benchmark ``bench_ablations.py::test_ablation_am_direct_
-collectives`` measures the win over the generic MPICH versions.
+The ablation claims ``direct_collectives.alltoall`` and
+``direct_collectives.bcast`` (``repro.claims``; ``pytest benchmarks/ -k
+direct_collectives``) measure the win over the generic MPICH versions.
 """
 
 from __future__ import annotations

@@ -47,17 +47,21 @@ class TestCallOverheads:
 
     @pytest.mark.parametrize("words", [1, 2, 3, 4])
     def test_am_request_call_cost(self, words):
-        from repro.bench.callcosts import PAPER_REQUEST, request_call_cost
+        from repro.bench.callcosts import request_call_cost
+        from repro.claims import BY_ID
 
         cost = request_call_cost(words)
-        assert cost == pytest.approx(PAPER_REQUEST[words], abs=0.25)
+        paper = BY_ID[f"table2.request_{words}"].paper
+        assert cost == pytest.approx(paper, abs=0.25)
 
     @pytest.mark.parametrize("words", [1, 2, 3, 4])
     def test_am_reply_call_cost(self, words):
-        from repro.bench.callcosts import PAPER_REPLY, reply_call_cost
+        from repro.bench.callcosts import reply_call_cost
+        from repro.claims import BY_ID
 
         cost = reply_call_cost(words)
-        assert cost == pytest.approx(PAPER_REPLY[words], abs=0.25)
+        paper = BY_ID[f"table2.reply_{words}"].paper
+        assert cost == pytest.approx(paper, abs=0.25)
 
     def test_empty_poll_cost(self):
         """§2.5: polling an empty network costs 1.3 us."""

@@ -1,14 +1,15 @@
 """Exact values of the two-node AM stream measurements.
 
-Table 4's bulk column, the protocol bench's eager bandwidth and its
-single-transfer latency all drive the same sender-loop/server
-shape; these pins hold every one of them to the simulated microsecond.
+Table 4's bulk column, the chunk protocol's pipelined ("eager")
+bandwidth and its single-transfer latency all drive the one two-node AM
+stream, ``repro.bench.bandwidth._measure_am``; these pins hold every one
+of them to the simulated microsecond.
 """
 
 import pytest
 
+from repro.bench.bandwidth import _measure_am
 from repro.bench.machines import measure_bulk_bandwidth
-from repro.bench.protocols import measure_curve, run_protocols
 
 
 @pytest.mark.parametrize("machine,mbs", [
@@ -25,11 +26,15 @@ def test_table4_bulk_bandwidth_pin(machine, mbs):
     ("eager", 30.20135170773629),
 ])
 def test_protocol_curve_pin(curve, mbs):
-    assert measure_curve(curve, 8064, total=64512) == mbs
+    mode = {"eager": "am_store_async"}[curve]
+    count, elapsed = _measure_am(mode, 8064, 64512)
+    assert count * 8064 / elapsed == mbs
 
 
 def test_protocol_latency_pin():
-    # unrounded mean: eager 316.21666666666727
-    data = run_protocols(sizes=[8064])
-    assert data["latency_us"] == {"eager": [(8064, 316.217)]}
-    assert data["curves"]["eager"] == [(8064, 33.207)]
+    # four back-to-back blocking stores; unrounded mean 316.21666666666727
+    count, elapsed = _measure_am("am_store", 8064, 4 * 8064)
+    assert round(elapsed / count, 3) == 316.217
+    # pipelined stores over the default 150 KB total
+    count, elapsed = _measure_am("am_store_async", 8064, 150_000)
+    assert round(count * 8064 / elapsed, 3) == 33.207

@@ -49,23 +49,38 @@ def test_unwritable_report_dir_fails_at_argument_time(tmp_path, argv, bad):
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (["check", "--seeds", "1", "--loss", "2"], "--loss"),
-    (["check", "--seeds", "3", "--loss", "2"], "--loss"),
-    (["check", "--seeds", "1", "--loss", "-0.5"], "--loss"),
-    (["soak", "--loss", "1.5"], "--loss"),
-    (["profile", "--quick", "--period-us", "0"], "--period-us"),
-    (["profile", "--quick", "--period-us", "-2"], "--period-us"),
-    (["soak", "--sample-period-us", "-3"], "--sample-period-us"),
+    (["check", "--seeds", "1", "--loss", "2", "--no-report"], "--loss"),
+    (["check", "--seeds", "3", "--loss", "2", "--no-report"], "--loss"),
+    (["check", "--seeds", "1", "--loss", "-0.5", "--no-report"], "--loss"),
+    (["soak", "--loss", "1.5", "--no-report"], "--loss"),
+    (["profile", "--quick", "--period-us", "0", "--no-report"],
+     "--period-us"),
+    (["profile", "--quick", "--period-us", "-2", "--no-report"],
+     "--period-us"),
+    (["soak", "--sample-period-us", "-3", "--no-report"],
+     "--sample-period-us"),
+    (["nas", "XX"], "kernel"),
+    (["table5", "--keys", "0"], "--keys"),
+    (["table5", "--keys", "-5"], "--keys"),
 ])
 def test_bad_rate_or_period_fails_at_argument_time(capsys, argv, flag):
     t0 = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--no-report"])
+        main(argv)
     assert time.perf_counter() - t0 < 1.0
     assert exc.value.code != 0
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err
     assert "Traceback" not in err
+
+
+def test_nas_kernel_is_case_insensitive(capsys):
+    # "ft" is taken as FT; parsing then stops at the unknown flag
+    with pytest.raises(SystemExit):
+        main(["nas", "ft", "--bogus"])
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --bogus" in err
+    assert "invalid choice" not in err
 
 
 def test_zero_sample_period_still_means_off():

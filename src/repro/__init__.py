@@ -20,7 +20,7 @@ Quick start::
 
 Package map (details in DESIGN.md):
 
-- :mod:`repro.sim`      - deterministic event engine (+ tracing)
+- :mod:`repro.sim`      - deterministic event engine
 - :mod:`repro.hardware` - TB2 adapter, MicroChannel, switch, nodes
 - :mod:`repro.am`       - SP Active Messages (the paper's contribution)
 - :mod:`repro.mpl`      - IBM MPL baseline + the AM-over-MPL shim

@@ -3,7 +3,7 @@
 Every table-style experiment the CLI runs can also leave behind a JSON
 report (schema ``spam-bench/1``) pairing the paper's published numbers
 with the measured ones, plus — when an Observatory was attached — the
-merged counter/histogram snapshot and the per-stage latency breakdown.
+merged counter/histogram snapshot and the per-kind critical-path rollup.
 CI and regression tooling consume these instead of scraping the ASCII
 tables.
 """
@@ -27,7 +27,8 @@ def make_report(
     """Build a ``spam-bench/1`` report from ``(name, paper, measured)``
     rows (``paper`` may be ``None`` for measurements without a published
     counterpart), each optionally followed by a dict of further fields
-    for its row.  ``obs`` contributes its snapshot + stage summary."""
+    for its row.  ``obs`` contributes its snapshot and its critical-path
+    rollup (:func:`~repro.obs.critpath.critpath_rollup`)."""
     results = []
     for name, paper, measured, *fields in entries:
         row: Dict = {"name": name, "paper": paper,
@@ -44,10 +45,12 @@ def make_report(
         "results": results,
     }
     if obs is not None:
+        from repro.obs.critpath import critpath_rollup
+
         report["stats"] = obs.snapshot()
-        stage = obs.stage_summary()
-        if stage:
-            report["stage_summary"] = stage
+        critpath = critpath_rollup(obs)
+        if critpath:
+            report["critpath"] = critpath
     if extra:
         report.update(extra)
     return report

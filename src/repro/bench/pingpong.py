@@ -78,9 +78,10 @@ def am_roundtrip_observed(words: int = 1, iterations: int = 200,
     """Like :func:`am_roundtrip` but with an Observatory attached.
 
     Returns ``(mean_rtt_us, obs)`` — the observatory holds one message
-    span per packet (with the full stage breakdown), the ``am.rtt_us``
-    round-trip histogram, handler-time and occupancy histograms, and the
-    merged counters of every layer, ready for the exporters.  With
+    span per packet (whose marks give its critical-path stages), the
+    ``am.rtt_us`` round-trip histogram, handler-time and occupancy
+    histograms, and the merged counters of every layer, ready for the
+    exporters.  With
     ``sample_period_us`` its periodic gauge sampler runs as well.
     """
     from repro.obs import Observatory
@@ -95,44 +96,6 @@ def am_roundtrip_observed(words: int = 1, iterations: int = 200,
         obs.start_sampler(period_us=sample_period_us)
     mean = _am_pingpong(machine, words, iterations)
     return mean, obs
-
-
-def stage_attribution(obs) -> dict:
-    """Reconstruct the round trip from span marks (§2.3 / Table 2 style).
-
-    One ping-pong iteration is one REQUEST span plus one REPLY span; the
-    reply's ``begin`` falls inside the request handler, so
-
-        mean(REQUEST begin->handler_start) + mean(REPLY begin->handler_end)
-
-    tiles the round trip up to a sub-microsecond residual (the final
-    poll-loop check).  Returns per-kind, per-stage mean durations, the two
-    half-trip means, and their sum for comparison against the measured
-    mean RTT.
-    """
-    out = {"stages": {}, "half_us": {}}
-    total = 0.0
-    for kind, end_mark in (("REQUEST", "handler_start"),
-                           ("REPLY", "handler_end")):
-        spans = obs.spans_by_kind(kind)
-        sums: dict = {}
-        counts: dict = {}
-        halves = []
-        for s in spans:
-            for stage, dur in s.stage_durations().items():
-                sums[stage] = sums.get(stage, 0.0) + dur
-                counts[stage] = counts.get(stage, 0) + 1
-            b, e = s.marks.get("begin"), s.marks.get(end_mark)
-            if b is not None and e is not None:
-                halves.append(e - b)
-        out["stages"][kind] = {
-            stage: sums[stage] / counts[stage] for stage in sums
-        }
-        half = sum(halves) / len(halves) if halves else 0.0
-        out["half_us"][kind] = half
-        total += half
-    out["stage_sum_us"] = total
-    return out
 
 
 def mpl_roundtrip(iterations: int = 200) -> float:

@@ -21,7 +21,7 @@ polling); this module charges only adapter-side time.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Optional
 
 from repro.hardware.fifo import RecvFIFO, SendFIFO
 from repro.hardware.packet import Packet
@@ -85,12 +85,6 @@ class TB2Adapter:
         self._i860_rx_occupancy = params.i860_rx_occupancy
         self._i860_rx_latency = params.i860_rx_latency
         self._link_rate = switch_params.link_rate
-        #: callbacks run (at packet-visible time) on every delivery; the AM
-        #: layer uses this to wake blocked processes instead of spin-polling
-        self._arrival_listeners: List[Callable[[Packet], None]] = []
-        #: callbacks run as each packet leaves the adapter, with the wire-
-        #: exit time (tracing: ``tx`` events)
-        self._departure_listeners: List[Callable[[Packet, float], None]] = []
         self._arrival_event: Optional[Event] = None
         # precomputed once: arrival_event() runs per blocked-wait cycle
         self._arrival_event_name = f"tb2[{node_id}].arrival"
@@ -156,16 +150,6 @@ class TB2Adapter:
         """Packets visible to the host right now."""
         return len(self.recv_fifo.visible)
 
-    def add_arrival_listener(self, fn: Callable[[Packet], None]) -> None:
-        """Run ``fn(packet)`` at every delivery (tracing/wakeups)."""
-        self._arrival_listeners.append(fn)
-
-    def add_departure_listener(
-        self, fn: Callable[[Packet, float], None]
-    ) -> None:
-        """Run ``fn(packet, wire_exit_time)`` as each packet leaves."""
-        self._departure_listeners.append(fn)
-
     def arrival_event(self) -> Event:
         """A one-shot event that fires at the next packet delivery.
 
@@ -221,16 +205,9 @@ class TB2Adapter:
             if span is not None:
                 marks = span.marks
                 if "wire_exit" in marks:
-                    span.retransmits += 1  # go-back-N re-entering TX
-                    # recovery wait: last wire exit -> this DMA start is
-                    # the NACK/keep-alive backoff the sender sat through
-                    gap = start - marks["wire_exit"]
-                    if gap > 0.0:
-                        span.backoff_us += gap
+                    span.retransmit(start)  # go-back-N re-entering TX
                 marks["dma_start"] = start
                 marks["wire_exit"] = exit_at
-        for fn in self._departure_listeners:
-            fn(pkt, exit_at)
         self.switch.inject(pkt, exit_at)
         if fifo._armed:
             delay = tx_free - now
@@ -281,8 +258,6 @@ class TB2Adapter:
 
     def _deliver(self, packet: Packet) -> None:
         self.recv_fifo.deliver(packet)
-        for fn in self._arrival_listeners:
-            fn(packet)
         ev = self._arrival_event
         if ev is not None and not ev._ok:  # Event.triggered, per arrival
             ev.succeed(packet)

@@ -14,7 +14,7 @@ above is machine-independent, exactly as Generic Active Messages intends.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
 from repro.hardware.packet import Packet
 from repro.hardware.params import GenericNICParams
@@ -60,8 +60,6 @@ class GenericNIC:
         fabric.attach(node_id, self)
         self._tx_free = 0.0
         self._rx_queue: Deque[Packet] = deque()
-        self._arrival_listeners: List[Callable[[Packet], None]] = []
-        self._departure_listeners: List[Callable[[Packet, float], None]] = []
         self._arrival_event: Optional[Event] = None
         self.stats = StatRegistry(f"nic[{node_id}].")
         #: observability hub (set by Observatory.attach; None = untraced)
@@ -92,8 +90,6 @@ class GenericNIC:
             # doubles as the switch hand-off
             self.obs.mark_packet(packet, "sw_deliver", arrive_at)
             self.obs.mark_packet(packet, "visible", arrive_at)
-        for fn in self._departure_listeners:
-            fn(packet, start + wire)
         self.fabric.deliver(packet, arrive_at)
 
     def host_recv_consume(self) -> Packet:
@@ -107,16 +103,6 @@ class GenericNIC:
         """Messages awaiting the host."""
         return len(self._rx_queue)
 
-    def add_arrival_listener(self, fn: Callable[[Packet], None]) -> None:
-        """Run ``fn(msg)`` at every delivery."""
-        self._arrival_listeners.append(fn)
-
-    def add_departure_listener(
-        self, fn: Callable[[Packet, float], None]
-    ) -> None:
-        """Run ``fn(msg, wire_exit_time)`` as each message leaves."""
-        self._departure_listeners.append(fn)
-
     def arrival_event(self) -> Event:
         """One-shot event firing at the next delivery."""
         if self._arrival_event is None or self._arrival_event.triggered:
@@ -129,7 +115,5 @@ class GenericNIC:
         """Fabric-facing delivery into the receive queue."""
         self._rx_queue.append(packet)
         self.stats.count("rx_packets")
-        for fn in self._arrival_listeners:
-            fn(packet)
         if self._arrival_event is not None and not self._arrival_event.triggered:
             self._arrival_event.succeed(packet)

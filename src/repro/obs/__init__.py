@@ -5,19 +5,19 @@ Split-C's profiler — reports into one :class:`Observatory`:
 
 * **spans** follow a single packet end-to-end (injection → MicroChannel
   DMA → send FIFO → switch → receive FIFO → handler), correlated by the
-  ``trace_id`` carried on :class:`~repro.hardware.packet.Packet`, with
-  per-stage latency attribution that reconstructs the paper's Table 2 /
-  §2.3 breakdowns from a live run;
+  ``trace_id`` carried on :class:`~repro.hardware.packet.Packet`;
 * **histograms** answer p50/p95/p99/max queries for round-trip latency,
   handler run time, window occupancy, and switch queueing;
 * **metrics** (:mod:`repro.obs.metrics`) sample gauges across every layer
   on a simulated-time timer — FIFO occupancy, window credit, link and TX
   utilization, scheduler depth, retransmit rates — into bounded ring
   buffers that also render as Chrome-trace counter tracks;
-* **critical path** (:mod:`repro.obs.critpath`) decomposes each span into
-  staging / queueing / DMA+wire / switch / poll / dispatch / handler /
-  retransmit-backoff time, rolls it up per kind, surfaces the slowest
-  exemplars, and names the bottleneck stage plus its saturated gauge;
+* **critical path** (:mod:`repro.obs.critpath`) is the one per-stage
+  decomposition of a span — staging / queueing / DMA+wire / switch /
+  poll / dispatch / handler / retransmit-backoff time — which
+  reconstructs the paper's Table 2 / §2.3 breakdowns from a live run,
+  rolls it up per kind, surfaces the slowest exemplars, and names the
+  bottleneck stage plus its saturated gauge;
 * **exporters** emit Chrome trace-event JSON (open in Perfetto), JSONL
   span dumps (lossless round trip), and counter/histogram snapshots.
 
@@ -37,10 +37,10 @@ from repro.obs.critpath import (
     attribution_coverage,
     bottleneck_verdict,
     critpath_rollup,
+    critpath_segments,
     critpath_stages,
     slowest_exemplars,
 )
-from repro.obs.events import EventLog, TraceEvent
 from repro.obs.export import (
     chrome_trace,
     read_jsonl,
@@ -54,25 +54,22 @@ from repro.obs.schema import (
     validate_chrome_trace,
     validate_jsonl_trace,
 )
-from repro.obs.span import STAGE_NAMES, STAGES, MessageSpan, span_from_dict
+from repro.obs.span import MessageSpan, span_from_dict
 
 __all__ = [
     "Observatory",
     "MetricsSampler",
     "CRIT_STAGES",
+    "critpath_segments",
     "critpath_stages",
     "critpath_rollup",
     "slowest_exemplars",
     "bottleneck_verdict",
     "attribution_coverage",
-    "EventLog",
-    "TraceEvent",
     "Histogram",
     "percentile",
     "MessageSpan",
     "span_from_dict",
-    "STAGES",
-    "STAGE_NAMES",
     "chrome_trace",
     "write_chrome_trace",
     "write_jsonl",

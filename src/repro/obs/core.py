@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.hist import Histogram
-from repro.obs.span import STAGES, MessageSpan
+from repro.obs.span import MessageSpan
 
 
 #: the node attributes whose ``stats`` registry the hub reads (devices,
@@ -29,23 +29,16 @@ LAYER_ATTRS = ("adapter", "nic", "am", "mpl", "mpi", "splitc")
 class Observatory:
     """Collects message spans, histograms, phase spans, and stat registries."""
 
-    def __init__(self, span_limit: int = 200_000, sample_every: int = 1):
+    def __init__(self, span_limit: int = 200_000):
         #: trace_id -> span, in creation order
         self.spans: Dict[int, MessageSpan] = {}
+        #: safety valve: each of the three buffers (spans, fault events,
+        #: phase spans) holds at most this many entries, and counts what
+        #: it refuses under its own ``dropped_*`` name
         self.span_limit = span_limit
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-        #: span sampling: open a lifecycle span for 1 message in N (the
-        #: first of every N).  Unsampled packets are stamped with trace_id
-        #: -1, so every later hook short-circuits on the span-table miss.
-        #: N > 1 trades span completeness for tracing overhead — fault
-        #: reconciliation (``repro.faults.soak``) needs N == 1.
-        self.sample_every = sample_every
-        self._sample_tick = 0
-        #: messages skipped by sampling (distinct from ``dropped_spans``,
-        #: which counts the span-limit safety valve)
-        self.sampled_out = 0
         self.dropped_spans = 0
+        self.dropped_fault_events = 0
+        self.dropped_phase_spans = 0
         self.histograms: Dict[str, Histogram] = {}
         #: (node, track, name, t0, t1) — e.g. Split-C compute phases
         self.phase_spans: List[Tuple[int, str, str, float, float]] = []
@@ -143,8 +136,7 @@ class Observatory:
         """Open a span for ``pkt`` at time ``t`` and stamp its trace id.
 
         Idempotent: a packet that already carries a trace id keeps its
-        span (retransmissions re-enter the TX path with the same id);
-        sampled-out packets carry trace_id -1 and stay span-less.
+        span (retransmissions re-enter the TX path with the same id).
         """
         # direct loads with AttributeError fallbacks: this runs per
         # message, and a 3-arg getattr costs ~2x a plain load (the except
@@ -155,15 +147,6 @@ class Observatory:
             tid = 0
         if tid:
             return self.spans.get(tid)
-        if self.sample_every > 1:
-            self._sample_tick += 1
-            if self._sample_tick % self.sample_every != 1:
-                try:
-                    pkt.trace_id = -1
-                except AttributeError:
-                    pass
-                self.sampled_out += 1
-                return None
         if len(self.spans) >= self.span_limit:
             self.dropped_spans += 1
             return None
@@ -212,7 +195,13 @@ class Observatory:
     def packet_staged(self, pkt, t: float) -> Optional[MessageSpan]:
         """Send-FIFO staging: open the span if the software layer above
         didn't (its ``begin`` then coincides with staging) and refresh the
-        fields assigned after construction (seq, wire size)."""
+        fields assigned after construction (seq, wire size).
+
+        Only the first staging is marked: a go-back-N retransmission
+        stages the packet again, and the recovery wait before it is
+        ``backoff_us``, which the critical path carves out of
+        ``stage -> dma_start``.
+        """
         span = self.begin_message(pkt, t)
         if span is not None:
             try:
@@ -220,7 +209,9 @@ class Observatory:
                 span.wire_bytes = pkt.wire_bytes
             except AttributeError:
                 pass  # duck-typed message without the refreshed fields
-            span.marks["stage"] = t
+            marks = span.marks
+            if "stage" not in marks:
+                marks["stage"] = t
         return span
 
     def packet_dropped(self, pkt, reason: str = "") -> None:
@@ -238,7 +229,7 @@ class Observatory:
     def _fault_event(self, kind: str, pkt, t: Optional[float],
                      detail: str) -> None:
         if len(self.fault_events) >= self.span_limit:
-            self.dropped_spans += 1
+            self.dropped_fault_events += 1
             return
         self.fault_events.append({
             "kind": kind,
@@ -268,7 +259,7 @@ class Observatory:
         if len(self.phase_spans) < self.span_limit:
             self.phase_spans.append((node, track, name, t0, t1))
         else:
-            self.dropped_spans += 1
+            self.dropped_phase_spans += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -276,15 +267,6 @@ class Observatory:
 
     def spans_by_kind(self, kind: str) -> List[MessageSpan]:
         return [s for s in self.spans.values() if s.kind == kind]
-
-    def stage_summary(self) -> Dict[str, Dict[str, float]]:
-        """Aggregate per-stage latency over every span: stage name ->
-        histogram snapshot (count/min/mean/p50/p95/p99/max)."""
-        hists = {name: Histogram(name) for name, _a, _b in STAGES}
-        for span in self.spans.values():
-            for stage, dur in span.stage_durations().items():
-                hists[stage].observe(dur)
-        return {name: h.snapshot() for name, h in hists.items() if h.count}
 
     def snapshot(self) -> Dict:
         """One JSON-serializable snapshot: merged counters, time series,
@@ -304,10 +286,11 @@ class Observatory:
             "spans": {
                 "recorded": len(self.spans),
                 "dropped": self.dropped_spans,
-                "sampled_out": self.sampled_out,
-                "sample_every": self.sample_every,
             },
             "fault_events": len(self.fault_events),
+            "dropped_fault_events": self.dropped_fault_events,
+            "phase_spans": len(self.phase_spans),
+            "dropped_phase_spans": self.dropped_phase_spans,
         }
         if self.metrics is not None:
             snap["metrics"] = {

@@ -1,18 +1,20 @@
 """Critical-path attribution: where did each message's microseconds go?
 
 The span layer records absolute-time *marks*; this module turns them
-into the paper's §2.3-style decomposition.  Each
-:class:`~repro.obs.span.MessageSpan` is split into a finer-grained stage
-vector than :data:`repro.obs.span.STAGES` — TX queueing is separated
-from go-back-N recovery backoff, and the switch interval is separated
-into destination-link queueing vs. hardware latency — so the rollup can
-name the *resource* behind the dominant stage, not just the layer:
+into the paper's §2.3-style decomposition, the one stage vector every
+consumer reads (the rollups, ``spam-bench profile``/``soak``/``check``,
+the Chrome-trace slices and ``spam-bench inspect``).  TX queueing is
+separated from go-back-N recovery backoff, and the switch interval is
+separated into destination-link queueing vs. hardware latency, so the
+rollup can name the *resource* behind the dominant stage, not just the
+layer:
 
 ========================  ====================================================
 stage                     what the time is
 ========================  ====================================================
 ``staging``               software builds + stages the packet (begin→stage)
-``tx_queue``              length scan + send-FIFO wait, minus recovery backoff
+``tx_queue``              length scan + send-FIFO wait, and every earlier
+                          transit of a retransmitted packet
 ``retransmit_backoff``    waiting for NACK/keep-alive go-back-N recovery
 ``dma_wire``              MC DMA + i860 TX + input-link serialization
 ``switch_queue``          destination-link serialization wait (``queued_us``)
@@ -23,10 +25,11 @@ stage                     what the time is
 ``handler``               the AM handler body
 ========================  ====================================================
 
-The stages tile ``begin → handler_end`` exactly (each boundary mark is
-shared), so per-kind sums over a request/reply pair reproduce the
-measured RTT — ``spam-bench profile`` asserts the attribution covers
->= 95% of the AM ping-pong round trip.
+:func:`critpath_segments` places each stage on the timeline.  The stages
+tile ``begin → end`` exactly (each boundary mark is shared), also for a
+retransmitted packet, so per-kind sums over a request/reply pair
+reproduce the measured RTT — ``spam-bench profile`` requires the
+attribution to cover the AM ping-pong round trip within ±5%.
 
 Pure functions over an :class:`~repro.obs.core.Observatory` (or a plain
 span iterable); imports nothing from the simulator or hardware.
@@ -34,7 +37,7 @@ span iterable); imports nothing from the simulator or hardware.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.obs.span import MessageSpan
 
@@ -62,41 +65,52 @@ STAGE_GAUGES: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def critpath_stages(span: MessageSpan) -> Dict[str, float]:
-    """One span's critical-path vector (stages with both marks present).
+#: (stage, start mark, end mark): the intervals between consecutive
+#: lifecycle marks, before ``tx_queue`` and ``switch_hw`` are split
+_INTERVALS: Tuple[Tuple[str, str, str], ...] = (
+    ("staging", "begin", "stage"),
+    ("tx_queue", "stage", "dma_start"),
+    ("dma_wire", "dma_start", "wire_exit"),
+    ("switch_hw", "wire_exit", "sw_deliver"),
+    ("rx_dma", "sw_deliver", "visible"),
+    ("poll_wait", "visible", "consume"),
+    ("dispatch", "consume", "handler_start"),
+    ("handler", "handler_start", "handler_end"),
+)
 
-    Negative intervals — stale marks overwritten mid-retransmission —
-    are clamped out the same way :meth:`MessageSpan.stage_durations`
-    skips them.
+
+def critpath_segments(span: MessageSpan) -> List[Tuple[str, float, float]]:
+    """One span's critical path as ``(stage, start, duration)`` segments,
+    in lifecycle order.
+
+    A stage is present when both of its marks are and the interval is
+    not negative.  Recovery backoff is carved out of the end of the
+    ``stage → dma_start`` interval that holds it, and switch queueing out
+    of the start of ``wire_exit → sw_deliver``.
     """
     m = span.marks
-    out: Dict[str, float] = {}
-
-    def seg(name: str, a: str, b: str) -> Optional[float]:
+    out: List[Tuple[str, float, float]] = []
+    for stage, a, b in _INTERVALS:
         ta, tb = m.get(a), m.get(b)
         if ta is None or tb is None or tb < ta:
-            return None
-        out[name] = tb - ta
-        return out[name]
-
-    seg("staging", "begin", "stage")
-    txq = seg("tx_queue", "stage", "dma_start")
-    if span.backoff_us > 0.0:
-        # recovery wait is its own stage, carved out of the TX-queue
-        # interval it physically sits inside
-        out["retransmit_backoff"] = span.backoff_us
-        if txq is not None:
-            out["tx_queue"] = max(0.0, txq - span.backoff_us)
-    seg("dma_wire", "dma_start", "wire_exit")
-    sw = seg("switch_hw", "wire_exit", "sw_deliver")
-    if sw is not None and span.queued_us > 0.0:
-        out["switch_queue"] = min(span.queued_us, sw)
-        out["switch_hw"] = sw - out["switch_queue"]
-    seg("rx_dma", "sw_deliver", "visible")
-    seg("poll_wait", "visible", "consume")
-    seg("dispatch", "consume", "handler_start")
-    seg("handler", "handler_start", "handler_end")
+            continue
+        dur = tb - ta
+        if stage == "tx_queue" and span.backoff_us > 0.0:
+            back = span.backoff_us
+            out.append((stage, ta, max(0.0, dur - back)))
+            out.append(("retransmit_backoff", tb - back, back))
+            continue
+        if stage == "switch_hw" and span.queued_us > 0.0:
+            queued = min(span.queued_us, dur)
+            out.append(("switch_queue", ta, queued))
+            ta, dur = ta + queued, dur - queued
+        out.append((stage, ta, dur))
     return out
+
+
+def critpath_stages(span: MessageSpan) -> Dict[str, float]:
+    """One span's critical-path vector: stage -> duration."""
+    return {stage: dur for stage, _start, dur in critpath_segments(span)}
 
 
 def _spans(source) -> Iterable[MessageSpan]:
@@ -118,15 +132,15 @@ def critpath_rollup(source, by_kind: bool = True) -> Dict[str, Dict]:
     # {kind: {stage: [count, total, max]}}
     acc: Dict[str, Dict[str, List[float]]] = {"ALL": {}}
     for span in _spans(source):
-        stages = critpath_stages(span)
-        if not stages:
+        segments = critpath_segments(span)
+        if not segments:
             continue
         targets = ["ALL", span.kind] if by_kind else ["ALL"]
         for key in targets:
             bucket = acc.get(key)
             if bucket is None:
                 bucket = acc[key] = {}
-            for stage, dur in stages.items():
+            for stage, _start, dur in segments:
                 cell = bucket.get(stage)
                 if cell is None:
                     bucket[stage] = [1, dur, dur]

@@ -5,14 +5,16 @@ Three machine-readable views of one :class:`~repro.obs.core.Observatory`:
 * :func:`chrome_trace` — the Chrome trace-event format (the ``{
   "traceEvents": [...] }`` flavour), loadable in Perfetto / ``about:tracing``
   with one process row per node plus one for the switch, and thread rows
-  for host / adapter / handler / phase activity.  When a
-  :class:`~repro.obs.metrics.MetricsSampler` ran, every gauge series
-  additionally renders as a counter track (``"ph": "C"``) under the
-  process row its ``pid_of`` names.  Timestamps are already
+  for host / adapter / handler / phase activity.  Each span renders as
+  its :func:`~repro.obs.critpath.critpath_segments`, one slice per
+  stage.  When a :class:`~repro.obs.metrics.MetricsSampler` ran, every
+  gauge series additionally renders as a counter track (``"ph": "C"``)
+  under the process row its ``pid_of`` names.  Timestamps are already
   microseconds — the simulator's native unit — so no scaling happens.
 * :func:`write_jsonl` / :func:`read_jsonl` — a line-per-span dump that
   round-trips losslessly back into :class:`~repro.obs.span.MessageSpan`
-  objects (``spam-bench inspect`` consumes either format).
+  objects, from which ``spam-bench inspect`` re-derives the critical-path
+  stages (it consumes either format).
 * :meth:`Observatory.snapshot` (re-exported here as :func:`snapshot`) —
   counters + series + histogram summaries for bench reports.
 """
@@ -23,12 +25,13 @@ import json
 from typing import Dict, List, Tuple
 
 from repro.obs.core import Observatory
-from repro.obs.span import STAGES, MessageSpan, span_from_dict
+from repro.obs.critpath import critpath_segments
+from repro.obs.span import MessageSpan, span_from_dict
 
 #: synthetic "process" holding the switch's per-destination-link rows
 SWITCH_PID = 9999
 #: synthetic "process" for machine-wide counter tracks (scheduler depth,
-#: event rates) — matches repro.obs.metrics.GLOBAL_PID
+#: event rates)
 GLOBAL_PID = 9998
 
 #: thread ids within a node's process row
@@ -44,13 +47,15 @@ _TID_NAMES = {
     TID_PHASE: "phases",
 }
 
-#: stage -> (which end of the span owns it, thread row)
+#: critical-path stage -> (which end of the span owns it, thread row)
 _STAGE_TRACK: Dict[str, Tuple[str, int]] = {
-    "send_sw": ("src", TID_HOST),
+    "staging": ("src", TID_HOST),
     "tx_queue": ("src", TID_ADAPTER),
-    "tx_adapter": ("src", TID_ADAPTER),
-    "switch": ("switch", 0),
-    "rx_adapter": ("dst", TID_ADAPTER),
+    "retransmit_backoff": ("src", TID_ADAPTER),
+    "dma_wire": ("src", TID_ADAPTER),
+    "switch_queue": ("switch", 0),
+    "switch_hw": ("switch", 0),
+    "rx_dma": ("dst", TID_ADAPTER),
     "poll_wait": ("dst", TID_HOST),
     "dispatch": ("dst", TID_HOST),
     "handler": ("dst", TID_HANDLER),
@@ -74,10 +79,7 @@ def chrome_trace(obs: Observatory) -> Dict:
     pids = set()
     switch_rows = set()
     for span in obs.spans.values():
-        durations = span.stage_durations()
-        for stage, start_mark, _end_mark in STAGES:
-            if stage not in durations:
-                continue
+        for stage, start, dur in critpath_segments(span):
             side, tid = _STAGE_TRACK[stage]
             if side == "switch":
                 pid, tid = SWITCH_PID, span.dst
@@ -89,8 +91,8 @@ def chrome_trace(obs: Observatory) -> Dict:
                 "name": f"{stage}:{span.kind}",
                 "cat": span.kind,
                 "ph": "X",
-                "ts": span.marks[start_mark],
-                "dur": durations[stage],
+                "ts": start,
+                "dur": dur,
                 "pid": pid,
                 "tid": tid,
                 "args": {"trace_id": span.trace_id, "seq": span.seq,
@@ -129,6 +131,8 @@ def chrome_trace(obs: Observatory) -> Dict:
         "generator": "repro.obs",
         "spans": len(obs.spans),
         "dropped_spans": obs.dropped_spans,
+        "dropped_fault_events": obs.dropped_fault_events,
+        "dropped_phase_spans": obs.dropped_phase_spans,
     }
     if obs.metrics is not None:
         other["counter_series"] = len(obs.metrics.series)
@@ -152,7 +156,9 @@ def write_jsonl(obs: Observatory, path: str) -> str:
     with open(path, "w") as f:
         header = {"type": "meta", "schema": JSONL_SCHEMA,
                   "spans": len(obs.spans),
-                  "dropped_spans": obs.dropped_spans}
+                  "dropped_spans": obs.dropped_spans,
+                  "dropped_fault_events": obs.dropped_fault_events,
+                  "dropped_phase_spans": obs.dropped_phase_spans}
         f.write(json.dumps(header) + "\n")
         for span in obs.spans.values():
             f.write(json.dumps({"type": "span", **span.to_dict()}) + "\n")

@@ -45,11 +45,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.core import LAYER_ATTRS
+from repro.obs.export import GLOBAL_PID, SWITCH_PID
 from repro.sim.stats import TimeSeries
-
-#: Chrome-trace "process" rows for counter tracks that belong to no node
-SWITCH_PID = 9999     # must match repro.obs.export.SWITCH_PID
-GLOBAL_PID = 9998     # scheduler + machine-wide rates
 
 #: counter names whose per-period deltas become ``rate.<name>_per_s``
 #: series (summed across every registry that carries the counter)

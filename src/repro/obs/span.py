@@ -4,14 +4,14 @@ A :class:`MessageSpan` follows a single packet from the moment the sending
 software starts building it through handler completion on the far side,
 correlated across layers by the ``trace_id`` threaded through
 :class:`repro.hardware.packet.Packet`.  Each layer deposits absolute
-timestamps (*marks*); consecutive marks define the *stages* whose
-durations reconstruct the paper's latency attributions (Table 2's call
-cost pieces, §2.3's round-trip decomposition) from a live run.
+timestamps (*marks*); :mod:`repro.obs.critpath` turns them into the
+stage vector that reconstructs the paper's latency attributions (Table
+2's call cost pieces, §2.3's round-trip decomposition) from a live run.
 
-Mark names, in lifecycle order::
+Mark names, in lifecycle order (:data:`MARKS`)::
 
     begin          sending software starts building the message
-    stage          packet written into the send FIFO (host DRAM)
+    stage          packet first written into the send FIFO (host DRAM)
     dma_start      adapter TX service picks the armed entry up
     wire_exit      last byte leaves the sending adapter onto the link
     sw_deliver     switch hands the packet to the destination adapter
@@ -21,28 +21,25 @@ Mark names, in lifecycle order::
     handler_end    AM handler returns
 
 Packets that never reach a stage (drops, control packets without
-handlers) simply lack the later marks; stage queries skip missing pairs.
+handlers) simply lack the later marks.  A go-back-N retransmission
+re-enters the TX path under the same span (:meth:`MessageSpan.retransmit`),
+so the marks from ``dma_start`` on always describe one transit: the last.
+``stage`` keeps the first staging, so ``stage -> dma_start`` holds every
+transit and the recovery waits between them.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-#: (stage name, start mark, end mark) in lifecycle order.  The stages tile
-#: the packet's life: summing them over a request/reply pair reproduces
-#: the measured round trip (see ``tests/obs/test_observatory.py``).
-STAGES: Tuple[Tuple[str, str, str], ...] = (
-    ("send_sw", "begin", "stage"),          # build + flush + length PIO
-    ("tx_queue", "stage", "dma_start"),     # length scan + FIFO wait
-    ("tx_adapter", "dma_start", "wire_exit"),  # MC DMA + i860 + wire
-    ("switch", "wire_exit", "sw_deliver"),  # hw latency + dest-link queue
-    ("rx_adapter", "sw_deliver", "visible"),   # MC DMA + i860 RX
-    ("poll_wait", "visible", "consume"),    # waiting for the host to poll
-    ("dispatch", "consume", "handler_start"),  # per-packet poll + lookup
-    ("handler", "handler_start", "handler_end"),
+#: mark names in lifecycle order
+MARKS: Tuple[str, ...] = (
+    "begin", "stage", "dma_start", "wire_exit", "sw_deliver", "visible",
+    "consume", "handler_start", "handler_end",
 )
 
-STAGE_NAMES: Tuple[str, ...] = tuple(s[0] for s in STAGES)
+#: the marks a transit deposits beyond the sending adapter
+_FAR_MARKS: Tuple[str, ...] = MARKS[4:]
 
 
 class MessageSpan:
@@ -76,8 +73,8 @@ class MessageSpan:
         #: destination-link serialization wait accumulated in the switch
         self.queued_us = queued_us
         #: time spent waiting for go-back-N recovery: the gap between a
-        #: lost transmission's wire exit and the retransmission's DMA
-        #: start, summed over every re-entry into the TX path (the
+        #: transmission's wire exit and the retransmission's DMA start,
+        #: summed over every re-entry into the TX path (the
         #: NACK round trip / keep-alive backoff the critical-path
         #: profiler reports as ``retransmit_backoff``)
         self.backoff_us = backoff_us
@@ -90,18 +87,21 @@ class MessageSpan:
     def mark(self, name: str, t: float) -> None:
         self.marks[name] = t
 
-    def stage_durations(self) -> Dict[str, float]:
-        """Per-stage latency for every stage whose two marks exist.
+    def retransmit(self, dma_start: float) -> None:
+        """The packet re-enters the TX path at ``dma_start`` (go-back-N).
 
-        Negative intervals (stale marks overwritten by a retransmission
-        mid-flight) are skipped rather than reported.
+        The wait since the previous transit's wire exit is recovery
+        backoff, and that transit's far-side marks are dropped, so the
+        marks past ``stage`` always describe one transit: the last.
         """
-        out: Dict[str, float] = {}
-        for name, a, b in STAGES:
-            ta, tb = self.marks.get(a), self.marks.get(b)
-            if ta is not None and tb is not None and tb >= ta:
-                out[name] = tb - ta
-        return out
+        marks = self.marks
+        self.retransmits += 1
+        gap = dma_start - marks["wire_exit"]
+        if gap > 0.0:
+            self.backoff_us += gap
+        for name in _FAR_MARKS:
+            if name in marks:
+                del marks[name]
 
     @property
     def begin(self) -> Optional[float]:
@@ -111,9 +111,9 @@ class MessageSpan:
     def end(self) -> Optional[float]:
         """The last mark present, in lifecycle order."""
         last = None
-        for _name, _a, b in STAGES:
-            if b in self.marks:
-                last = self.marks[b]
+        for name in MARKS[1:]:
+            if name in self.marks:
+                last = self.marks[name]
         return last
 
     def total_us(self) -> Optional[float]:

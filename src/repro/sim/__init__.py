@@ -24,7 +24,6 @@ from repro.sim.errors import DeadlockError, SimulationError, SimTimeoutError
 from repro.sim.primitives import TIMED_OUT, Delay, Event, Timeout, WaitEvent
 from repro.sim.process import Process
 from repro.sim.stats import Counter, StatRegistry, TimeSeries
-from repro.sim.tracing import TraceEvent, Tracer
 
 __all__ = [
     "Simulator",
@@ -37,8 +36,6 @@ __all__ = [
     "Counter",
     "TimeSeries",
     "StatRegistry",
-    "Tracer",
-    "TraceEvent",
     "SimulationError",
     "DeadlockError",
     "SimTimeoutError",

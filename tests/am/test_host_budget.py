@@ -1,11 +1,14 @@
 """Host-call ratchet: Python calls per message on the AM paths.
 
 The paper's Table 2 is a per-message ledger of host cost; this is the
-same ledger for the simulator's own interpreter time.  Two programs run
+same ledger for the simulator's own interpreter time.  Three programs run
 on two nodes under ``cProfile``: a blocking 3-chunk ``store`` + ``get``
-(the eager bulk path, counted per packet the adapters put on the wire)
-and one-word ``request_1`` / ``reply_1`` ping-pong (the small-message
-path and the idle wait, counted per round trip).  The calls into
+(the eager bulk path, counted per packet the adapters put on the wire),
+one-word ``request_1`` / ``reply_1`` ping-pong (the small-message path
+and the idle wait, counted per round trip), and a one-way stream of
+Split-C ``store_word`` calls ended by ``store_sync`` (the fine-grain
+path whose receiver sleeps between packets, counted per store, together
+with the simulator events each store costs).  The calls into
 functions defined in each machine layer (``repro.sim``,
 ``repro.hardware``, ``repro.am``; a generator resume counts as a call)
 are divided by that unit.  The programs are deterministic, so the counts
@@ -26,6 +29,7 @@ from repro.am import attach_spam
 from repro.am.constants import CHUNK_BYTES
 from repro.hardware import build_sp_machine
 from repro.sim import Simulator
+from repro.splitc import GlobalPtr, attach_splitc
 
 #: calls per packet sent, by layer (measured, rounded up at the second
 #: decimal; before the bulk fast paths: sim 21.93, hardware 26.58, am 29.34;
@@ -43,6 +47,14 @@ BUDGET = {"sim": 10.45, "hardware": 15.42, "am": 20.29}
 PINGPONG_BUDGET = {"sim": 30.16, "hardware": 32.0, "am": 57.09}
 
 PINGPONG_ITERS = 200
+
+#: calls per one-way ``store_word``, by layer, and simulator events per
+#: store (measured, rounded up at the second decimal: 19.109, 19.052,
+#: 23.123 and 10.279 events; ROADMAP item 13's ratchet leg)
+STORE_WORD_BUDGET = {"sim": 19.11, "hardware": 19.06, "am": 23.13}
+STORE_WORD_EVENTS_BUDGET = 10.28
+
+STORE_WORDS = 1000
 
 _REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__))
 
@@ -110,6 +122,31 @@ def _calls_per_round_trip():
     return {layer: n / PINGPONG_ITERS for layer, n in calls.items()}
 
 
+def _calls_per_store_word():
+    """``(calls per store by layer, events per store)``."""
+    sim = Simulator()
+    machine = build_sp_machine(sim, 2)
+    attach_spam(machine)
+    rt0, rt1 = attach_splitc(machine)
+    dst = machine.node(1).memory.alloc(8 * STORE_WORDS)
+
+    def storer():
+        for i in range(STORE_WORDS):
+            yield from rt0.store_word(GlobalPtr(1, dst + 8 * i), i)
+        yield from rt0.store_sync(0)
+
+    def sink():
+        yield from rt1.store_sync(8 * STORE_WORDS)
+
+    calls = _profiled_calls(sim, [sim.spawn(storer(), name="storer"),
+                                  sim.spawn(sink(), name="sink")])
+    got = machine.node(1).memory.read(dst, 8 * STORE_WORDS)
+    assert got == b"".join(i.to_bytes(8, "little")
+                           for i in range(STORE_WORDS))
+    return ({layer: n / STORE_WORDS for layer, n in calls.items()},
+            sim.events_executed / STORE_WORDS)
+
+
 def _profiled_calls(sim, procs):
     """Run ``procs`` to completion under cProfile; calls by layer."""
     # earlier garbage must not be collected inside the profile: closing an
@@ -163,3 +200,23 @@ def test_calls_per_round_trip_within_budget(per_round_trip, layer):
 
 def test_round_trip_counts_are_deterministic(per_round_trip):
     assert _calls_per_round_trip() == per_round_trip
+
+
+@pytest.fixture(scope="module")
+def per_store_word():
+    return _calls_per_store_word()
+
+
+@pytest.mark.parametrize("layer", sorted(STORE_WORD_BUDGET))
+def test_calls_per_store_word_within_budget(per_store_word, layer):
+    calls, _events = per_store_word
+    assert calls[layer] <= STORE_WORD_BUDGET[layer], (
+        f"{layer}: {calls[layer]:.3f} calls/store over the "
+        f"{STORE_WORD_BUDGET[layer]} budget")
+
+
+def test_events_per_store_word_within_budget(per_store_word):
+    _calls, events = per_store_word
+    assert events <= STORE_WORD_EVENTS_BUDGET, (
+        f"{events:.3f} events/store over the {STORE_WORD_EVENTS_BUDGET} "
+        f"budget")

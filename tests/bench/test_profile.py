@@ -31,6 +31,20 @@ def test_profile_passes_its_own_gates(data):
     assert data["profile"]["workloads"]["soak"]["violations"] == []
 
 
+def test_over_attribution_fails_the_gate(monkeypatch):
+    """Coverage above 105% means some time is counted twice, so the
+    coverage gate is two-sided."""
+    import repro.bench.profile as profile
+
+    real = profile.attribution_coverage
+    monkeypatch.setattr(profile, "attribution_coverage",
+                        lambda obs, rtt: real(obs, rtt / 1.2))
+    data = profile.run_profile(quick=True)
+    cov = data["profile"]["workloads"]["pingpong"]["coverage"]
+    assert cov["coverage"] == pytest.approx(1.2)
+    assert data["ok"] is False
+
+
 def test_three_workloads_each_carry_the_evidence_bundle(data):
     workloads = data["profile"]["workloads"]
     assert set(workloads) == {"pingpong", "bulk", "soak"}

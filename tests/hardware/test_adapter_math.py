@@ -10,6 +10,7 @@ import pytest
 from repro.hardware import build_sp_machine
 from repro.hardware.packet import Packet, PacketKind
 from repro.hardware.params import machine_params
+from repro.obs import Observatory
 from repro.sim import Simulator
 
 
@@ -50,9 +51,7 @@ class TestLatencyDecomposition:
                            wire_bytes / s.link_rate + a.msmu_gap)
         sim = Simulator()
         m = build_sp_machine(sim, 2)
-        arrivals = []
-        m.node(1).adapter.add_arrival_listener(
-            lambda pkt: arrivals.append(sim.now))
+        obs = Observatory().attach(m)
         adapter = m.node(0).adapter
         for i in range(30):
             adapter.host_stage(Packet(src=0, dst=1,
@@ -60,6 +59,8 @@ class TestLatencyDecomposition:
                                       payload=b"d" * 224))
         adapter.host_arm()
         sim.run()
+        # each packet's visible mark is the instant it reached node 1
+        arrivals = sorted(s.marks["visible"] for s in obs.spans.values())
         gaps = [b - a_ for a_, b in zip(arrivals[5:], arrivals[6:])]
         for g in gaps:
             assert g == pytest.approx(expected_gap, abs=1e-9)

@@ -5,6 +5,7 @@ import pytest
 from repro.hardware import build_sp_machine
 from repro.hardware.packet import Packet, PacketKind
 from repro.hardware.params import machine_params, with_overrides
+from repro.obs import Observatory
 from repro.sim import Simulator
 
 
@@ -58,11 +59,12 @@ class TestDelivery:
         # -> payload bandwidth 224/6.53 = 34.3 MB/s (Table 3)
         sim = Simulator()
         m = build_sp_machine(sim, 2)
+        obs = Observatory().attach(m)
         n = 64
-        arrivals = []
-        m.node(1).adapter.add_arrival_listener(lambda p: arrivals.append(sim.now))
         send_n(m, n, full_packet)
         sim.run()
+        # each packet's visible mark is the instant it reached node 1
+        arrivals = sorted(s.marks["visible"] for s in obs.spans.values())
         gaps = [b - a for a, b in zip(arrivals[10:], arrivals[11:])]
         for g in gaps:
             assert g == pytest.approx(6.53, abs=0.05)
@@ -118,10 +120,7 @@ class TestOverflowAndFaults:
         def run(nsenders):
             sim = Simulator()
             m = build_sp_machine(sim, 3)
-            last = [0.0]
-            m.node(2).adapter.add_arrival_listener(
-                lambda p: last.__setitem__(0, sim.now)
-            )
+            obs = Observatory().attach(m)
             for s in range(nsenders):
                 a = m.node(s).adapter
                 for i in range(40):
@@ -129,7 +128,8 @@ class TestOverflowAndFaults:
                 a.host_arm()
             sim.run()
             assert m.node(2).adapter.stats.get("rx_dropped_overflow") == 0
-            return last[0]
+            # the last packet to become visible at node 2
+            return max(s.marks["visible"] for s in obs.spans.values())
 
         t1, t2 = run(1), run(2)
         assert t2 > 1.8 * t1

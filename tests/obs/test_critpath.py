@@ -5,11 +5,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.obs.core import Observatory
 from repro.obs.critpath import (
     CRIT_STAGES,
     attribution_coverage,
     bottleneck_verdict,
     critpath_rollup,
+    critpath_segments,
     critpath_stages,
     slowest_exemplars,
 )
@@ -67,6 +69,61 @@ def test_switch_interval_splits_into_queue_and_hw():
     stages = critpath_stages(_span(queued_us=9.0))
     assert stages["switch_queue"] == 4.0
     assert stages["switch_hw"] == 0.0
+
+
+def test_segments_place_each_stage_on_the_timeline():
+    segs = critpath_segments(_span(backoff_us=1.5, queued_us=3.0))
+    assert [stage for stage, _t, _d in segs] == list(CRIT_STAGES)
+    at = {stage: (t, d) for stage, t, d in segs}
+    # backoff ends the stage -> dma_start interval, queueing starts the
+    # switch interval
+    assert at["tx_queue"] == (1.0, 0.5)
+    assert at["retransmit_backoff"] == (1.5, 1.5)
+    assert at["switch_queue"] == (6.0, 3.0)
+    assert at["switch_hw"] == (9.0, 1.0)
+    # contiguous: each segment starts where the previous one ended
+    for (_a, t0, d0), (_b, t1, _d1) in zip(segs, segs[1:]):
+        assert t0 + d0 == pytest.approx(t1)
+
+
+def test_retransmission_keeps_first_staging_and_the_last_transit():
+    class Pkt:
+        trace_id, seq, wire_bytes = 0, 0, 16
+        src, dst, kind = 0, 1, "X"
+
+    obs = Observatory()
+    pkt = Pkt()
+    obs.packet_staged(pkt, 1.0)
+    span = obs.spans[pkt.trace_id]
+    span.marks.update(dma_start=3.0, wire_exit=6.0, sw_deliver=10.0,
+                      visible=12.0, consume=13.0)
+    # a spurious go-back-N resend after the first copy was consumed
+    obs.packet_staged(pkt, 20.0)
+    span.retransmit(25.0)
+    assert span.marks == {"begin": 1.0, "stage": 1.0, "dma_start": 3.0,
+                          "wire_exit": 6.0}
+    assert (span.retransmits, span.backoff_us) == (1, 19.0)
+    span.marks.update(dma_start=25.0, wire_exit=28.0)
+    stages = critpath_stages(span)
+    assert stages["retransmit_backoff"] == 19.0
+    assert stages["tx_queue"] == 5.0           # the first transit
+    assert sum(stages.values()) == pytest.approx(span.total_us())
+
+
+def test_lossy_soak_spans_tile_exactly():
+    """Recovery time is counted once: on a lossy soak, every span's
+    stages, retransmitted ones included, sum to its life."""
+    from repro.faults import run_soak
+
+    result = run_soak(seed=7, loss=0.05, nodes=2, pingpong=24,
+                      compare_clean=False)
+    spans = [s for s in result.obs.spans.values()
+             if s.total_us() is not None]
+    assert len(spans) == len(result.obs.spans) == 448
+    assert any(s.backoff_us > 0.0 for s in spans)
+    worst = max(abs(sum(critpath_stages(s).values()) - s.total_us())
+                for s in spans)
+    assert worst <= 1e-6
 
 
 def test_missing_and_negative_intervals_are_skipped():

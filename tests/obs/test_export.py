@@ -8,6 +8,7 @@ from repro.bench.pingpong import am_roundtrip_observed
 from repro.obs import (
     Observatory,
     chrome_trace,
+    critpath_stages,
     read_jsonl,
     write_chrome_trace,
     write_jsonl,
@@ -36,14 +37,21 @@ class TestChromeTrace:
         trace = chrome_trace(observed)
         xs = [e for e in trace["traceEvents"] if e["ph"] == "X"
               and e.get("cat") in ("REQUEST", "REPLY")]
-        # 40 spans x 8 stages
+        # 40 spans x 8 critical-path stages (no backoff, no link queueing)
         assert len(xs) == 40 * 8
+        # the slices are the critical path: each span's slices tile its life
+        for span in observed.spans.values():
+            mine = [e for e in xs if e["args"]["trace_id"] == span.trace_id]
+            assert [e["name"].split(":")[0] for e in mine] \
+                == list(critpath_stages(span))
+            assert sum(e["dur"] for e in mine) \
+                == pytest.approx(span.total_us())
 
     def test_switch_stage_on_switch_process(self, observed):
         trace = chrome_trace(observed)
         sw = [e for e in trace["traceEvents"]
               if e["ph"] == "X" and e["pid"] == SWITCH_PID]
-        assert sw and all(e["name"].startswith("switch:") for e in sw)
+        assert sw and all(e["name"].startswith("switch_hw:") for e in sw)
         # switch rows are keyed by destination link
         assert {e["tid"] for e in sw} == {0, 1}
 
@@ -140,7 +148,8 @@ class TestBenchReport:
         # histogram snapshot with tail percentiles rides along
         rtt = report["stats"]["histograms"]["am.rtt_us"]
         assert {"p50", "p95", "p99"} <= set(rtt)
-        assert set(report["stage_summary"]) >= {"switch", "handler"}
+        assert set(report["critpath"]) == {"ALL", "REQUEST", "REPLY"}
+        assert set(report["critpath"]["ALL"]) >= {"switch_hw", "handler"}
 
     def test_report_round_trips_through_disk(self, tmp_path):
         from repro.bench.benchjson import make_report, write_report

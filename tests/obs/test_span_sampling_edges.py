@@ -1,11 +1,10 @@
-"""Span-sampling edge cases: ``sample_every > 1`` meeting fault-event
-reconciliation and ``stage_summary()``, and the ``span_limit`` safety
-valve (``dropped_spans``) vs. sampling (``sampled_out``).
+"""Span-table edge cases: fault-event reconciliation against the span
+table, and the ``span_limit`` safety valve.
 
-The two skip paths are deliberately distinct counters: ``sampled_out``
-is the 1-in-N policy working as designed, ``dropped_spans`` is the
-overload valve firing — chaos campaigns treat only the latter as a
-sign the run outgrew its tracing budget.
+The valve bounds each of the hub's three buffers (spans, fault events,
+phase spans) and counts what each one refuses under its own name —
+chaos campaigns treat a refused span as a sign the run outgrew its
+tracing budget.
 """
 
 from repro.hardware.packet import Packet, PacketKind
@@ -17,100 +16,21 @@ def _pkt(seq=0, kind=PacketKind.REQUEST):
 
 
 # ---------------------------------------------------------------------------
-# sampling x fault-event reconciliation
+# fault-event reconciliation
 # ---------------------------------------------------------------------------
 
-def test_drop_on_sampled_out_packet_records_anonymous_fault():
-    obs = Observatory(sample_every=2)
-    traced, skipped = _pkt(0), _pkt(1)
-    assert obs.begin_message(traced, 0.0) is not None
-    assert obs.begin_message(skipped, 1.0) is None
-
-    obs.packet_dropped(skipped, "fabric")
-    # the event is still recorded (chaos accounting needs the total),
-    # but it carries trace_id -1: reconciliation can never pin it to a
-    # span, which is exactly why repro.faults.soak requires N == 1
-    assert obs.fault_events[-1]["trace_id"] == -1
-    assert all(s.drops == 0 for s in obs.spans.values())
-
-    obs.packet_dropped(traced, "fabric")
-    span = obs.spans[traced.trace_id]
-    assert span.drops == 1
-    assert obs.fault_events[-1]["trace_id"] == traced.trace_id
-
-
-def test_injected_fault_on_sampled_out_packet_is_unreconcilable():
-    obs = Observatory(sample_every=2)
-    obs.begin_message(_pkt(0), 0.0)
-    skipped = _pkt(1)
-    obs.begin_message(skipped, 1.0)
-
-    obs.fault(skipped, "fabric_loss", 2.0, "injected")
-    ev = obs.fault_events[-1]
-    assert ev["kind"] == "fabric_loss"
-    assert ev["trace_id"] == -1
-    # reconciliation pass: events with a positive trace_id map onto the
-    # span table, sampled-out ones do not
-    matched = [e for e in obs.fault_events if e["trace_id"] in obs.spans]
-    assert matched == []
-
-
 def test_full_sampling_reconciles_every_fault():
-    obs = Observatory()          # sample_every=1: the soak contract
+    obs = Observatory()          # every message traced: the soak contract
     pkts = [_pkt(i) for i in range(4)]
     for i, p in enumerate(pkts):
         obs.begin_message(p, float(i))
         obs.fault(p, "fabric_loss", float(i), "injected")
-    assert obs.sampled_out == 0
     assert all(e["trace_id"] in obs.spans for e in obs.fault_events)
 
 
 # ---------------------------------------------------------------------------
-# sampling x stage_summary
+# span_limit valve
 # ---------------------------------------------------------------------------
-
-def test_stage_summary_aggregates_only_traced_spans():
-    obs = Observatory(sample_every=3)
-    for i in range(9):
-        span = obs.begin_message(_pkt(i), float(i))
-        if span is not None:
-            span.marks["stage"] = float(i) + 0.5
-            span.marks["dma_start"] = float(i) + 2.0
-    summary = obs.stage_summary()
-    # 3 of 9 messages traced; sampled-out ones contribute nothing
-    assert summary["send_sw"]["count"] == 3
-    assert summary["tx_queue"]["count"] == 3
-    assert summary["send_sw"]["mean"] == 0.5
-    assert "switch" not in summary     # no span has those marks
-
-
-def test_stage_summary_empty_when_everything_sampled_out():
-    obs = Observatory(sample_every=2)
-    obs.begin_message(_pkt(0), 0.0)          # traced, but no stage marks
-    obs.begin_message(_pkt(1), 1.0)          # sampled out
-    assert obs.stage_summary() == {}
-
-
-# ---------------------------------------------------------------------------
-# span_limit valve vs. sampling
-# ---------------------------------------------------------------------------
-
-def test_span_limit_and_sampling_account_separately():
-    obs = Observatory(span_limit=2, sample_every=2)
-    for i in range(8):
-        obs.begin_message(_pkt(i), float(i))
-    # 8 arrivals: sampling passes every other one (4), the limit admits
-    # the first 2 of those and drops the rest
-    assert len(obs.spans) == 2
-    assert obs.sampled_out == 4
-    assert obs.dropped_spans == 2
-
-    snap = obs.snapshot()["spans"]
-    assert snap["recorded"] == 2
-    assert snap["dropped"] == 2
-    assert snap["sampled_out"] == 4
-    assert snap["sample_every"] == 2
-
 
 def test_limit_dropped_packet_keeps_no_trace_id():
     obs = Observatory(span_limit=1)
@@ -118,7 +38,6 @@ def test_limit_dropped_packet_keeps_no_trace_id():
     assert obs.begin_message(kept, 0.0) is not None
     assert obs.begin_message(dropped, 1.0) is None
     # the valve refuses *before* stamping: the packet stays anonymous
-    # (unlike sampling, which stamps -1 to short-circuit later hooks)
     assert dropped.trace_id == 0
     assert obs.mark_packet(dropped, "visible", 2.0) is None
 
@@ -128,7 +47,8 @@ def test_fault_event_buffer_shares_the_safety_valve():
     p = _pkt(0)
     obs.begin_message(p, 0.0)
     obs.fault(p, "fabric_loss", 1.0, "first")
-    before = obs.dropped_spans
     obs.fault(p, "fabric_loss", 2.0, "second")   # buffer full
     assert len(obs.fault_events) == 1
-    assert obs.dropped_spans == before + 1
+    # counted as a refused fault event, not as a refused span
+    assert obs.dropped_fault_events == 1
+    assert obs.dropped_spans == 0

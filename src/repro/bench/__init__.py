@@ -5,7 +5,8 @@ from the functions here; everything below is also importable for
 interactive use::
 
     from repro.bench import pingpong, bandwidth
-    pingpong.am_roundtrip(words=1)          # -> ~51.0 (us)
+    pingpong.am_roundtrip(words=1).rtt_us   # -> ~51.0 (us)
+    pingpong.am_roundtrip(words=1).request_us  # -> 7.7, Table 2
     bandwidth.sweep("am_store_async")       # -> [(size, MB/s), ...]
 """
 

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.am import attach_am
-from repro.bench.harness import serve_until
-from repro.hardware.machine import build_generic_machine, build_sp_machine
+from repro.bench.harness import am_pair, run_programs, serve_until
+from repro.hardware.machine import build_sp_machine
 from repro.hardware.params import MachineParams
 from repro.mpl import attach_mpl
 from repro.sim import Simulator
@@ -42,29 +41,19 @@ def _measure_am(mode: str, n: int, total: int,
     """The one two-node AM stream: node 0 moves ~``total`` bytes to node
     1 in ``n``-byte ``mode`` ops while node 1 serves the network.
 
-    ``params`` picks the machine (SP thin nodes by default, or any
-    Table 4 peer).  An Observatory ``obs`` is attached before AM, and its
-    gauge sampler started at ``sample_period_us`` when given.  Returns
-    ``(count, elapsed_us)``: bandwidth is ``count * n / elapsed_us``
-    (bytes/us == MB/s), the mean blocking-op latency ``elapsed_us /
-    count``.
+    ``params``, ``obs`` and ``sample_period_us`` pick the machine as
+    :func:`~repro.bench.harness.am_pair` does.  Returns ``(count,
+    elapsed_us)``: bandwidth is ``count * n / elapsed_us`` (bytes/us ==
+    MB/s), the mean blocking-op latency ``elapsed_us / count``.
     """
-    sim = Simulator()
-    if params is None or params.nodes_kind == "sp":
-        machine = build_sp_machine(sim, 2, params)
-    else:
-        machine = build_generic_machine(sim, 2, params)
-    if obs is not None:
-        obs.attach(machine)
-    am0, am1 = attach_am(machine)
-    if sample_period_us is not None:
-        obs.start_sampler(period_us=sample_period_us)
+    machine = am_pair(params, obs, sample_period_us)
     src = machine.node(0).memory.alloc(max(n, 1))
     dst = machine.node(1).memory.alloc(max(n, 1))
     count = max(1, total // max(n, 1))
     flag = [0]
 
-    def sender():
+    def sender(node):
+        am0 = node.am
         if mode == "am_store":
             for _i in range(count):
                 yield from am0.store(1, src, dst, n)
@@ -87,50 +76,50 @@ def _measure_am(mode: str, n: int, total: int,
             raise ValueError(mode)
         flag[0] = 1
 
-    p = sim.spawn(sender(), name="bw-send")
-    sim.spawn(serve_until(am1, flag), name="bw-recv")
-    sim.run_until_processes_done([p], limit=1e10, max_events=80_000_000)
-    return count, sim.now
+    run = run_programs(
+        machine, [sender, lambda node: serve_until(node.am, flag)],
+        wait_for=[0], max_events=80_000_000)
+    return count, run.elapsed_us
 
 
-def _measure_mpl(mode: str, n: int, total: int, params=None) -> float:
-    sim = Simulator()
-    machine = build_sp_machine(sim, 2, params)
+def _measure_mpl(mode: str, n: int, total: int,
+                 params: Optional[MachineParams] = None) -> Tuple[int, float]:
+    """The two-node MPL stream (``mpl_send`` or the blocking
+    ``mpl_send_reply``); ``(count, elapsed_us)`` as :func:`_measure_am`."""
+    machine = build_sp_machine(Simulator(), 2, params)
     attach_mpl(machine)
-    s, r = machine.node(0).mpl, machine.node(1).mpl
     count = max(1, total // max(n, 1))
     data = bytes(n)
 
-    def sender(_):
+    def sender(node):
         for _i in range(count):
             if mode == "mpl_send":
-                yield from s.mpc_send(data, 1, tag=1)
+                yield from node.mpl.mpc_send(data, 1, tag=1)
             else:
-                yield from s.mpc_bsend(data, 1, tag=1)
-                yield from s.mpc_brecv(4, 1, tag=2)
+                yield from node.mpl.mpc_bsend(data, 1, tag=1)
+                yield from node.mpl.mpc_brecv(4, 1, tag=2)
 
-    def receiver(_):
+    def receiver(node):
         for _i in range(count):
-            yield from r.mpc_brecv(max(n, 1), 0, tag=1)
+            yield from node.mpl.mpc_brecv(max(n, 1), 0, tag=1)
             if mode != "mpl_send":
-                yield from r.mpc_bsend(b"\x00" * 4, 0, tag=2)
+                yield from node.mpl.mpc_bsend(b"\x00" * 4, 0, tag=2)
 
-    p = sim.spawn(sender(0), name="bw-send")
-    q = sim.spawn(receiver(0), name="bw-recv")
-    sim.run_until_processes_done([p, q], limit=1e10, max_events=80_000_000)
-    return count * n / sim.now
+    run = run_programs(machine, [sender, receiver], max_events=80_000_000)
+    return count, run.elapsed_us
 
 
 def measure_bandwidth(mode: str, n: int, total: int = 0, params=None) -> float:
     """One-way bandwidth (MB/s) moving ~``total`` bytes in ``n``-byte ops."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; one of {MODES}")
+    if n < 0:
+        raise ValueError(f"message size n={n} must be >= 0")
     if total <= 0:
         # enough repetitions for steady state, bounded for tiny sizes
         total = min(1_000_000, max(150_000, 6 * n))
-    if mode.startswith("mpl"):
-        return _measure_mpl(mode, n, total, params)
-    count, elapsed = _measure_am(mode, n, total, params)
+    kernel = _measure_mpl if mode.startswith("mpl") else _measure_am
+    count, elapsed = kernel(mode, n, total, params)
     return count * n / elapsed
 
 
@@ -145,6 +134,9 @@ def r_inf(series: Sequence[Tuple[int, float]]) -> float:
     largest sizes (robust against fixed overheads)."""
     import numpy as np
 
+    if len(series) < 2:
+        raise ValueError(
+            f"r_inf fits a line: needs at least 2 points, got {len(series)}")
     big = sorted(series)[-4:]
     ns = np.array([n for n, _ in big], dtype=float)
     ts = ns / np.array([bw for _, bw in big], dtype=float)

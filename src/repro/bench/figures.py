@@ -41,12 +41,12 @@ def mpi_ring_latency(variant_name: str, nbytes: int, node_kind: str = "sp-thin",
     """Per-hop latency in microseconds (Figs 8/10)."""
     if variant_name == "am_store":
         return am_store_latency(nbytes, node_kind, nprocs, iters)
-    sim = Simulator()
-    machine = build_sp_machine(sim, nprocs, machine_params(node_kind))
+    machine = build_sp_machine(Simulator(), nprocs, machine_params(node_kind))
     mpis = _build(variant_name, machine)
     data = bytes(nbytes)
 
-    def prog(rank):
+    def prog(node):
+        rank = node.id
         mpi = mpis[rank]
         for it in range(iters):
             if rank == 0:
@@ -56,16 +56,15 @@ def mpi_ring_latency(variant_name: str, nbytes: int, node_kind: str = "sp-thin",
                 d, _ = yield from mpi.recv(nbytes, rank - 1, tag=it)
                 yield from mpi.send(d, (rank + 1) % nprocs, tag=it)
 
-    procs = [sim.spawn(prog(r)) for r in range(nprocs)]
-    sim.run_until_processes_done(procs, limit=1e9, max_events=40_000_000)
-    return sim.now / iters / nprocs
+    run = run_programs(machine, [prog] * nprocs, limit_us=1e9,
+                       max_events=40_000_000)
+    return run.elapsed_us / iters / nprocs
 
 
 def am_store_latency(nbytes: int, node_kind: str = "sp-thin",
                      nprocs: int = 4, iters: int = 16) -> float:
     """The bare am_store reference curve: per-hop around the same ring."""
-    sim = Simulator()
-    machine = build_sp_machine(sim, nprocs, machine_params(node_kind))
+    machine = build_sp_machine(Simulator(), nprocs, machine_params(node_kind))
     attach_spam(machine)
     nbytes = max(nbytes, 1)
     bufs = [(machine.node(r).memory.alloc(nbytes),
@@ -79,8 +78,8 @@ def am_store_latency(nbytes: int, node_kind: str = "sp-thin",
 
     handlers = [bump(r) for r in range(nprocs)]
 
-    def prog(rank):
-        am = machine.node(rank).am
+    def prog(node):
+        rank, am = node.id, node.am
         nxt = (rank + 1) % nprocs
         for it in range(iters):
             if rank == 0:
@@ -94,9 +93,9 @@ def am_store_latency(nbytes: int, node_kind: str = "sp-thin",
                 yield from am.store(nxt, bufs[rank][0], bufs[nxt][1], nbytes,
                                     handler=handlers[nxt])
 
-    procs = [sim.spawn(prog(r)) for r in range(nprocs)]
-    sim.run_until_processes_done(procs, limit=1e9, max_events=40_000_000)
-    return sim.now / iters / nprocs
+    run = run_programs(machine, [prog] * nprocs, limit_us=1e9,
+                       max_events=40_000_000)
+    return run.elapsed_us / iters / nprocs
 
 
 def mpi_bandwidth(variant_name: str, nbytes: int, node_kind: str = "sp-thin",
@@ -106,8 +105,7 @@ def mpi_bandwidth(variant_name: str, nbytes: int, node_kind: str = "sp-thin",
         from repro.bench.bandwidth import measure_bandwidth
         return measure_bandwidth("am_store_async", nbytes,
                                  params=machine_params(node_kind))
-    sim = Simulator()
-    machine = build_sp_machine(sim, 2, machine_params(node_kind))
+    machine = build_sp_machine(Simulator(), 2, machine_params(node_kind))
     mpis = _build(variant_name, machine)
     if total is None:
         total = min(800_000, max(120_000, 6 * nbytes))
@@ -125,10 +123,8 @@ def mpi_bandwidth(variant_name: str, nbytes: int, node_kind: str = "sp-thin",
         for i in range(count):
             yield from mpis[1].recv(nbytes, 0, tag=i)
 
-    p = sim.spawn(sender(0))
-    q = sim.spawn(receiver(0))
-    sim.run_until_processes_done([p, q], limit=1e10, max_events=80_000_000)
-    return count * nbytes / sim.now
+    run = run_programs(machine, [sender, receiver], max_events=80_000_000)
+    return count * nbytes / run.elapsed_us
 
 
 #: Fig 7 protocol forcing: buffered-only, rendez-vous-only, hybrid

@@ -6,7 +6,7 @@ matter finish, and reports the elapsed simulated time.  Background service
 loops (e.g. a receiver that polls until told to stop) are supported via
 ``serve_until``, which is also the server rank of the one two-node AM
 stream every bandwidth and latency bench runs
-(``repro.bench.bandwidth._measure_am``).
+(``repro.bench.bandwidth._measure_am``) on the nodes :func:`am_pair` builds.
 """
 
 from __future__ import annotations
@@ -14,7 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from repro.hardware.machine import Machine
+from repro.am import attach_am
+from repro.hardware.machine import (
+    Machine,
+    build_generic_machine,
+    build_sp_machine,
+)
+from repro.hardware.params import MachineParams
+from repro.sim import Simulator
 from repro.sim.process import Process
 
 
@@ -47,6 +54,10 @@ def run_programs(
         raise ValueError(
             f"{len(programs)} programs for {machine.nprocs} nodes"
         )
+    for rank in wait_for or ():
+        if not 0 <= rank < machine.nprocs:
+            raise ValueError(
+                f"wait_for rank {rank} is not in range({machine.nprocs})")
     sim = machine.sim
     t0 = sim.now
     procs = [
@@ -56,6 +67,27 @@ def run_programs(
     targets = procs if wait_for is None else [procs[i] for i in wait_for]
     sim.run_until_processes_done(targets, limit=limit_us, max_events=max_events)
     return NodeProgramSet(machine, procs, sim.now - t0)
+
+
+def am_pair(params: Optional[MachineParams] = None, obs=None,
+            sample_period_us: Optional[float] = None) -> Machine:
+    """Two nodes of ``params`` (SP thin nodes by default, or any Table 4
+    peer) with AM attached.
+
+    An Observatory ``obs`` is attached before AM, and its gauge sampler
+    started at ``sample_period_us`` when given.
+    """
+    sim = Simulator()
+    if params is None or params.nodes_kind == "sp":
+        machine = build_sp_machine(sim, 2, params)
+    else:
+        machine = build_generic_machine(sim, 2, params)
+    if obs is not None:
+        obs.attach(machine)
+    attach_am(machine)
+    if sample_period_us is not None:
+        obs.start_sampler(period_us=sample_period_us)
+    return machine
 
 
 def serve_until(am, flag: list):

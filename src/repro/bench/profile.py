@@ -5,8 +5,8 @@ attached (:meth:`Observatory.start_sampler`), and reduces every one to
 the same evidence bundle:
 
 * **pingpong** — the §2.3 AM ping-pong on 2 thin nodes
-  (:func:`~repro.bench.pingpong.am_roundtrip_observed`).  The per-stage
-  critical-path attribution must match the measured RTT within ±5%
+  (:func:`~repro.bench.pingpong.am_roundtrip` with an Observatory).  The
+  per-stage critical-path attribution must match the measured RTT within ±5%
   (``coverage`` in [0.95, 1.05]): less leaves time unexplained, more
   counts some of it twice.  This reproduces Table 2 / §2.3 from live
   span marks.
@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.bandwidth import _measure_am
-from repro.bench.pingpong import am_roundtrip_observed
+from repro.bench.pingpong import am_roundtrip
 from repro.faults import run_soak
 from repro.obs.core import Observatory
 from repro.obs.critpath import (
@@ -79,8 +79,9 @@ def run_profile(quick: bool = False, period_us: float = 50.0,
     """
     iters, bulk_bytes, soak_pp = _QUICK if quick else _FULL
 
-    mean_rtt, pp_obs = am_roundtrip_observed(1, iters,
-                                             sample_period_us=period_us)
+    pp_obs = Observatory()
+    mean_rtt = am_roundtrip(1, iters, obs=pp_obs,
+                            sample_period_us=period_us).rtt_us
     pp_bundle = _workload_bundle(pp_obs, topk)
     pp_bundle["coverage"] = attribution_coverage(pp_obs, mean_rtt)
     bulk_obs = Observatory()

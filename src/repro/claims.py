@@ -37,8 +37,13 @@ from repro.apps.nas import NAS_KERNELS, run_ft
 from repro.apps.radix_sort import run_radix_sort
 from repro.apps.sample_sort import run_sample_sort
 from repro.apps.workloads import STACKS, AppResult
-from repro.bench.bandwidth import MODES, measure_bandwidth, n_half, r_inf
-from repro.bench.callcosts import reply_call_cost, request_call_cost
+from repro.bench.bandwidth import (
+    MODES,
+    _measure_am,
+    measure_bandwidth,
+    n_half,
+    r_inf,
+)
 from repro.bench.figures import (
     MPI_VARIANTS,
     PROTOCOL_CONFIGS,
@@ -47,11 +52,16 @@ from repro.bench.figures import (
     mpi_stream,
     protocol_bandwidth,
 )
-from repro.bench.harness import run_programs, serve_until
-from repro.bench.machines import measure_bulk_bandwidth, measure_send_overhead
-from repro.bench.pingpong import am_roundtrip, mpl_roundtrip, raw_roundtrip
+from repro.bench.harness import run_programs
+from repro.bench.pingpong import (
+    am_roundtrip,
+    measure_send_overhead,
+    mpl_roundtrip,
+    raw_roundtrip,
+)
 from repro.bench.report import paper_vs_measured
 from repro.hardware import build_sp_machine
+from repro.hardware.params import machine_params, with_overrides
 from repro.mpi import OPTIMIZED, UNOPTIMIZED, attach_mpi
 from repro.mpi.am_collectives import (
     am_alltoall,
@@ -79,22 +89,28 @@ def _series(curve: Dict[int, float]) -> List[Tuple[int, float]]:
     return list(curve.items())
 
 
+@_memo
+def _pingpong(words: int):
+    """§2.3's M-word AM ping-pong, whose first calls are Table 2's."""
+    return am_roundtrip(words, 100 if words == 1 else 60)
+
+
 # ------------------------------------------------------------ experiments
 
 
 @_memo
 def roundtrip() -> Dict[str, float]:
     """§2.3 round-trip latency (us)"""
-    return {"raw": raw_roundtrip(100), "am1": am_roundtrip(1, 100),
-            "am2": am_roundtrip(2, 60), "am3": am_roundtrip(3, 60),
-            "am4": am_roundtrip(4, 60), "mpl": mpl_roundtrip(100)}
+    return {"raw": raw_roundtrip(100),
+            **{f"am{w}": _pingpong(w).rtt_us for w in (1, 2, 3, 4)},
+            "mpl": mpl_roundtrip(100)}
 
 
 @_memo
 def table2() -> Dict[str, Dict[int, float]]:
     """Table 2: AM call costs (us)"""
-    return {"request": {n: request_call_cost(n) for n in (1, 2, 3, 4)},
-            "reply": {n: reply_call_cost(n) for n in (1, 2, 3, 4)}}
+    return {"request": {w: _pingpong(w).request_us for w in (1, 2, 3, 4)},
+            "reply": {w: _pingpong(w).reply_us for w in (1, 2, 3, 4)}}
 
 
 @_memo
@@ -129,8 +145,9 @@ def table3() -> Dict[str, float]:
 def table4() -> Dict[str, Dict[str, float]]:
     """Table 4: machine comparison"""
     return {name: {"overhead": measure_send_overhead(name),
-                   "rtt": am_roundtrip(1, 60, name),
-                   "bw": measure_bulk_bandwidth(name)}
+                   "rtt": am_roundtrip(1, 60, name).rtt_us,
+                   "bw": measure_bandwidth("am_store", 262144, 262144,
+                                           machine_params(name))}
             for name in ("cm5", "meiko", "unet", "sp-thin")}
 
 
@@ -221,28 +238,11 @@ def fig11() -> Dict[str, Dict[int, float]]:
 # -------------------------------------------------------------- ablations
 
 
-def _store_stream_time(lazy_pop: int = 16, nbytes: int = 224,
-                       count: int = 300) -> float:
+def _store_stream(nbytes: int, count: int, params=None) -> float:
     """Mean us per AM store in a one-way ``store_async`` stream."""
-    sim = Simulator()
-    m = build_sp_machine(sim, 2, lazy_pop_batch=lazy_pop)
-    am0, am1 = attach_spam(m)
-    src = m.node(0).memory.alloc(nbytes)
-    dst = m.node(1).memory.alloc(nbytes)
-    flag = [0]
-
-    def sender():
-        ops = []
-        for _ in range(count):
-            ops.append((yield from am0.store_async(1, src, dst, nbytes)))
-        for op in ops:
-            yield from am0.wait_op(op)
-        flag[0] = 1
-
-    p = sim.spawn(sender())
-    sim.spawn(serve_until(am1, flag))
-    sim.run_until_processes_done([p], limit=1e9, max_events=60_000_000)
-    return sim.now / count
+    stores, elapsed = _measure_am("am_store_async", nbytes, count * nbytes,
+                                  params)
+    return elapsed / stores
 
 
 @_memo
@@ -278,7 +278,7 @@ def window() -> Dict[int, float]:
             mod.REQUEST_WINDOW = req_window
             mod.REPLY_WINDOW = req_window + 4
         try:
-            return _store_stream_time(nbytes=8064, count=40)
+            return _store_stream(8064, 40)
         finally:
             for mod in (am_constants, am_endpoint):
                 mod.REQUEST_WINDOW = orig_req
@@ -290,7 +290,9 @@ def window() -> Dict[int, float]:
 @_memo
 def lazy_pop() -> Dict[int, float]:
     """Ablation §2.1: lazy receive-FIFO pop (us per 224 B store)"""
-    return {batch: _store_stream_time(lazy_pop=batch) for batch in (1, 16)}
+    thin = machine_params("sp-thin")
+    return {b: _store_stream(224, 300, with_overrides(thin, lazy_pop_batch=b))
+            for b in (1, 16)}
 
 
 @_memo
@@ -370,25 +372,23 @@ def direct_collectives() -> Dict[str, float]:
 def exchange() -> float:
     """Ablation §2.4 footnote: exchange bandwidth, 256 KB each way
     (aggregate MB/s)"""
-    sim = Simulator()
-    m = build_sp_machine(sim, 2)
-    ams = attach_spam(m)
+    m = build_sp_machine(Simulator(), 2)
+    attach_spam(m)
     n = 262144
     bufs = [(m.node(i).memory.alloc(n), m.node(i).memory.alloc(n))
             for i in range(2)]
     done = [0]
 
-    def prog(rank):
-        am = ams[rank]
+    def prog(node):
+        rank, am = node.id, node.am
         peer = 1 - rank
         yield from am.store(peer, bufs[rank][0], bufs[peer][1], n)
         done[0] += 1
         while done[0] < 2:
             yield from am._wait_progress()
 
-    procs = [sim.spawn(prog(r)) for r in range(2)]
-    sim.run_until_processes_done(procs, limit=1e9, max_events=60_000_000)
-    return 2 * n / sim.now
+    return 2 * n / run_programs(m, [prog, prog], limit_us=1e9,
+                                max_events=60_000_000).elapsed_us
 
 
 @_memo

@@ -113,10 +113,12 @@ def _print_data(name: str, result) -> None:
 def _observed_roundtrip(args):
     """The §2.3 ping-pong again with an Observatory: ``--stats``,
     ``--trace-out`` and the report's critical-path attribution."""
-    from repro.bench.pingpong import am_roundtrip_observed
+    from repro.bench.pingpong import am_roundtrip
+    from repro.obs import Observatory
     from repro.obs.critpath import attribution_coverage, critpath_rollup
 
-    am_mean, obs = am_roundtrip_observed(1, args.iters)
+    obs = Observatory()
+    am_mean = am_roundtrip(1, args.iters, obs=obs).rtt_us
     att = attribution_coverage(obs, am_mean)
     if args.stats:
         rollup = critpath_rollup(obs)

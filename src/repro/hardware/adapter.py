@@ -40,7 +40,6 @@ class TB2Adapter:
         params: AdapterParams,
         switch_params: SwitchParams,
         active_nodes: int,
-        lazy_pop_batch: int = 16,
     ):
         self.sim = sim
         self.node_id = node_id
@@ -49,7 +48,7 @@ class TB2Adapter:
         self.send_fifo = SendFIFO(params.send_fifo_entries)
         self.recv_fifo = RecvFIFO(
             capacity=params.recv_fifo_entries_per_node * max(1, active_nodes),
-            lazy_pop_batch=lazy_pop_batch,
+            lazy_pop_batch=params.lazy_pop_batch,
         )
         self.switch = None  # set by Machine
         self.stats = StatRegistry(f"tb2[{node_id}].")

@@ -57,7 +57,6 @@ def build_sp_machine(
     sim: Simulator,
     nprocs: int,
     params: Optional[MachineParams] = None,
-    lazy_pop_batch: int = 16,
 ) -> Machine:
     """Build an ``nprocs``-node SP (thin nodes unless told otherwise)."""
     if nprocs < 1:
@@ -69,14 +68,7 @@ def build_sp_machine(
     nodes: List[Node] = []
     for i in range(nprocs):
         node = Node(sim, i, p)
-        adapter = TB2Adapter(
-            sim,
-            i,
-            p.adapter,
-            p.switch,
-            active_nodes=nprocs,
-            lazy_pop_batch=lazy_pop_batch,
-        )
+        adapter = TB2Adapter(sim, i, p.adapter, p.switch, active_nodes=nprocs)
         adapter.switch = switch
         switch.attach(i, adapter)
         node.adapter = adapter

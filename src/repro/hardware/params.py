@@ -98,6 +98,8 @@ class AdapterParams:
     i860_rx_occupancy: float = 3.0
     #: MSMU inter-packet gap on the wire (tunes r_inf to 34.3 MB/s)
     msmu_gap: float = 0.13
+    #: consumed receive-FIFO slots the host returns per pop (§2.1)
+    lazy_pop_batch: int = 16
 
 
 @dataclass(frozen=True)

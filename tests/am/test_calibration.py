@@ -25,10 +25,11 @@ class TestRoundTrips:
         assert raw_roundtrip(iterations=50) == pytest.approx(47.0, abs=1.0)
 
     def test_am_roundtrip_51us(self):
-        assert am_roundtrip(1, iterations=50) == pytest.approx(51.0, abs=1.0)
+        rtt = am_roundtrip(1, iterations=50).rtt_us
+        assert rtt == pytest.approx(51.0, abs=1.0)
 
     def test_am_roundtrip_grows_half_us_per_word(self):
-        rtts = [am_roundtrip(w, iterations=30) for w in (1, 2, 3, 4)]
+        rtts = [am_roundtrip(w, iterations=30).rtt_us for w in (1, 2, 3, 4)]
         for a, b in zip(rtts, rtts[1:]):
             assert 0.2 <= b - a <= 1.0  # "about 0.5 us per word"
 
@@ -37,37 +38,38 @@ class TestRoundTrips:
 
     def test_am_vs_mpl_40_percent_reduction(self):
         # the paper's headline: "40% lower than the 88 us measured using MPL"
-        am = am_roundtrip(1, iterations=50)
+        am = am_roundtrip(1, iterations=50).rtt_us
         mpl = mpl_roundtrip(iterations=50)
         assert (mpl - am) / mpl == pytest.approx(0.42, abs=0.04)
 
 
 class TestCallOverheads:
-    """Table 2: am_request_N 7.7..8.2 us; am_reply_N 4.0..4.4 us."""
+    """Table 2: am_request_N 7.7..8.2 us; am_reply_N 4.0..4.4 us, read
+    from the first calls of the §2.3 ping-pong."""
 
     @pytest.mark.parametrize("words", [1, 2, 3, 4])
     def test_am_request_call_cost(self, words):
-        from repro.bench.callcosts import request_call_cost
         from repro.claims import BY_ID
 
-        cost = request_call_cost(words)
+        cost = am_roundtrip(words, iterations=1).request_us
         paper = BY_ID[f"table2.request_{words}"].paper
         assert cost == pytest.approx(paper, abs=0.25)
 
     @pytest.mark.parametrize("words", [1, 2, 3, 4])
     def test_am_reply_call_cost(self, words):
-        from repro.bench.callcosts import reply_call_cost
         from repro.claims import BY_ID
 
-        cost = reply_call_cost(words)
+        cost = am_roundtrip(words, iterations=1).reply_us
         paper = BY_ID[f"table2.reply_{words}"].paper
         assert cost == pytest.approx(paper, abs=0.25)
 
     def test_empty_poll_cost(self):
         """§2.5: polling an empty network costs 1.3 us."""
-        from repro.bench.callcosts import empty_poll_cost
-
-        assert empty_poll_cost() == pytest.approx(1.3, abs=0.01)
+        sim = Simulator()
+        am0, _am1 = attach_spam(build_sp_machine(sim, 2))
+        poll = sim.spawn(am0.poll())
+        elapsed = sim.run_until_processes_done([poll], limit=1e6)
+        assert elapsed == pytest.approx(1.3, abs=0.01)
 
 
 class TestBandwidthSummary:

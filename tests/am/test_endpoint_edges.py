@@ -183,8 +183,8 @@ class TestWideNodeAM:
     def test_wide_node_roundtrip_close_to_thin(self):
         from repro.bench.pingpong import am_roundtrip
 
-        thin = am_roundtrip(1, 40, "sp-thin")
-        wide = am_roundtrip(1, 40, "sp-wide")
+        thin = am_roundtrip(1, 40, "sp-thin").rtt_us
+        wide = am_roundtrip(1, 40, "sp-wide").rtt_us
         # wide nodes: coarser flush granularity, slightly slower PIO —
         # within a microsecond of thin (Fig 10's story)
         assert abs(wide - thin) < 1.5

@@ -149,7 +149,7 @@ class TestTable4RoundTrips:
 
     @pytest.mark.parametrize("name,rtt", sorted(EXPECTED.items()))
     def test_roundtrip_matches_table4(self, name, rtt):
-        measured = am_roundtrip(1, 40, name)
+        measured = am_roundtrip(1, 40, name).rtt_us
         assert measured == pytest.approx(rtt, rel=0.10), name
 
 

@@ -56,6 +56,17 @@ class TestRunPrograms:
         result = run_programs(m, [worker, server], wait_for=[0])
         assert result.processes[0].finished
 
+    @pytest.mark.parametrize("rank", [5, -1, 2])
+    def test_wait_for_rank_outside_machine_rejected(self, rank):
+        m = make_machine(2)
+
+        def prog(node):
+            yield Delay(1.0)
+
+        with pytest.raises(ValueError, match=f"wait_for rank {rank} "):
+            run_programs(m, [prog, prog], wait_for=[0, rank])
+        assert m.sim.now == 0.0
+
     def test_time_limit_raises(self):
         m = make_machine(2)
 

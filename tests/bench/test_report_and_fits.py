@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.bandwidth import n_half, r_inf
+from repro.bench.bandwidth import MODES, measure_bandwidth, n_half, r_inf
 from repro.bench.report import fmt_series, fmt_table, paper_vs_measured
 
 
@@ -43,6 +43,15 @@ class TestCurveFits:
     def test_r_inf_recovers_asymptote(self):
         series = self._ideal_series(bw=34.3)
         assert r_inf(series) == pytest.approx(34.3, rel=0.02)
+
+    def test_r_inf_needs_two_points(self):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            r_inf([(10, 1.0)])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_negative_size_is_named(self, mode):
+        with pytest.raises(ValueError, match="n=-4"):
+            measure_bandwidth(mode, -4)
 
     def test_n_half_recovers_half_power_point(self):
         bw, ov = 34.3, 20.0

@@ -242,6 +242,6 @@ def test_live_pingpong_attribution_meets_the_95_percent_floor():
     machine = build_machine(sim, 2, "sp-thin")
     obs = Observatory().attach(machine)
     attach_am(machine)
-    rtt = _am_pingpong(machine, 1, 30)
+    rtt = _am_pingpong(machine, 1, 30).rtt_us
     cov = attribution_coverage(obs, rtt)
     assert cov["coverage"] >= 0.95

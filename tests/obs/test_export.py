@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.pingpong import am_roundtrip_observed
+from repro.bench.pingpong import am_roundtrip
 from repro.obs import (
     Observatory,
     chrome_trace,
@@ -24,7 +24,8 @@ from repro.obs.schema import (
 
 @pytest.fixture(scope="module")
 def observed():
-    _mean, obs = am_roundtrip_observed(words=1, iterations=20)
+    obs = Observatory()
+    am_roundtrip(words=1, iterations=20, obs=obs)
     obs.phase(0, "phase", "compute", 100.0, 250.0)
     return obs
 

@@ -18,7 +18,7 @@ def _observed_pingpong(iterations=20, period_us=5.0, **sampler_kw):
     obs = Observatory().attach(machine)
     attach_am(machine)
     obs.start_sampler(period_us=period_us, **sampler_kw)
-    mean_rtt = _am_pingpong(machine, 1, iterations)
+    mean_rtt = _am_pingpong(machine, 1, iterations).rtt_us
     return obs, machine, mean_rtt
 
 

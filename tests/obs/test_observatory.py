@@ -8,7 +8,7 @@ measured mean (paper value: 51.0 us).
 import pytest
 
 from repro.am import attach_spam
-from repro.bench.pingpong import am_roundtrip_observed
+from repro.bench.pingpong import am_roundtrip
 from repro.hardware import build_sp_machine
 from repro.hardware.packet import PacketKind
 from repro.obs import (
@@ -31,7 +31,8 @@ PINGPONG_STAGES = set(CRIT_STAGES) - {"retransmit_backoff", "switch_queue"}
 
 @pytest.fixture(scope="module")
 def observed_roundtrip():
-    return am_roundtrip_observed(words=1, iterations=50)
+    obs = Observatory()
+    return am_roundtrip(words=1, iterations=50, obs=obs).rtt_us, obs
 
 
 class TestStageAttribution:
@@ -199,8 +200,8 @@ class TestSpanCollection:
 class TestGenericMachines:
     def test_logp_machine_spans(self):
         """Table-4 peers trace through the generic NIC path too."""
-        mean, obs = am_roundtrip_observed(words=1, iterations=10,
-                                          machine_name="cm5")
+        obs = Observatory()
+        am_roundtrip(words=1, iterations=10, machine_name="cm5", obs=obs)
         reqs = obs.spans_by_kind("request")
         assert len(reqs) == 10
         # LogP path has no separate switch/FIFO stages but must still

@@ -186,8 +186,6 @@ class ADI:
         #: keyed (src, op_token) -> (region_offset, length)
         self._prefixes: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self._next_token = 1
-        #: scratch staging area for sends given as bytes
-        self._scratch = node.memory
         #: request-lifecycle checker (repro.check), None when unchecked
         self.check = None
         for h in _HANDLERS:

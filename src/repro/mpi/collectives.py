@@ -11,7 +11,7 @@ for the ablation benchmark.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.mpi.comm import Communicator
 
@@ -21,7 +21,6 @@ TAG_BCAST = 2 << 20
 TAG_REDUCE = 3 << 20
 TAG_GATHER = 4 << 20
 TAG_SCATTER = 5 << 20
-TAG_ALLGATHER = 6 << 20
 TAG_ALLTOALL = 7 << 20
 
 class _ReduceOps(dict):
@@ -40,6 +39,13 @@ class _ReduceOps(dict):
 
 
 REDUCE_OPS = _ReduceOps()
+
+
+def _root_error(root: int, size: int) -> ValueError:
+    """The error for a rooted collective whose root is outside ``comm``:
+    no rank would act as root, so ``bcast`` would wait forever."""
+    return ValueError(f"root={root} is not a rank of this communicator: "
+                      f"valid range is 0..{size - 1}")
 
 
 class MPICollectives:
@@ -66,6 +72,8 @@ class MPICollectives:
         """Binomial-tree broadcast; every rank returns the payload."""
         comm = comm or self.comm_world
         size, rank = comm.size, comm.rank
+        if not 0 <= root < size:
+            raise _root_error(root, size)
         if size == 1:
             return data
         seq = self._collseq(comm)
@@ -93,6 +101,8 @@ class MPICollectives:
 
         comm = comm or self.comm_world
         size, rank = comm.size, comm.rank
+        if not 0 <= root < size:
+            raise _root_error(root, size)
         fn = REDUCE_OPS[op]
         acc = np.array(array, copy=True)
         if size == 1:
@@ -133,6 +143,8 @@ class MPICollectives:
         """Linear gather to root."""
         comm = comm or self.comm_world
         size, rank = comm.size, comm.rank
+        if not 0 <= root < size:
+            raise _root_error(root, size)
         seq = self._collseq(comm)
         tag = TAG_GATHER + seq
         if rank != root:
@@ -151,6 +163,8 @@ class MPICollectives:
         """Linear scatter from root."""
         comm = comm or self.comm_world
         size, rank = comm.size, comm.rank
+        if not 0 <= root < size:
+            raise _root_error(root, size)
         seq = self._collseq(comm)
         tag = TAG_SCATTER + seq
         if rank == root:
@@ -234,18 +248,6 @@ class MPICollectives:
         if rank < size - 1:
             yield from self.send(acc.tobytes(), rank + 1, tag, comm)
         return acc
-
-    def gatherv(self, data: bytes, root: int = 0,
-                comm: Optional[Communicator] = None) -> Optional[List[bytes]]:
-        """Variable-size gather (sizes need not match across ranks)."""
-        # the fixed-size gather already transports per-rank lengths
-        return (yield from self.gather(data, root, comm))
-
-    def alltoallv(self, chunks: Sequence[bytes],
-                  comm: Optional[Communicator] = None,
-                  staggered: bool = False) -> List[bytes]:
-        """Variable-size all-to-all (per-destination sizes may differ)."""
-        return (yield from self.alltoall(chunks, comm, staggered))
 
     # -- helpers ----------------------------------------------------------------
 

@@ -2,27 +2,22 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 
 class Communicator:
     """An MPI communicator: an ordered group of world ranks + context id.
 
     Point-to-point matching includes the context id, so traffic on a
-    duplicated or split communicator never matches the parent's.
+    communicator never matches another context's.
     """
 
-    _next_context = 100
-
     def __init__(self, world_ranks: List[int], my_world_rank: int,
-                 context: Optional[int] = None):
+                 context: int):
         if my_world_rank not in world_ranks:
             raise ValueError("this process is not in the communicator")
         self.world_ranks = list(world_ranks)
         self.my_world_rank = my_world_rank
-        if context is None:
-            context = Communicator._next_context
-            Communicator._next_context += 1
         self.context = context
 
     @property
@@ -33,25 +28,17 @@ class Communicator:
     def size(self) -> int:
         return len(self.world_ranks)
 
-    def world_rank_of(self, rank: int) -> int:
-        return self.world_ranks[rank]
-
-    def dup(self, new_context: int) -> "Communicator":
-        """Duplicate (all participants must pass the same new_context)."""
-        return Communicator(self.world_ranks, self.my_world_rank, new_context)
-
-    def split(self, color: int, key: int, all_colors: List[int],
-              all_keys: List[int], new_context_base: int) -> "Communicator":
-        """Split by color/key.  ``all_colors``/``all_keys`` are indexed by
-        this communicator's ranks (collectively gathered by the caller)."""
-        members = [
-            (all_keys[r], r) for r in range(self.size)
-            if all_colors[r] == color
-        ]
-        members.sort()
-        ranks = [self.world_rank_of(r) for _, r in members]
-        return Communicator(ranks, self.my_world_rank,
-                            new_context_base + color)
+    def world_rank_of(self, rank: int, arg: str = "rank") -> int:
+        """The world rank of communicator rank ``rank``; ``arg`` names the
+        caller's argument in the error for a rank outside the group."""
+        if rank >= 0:  # a negative index would wrap around silently
+            try:
+                return self.world_ranks[rank]
+            except IndexError:
+                pass
+        raise ValueError(
+            f"{arg}={rank} is not a rank of this communicator: "
+            f"valid range is 0..{len(self.world_ranks) - 1}")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Communicator(rank={self.rank}/{self.size}, "

@@ -29,10 +29,6 @@ class MPI(MPIPoint2Point, MPICollectives):
         self._coll_seq: Dict[int, int] = {}
         node.mpi = self
 
-    @property
-    def size(self) -> int:
-        return self.nprocs
-
 
 def attach_mpi(machine: Machine,
                config: Optional[MPIConfig] = None) -> List[MPI]:

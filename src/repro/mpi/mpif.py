@@ -29,7 +29,7 @@ from repro.mpi.comm import Communicator
 from repro.mpi.p2p import MPIPoint2Point
 from repro.mpi.request import Request
 from repro.mpi.status import matches
-from repro.mpl.api import MPL, MPLCosts
+from repro.mpl.api import MPLCosts
 from repro.mpl.engine import MPLEngine
 from repro.sim.primitives import TIMED_OUT, Timeout
 from repro.sim.stats import StatRegistry
@@ -232,10 +232,6 @@ class MPIF(MPIPoint2Point, MPICollectives):
         self._loopback: List[Tuple[int, int, bytes]] = []
         self._coll_seq: Dict[int, int] = {}
         node.mpi = self
-
-    @property
-    def size(self) -> int:
-        return self.nprocs
 
 
 def attach_mpif(machine: Machine,

@@ -8,7 +8,7 @@ memory without staging copies (used by the NAS kernels).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.mpi.comm import Communicator
 from repro.mpi.request import Request
@@ -38,7 +38,7 @@ class MPIPoint2Point:
               comm: Optional[Communicator] = None):
         """MPI_Isend: start a send, return its Request."""
         comm = comm or self.comm_world
-        dst_world = comm.world_rank_of(dst)
+        dst_world = comm.world_rank_of(dst, "dst")
         addr, nbytes = self._as_addr(buf)
         req = Request("send", comm, dst, tag, nbytes)
         ck = self.adi.check
@@ -66,7 +66,7 @@ class MPIPoint2Point:
               addr: Optional[int] = None):
         """MPI_Irecv: post a receive, return its Request."""
         comm = comm or self.comm_world
-        src_world = (comm.world_rank_of(src) if src != ANY_SOURCE
+        src_world = (comm.world_rank_of(src, "src") if src != ANY_SOURCE
                      else ANY_SOURCE)
         req = Request("recv", comm, src_world, tag, nbytes)
         req.recv_addr = addr
@@ -180,11 +180,11 @@ class MPIPoint2Point:
                comm: Optional[Communicator] = None):
         """Non-blocking probe of the unexpected queue."""
         comm = comm or self.comm_world
+        want = src if src == ANY_SOURCE else comm.world_rank_of(src, "src")
         yield from self.adi.progress()
         for entry in self.adi.unexpected:
             if entry.context == comm.context and matches(
-                    src if src == ANY_SOURCE else comm.world_rank_of(src),
-                    tag, entry.src, entry.tag):
+                    want, tag, entry.src, entry.tag):
                 return Status(source=entry.src, tag=entry.tag,
                               count=entry.total_len)
         return None

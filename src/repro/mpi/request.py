@@ -19,7 +19,6 @@ class Request:
         self.tag = tag
         self.nbytes = nbytes
         self.done = False
-        self.cancelled = False
         #: released via MPI_Request_free; the handle may no longer be
         #: waited on or tested
         self.freed = False

@@ -16,9 +16,6 @@ class Status:
     tag: int = ANY_TAG
     count: int = 0
 
-    def get_count(self) -> int:
-        return self.count
-
 
 def matches(want_src: int, want_tag: int, src: int, tag: int) -> bool:
     """MPI envelope matching with wildcards."""

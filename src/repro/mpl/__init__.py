@@ -11,14 +11,17 @@ n_1/2, pipelined send       ~2 KB
 n_1/2, blocking send/reply  >3.2 KB
 =========================  ==========
 
-API (the subset the paper exercises)::
+API (the subset the paper exercises; ``dst``/``src`` outside the job's
+tasks raise ``ValueError`` at the call)::
 
-    mpl.mpc_bsend(data, dst, tag)     blocking send
+    mpl.mpc_bsend(data, dst, tag)     blocking send (§2.3 round trip, Fig 3)
     mpl.mpc_brecv(n, src, tag)        blocking receive -> bytes
-    mpl.mpc_send(data, dst, tag)      non-blocking send -> handle
-    mpl.mpc_recv(n, src, tag)         non-blocking receive -> handle
-    mpl.mpc_wait(handle)              complete a non-blocking op
-    mpl.mpc_status(handle)            poll a handle
+    mpl.mpc_send(data, dst, tag)      non-blocking send -> done handle
+                                      (Fig 3's pipelined curve)
+
+``mpc_recv``, ``mpc_wait``, ``mpc_status``, ``mpc_probe``,
+``mpc_environ`` and ``mpc_sync`` have no caller but their own tests
+(docs/architecture.md lists each public call with its caller).
 
 The high per-message software overhead relative to SP AM — buffer
 management, matching, and an internal copy for eager-size messages — is

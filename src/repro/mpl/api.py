@@ -2,7 +2,7 @@
 
 Calibration targets (Table 3 and §2.3):
 
-* ``mpc_bsend``/``mpc_recv`` one-word ping-pong: **88 us** round trip —
+* ``mpc_bsend``/``mpc_brecv`` one-word ping-pong: **88 us** round trip —
   roughly 50 us of per-round software against SP AM's ~18 us;
 * asymptotic pipelined bandwidth **34.6 MB/s** (30-byte data header);
 * pipelined half-power point around **2 KB** — per-message costs are
@@ -64,26 +64,37 @@ class Handle:
 class MPL:
     """The MPL library instance on one node (``node.mpl``)."""
 
-    def __init__(self, node, costs: Optional[MPLCosts] = None):
+    def __init__(self, node, numtask: int, costs: Optional[MPLCosts] = None):
         if node.adapter is None:
             raise ValueError("MPL runs only on SP nodes")
         self.node = node
         self.costs = costs if costs is not None else MPLCosts()
         self.engine = MPLEngine(node, self.costs)
-        self._numtask = 1  # fixed up by attach_mpl
+        self._numtask = numtask
         self._sync_epoch = 0
         node.mpl = self
+
+    def _check_task(self, arg: str, task: int) -> None:
+        """Fail at the call, naming ``arg``, when ``task`` is not a task of
+        this job (the transport would stall or misroute instead)."""
+        if not 0 <= task < self._numtask:
+            raise ValueError(
+                f"{arg}={task} is not an MPL task: "
+                f"valid range is 0..{self._numtask - 1}")
 
     # -- blocking ----------------------------------------------------------
 
     def mpc_bsend(self, data: bytes, dst: int, tag: int = 0):
         """Blocking send: returns when the source buffer is reusable."""
+        self._check_task("dst", dst)
         if dst == self.node.id:
             raise ValueError("MPL send must address a remote task")
         yield from self.engine.send_message(dst, bytes(data), tag)
 
     def mpc_brecv(self, nbytes: int, src: int = ANY, tag: int = ANY):
         """Blocking receive: returns the message bytes (must fit nbytes)."""
+        if src != ANY:
+            self._check_task("src", src)
         data = yield from self.engine.recv_message(src, tag)
         if len(data) > nbytes:
             raise ValueError(
@@ -101,6 +112,7 @@ class MPL:
         does *not* do is wait for any acknowledgement, which is exactly the
         pipelined-bandwidth configuration of Figure 3.
         """
+        self._check_task("dst", dst)
         yield from self.engine.send_message(dst, bytes(data), tag)
         h = Handle("send")
         h.done = True
@@ -172,7 +184,4 @@ def attach_mpl(machine: Machine, costs: Optional[MPLCosts] = None) -> List[MPL]:
     """Install MPL on every node of an SP machine."""
     if not machine.is_sp:
         raise ValueError("MPL exists only on the SP")
-    mpls = [MPL(node, costs) for node in machine.nodes]
-    for mpl in mpls:
-        mpl._numtask = machine.nprocs
-    return mpls
+    return [MPL(node, machine.nprocs, costs) for node in machine.nodes]

@@ -204,10 +204,3 @@ class MPLEngine:
                     "credit deadlock?"
                 )
         yield from self.poll()
-
-    def flush_credits(self):
-        """Return any outstanding credit debt (used at teardown/barrier)."""
-        for src, debt in list(self._credit_debt.items()):
-            if debt:
-                self._credit_debt[src] = 0
-                yield from self._send_credit(src, debt)

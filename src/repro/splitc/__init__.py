@@ -11,6 +11,13 @@ The runtime is written against the Active-Messages API, so the same
 benchmark code runs over SP AM, over the generic AM of the Table-4 peer
 machines, and — via :class:`repro.mpl.am_shim.MPLAM` — over IBM MPL,
 exactly the comparison of Table 5 / Figure 4.
+
+The paper's programs call the :class:`SplitC` runtime, its
+:class:`PhaseProfile` and :class:`GlobalPtr`.  The library forms
+``bulk_read``, ``bulk_write``, ``read_double``, ``write_double``,
+``exchange``, ``all_reduce_to_all``, ``all_gather_words`` and ``scan``
+have no caller but their own tests (docs/architecture.md lists each
+public call with its caller).
 """
 
 from repro.splitc.bulk import (

@@ -22,8 +22,5 @@ class GlobalPtr(NamedTuple):
     def __sub__(self, nbytes: int) -> "GlobalPtr":
         return GlobalPtr(self.proc, self.addr - nbytes)
 
-    def is_local(self, my_rank: int) -> bool:
-        return self.proc == my_rank
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"GP({self.proc}:{self.addr:#x})"

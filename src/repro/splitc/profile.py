@@ -2,11 +2,12 @@
 
 "All the benchmarks have been instrumented to account for the time spent
 in local computation phases and in communication phases separately" (§3).
-Benchmarks bracket their computation with :meth:`PhaseProfile.compute`
-(or ``compute_span``); everything else in the measured region counts as
-communication time — which includes message overhead, exactly as in the
-paper (that is why SP MPL's *net* bars in Figure 4 balloon for the
-small-message sorts even though the machine is identical).
+Benchmarks charge their computation through :meth:`PhaseProfile.compute`
+(``intops`` and ``flops_polled`` price it per operation); everything else
+in the measured region counts as communication time — which includes
+message overhead, exactly as in the paper (that is why SP MPL's *net* bars
+in Figure 4 balloon for the small-message sorts even though the machine is
+identical).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ class PhaseProfile:
         self.node = node
         self.cpu_us = 0.0
         self._start: Optional[float] = None
-        self._span_t0: Optional[float] = None
 
     # -- measured region -----------------------------------------------------
 
@@ -45,9 +45,6 @@ class PhaseProfile:
         yield from self.node.compute(us)
         self._record_phase(t0, self.node.sim.now)
 
-    def flops(self, n: float):
-        yield from self.compute(n * self.node.host.flop_us)
-
     def intops(self, n: float):
         yield from self.compute(n * self.node.host.intop_us)
 
@@ -63,19 +60,6 @@ class PhaseProfile:
             remaining -= step
             if remaining > 0:
                 yield from am.poll()
-
-    def begin_compute(self) -> None:
-        """Bracket a compute phase that advances time by other means
-        (e.g. real numpy work charged via node.compute elsewhere)."""
-        self._span_t0 = self.node.sim.now
-
-    def end_compute(self) -> None:
-        if self._span_t0 is None:
-            raise RuntimeError("begin_compute not called")
-        t1 = self.node.sim.now
-        self.cpu_us += t1 - self._span_t0
-        self._record_phase(self._span_t0, t1)
-        self._span_t0 = None
 
     def _record_phase(self, t0: float, t1: float) -> None:
         obs = getattr(self.node, "obs", None)

@@ -4,8 +4,9 @@ Importing numpy costs more host time and memory than importing all of
 ``repro`` beside it, and no machine workload computes with arrays; only
 ``Memory.alloc_array``, the numeric MPI collectives and the campaign's
 check of them do.  A fresh interpreter imports every core package, builds
-and attaches a machine, and must not have loaded numpy — then uses the
-array paths, which must still work (and are what loads it).
+a machine, attaches SP AM, MPI and the Split-C runtime Table 5 runs on,
+and must not have loaded numpy — then uses the array paths, which must
+still work (and are what loads it).
 
 The same interpreter pins the engine surface: ``repro.sim`` has one
 sequential ``Simulator`` with no sharding seams, and importing the core
@@ -22,16 +23,18 @@ PROGRAM = r"""
 import sys
 
 import repro.sim, repro.hardware, repro.am, repro.mpl, repro.mpi
-import repro.faults, repro.obs, repro.check
+import repro.splitc, repro.faults, repro.obs, repro.check
 from repro.am import attach_spam
 from repro.hardware import build_sp_machine
 from repro.mpi import attach_mpi
 from repro.sim import Simulator
+from repro.splitc import attach_splitc
 
 sim = Simulator()
 machine = build_sp_machine(sim, 2)
 attach_spam(machine)
 mpis = attach_mpi(machine)
+attach_splitc(machine)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 assert not loaded, f"numpy on the import path: {loaded[:5]}"
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.mpi import ANY_SOURCE, ANY_TAG, OPTIMIZED, UNOPTIMIZED
+from repro.mpi import (ANY_SOURCE, ANY_TAG, OPTIMIZED, UNOPTIMIZED,
+                       Communicator)
 from repro.mpi.config import variant
 from tests.mpi.conftest import make_mpi, make_mpif, run_ranks
 
@@ -150,13 +151,13 @@ class TestMatching:
         assert sorted(out) == [(b"from0", 0), (b"from1", 1)]
 
     def test_communicator_isolation(self):
-        """Traffic on a dup'd communicator never matches the parent."""
+        """Traffic on another context never matches the world's."""
         m, mpis = make_mpi(2)
         out = []
 
         def prog(rank):
             def go():
-                comm2 = mpis[rank].comm_world.dup(77)
+                comm2 = Communicator(list(range(2)), rank, context=77)
                 if rank == 0:
                     yield from mpis[0].send(b"world", 1, tag=4)
                     yield from mpis[0].send(b"dup", 1, tag=4, comm=comm2)

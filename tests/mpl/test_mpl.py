@@ -1,4 +1,5 @@
-"""MPL semantics: matching, blocking/non-blocking, multi-packet messages."""
+"""MPL semantics: matching, blocking/non-blocking, multi-packet messages,
+and task arguments that fail fast at the call that names them."""
 
 import pytest
 
@@ -287,3 +288,30 @@ class TestQueries:
         run(m, *[prog(r) for r in range(3)], limit=1e8)
         for it in range(3):
             assert set(order[3 * it: 3 * it + 3]) == {it}
+
+
+CALLS = {
+    "bsend": lambda mpl, task: mpl.mpc_bsend(b"x", task),
+    "send": lambda mpl, task: mpl.mpc_send(b"x", task),
+    "brecv": lambda mpl, task: mpl.mpc_brecv(4, task),
+}
+
+CASES = [  # (call, its task argument, a value outside 0..1)
+    ("bsend", "dst", 5),   # returned; the switch raised a KeyError later
+    ("bsend", "dst", -1),
+    ("send", "dst", 2),
+    ("brecv", "src", 9),   # stalled 1 s, then blamed a credit deadlock
+    ("brecv", "src", -2),
+]
+
+
+@pytest.mark.parametrize("name,arg,task", [
+    pytest.param(*c, id=f"{c[0]}-{c[1]}={c[2]}") for c in CASES])
+def test_task_argument_outside_job_is_named(name, arg, task):
+    m = make()
+    with pytest.raises(ValueError,
+                       match=rf"^{arg}={task} is not an MPL task: "
+                             r"valid range is 0\.\.1$"):
+        m.sim.run_until_processes_done(
+            [m.sim.spawn(CALLS[name](m.node(0).mpl, task), name="mpl0")],
+            limit=1e7, max_events=200_000)

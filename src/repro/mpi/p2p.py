@@ -1,7 +1,7 @@
 """Point-to-point MPI operations over the ADI (§4.1).
 
 The subset MPICH's upper layers and the NAS kernels need: blocking and
-non-blocking send/receive, wait/test families, sendrecv, and probe.
+non-blocking send/receive, wait/test families and sendrecv.
 Payloads are bytes; ``(addr, nbytes)`` tuples give placement into node
 memory without staging copies (used by the NAS kernels).
 """
@@ -12,7 +12,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 from repro.mpi.comm import Communicator
 from repro.mpi.request import Request
-from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status, matches
+from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
 
 Buffer = Union[bytes, bytearray, Tuple[int, int]]
 
@@ -103,14 +103,6 @@ class MPIPoint2Point:
             yield from self.wait(r)
         return [r.status for r in reqs]
 
-    def test(self, req: Request) -> bool:
-        """MPI_Test: advance progress; report whether ``req`` is done."""
-        ck = self.adi.check
-        if ck is not None:
-            ck.on_progress(req)
-        yield from self.adi.progress()
-        return req.done
-
     def testall(self, reqs: Sequence[Request]) -> bool:
         """MPI_Testall: progress once; True if every request is done."""
         ck = self.adi.check
@@ -175,28 +167,6 @@ class MPIPoint2Point:
         yield from self.wait(sreq)
         status = yield from self.wait(rreq)
         return rreq.data if rreq.data is not None else b"", status
-
-    def iprobe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
-               comm: Optional[Communicator] = None):
-        """Non-blocking probe of the unexpected queue."""
-        comm = comm or self.comm_world
-        want = src if src == ANY_SOURCE else comm.world_rank_of(src, "src")
-        yield from self.adi.progress()
-        for entry in self.adi.unexpected:
-            if entry.context == comm.context and matches(
-                    want, tag, entry.src, entry.tag):
-                return Status(source=entry.src, tag=entry.tag,
-                              count=entry.total_len)
-        return None
-
-    def probe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
-              comm: Optional[Communicator] = None) -> Status:
-        """MPI_Probe: block until a matching message is pending."""
-        while True:
-            st = yield from self.iprobe(src, tag, comm)
-            if st is not None:
-                return st
-            yield from self.adi._wait_progress()
 
     # -- derived datatypes (non-contiguous sends, §4's upper-layer duty) -------
 

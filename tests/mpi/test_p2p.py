@@ -218,29 +218,6 @@ class TestNonBlocking:
         run_ranks(m, prog)
         assert out == [b"one", b"two"]
 
-    def test_test_polls_without_blocking(self):
-        m, mpis = make_mpi(2)
-        flags = []
-
-        def prog(rank):
-            def go():
-                if rank == 1:
-                    req = yield from mpis[1].irecv(8, 0, tag=1)
-                    done_first = yield from mpis[1].test(req)
-                    flags.append(done_first)
-                    while not (yield from mpis[1].test(req)):
-                        yield from mpis[1].adi._wait_progress()
-                    flags.append(req.data)
-                else:
-                    from repro.sim import Delay
-                    yield Delay(300.0)
-                    yield from mpis[0].send(b"late", 1, tag=1)
-            return go()
-
-        run_ranks(m, prog)
-        assert flags[0] is False
-        assert flags[1] == b"late"
-
     def test_sendrecv_exchange(self, any_mpi4):
         m, mpis = any_mpi4
         out = {}
@@ -255,25 +232,6 @@ class TestNonBlocking:
 
         run_ranks(m, prog)
         assert out == {0: 1, 1: 0, 2: 3, 3: 2}
-
-    def test_probe(self):
-        m, mpis = make_mpi(2)
-        seen = []
-
-        def prog(rank):
-            def go():
-                if rank == 0:
-                    yield from mpis[0].send(b"x" * 37, 1, tag=3)
-                else:
-                    st = yield from mpis[1].probe(0, 3)
-                    seen.append(st.count)
-                    d, _ = yield from mpis[1].recv(64, 0, 3)
-                    seen.append(len(d))
-            return go()
-
-        run_ranks(m, prog)
-        assert seen == [37, 37]
-
 
 class TestBufferManagement:
     def test_region_exhaustion_recovers(self):

@@ -1,11 +1,11 @@
 """MPICH generic collectives, built on point-to-point (§4, §4.4).
 
 These are deliberately the *generic* algorithms — binomial broadcast and
-reduce, gather+broadcast allgather, and the naive rank-ordered
-``Alltoall`` whose hot-spotting ("all processors try to send to the same
-processor at the same time, rather than spreading out the communication
-pattern") is exactly what the paper blames for MPI-AM's FT gap in
-Table 6.  ``alltoall_staggered`` implements the fix the paper suggests,
+reduce, linear gather, and the naive rank-ordered ``Alltoall`` whose
+hot-spotting ("all processors try to send to the same processor at the
+same time, rather than spreading out the communication pattern") is
+exactly what the paper blames for MPI-AM's FT gap in Table 6.
+``alltoall(..., staggered=True)`` implements the fix the paper suggests,
 for the ablation benchmark.
 """
 
@@ -20,7 +20,6 @@ TAG_BARRIER = 1 << 20
 TAG_BCAST = 2 << 20
 TAG_REDUCE = 3 << 20
 TAG_GATHER = 4 << 20
-TAG_SCATTER = 5 << 20
 TAG_ALLTOALL = 7 << 20
 
 class _ReduceOps(dict):
@@ -157,36 +156,6 @@ class MPICollectives:
             src_rank = comm.world_ranks.index(st.source)
             out[src_rank] = d
         return out  # type: ignore[return-value]
-
-    def scatter(self, chunks: Optional[Sequence[bytes]], root: int = 0,
-                comm: Optional[Communicator] = None) -> bytes:
-        """Linear scatter from root."""
-        comm = comm or self.comm_world
-        size, rank = comm.size, comm.rank
-        if not 0 <= root < size:
-            raise _root_error(root, size)
-        seq = self._collseq(comm)
-        tag = TAG_SCATTER + seq
-        if rank == root:
-            if chunks is None or len(chunks) != size:
-                raise ValueError("root must supply one chunk per rank")
-            for r in range(size):
-                if r != root:
-                    yield from self.send(chunks[r], r, tag, comm)
-            return chunks[root]
-        data, _ = yield from self.recv(1 << 26, root, tag, comm)
-        return data
-
-    def allgather(self, data: bytes,
-                  comm: Optional[Communicator] = None) -> List[bytes]:
-        """Generic allgather: gather to 0 + broadcast (MPICH fallback)."""
-        import pickle
-
-        comm = comm or self.comm_world
-        parts = yield from self.gather(data, 0, comm)
-        blob = pickle.dumps(parts) if comm.rank == 0 else None
-        raw = yield from self.bcast(blob, 0, comm)
-        return pickle.loads(raw)
 
     def alltoall(self, chunks: Sequence[bytes],
                  comm: Optional[Communicator] = None,

@@ -133,49 +133,6 @@ class TestGatherScatter:
         assert out[0] == [bytes([r] * 3) for r in range(4)]
         assert out[2] is None
 
-    def test_scatter(self, any_mpi4):
-        m, mpis = any_mpi4
-        out = {}
-
-        def prog(rank):
-            def go():
-                chunks = ([bytes([r]) * 4 for r in range(4)]
-                          if rank == 0 else None)
-                res = yield from mpis[rank].scatter(chunks, 0)
-                out[rank] = res
-            return go()
-
-        run_ranks(m, prog)
-        assert out == {r: bytes([r]) * 4 for r in range(4)}
-
-    def test_scatter_requires_chunks_at_root(self):
-        m, mpis = make_mpi(2)
-
-        def prog(rank):
-            def go():
-                if rank == 0:
-                    yield from mpis[0].scatter(None, 0)
-                else:
-                    yield from mpis[1].scatter(None, 0)
-            return go()
-
-        with pytest.raises(ValueError):
-            run_ranks(m, prog)
-
-    def test_allgather(self, any_mpi4):
-        m, mpis = any_mpi4
-        out = {}
-
-        def prog(rank):
-            def go():
-                res = yield from mpis[rank].allgather(bytes([rank * 10]))
-                out[rank] = res
-            return go()
-
-        run_ranks(m, prog)
-        for rank in range(4):
-            assert out[rank] == [bytes([r * 10]) for r in range(4)]
-
 
 class TestAlltoall:
     def test_alltoall_permutes(self, any_mpi4):

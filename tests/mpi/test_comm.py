@@ -28,7 +28,6 @@ CALLS = {
     "bcast": lambda mpi, v: mpi.bcast(b"x", v),
     "reduce": lambda mpi, v: mpi.reduce(np.arange(2), "sum", v),
     "gather": lambda mpi, v: mpi.gather(b"x", v),
-    "scatter": lambda mpi, v: mpi.scatter([b"a", b"b"], v),
 }
 
 CASES = [  # (call, its rank or root argument, a value outside 0..1)
@@ -40,7 +39,6 @@ CASES = [  # (call, its rank or root argument, a value outside 0..1)
     ("bcast", "root", 9),  # was a spin to max_events: no rank was root
     ("reduce", "root", 2),
     ("gather", "root", -1),
-    ("scatter", "root", 3),
 ]
 
 

@@ -12,16 +12,16 @@ n_1/2, blocking send/reply  >3.2 KB
 =========================  ==========
 
 API (the subset the paper exercises; ``dst``/``src`` outside the job's
-tasks raise ``ValueError`` at the call)::
+tasks raise ``ValueError`` at the call, and so does a send to the
+calling task itself)::
 
     mpl.mpc_bsend(data, dst, tag)     blocking send (§2.3 round trip, Fig 3)
     mpl.mpc_brecv(n, src, tag)        blocking receive -> bytes
-    mpl.mpc_send(data, dst, tag)      non-blocking send -> done handle
-                                      (Fig 3's pipelined curve)
+    mpl.mpc_send(data, dst, tag)      non-blocking send (Fig 3's pipelined
+                                      curve); with no comm processor it
+                                      has finished when it returns
 
-``mpc_recv``, ``mpc_wait``, ``mpc_status``, ``mpc_probe``,
-``mpc_environ`` and ``mpc_sync`` have no caller but their own tests
-(docs/architecture.md lists each public call with its caller).
+docs/architecture.md lists each public call with its caller.
 
 The high per-message software overhead relative to SP AM — buffer
 management, matching, and an internal copy for eager-size messages — is

@@ -150,7 +150,7 @@ class MPLAM(ActiveMessages):
                 continue
             i, src, data = hit
             del self.engine._unexpected[i]
-            # every emulated AM is an MPL message: pay the mpc_recv-style
+            # every emulated AM is an MPL message: pay the receive-side
             # matching + descriptor hand-off on delivery
             yield from self.node.compute(self.mpl.costs.recv_fixed * 0.5
                                          + self.mpl.costs.match_cost)

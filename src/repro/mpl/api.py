@@ -26,7 +26,7 @@ class MPLCosts:
     #: fixed cost of an mpc_bsend / mpc_send call (envelope construction,
     #: buffer management, protocol selection)
     send_fixed: float = 15.6
-    #: fixed cost of an mpc_brecv / mpc_recv call (posting + matching)
+    #: fixed cost of an mpc_brecv call (posting + matching)
     recv_fixed: float = 8.4
     #: per-data-packet injection cost (below the 6.47 us wire occupancy,
     #: so large transfers stay wire-bound at 34.6 MB/s)
@@ -47,20 +47,6 @@ class MPLCosts:
     credit_cost: float = 1.0
 
 
-class Handle:
-    """A non-blocking operation handle for mpc_send/mpc_recv + mpc_wait."""
-
-    __slots__ = ("kind", "done", "data", "src", "tag", "nbytes")
-
-    def __init__(self, kind: str, src: int = ANY, tag: int = ANY, nbytes: int = 0):
-        self.kind = kind
-        self.done = False
-        self.data: Optional[bytes] = None
-        self.src = src
-        self.tag = tag
-        self.nbytes = nbytes
-
-
 class MPL:
     """The MPL library instance on one node (``node.mpl``)."""
 
@@ -71,7 +57,6 @@ class MPL:
         self.costs = costs if costs is not None else MPLCosts()
         self.engine = MPLEngine(node, self.costs)
         self._numtask = numtask
-        self._sync_epoch = 0
         node.mpl = self
 
     def _check_task(self, arg: str, task: int) -> None:
@@ -82,7 +67,7 @@ class MPL:
                 f"{arg}={task} is not an MPL task: "
                 f"valid range is 0..{self._numtask - 1}")
 
-    # -- blocking ----------------------------------------------------------
+    # -- point to point -----------------------------------------------------
 
     def mpc_bsend(self, data: bytes, dst: int, tag: int = 0):
         """Blocking send: returns when the source buffer is reusable."""
@@ -90,6 +75,13 @@ class MPL:
         if dst == self.node.id:
             raise ValueError("MPL send must address a remote task")
         yield from self.engine.send_message(dst, bytes(data), tag)
+
+    #: Non-blocking send.  MPL's asynchronous send still performs its
+    #: injection on the calling thread: there is no comm processor on the
+    #: Power2 side, so it has finished when it returns, like mpc_bsend.
+    #: What it does *not* do is wait for any acknowledgement, which is
+    #: exactly the pipelined-bandwidth configuration of Figure 3.
+    mpc_send = mpc_bsend
 
     def mpc_brecv(self, nbytes: int, src: int = ANY, tag: int = ANY):
         """Blocking receive: returns the message bytes (must fit nbytes)."""
@@ -101,83 +93,6 @@ class MPL:
                 f"message of {len(data)} bytes truncated by {nbytes}-byte recv"
             )
         return data
-
-    # -- non-blocking --------------------------------------------------------
-
-    def mpc_send(self, data: bytes, dst: int, tag: int = 0):
-        """Non-blocking send.
-
-        MPL's asynchronous send still performs its injection on the calling
-        thread (there is no comm processor on the Power2 side); what it
-        does *not* do is wait for any acknowledgement, which is exactly the
-        pipelined-bandwidth configuration of Figure 3.
-        """
-        self._check_task("dst", dst)
-        yield from self.engine.send_message(dst, bytes(data), tag)
-        h = Handle("send")
-        h.done = True
-        return h
-
-    def mpc_recv(self, nbytes: int, src: int = ANY, tag: int = ANY):
-        """Non-blocking receive: returns a handle for mpc_wait."""
-        yield from self.node.compute(self.costs.recv_fixed)
-        h = Handle("recv", src, tag, nbytes)
-        data = self.engine.match_unexpected(src, tag)
-        if data is not None:
-            h.done = True
-            h.data = data
-        return h
-
-    def mpc_wait(self, handle: Handle):
-        """Complete a non-blocking operation."""
-        if handle.kind == "recv" and not handle.done:
-            data = yield from self.engine.recv_message(handle.src, handle.tag)
-            handle.data = data
-            handle.done = True
-        elif not handle.done:  # pragma: no cover - sends complete eagerly
-            raise AssertionError("unfinished send handle")
-        return handle.data
-
-    def mpc_status(self, handle: Handle):
-        """Poll a handle without blocking (services the network once)."""
-        yield from self.engine.poll()
-        if handle.kind == "recv" and not handle.done:
-            data = self.engine.match_unexpected(handle.src, handle.tag)
-            if data is not None:
-                handle.data = data
-                handle.done = True
-        return handle.done
-
-    # -- queries -------------------------------------------------------------
-
-    def mpc_probe(self, src: int = ANY, tag: int = ANY):
-        """Non-blocking probe: (source, tag, nbytes) of the first matching
-        arrived message, or None."""
-        yield from self.engine.poll()
-        for msrc, mtag, data in self.engine._unexpected:
-            if (src == ANY or msrc == src) and (tag == ANY or mtag == tag):
-                return (msrc, mtag, len(data))
-        return None
-
-    def mpc_environ(self):
-        """(numtask, taskid) — MPL's job-environment query."""
-        return self._numtask, self.node.id
-
-    def mpc_sync(self):
-        """Barrier across all MPL tasks (dissemination over 0-byte
-        messages on a reserved tag space)."""
-        size, rank = self._numtask, self.node.id
-        if size <= 1:
-            return
-        self._sync_epoch += 1
-        base = 0x3B00000 + self._sync_epoch * 64
-        k = 0
-        while (1 << k) < size:
-            dst = (rank + (1 << k)) % size
-            src = (rank - (1 << k)) % size
-            yield from self.engine.send_message(dst, b"", base + k)
-            yield from self.engine.recv_message(src, base + k)
-            k += 1
 
 
 def attach_mpl(machine: Machine, costs: Optional[MPLCosts] = None) -> List[MPL]:

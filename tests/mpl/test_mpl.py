@@ -82,11 +82,12 @@ class TestBasic:
         with pytest.raises(ValueError):
             run(m, sender(), receiver())
 
-    def test_send_to_self_rejected(self):
+    @pytest.mark.parametrize("call", ["mpc_bsend", "mpc_send"])
+    def test_send_to_self_rejected(self, call):
         m = make()
 
         def sender():
-            yield from m.node(0).mpl.mpc_bsend(b"x", 0)
+            yield from getattr(m.node(0).mpl, call)(b"x", 0)
 
         with pytest.raises(ValueError):
             run(m, sender())
@@ -140,54 +141,6 @@ class TestMatching:
         assert out == [b"zz"]
 
 
-class TestNonBlocking:
-    def test_mpc_recv_wait(self):
-        m = make()
-        out = []
-
-        def sender():
-            yield from m.node(0).mpl.mpc_bsend(b"hello", 1, tag=1)
-
-        def receiver():
-            h = yield from m.node(1).mpl.mpc_recv(8, 0, tag=1)
-            data = yield from m.node(1).mpl.mpc_wait(h)
-            out.append(data)
-
-        run(m, sender(), receiver())
-        assert out == [b"hello"]
-
-    def test_mpc_status_polls(self):
-        m = make()
-        out = []
-
-        def sender():
-            yield from m.node(0).mpl.mpc_bsend(b"x" * 100, 1, tag=1)
-
-        def receiver():
-            mpl = m.node(1).mpl
-            h = yield from mpl.mpc_recv(128, 0, tag=1)
-            while not (yield from mpl.mpc_status(h)):
-                pass
-            out.append(h.data)
-
-        run(m, sender(), receiver())
-        assert out == [b"x" * 100]
-
-    def test_send_handle_completes_eagerly(self):
-        m = make()
-        flags = []
-
-        def sender():
-            h = yield from m.node(0).mpl.mpc_send(b"data", 1, tag=1)
-            flags.append(h.done)
-
-        def receiver():
-            yield from m.node(1).mpl.mpc_brecv(8, 0, tag=1)
-
-        run(m, sender(), receiver())
-        assert flags == [True]
-
-
 class TestFlowControl:
     def test_large_stream_does_not_overflow(self):
         """A long burst must stay within the credit window: zero drops."""
@@ -222,72 +175,6 @@ class TestFlowControl:
         run(m, peer(0, 1), peer(1, 0), limit=1e9)
         assert results[0] == [1] * 10
         assert results[1] == [0] * 10
-
-
-class TestQueries:
-    def test_mpc_environ(self):
-        m = make(3)
-        assert m.node(2).mpl.mpc_environ() == (3, 2)
-
-    def test_mpc_probe(self):
-        m = make()
-        found = []
-
-        def sender():
-            yield from m.node(0).mpl.mpc_bsend(b"probe-me", 1, tag=6)
-
-        def receiver():
-            mpl = m.node(1).mpl
-            while True:
-                hit = yield from mpl.mpc_probe(0, 6)
-                if hit is not None:
-                    found.append(hit)
-                    break
-            yield from mpl.mpc_brecv(16, 0, tag=6)
-
-        run(m, sender(), receiver())
-        assert found == [(0, 6, 8)]
-
-    def test_mpc_probe_misses_cleanly(self):
-        m = make()
-
-        def prog():
-            hit = yield from m.node(0).mpl.mpc_probe()
-            assert hit is None
-
-        run(m, prog())
-
-    @pytest.mark.parametrize("nprocs", [2, 4, 5])
-    def test_mpc_sync_holds_everyone(self, nprocs):
-        from repro.sim import Delay
-
-        m = make(nprocs)
-        times = {}
-
-        def prog(rank):
-            def go():
-                yield Delay(150.0 * rank)
-                yield from m.node(rank).mpl.mpc_sync()
-                times[rank] = m.sim.now
-            return go()
-
-        run(m, *[prog(r) for r in range(nprocs)], limit=1e8)
-        assert min(times.values()) >= 150.0 * (nprocs - 1)
-
-    def test_repeated_syncs(self):
-        m = make(3)
-        order = []
-
-        def prog(rank):
-            def go():
-                for it in range(3):
-                    yield from m.node(rank).mpl.mpc_sync()
-                    order.append(it)
-            return go()
-
-        run(m, *[prog(r) for r in range(3)], limit=1e8)
-        for it in range(3):
-            assert set(order[3 * it: 3 * it + 3]) == {it}
 
 
 CALLS = {

@@ -1,7 +1,7 @@
 """Point-to-point MPI operations over the ADI (§4.1).
 
 The subset MPICH's upper layers and the NAS kernels need: blocking and
-non-blocking send/receive, wait/test families and sendrecv.
+non-blocking send/receive, the wait family and sendrecv.
 Payloads are bytes; ``(addr, nbytes)`` tuples give placement into node
 memory without staging copies (used by the NAS kernels).
 """
@@ -103,15 +103,6 @@ class MPIPoint2Point:
             yield from self.wait(r)
         return [r.status for r in reqs]
 
-    def testall(self, reqs: Sequence[Request]) -> bool:
-        """MPI_Testall: progress once; True if every request is done."""
-        ck = self.adi.check
-        if ck is not None:
-            for r in reqs:
-                ck.on_progress(r)
-        yield from self.adi.progress()
-        return all(r.done for r in reqs)
-
     def waitany(self, reqs: Sequence[Request]):
         """MPI_Waitany: block until one request completes; returns its
         index and status."""
@@ -167,31 +158,6 @@ class MPIPoint2Point:
         yield from self.wait(sreq)
         status = yield from self.wait(rreq)
         return rreq.data if rreq.data is not None else b"", status
-
-    # -- derived datatypes (non-contiguous sends, §4's upper-layer duty) -------
-
-    def send_typed(self, raw: bytes, dtype, dst: int, tag: int = 0,
-                   comm: Optional[Communicator] = None):
-        """Send one instance of a derived datatype: the upper layer packs
-        (a real gather, charged at the host copy rate) and the device
-        moves contiguous bytes — exactly MPICH's structure (§4)."""
-        from repro.mpi.datatypes import pack_cost_us
-
-        yield from self.node.compute(pack_cost_us(dtype, self.node.host))
-        packed = dtype.pack(raw)
-        yield from self.send(packed, dst, tag, comm)
-
-    def recv_typed(self, dtype, src: int = ANY_SOURCE, tag: int = ANY_TAG,
-                   comm: Optional[Communicator] = None):
-        """Receive one instance of a derived datatype; returns the memory
-        image (``dtype.extent`` bytes) with the data scattered in place."""
-        from repro.mpi.datatypes import pack_cost_us
-
-        data, status = yield from self.recv(dtype.packed_size, src, tag, comm)
-        yield from self.node.compute(pack_cost_us(dtype, self.node.host))
-        image = bytearray(dtype.extent)
-        dtype.unpack(data, image)
-        return bytes(image), status
 
     # -- loopback ----------------------------------------------------------------
 

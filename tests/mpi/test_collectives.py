@@ -198,3 +198,34 @@ class TestAlltoall:
 
         with pytest.raises(ValueError):
             run_ranks(m, prog)
+
+
+class TestScan:
+    def test_inclusive_prefix_sum(self):
+        m, mpis = make_mpi(4)
+        out = {}
+
+        def prog(rank):
+            def go():
+                arr = np.array([float(rank + 1)])
+                res = yield from mpis[rank].scan(arr, "sum")
+                out[rank] = res[0]
+            return go()
+
+        run_ranks(m, prog)
+        assert out == {0: 1.0, 1: 3.0, 2: 6.0, 3: 10.0}
+
+    def test_scan_max(self):
+        m, mpis = make_mpi(3)
+        out = {}
+        vals = [5.0, 2.0, 9.0]
+
+        def prog(rank):
+            def go():
+                res = yield from mpis[rank].scan(np.array([vals[rank]]),
+                                                 "max")
+                out[rank] = res[0]
+            return go()
+
+        run_ranks(m, prog)
+        assert out == {0: 5.0, 1: 5.0, 2: 9.0}

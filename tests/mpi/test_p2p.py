@@ -233,6 +233,66 @@ class TestNonBlocking:
         run_ranks(m, prog)
         assert out == {0: 1, 1: 0, 2: 3, 3: 2}
 
+
+class TestExtendedRequests:
+    def test_waitany_returns_first_done(self):
+        m, mpis = make_mpi(2)
+        out = []
+
+        def prog(rank):
+            def go():
+                if rank == 0:
+                    from repro.sim import Delay
+                    yield Delay(500.0)
+                    yield from mpis[0].send(b"beta", 1, tag=2)
+                    yield from mpis[0].send(b"alpha", 1, tag=1)
+                else:
+                    r1 = yield from mpis[1].irecv(8, 0, tag=1)
+                    r2 = yield from mpis[1].irecv(8, 0, tag=2)
+                    i, st_ = yield from mpis[1].waitany([r1, r2])
+                    out.append(i)
+                    yield from mpis[1].waitall([r1, r2])
+            return go()
+
+        run_ranks(m, prog)
+        assert out == [1]  # tag=2 was sent first
+
+    def test_waitsome(self):
+        m, mpis = make_mpi(2)
+        flags = []
+
+        def prog(rank):
+            def go():
+                if rank == 0:
+                    yield from mpis[0].send(b"x", 1, tag=1)
+                    yield from mpis[0].send(b"y", 1, tag=2)
+                else:
+                    r1 = yield from mpis[1].irecv(4, 0, tag=1)
+                    r2 = yield from mpis[1].irecv(4, 0, tag=2)
+                    done = yield from mpis[1].waitsome([r1, r2])
+                    flags.append(bool(done))
+                    yield from mpis[1].waitall([r1, r2])
+            return go()
+
+        run_ranks(m, prog)
+        assert flags == [True]
+
+    def test_waitany_empty_rejected(self):
+        m, mpis = make_mpi(2)
+
+        def prog(rank):
+            def go():
+                if rank == 0:
+                    yield from mpis[0].waitany([])
+                else:
+                    return
+                    yield
+            return go()
+
+        with pytest.raises(ValueError):
+            run_ranks(m, prog)
+
+
 class TestBufferManagement:
     def test_region_exhaustion_recovers(self):
         """A flood of eager messages larger than the 16 KB region must

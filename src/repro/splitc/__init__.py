@@ -13,36 +13,13 @@ machines, and — via :class:`repro.mpl.am_shim.MPLAM` — over IBM MPL,
 exactly the comparison of Table 5 / Figure 4.
 
 The paper's programs call the :class:`SplitC` runtime, its
-:class:`PhaseProfile` and :class:`GlobalPtr`.  The library forms
-``bulk_read``, ``bulk_write``, ``read_double``, ``write_double``,
-``exchange``, ``all_reduce_to_all``, ``all_gather_words`` and ``scan``
-have no caller but their own tests (docs/architecture.md lists each
-public call with its caller).
+:class:`PhaseProfile` and :class:`GlobalPtr`, and that is the whole
+public surface (docs/architecture.md lists each public call with its
+caller).
 """
 
-from repro.splitc.bulk import (
-    bulk_read,
-    bulk_write,
-    exchange,
-    read_double,
-    write_double,
-)
-from repro.splitc.collective import all_gather_words, all_reduce_to_all, scan
 from repro.splitc.gptr import GlobalPtr
 from repro.splitc.profile import PhaseProfile
 from repro.splitc.runtime import SplitC, attach_splitc
 
-__all__ = [
-    "GlobalPtr",
-    "SplitC",
-    "attach_splitc",
-    "PhaseProfile",
-    "bulk_read",
-    "bulk_write",
-    "read_double",
-    "write_double",
-    "exchange",
-    "all_reduce_to_all",
-    "all_gather_words",
-    "scan",
-]
+__all__ = ["GlobalPtr", "SplitC", "attach_splitc", "PhaseProfile"]

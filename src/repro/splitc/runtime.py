@@ -102,8 +102,6 @@ class SplitC:
         self._reduce_values = {}
         self._bcast_values = {}
         self._collective_epoch = 0
-        #: scratch shared by the library collectives (splitc.collective)
-        self._collective_scratch = {}
         # ensure identical handler ids everywhere
         for h in (_h_read, _h_read_reply, _h_write, _h_write_ack,
                   _h_store_word, _h_store_complete, _h_barrier,

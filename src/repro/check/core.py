@@ -342,7 +342,7 @@ class RequestCheck(_Check):
         self._adopt(req)
         if req.freed:
             self.fail("progress",
-                      f"wait/test on freed request #{req.id}")
+                      f"wait on freed request #{req.id}")
 
     def on_free(self, req):
         self.checks += 1

@@ -20,6 +20,7 @@ unchanged on either.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from typing import Dict, List, Optional, Tuple
 
@@ -231,6 +232,7 @@ class MPIF(MPIPoint2Point, MPICollectives):
         self.adi = MPIFDevice(node, nprocs, eager_max, costs)
         self._loopback: List[Tuple[int, int, bytes]] = []
         self._coll_seq: Dict[int, int] = {}
+        self._request_ids = itertools.count(1)
         node.mpi = self
 
 

@@ -40,7 +40,8 @@ class MPIPoint2Point:
         comm = comm or self.comm_world
         dst_world = comm.world_rank_of(dst, "dst")
         addr, nbytes = self._as_addr(buf)
-        req = Request("send", comm, dst, tag, nbytes)
+        req = Request("send", comm, dst, tag, nbytes,
+                      rid=next(self._request_ids))
         ck = self.adi.check
         if ck is not None:
             ck.on_new(req)
@@ -68,7 +69,8 @@ class MPIPoint2Point:
         comm = comm or self.comm_world
         src_world = (comm.world_rank_of(src, "src") if src != ANY_SOURCE
                      else ANY_SOURCE)
-        req = Request("recv", comm, src_world, tag, nbytes)
+        req = Request("recv", comm, src_world, tag, nbytes,
+                      rid=next(self._request_ids))
         req.recv_addr = addr
         ck = self.adi.check
         if ck is not None:

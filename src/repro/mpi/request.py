@@ -8,11 +8,14 @@ from repro.mpi.status import Status
 
 
 class Request:
-    """Handle for MPI_Isend / MPI_Irecv, completed by Wait/Test."""
+    """Handle for MPI_Isend / MPI_Irecv, completed by the Wait family.
 
-    _next_id = 1
+    ``rid`` numbers the request within its rank's MPI instance, so a
+    checker message naming request #N reads the same in every run.
+    """
 
-    def __init__(self, kind: str, comm, peer: int, tag: int, nbytes: int = 0):
+    def __init__(self, kind: str, comm, peer: int, tag: int, nbytes: int = 0,
+                 *, rid: int):
         self.kind = kind  # "send" | "recv"
         self.comm = comm
         self.peer = peer
@@ -20,7 +23,7 @@ class Request:
         self.nbytes = nbytes
         self.done = False
         #: released via MPI_Request_free; the handle may no longer be
-        #: waited on or tested
+        #: waited on
         self.freed = False
         self.status = Status()
         #: received payload (recv requests)
@@ -29,8 +32,7 @@ class Request:
         self.recv_addr: Optional[int] = None
         #: lifecycle checker (repro.check), None when unchecked
         self.check = None
-        self.id = Request._next_id
-        Request._next_id += 1
+        self.id = rid
 
     def complete(self, data: Optional[bytes] = None,
                  source: int = -1, tag: int = -1) -> None:
@@ -49,8 +51,8 @@ class Request:
             self.status.tag = tag
 
     def free(self) -> None:
-        """MPI_Request_free: release the handle.  Waiting on or testing a
-        freed request is erroneous (and flagged by ``repro.check``)."""
+        """MPI_Request_free: release the handle.  Waiting on a freed
+        request is erroneous (and flagged by ``repro.check``)."""
         ck = self.check
         if ck is not None:
             ck.on_free(self)

@@ -26,6 +26,7 @@ from repro.faults import FaultPlan, FaultRule, install_faults
 from repro.hardware import build_sp_machine
 from repro.hardware.fifo import RecvFIFO, SendFIFO
 from repro.hardware.packet import Packet, PacketKind
+from repro.mpi import attach_mpi
 from repro.mpi.allocator import FirstFitAllocator
 from repro.mpi.request import Request
 from repro.sim import Simulator
@@ -234,7 +235,7 @@ class TestRecvWindowCheck:
 
 class TestRequestCheck:
     def _req(self):
-        return Request("recv", None, 0, 0)
+        return Request("recv", None, 0, 0, rid=1)
 
     def test_clean_lifecycle_is_silent(self):
         ck = RequestCheck(Sanitizer(), "request[t]")
@@ -263,6 +264,34 @@ class TestRequestCheck:
         r.free()
         with pytest.raises(InvariantViolation, match="freed request"):
             ck.on_progress(r)
+
+    def test_freed_request_message_is_the_same_every_run(self):
+        """Requests are numbered per MPI instance, not per process, so
+        the message names the same request however many runs came first."""
+
+        def run():
+            m = build_sp_machine(Simulator(), 2)
+            attach_spam(m)
+            mpis = attach_mpi(m)
+            Sanitizer().attach(m)
+
+            def sender():
+                yield from mpis[0].send(b"x", 1, tag=1)
+
+            def receiver():
+                req = yield from mpis[1].irecv(4, 0, tag=1)
+                yield from mpis[1].wait(req)
+                req.free()
+                yield from mpis[1].wait(req)
+
+            procs = [m.sim.spawn(sender()), m.sim.spawn(receiver())]
+            with pytest.raises(InvariantViolation) as exc:
+                m.sim.run_until_processes_done(procs, limit=1e7)
+            return str(exc.value)
+
+        first = run()
+        assert run() == first == ("[request[1].progress] wait on freed "
+                                  "request #1")
 
     def test_double_post_caught(self):
         ck = RequestCheck(Sanitizer(), "request[t]")

@@ -208,9 +208,24 @@ def cmd_profile(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from repro.obs.validate import main as validate_main
+    from repro.obs.schema import sniff_and_validate
 
-    return validate_main(args.files)
+    failed = False
+    for path in args.files:
+        try:
+            result = sniff_and_validate(path)
+        except OSError as e:
+            print(f"FAIL  {path}: {e}")
+            failed = True
+            continue
+        if result["problems"]:
+            failed = True
+            print(f"FAIL  {path} ({result['format']})")
+            for p in result["problems"]:
+                print(f"      - {p}")
+        else:
+            print(f"OK    {path} ({result['format']})")
+    return 1 if failed else 0
 
 
 def cmd_soak(args) -> int:

@@ -100,20 +100,16 @@ class TestInspect:
 
 
 class TestValidateCli:
-    def test_validate_module_main(self, tmp_path, capsys):
-        from repro.obs.validate import main as vmain
-
+    def test_validate_cli_main(self, tmp_path, capsys):
         trace = str(tmp_path / "trace.json")
         main(["roundtrip", "--iters", "5", "--no-report",
               "--trace-out", trace])
         capsys.readouterr()
-        assert vmain([trace]) == 0
+        assert main(["validate", trace]) == 0
         assert "OK" in capsys.readouterr().out
 
     def test_validate_flags_problems(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}\n")
-        from repro.obs.validate import main as vmain
-
-        assert vmain([str(bad)]) == 1
+        assert main(["validate", str(bad)]) == 1
         assert "FAIL" in capsys.readouterr().out

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.machine import Machine
@@ -28,7 +27,7 @@ class MPI(MPIPoint2Point, MPICollectives):
         self.adi = ADI(node, nprocs, config, region_addrs)
         self._loopback: List[Tuple[int, int, bytes]] = []
         self._coll_seq: Dict[int, int] = {}
-        self._request_ids = itertools.count(1)
+        self._requests_made = 0
         node.mpi = self
 
 

@@ -20,7 +20,6 @@ unchanged on either.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from typing import Dict, List, Optional, Tuple
 
@@ -232,7 +231,7 @@ class MPIF(MPIPoint2Point, MPICollectives):
         self.adi = MPIFDevice(node, nprocs, eager_max, costs)
         self._loopback: List[Tuple[int, int, bytes]] = []
         self._coll_seq: Dict[int, int] = {}
-        self._request_ids = itertools.count(1)
+        self._requests_made = 0
         node.mpi = self
 
 

@@ -40,8 +40,9 @@ class MPIPoint2Point:
         comm = comm or self.comm_world
         dst_world = comm.world_rank_of(dst, "dst")
         addr, nbytes = self._as_addr(buf)
+        self._requests_made += 1
         req = Request("send", comm, dst, tag, nbytes,
-                      rid=next(self._request_ids))
+                      rid=self._requests_made)
         ck = self.adi.check
         if ck is not None:
             ck.on_new(req)
@@ -69,8 +70,9 @@ class MPIPoint2Point:
         comm = comm or self.comm_world
         src_world = (comm.world_rank_of(src, "src") if src != ANY_SOURCE
                      else ANY_SOURCE)
+        self._requests_made += 1
         req = Request("recv", comm, src_world, tag, nbytes,
-                      rid=next(self._request_ids))
+                      rid=self._requests_made)
         req.recv_addr = addr
         ck = self.adi.check
         if ck is not None:

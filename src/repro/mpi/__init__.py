@@ -19,6 +19,11 @@ The implementation mirrors the paper's MPICH port:
 * **MPI-F** (:mod:`repro.mpi.mpif`), IBM's native MPI, modelled over the
   same transport substrate MPL uses, with its published protocol shape
   (eager/rendez-vous switch and the §4.3 bandwidth dip).
+
+The API is the subset the paper's programs and the conformance campaign
+call: send/recv, isend/irecv with the wait family, sendrecv, and the
+barrier, bcast, reduce, allreduce, gather, alltoall and scan collectives
+(docs/architecture.md lists each public call with its caller).
 """
 
 from repro.mpi.comm import Communicator

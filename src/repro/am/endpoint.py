@@ -258,7 +258,7 @@ class SPAM(ActiveMessages):
         self.stats.count("gets_started")
         return op_done
 
-    def poll(self, limit: Optional[int] = None):
+    def poll(self):
         """am_poll: drain arrived packets, dispatching handlers (§1.1).
 
         Charges the paper's 1.3 us empty-poll cost plus 1.8 us per
@@ -270,7 +270,7 @@ class SPAM(ActiveMessages):
         self.node.cpu_busy_us += self._poll_empty_delay.duration
         yield self._poll_empty_delay
         if self.adapter.recv_fifo.visible or self._duties_pending():
-            return (yield from self._drain(limit))
+            return (yield from self._drain())
         return 0  # an empty drain: skip its generator
 
     # ------------------------------------------------------------------
@@ -502,7 +502,7 @@ class SPAM(ActiveMessages):
     # the poll loop
     # ------------------------------------------------------------------
 
-    def _drain(self, limit: Optional[int] = None):
+    def _drain(self):
         """Consume arrived packets + perform flow-control duties.
 
         Requests, replies and eager bulk data (STORE_DATA / GET_DATA, 36
@@ -523,8 +523,6 @@ class SPAM(ActiveMessages):
         peers = self._peers
         bulk_recv = self._bulk_recv
         while visible:
-            if limit is not None and handled >= limit:
-                break
             if adapter.obs is None:
                 pkt = fifo.consume()
             else:

@@ -164,15 +164,13 @@ class GenericAM(ActiveMessages):
 
     # -- polling -----------------------------------------------------------
 
-    def poll(self, limit: Optional[int] = None):
+    def poll(self):
         """am_poll: drain arrivals, dispatching handlers."""
         if self._in_handler:
             raise HandlerRestrictionError("am_poll may not be called from a handler")
         yield from self.node.compute(self.host.poll_empty)
         handled = 0
         while self.nic.host_recv_available() > 0:
-            if limit is not None and handled >= limit:
-                break
             msg = self.nic.host_recv_consume()
             yield from self.node.compute(self.params.o_recv)
             yield from self._process(msg)

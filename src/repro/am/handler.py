@@ -111,7 +111,7 @@ class ActiveMessages:
     * ``store_async`` / ``get_async`` — start a bulk transfer (after
       :meth:`_check_transfer`); return a handle with a ``done`` event /
       the completion event;
-    * ``poll(limit=None)`` — am_poll, running handlers through
+    * ``poll()`` — am_poll, running handlers through
       :meth:`_run_handler`;
     * ``_wait_progress()`` — the blocking wait: service the network,
       sleeping until something arrives when idle.

@@ -125,16 +125,13 @@ class MPLAM(ActiveMessages):
 
     # -- progress ---------------------------------------------------------------
 
-    def poll(self, limit: Optional[int] = None):
+    def poll(self):
         """Service MPL traffic and dispatch emulated AM handlers."""
         if self._in_handler:
             raise HandlerRestrictionError("am_poll may not be called from a handler")
         yield from self.engine.poll()
         handled = 0
-        while limit is None or handled < limit:
-            progressed = yield from self._dispatch_one()
-            if not progressed:
-                break
+        while (yield from self._dispatch_one()):
             handled += 1
         return handled
 

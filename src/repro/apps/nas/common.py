@@ -16,6 +16,10 @@ from repro.sim import Simulator
 #: the MPI variants Table 6 compares (plus the unoptimized ablation)
 VARIANTS = ("mpi-am", "mpi-f", "mpi-am-unopt")
 
+#: bounds of one kernel run: simulated time and events
+_LIMIT_US = 5e9
+_MAX_EVENTS = 400_000_000
+
 
 @dataclass
 class NASResult:
@@ -45,7 +49,7 @@ def build_variant(variant: str, nprocs: int):
 
 
 def run_nas_kernel(name: str, variant: str, nprocs: int,
-                   make_prog: Callable, limit_us: float = 5e9) -> NASResult:
+                   make_prog: Callable) -> NASResult:
     """Run ``make_prog(machine, mpis, rank)`` on every rank, timed."""
     machine, mpis = build_variant(variant, nprocs)
     sim = machine.sim
@@ -58,8 +62,8 @@ def run_nas_kernel(name: str, variant: str, nprocs: int,
     t0 = sim.now
     procs = [sim.spawn(wrapped(r), name=f"{name}{r}")
              for r in range(nprocs)]
-    sim.run_until_processes_done(procs, limit=limit_us,
-                                 max_events=400_000_000)
+    sim.run_until_processes_done(procs, limit=_LIMIT_US,
+                                 max_events=_MAX_EVENTS)
     return NASResult(name=name, variant=variant, nprocs=nprocs,
                      elapsed_s=(sim.now - t0) / 1e6,
                      verified=len(checks) == nprocs and all(checks))

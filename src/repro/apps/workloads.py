@@ -23,6 +23,10 @@ from repro.splitc import SplitC, attach_splitc
 #: the five columns of Table 5
 STACKS = ("sp-am", "sp-mpl", "cm5", "meiko", "unet")
 
+#: bounds of one application run: simulated time and events
+_LIMIT_US = 1e12
+_MAX_EVENTS = 400_000_000
+
 
 def build_stack(stack: str, nprocs: int):
     """Build a machine + Split-C runtimes for one Table-5 column."""
@@ -67,9 +71,8 @@ class AppResult:
 
 
 def run_app(stack: str, nprocs: int,
-            make_prog: Callable[[Machine, Sequence[SplitC], int], object],
-            limit_us: float = 1e12,
-            max_events: int = 400_000_000) -> AppResult:
+            make_prog: Callable[[Machine, Sequence[SplitC], int], object]
+            ) -> AppResult:
     """Run ``make_prog(machine, rts, rank)`` on every rank, profiled."""
     machine, rts = build_stack(stack, nprocs)
     sim = machine.sim
@@ -86,7 +89,8 @@ def run_app(stack: str, nprocs: int,
             payload[rank] = result
 
     procs = [sim.spawn(wrapped(r), name=f"app{r}") for r in range(nprocs)]
-    sim.run_until_processes_done(procs, limit=limit_us, max_events=max_events)
+    sim.run_until_processes_done(procs, limit=_LIMIT_US,
+                                 max_events=_MAX_EVENTS)
     elapsed = max(rt.profile.total_us for rt in rts)
     return AppResult(stack=stack, elapsed_us=elapsed,
                      splits=[rt.profile.split() for rt in rts],

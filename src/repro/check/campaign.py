@@ -201,12 +201,10 @@ class ShrinkResult:
 
 class _CheckCampaign:
     def __init__(self, seed: int, nodes: int, ops: List[dict], loss: float,
-                 collect: bool, limit: float,
                  only: Optional[List[str]] = None):
         self.seed = seed
         self.nodes = nodes
         self.ops = ops
-        self.limit = limit
         self.violations: List[str] = []
         self.aborted = False
         self.sim = Simulator()
@@ -217,7 +215,7 @@ class _CheckCampaign:
         if loss > 0.0:
             install_faults(self.machine, FaultPlan.loss(seed, loss))
         # last: MPI attachment must exist so allocators get checkers
-        self.san = Sanitizer(collect=collect, only=only).attach(self.machine)
+        self.san = Sanitizer(collect=True, only=only).attach(self.machine)
         subs = _subcomms(nodes)
         #: per world rank: subcomm name -> Communicator (members only)
         self.comms: List[Dict[str, Communicator]] = []
@@ -414,7 +412,7 @@ class _CheckCampaign:
     def run(self) -> float:
         procs = [self.sim.spawn(self._program(w), name=f"check{w}")
                  for w in range(self.nodes)]
-        abort = run_capturing(self.sim, procs, self.limit)
+        abort = run_capturing(self.sim, procs)
         if abort is not None:
             self.aborted = True
             self.violations.append(abort)
@@ -438,8 +436,6 @@ def run_campaign(
     nops: int = 24,
     loss: float = 0.0,
     op_list: Optional[List[dict]] = None,
-    collect: bool = True,
-    limit: float = 5e7,
     only: Optional[List[str]] = None,
 ) -> CampaignResult:
     """One seeded campaign under the sanitizer; returns its verdict.
@@ -448,7 +444,7 @@ def run_campaign(
     the ops are :func:`generate_ops(seed, nodes, nops)`.
     """
     ops = op_list if op_list is not None else generate_ops(seed, nodes, nops)
-    camp = _CheckCampaign(seed, nodes, ops, loss, collect, limit, only)
+    camp = _CheckCampaign(seed, nodes, ops, loss, only)
     elapsed = camp.run()
     from repro.obs.critpath import critpath_rollup
 
@@ -463,9 +459,9 @@ def run_campaign(
 
 
 def run_campaigns(seeds, nodes: int = 4, nops: int = 24,
-                  loss: float = 0.0, **kw) -> List[CampaignResult]:
+                  loss: float = 0.0) -> List[CampaignResult]:
     """Run one campaign per seed (the ``spam-bench check`` loop)."""
-    return [run_campaign(s, nodes=nodes, nops=nops, loss=loss, **kw)
+    return [run_campaign(s, nodes=nodes, nops=nops, loss=loss)
             for s in seeds]
 
 
@@ -475,7 +471,6 @@ def shrink_failure(
     nops: int = 24,
     loss: float = 0.0,
     op_list: Optional[List[dict]] = None,
-    limit: float = 5e7,
 ) -> ShrinkResult:
     """Minimize a failing campaign to its smallest failing op list.
 
@@ -490,8 +485,7 @@ def shrink_failure(
     def fails(candidate: List[dict]) -> Optional[List[str]]:
         nonlocal runs
         runs += 1
-        res = run_campaign(seed, nodes=nodes, loss=loss,
-                           op_list=candidate, collect=True, limit=limit)
+        res = run_campaign(seed, nodes=nodes, loss=loss, op_list=candidate)
         return res.violations if not res.ok else None
 
     first = fails(ops)

@@ -70,6 +70,10 @@ _LOSSY_KINDS = frozenset({"drop", "corrupt", "rx_overflow"})
 #: peer still wants re-served interrupts a 30 ms window
 _DRAIN_GRACE_US = 30_000.0
 
+#: simulated-time bound of one soak or campaign run: a run that recovers
+#: finishes far inside it, so reaching it means recovery diverged
+_RUN_LIMIT_US = 5e7
+
 #: Split-C put_bulk payload in phase 3 (small on purpose: the phase
 #: exercises handler traffic, not bandwidth)
 _SPLITC_BYTES = 1024
@@ -105,12 +109,12 @@ def drain(sim: Simulator, rx, quiet: Callable[[], bool],
         yield from wait()
 
 
-def run_capturing(sim: Simulator, procs: List, limit: float
-                  ) -> Optional[str]:
-    """Run ``procs`` to completion; return the aborting error as a
-    violation string, or None when the run finished."""
+def run_capturing(sim: Simulator, procs: List) -> Optional[str]:
+    """Run ``procs`` to completion within :data:`_RUN_LIMIT_US`; return
+    the aborting error as a violation string, or None when the run
+    finished."""
     try:
-        sim.run_until_processes_done(procs, limit=limit)
+        sim.run_until_processes_done(procs, limit=_RUN_LIMIT_US)
     except (SimulationError, ValueError, AssertionError) as exc:
         # SimTimeoutError (unbounded recovery, deadlock), window invariant
         # violations (MidChunkAckError &c.) and accounting assertions
@@ -225,12 +229,11 @@ class _Campaign:
     """One machine + workload execution, with or without faults."""
 
     def __init__(self, nodes: int, pingpong: int, bulk_bytes: int,
-                 plan: Optional[FaultPlan], limit: float,
+                 plan: Optional[FaultPlan],
                  sample_period_us: Optional[float] = None):
         self.nodes = nodes
         self.pingpong = pingpong
         self.bulk_bytes = bulk_bytes
-        self.limit = limit
         self.violations: List[str] = []
         self.sim = Simulator()
         self.machine = build_sp_machine(self.sim, nodes)
@@ -324,7 +327,7 @@ class _Campaign:
     def run(self) -> float:
         procs = [self.sim.spawn(self._program(r), name=f"soak{r}")
                  for r in range(self.nodes)]
-        abort = run_capturing(self.sim, procs, self.limit)
+        abort = run_capturing(self.sim, procs)
         if abort is not None:
             self.violations.append(abort)
         for node in self.machine.nodes:
@@ -444,7 +447,6 @@ def run_soak(
     chaos: bool = False,
     plan: Optional[FaultPlan] = None,
     compare_clean: bool = True,
-    limit: float = 5e7,
     sim_check: Optional[object] = None,
     sample_period_us: Optional[float] = 50.0,
 ) -> SoakResult:
@@ -473,14 +475,14 @@ def run_soak(
     clean_elapsed = None
     recovery_bound = None
     if compare_clean:
-        clean = _Campaign(nodes, pingpong, bulk_bytes, plan=None, limit=limit)
+        clean = _Campaign(nodes, pingpong, bulk_bytes, plan=None)
         clean_elapsed = clean.run()
         if clean.violations:
             # the workload must be sound before faults mean anything
             raise AssertionError(
                 "fault-free soak run failed: " + "; ".join(clean.violations))
 
-    lossy = _Campaign(nodes, pingpong, bulk_bytes, plan=plan, limit=limit,
+    lossy = _Campaign(nodes, pingpong, bulk_bytes, plan=plan,
                       sample_period_us=sample_period_us)
     if sim_check is not None:
         lossy.sim.check = sim_check

@@ -24,12 +24,11 @@ from repro.sim.primitives import TIMED_OUT, Timeout
 INTERRUPT_OVERHEAD_US = 55.0
 
 
-def compute_interruptible(am, us: float,
-                          interrupt_overhead: float = INTERRUPT_OVERHEAD_US):
+def compute_interruptible(am, us: float):
     """Perform ``us`` microseconds of computation with receive interrupts.
 
     Every packet arrival during the computation preempts it: the
-    interrupt overhead is charged, the network serviced (handlers run),
+    interrupt overhead (:data:`INTERRUPT_OVERHEAD_US`) is charged, the network serviced (handlers run),
     and the computation resumes where it left off.  Total elapsed time =
     compute + interrupts + service; the pure compute portion is exactly
     ``us``.
@@ -49,7 +48,7 @@ def compute_interruptible(am, us: float,
         if adapter.host_recv_available() > 0:
             # a packet is already pending: take the interrupt now
             interrupts += 1
-            yield from node.compute(interrupt_overhead)
+            yield from node.compute(INTERRUPT_OVERHEAD_US)
             yield from am.poll()
             continue
         started = node.sim.now
@@ -57,7 +56,7 @@ def compute_interruptible(am, us: float,
         remaining -= node.sim.now - started
         if res is not TIMED_OUT and remaining > EPS:
             interrupts += 1
-            yield from node.compute(interrupt_overhead)
+            yield from node.compute(INTERRUPT_OVERHEAD_US)
             yield from am.poll()
     return interrupts
 

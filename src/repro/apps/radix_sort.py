@@ -28,6 +28,8 @@ from repro.splitc import GlobalPtr
 WORD = 8
 RADIX_BITS = 11
 KEY_BITS = 32
+#: seed of the keys (see :func:`keys_for_rank`)
+_KEY_SEED = 999
 
 #: calibrated per-pass compute charges (integer ops per key): the bulk
 #: variant of Table 5 bounds cpu at ~8.7 us/key/pass on the Power2
@@ -166,11 +168,13 @@ def radix_sort_program(machine, rts, rank: int, keys: np.ndarray,
 
 
 def run_radix_sort(stack: str, nprocs: int = 8, keys_per_proc: int = 4096,
-                   variant: str = "small", verify: bool = True,
-                   seed: int = 999, radix_bits: int = RADIX_BITS) -> AppResult:
-    """One Table-5 radix-sort configuration (paper scale ~1M keys total)."""
+                   variant: str = "small",
+                   radix_bits: int = RADIX_BITS) -> AppResult:
+    """One Table-5 radix-sort configuration (paper scale ~1M keys
+    total), verified against a sort of all the keys."""
     total = keys_per_proc * nprocs
-    all_keys = [keys_for_rank(total, nprocs, r, seed) for r in range(nprocs)]
+    all_keys = [keys_for_rank(total, nprocs, r, _KEY_SEED)
+                for r in range(nprocs)]
     shared: Dict = {}
 
     def make_prog(machine, rts, rank):
@@ -191,10 +195,9 @@ def run_radix_sort(stack: str, nprocs: int = 8, keys_per_proc: int = 4096,
                                   variant, shared, radix_bits)
 
     result = run_app(stack, nprocs, make_prog)
-    if verify:
-        pieces = [result.payload[r] for r in range(nprocs)]
-        got = np.concatenate(pieces)
-        expect = np.sort(np.concatenate(all_keys))
-        result.payload["verified"] = bool(
-            len(got) == len(expect) and (got == expect).all())
+    pieces = [result.payload[r] for r in range(nprocs)]
+    got = np.concatenate(pieces)
+    expect = np.sort(np.concatenate(all_keys))
+    result.payload["verified"] = bool(
+        len(got) == len(expect) and (got == expect).all())
     return result

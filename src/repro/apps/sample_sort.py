@@ -28,6 +28,8 @@ from repro.splitc import GlobalPtr
 
 OVERSAMPLE = 8
 WORD = 8
+#: seed of the keys (see :func:`keys_for_rank`)
+_KEY_SEED = 2023
 
 #: calibrated compute charges (integer operations per key).  Derived from
 #: Table 5: the bulk variant's time is almost all compute, giving
@@ -140,15 +142,16 @@ def sample_sort_program(machine, rts, rank: int, keys: np.ndarray,
 
 
 def run_sample_sort(stack: str, nprocs: int = 8, keys_per_proc: int = 4096,
-                    variant: str = "small", verify: bool = True,
-                    seed: int = 2023) -> AppResult:
-    """One Table-5 sample-sort configuration.
+                    variant: str = "small") -> AppResult:
+    """One Table-5 sample-sort configuration, verified against a sort
+    of all the keys.
 
     Paper scale is ~1M keys total; the default here is smaller (the
     cpu/net *shape* is scale-stable — see EXPERIMENTS.md).
     """
     total = keys_per_proc * nprocs
-    all_keys = [keys_for_rank(total, nprocs, r, seed) for r in range(nprocs)]
+    all_keys = [keys_for_rank(total, nprocs, r, _KEY_SEED)
+                for r in range(nprocs)]
     shared: Dict = {}
 
     def make_prog(machine, rts, rank):
@@ -159,8 +162,7 @@ def run_sample_sort(stack: str, nprocs: int = 8, keys_per_proc: int = 4096,
                             variant, shared)
 
     result = run_app(stack, nprocs, make_prog)
-    if verify:
-        result.payload["verified"] = _verify(result, all_keys, nprocs)
+    result.payload["verified"] = _verify(result, all_keys, nprocs)
     return result
 
 

@@ -27,6 +27,10 @@ from repro.sim import Simulator
 #: MPI stack builders, keyed by the curve names used in the figures
 MPI_VARIANTS = ("am_store", "unopt_mpi_am", "opt_mpi_am", "mpi_f")
 
+#: the latency ring of Figs 8/10: nodes, and trips around it
+_RING_NODES = 4
+_RING_ITERS = 16
+
 
 def _build(variant_name: str, machine):
     if variant_name == "mpi_f":
@@ -36,11 +40,12 @@ def _build(variant_name: str, machine):
     return attach_mpi(machine, cfg)
 
 
-def mpi_ring_latency(variant_name: str, nbytes: int, node_kind: str = "sp-thin",
-                     nprocs: int = 4, iters: int = 16) -> float:
+def mpi_ring_latency(variant_name: str, nbytes: int,
+                     node_kind: str = "sp-thin") -> float:
     """Per-hop latency in microseconds (Figs 8/10)."""
     if variant_name == "am_store":
-        return am_store_latency(nbytes, node_kind, nprocs, iters)
+        return am_store_latency(nbytes, node_kind)
+    nprocs, iters = _RING_NODES, _RING_ITERS
     machine = build_sp_machine(Simulator(), nprocs, machine_params(node_kind))
     mpis = _build(variant_name, machine)
     data = bytes(nbytes)
@@ -61,9 +66,9 @@ def mpi_ring_latency(variant_name: str, nbytes: int, node_kind: str = "sp-thin",
     return run.elapsed_us / iters / nprocs
 
 
-def am_store_latency(nbytes: int, node_kind: str = "sp-thin",
-                     nprocs: int = 4, iters: int = 16) -> float:
+def am_store_latency(nbytes: int, node_kind: str = "sp-thin") -> float:
     """The bare am_store reference curve: per-hop around the same ring."""
+    nprocs, iters = _RING_NODES, _RING_ITERS
     machine = build_sp_machine(Simulator(), nprocs, machine_params(node_kind))
     attach_spam(machine)
     nbytes = max(nbytes, 1)
@@ -98,8 +103,8 @@ def am_store_latency(nbytes: int, node_kind: str = "sp-thin",
     return run.elapsed_us / iters / nprocs
 
 
-def mpi_bandwidth(variant_name: str, nbytes: int, node_kind: str = "sp-thin",
-                  total: Optional[int] = None) -> float:
+def mpi_bandwidth(variant_name: str, nbytes: int,
+                  node_kind: str = "sp-thin") -> float:
     """One-way MPI bandwidth in MB/s (Figs 9/11)."""
     if variant_name == "am_store":
         from repro.bench.bandwidth import measure_bandwidth
@@ -107,8 +112,7 @@ def mpi_bandwidth(variant_name: str, nbytes: int, node_kind: str = "sp-thin",
                                  params=machine_params(node_kind))
     machine = build_sp_machine(Simulator(), 2, machine_params(node_kind))
     mpis = _build(variant_name, machine)
-    if total is None:
-        total = min(800_000, max(120_000, 6 * nbytes))
+    total = min(800_000, max(120_000, 6 * nbytes))
     count = max(1, total // max(nbytes, 1))
     data = bytes(nbytes)
 
@@ -137,13 +141,13 @@ PROTOCOL_CONFIGS = {
 }
 
 
-def protocol_bandwidth(protocol: str, nbytes: int,
-                       node_kind: str = "sp-thin") -> float:
-    """Fig 7: bandwidth of one protocol, forced regardless of size."""
+def protocol_bandwidth(protocol: str, nbytes: int) -> float:
+    """Fig 7: bandwidth of one protocol on thin nodes, forced regardless
+    of size."""
     total = min(400_000, max(100_000, 5 * nbytes))
     count = max(1, total // max(nbytes, 1))
     elapsed = mpi_stream(PROTOCOL_CONFIGS[protocol], nbytes, count,
-                         machine_params(node_kind))
+                         machine_params("sp-thin"))
     return count * nbytes / elapsed
 
 

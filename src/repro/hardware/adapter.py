@@ -113,10 +113,11 @@ class TB2Adapter:
         if self.obs is not None:
             self.obs.packet_staged(packet, self.sim.now)
 
-    def host_arm(self, count: Optional[int] = None) -> int:
-        """Store length(s) into the packet length array — one MicroChannel
-        PIO for the whole batch (the bulk-transfer optimization of §2.1)."""
-        armed = self.send_fifo.arm(count)
+    def host_arm(self) -> int:
+        """Store the lengths of every staged packet into the packet length
+        array — one MicroChannel PIO for the whole batch (the
+        bulk-transfer optimization of §2.1)."""
+        armed = self.send_fifo.arm()
         if armed and not self._tx_scheduled:
             self._tx_scheduled = True
             self.sim.schedule(self.params.length_scan, self._tx_service_cb)

@@ -95,17 +95,14 @@ _HANDLERS = (_h_eager_arrived, _h_eager0, _h_free, _h_rts, _h_rv_addr,
 
 
 class _UnexpectedEager:
-    __slots__ = ("src", "tag", "context", "total_len", "region_offset",
-                 "prefix_token")
+    __slots__ = ("src", "tag", "context", "total_len", "region_offset")
 
-    def __init__(self, src, tag, context, total_len, region_offset,
-                 prefix_token=None):
+    def __init__(self, src, tag, context, total_len, region_offset):
         self.src = src
         self.tag = tag
         self.context = context
         self.total_len = total_len
         self.region_offset = region_offset
-        self.prefix_token = prefix_token
 
 
 class _UnexpectedRts:
@@ -142,12 +139,12 @@ class _RecvState:
 
     __slots__ = ("request", "src", "need_prefix", "main_done")
 
-    def __init__(self, request, src, need_prefix=0, main_done=False):
+    def __init__(self, request, src, need_prefix=0):
         self.request = request
         self.src = src
         #: bytes of hybrid prefix still expected (0 = none/already placed)
         self.need_prefix = need_prefix
-        self.main_done = main_done
+        self.main_done = False
 
 
 class ADI:

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 from typing import Optional
 
+#: work between two am_poll checks of :meth:`PhaseProfile.flops_polled`
+_POLL_QUANTUM_US = 1000.0
+
 
 class PhaseProfile:
     """Per-node accounting of compute vs communication phases."""
@@ -48,14 +51,14 @@ class PhaseProfile:
     def intops(self, n: float):
         yield from self.compute(n * self.node.host.intop_us)
 
-    def flops_polled(self, n: float, am, quantum_us: float = 1000.0):
+    def flops_polled(self, n: float, am):
         """A long compute phase with explicit am_poll checks sprinkled in
         ("explicit checks can be added using am_poll", §1.1) so this node
         keeps serving remote gets while it crunches.  Poll time counts as
         communication, compute time as cpu."""
         remaining = n * self.node.host.flop_us
         while remaining > 0:
-            step = min(quantum_us, remaining)
+            step = min(_POLL_QUANTUM_US, remaining)
             yield from self.compute(step)
             remaining -= step
             if remaining > 0:

@@ -248,17 +248,16 @@ class SplitC:
             yield from self.am._wait_progress()
         return self._bcast_values.pop(epoch)
 
-    def broadcast_int(self, value: Optional[int], root: int = 0):
-        """Broadcast a word from ``root`` (linear fan-out)."""
+    def broadcast_int(self, value: Optional[int]):
+        """Broadcast a word from rank 0 (linear fan-out)."""
         if self.nprocs == 1:
             return value
         epoch = self._collective_epoch
         self._collective_epoch += 1
-        if self.rank == root:
-            for peer in range(self.nprocs):
-                if peer != root:
-                    yield from self.am.request_2(peer, _h_bcast_value,
-                                                 value, epoch)
+        if self.rank == 0:
+            for peer in range(1, self.nprocs):
+                yield from self.am.request_2(peer, _h_bcast_value,
+                                             value, epoch)
             return value
         while epoch not in self._bcast_values:
             yield from self.am._wait_progress()

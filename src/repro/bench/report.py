@@ -26,12 +26,12 @@ def fmt_table(title: str, headers: Sequence[str],
 
 
 def fmt_series(title: str, series: Dict[str, Sequence[Tuple[int, float]]],
-               xlabel: str = "bytes", ylabel: str = "MB/s") -> str:
-    """A figure as columns: x then one column per named curve."""
+               ylabel: str = "MB/s") -> str:
+    """A figure as columns: bytes then one column per named curve."""
     names = list(series)
     xs = sorted({x for s in series.values() for x, _ in s})
     lookup = {name: dict(s) for name, s in series.items()}
-    headers = [xlabel] + names
+    headers = ["bytes"] + names
     rows = []
     for x in xs:
         row: List = [x]

@@ -95,19 +95,17 @@ class FaultPlan:
         object.__setattr__(self, "rules", tuple(self.rules))
 
     @staticmethod
-    def loss(seed: int, rate: float, budget: Optional[int] = None,
-             packet_kinds: Optional[frozenset] = None) -> "FaultPlan":
+    def loss(seed: int, rate: float) -> "FaultPlan":
         """Uniform fabric loss at ``rate`` — the classic campaign."""
-        return FaultPlan(seed=seed, budget=budget, rules=(
-            FaultRule(kind="drop", rate=rate, packet_kinds=packet_kinds),))
+        return FaultPlan(seed=seed, rules=(
+            FaultRule(kind="drop", rate=rate),))
 
     @staticmethod
-    def chaos(seed: int, rate: float, budget: Optional[int] = None,
-              delay_us: float = 80.0) -> "FaultPlan":
+    def chaos(seed: int, rate: float, delay_us: float = 80.0) -> "FaultPlan":
         """Every fault kind at once, each at ``rate`` — the soak's
         adversarial mix (corruption slightly rarer: each corrupt costs a
         full go-back-N round)."""
-        return FaultPlan(seed=seed, budget=budget, rules=(
+        return FaultPlan(seed=seed, rules=(
             FaultRule(kind="drop", rate=rate),
             FaultRule(kind="duplicate", rate=rate),
             FaultRule(kind="reorder", rate=rate, delay_us=delay_us),

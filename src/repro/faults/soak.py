@@ -428,10 +428,11 @@ def _merge_counters(snapshot_counters: Dict[str, float]) -> Dict[str, float]:
     return merged
 
 
-def _abbrev(seq: List[int], limit: int = 12) -> str:
-    if len(seq) <= limit:
+def _abbrev(seq: List[int]) -> str:
+    """``seq``, or its first 12 items and its length when longer."""
+    if len(seq) <= 12:
         return str(seq)
-    return f"[{', '.join(map(str, seq[:limit]))}, ...] ({len(seq)} items)"
+    return f"[{', '.join(map(str, seq[:12]))}, ...] ({len(seq)} items)"
 
 
 # ---------------------------------------------------------------------------

@@ -196,16 +196,15 @@ def slowest_exemplars(source, k: int = 5) -> List[Dict]:
     return out
 
 
-def bottleneck_verdict(rollup: Dict[str, Dict],
-                       metrics=None,
-                       kind: str = "ALL") -> Dict:
-    """Name the dominant critical-path stage and the gauge behind it.
+def bottleneck_verdict(rollup: Dict[str, Dict], metrics=None) -> Dict:
+    """Name the dominant critical-path stage over all messages and the
+    gauge behind it.
 
     ``rollup`` is :func:`critpath_rollup` output; ``metrics`` is an
     optional :class:`~repro.obs.metrics.MetricsSampler` whose series
     corroborate the verdict (the saturated gauge's p95/max are quoted).
     """
-    bucket = rollup.get(kind, {})
+    bucket = rollup.get("ALL", {})
     if not bucket:
         return {"stage": None, "share": 0.0, "gauge": None}
     stage = max(bucket, key=lambda s: bucket[s]["total_us"])
@@ -233,9 +232,7 @@ def bottleneck_verdict(rollup: Dict[str, Dict],
     return verdict
 
 
-def attribution_coverage(source, measured_rtt_us: float,
-                         request_kind: str = "REQUEST",
-                         reply_kind: str = "REPLY") -> Dict:
+def attribution_coverage(source, measured_rtt_us: float) -> Dict:
     """Fraction of a measured AM ping-pong RTT the critical path explains.
 
     §2.3 decomposes one round trip as request begin → request handler
@@ -252,8 +249,8 @@ def attribution_coverage(source, measured_rtt_us: float,
                    for stage, cell in rollup.get(kind, {}).items()
                    if stage not in skip)
 
-    request_us = kind_sum(request_kind, skip=("handler",))
-    reply_us = kind_sum(reply_kind, skip=())
+    request_us = kind_sum("REQUEST", skip=("handler",))
+    reply_us = kind_sum("REPLY", skip=())
     attributed = request_us + reply_us
     coverage = (attributed / measured_rtt_us
                 if measured_rtt_us > 0.0 else 0.0)

@@ -7,7 +7,7 @@ interactive use::
     from repro.bench import pingpong, bandwidth
     pingpong.am_roundtrip(words=1).rtt_us   # -> ~51.0 (us)
     pingpong.am_roundtrip(words=1).request_us  # -> 7.7, Table 2
-    bandwidth.sweep("am_store_async")       # -> [(size, MB/s), ...]
+    bandwidth.measure_bandwidth("am_store_async", 4096)  # -> MB/s
 """
 
 from repro.bench.harness import NodeProgramSet, run_programs

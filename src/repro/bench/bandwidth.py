@@ -18,17 +18,13 @@ size where measured bandwidth crosses B/2 by interpolation.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.bench.harness import am_pair, run_programs, serve_until
 from repro.hardware.machine import build_sp_machine
 from repro.hardware.params import MachineParams
 from repro.mpl import attach_mpl
 from repro.sim import Simulator
-
-#: message sizes of the Figure 3 sweep (16 B .. 1 MB)
-DEFAULT_SIZES = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8064,
-                 16384, 32768, 65536, 131072, 262144, 524288, 1048576]
 
 MODES = ("am_store", "am_get", "mpl_send_reply",
          "am_store_async", "am_get_async", "mpl_send")
@@ -121,12 +117,6 @@ def measure_bandwidth(mode: str, n: int, total: int = 0, params=None) -> float:
     kernel = _measure_mpl if mode.startswith("mpl") else _measure_am
     count, elapsed = kernel(mode, n, total, params)
     return count * n / elapsed
-
-
-def sweep(mode: str, sizes: Sequence[int] = DEFAULT_SIZES,
-          params=None) -> List[Tuple[int, float]]:
-    """Figure 3: (size, MB/s) series for one configuration."""
-    return [(n, measure_bandwidth(mode, n, params=params)) for n in sizes]
 
 
 def r_inf(series: Sequence[Tuple[int, float]]) -> float:

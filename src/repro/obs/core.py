@@ -46,8 +46,6 @@ class Observatory:
         #: (``packet_dropped``), each tagged with the victim's trace_id so
         #: chaos campaigns can reconcile injections against observations
         self.fault_events: List[Dict] = []
-        #: registries added by hand (machine registries are walked live)
-        self._registries: List = []
         #: periodic gauge sampler (:class:`repro.obs.metrics.MetricsSampler`),
         #: None until :meth:`start_sampler` — the metrics side is opt-in
         #: even when spans are being traced
@@ -103,14 +101,9 @@ class Observatory:
         ).start()
         return self.metrics
 
-    def add_registry(self, registry) -> None:
-        """Track a :class:`~repro.sim.stats.StatRegistry` not reachable
-        from the machine walk (standalone components, tests)."""
-        self._registries.append(registry)
-
     def _all_registries(self) -> List:
         """Machine-reachable registries (walked live, so software layers
-        attached after :meth:`attach` are still found) + manual ones."""
+        attached after :meth:`attach` are still found)."""
         regs: List = []
         m = self.machine
         if m is not None:
@@ -125,7 +118,6 @@ class Observatory:
                     st = getattr(layer, "stats", None)
                     if st is not None:
                         regs.append(st)
-        regs.extend(self._registries)
         return regs
 
     # ------------------------------------------------------------------

@@ -193,7 +193,7 @@ class MetricsSampler:
         triggers, i.e. at the same tick as before.
         """
         probes = self._probes = []
-        sized = self._sized = [self.obs._registries]
+        sized = self._sized = []
         period = self.period_us
 
         def probe(name: str, pid: int, getter: Callable) -> None:
@@ -263,15 +263,6 @@ class MetricsSampler:
         """Per-series summaries keyed by gauge name (sorted, JSON-safe)."""
         return {name: s.snapshot()
                 for name, s in sorted(self.series.items())}
-
-    def saturation(self) -> Dict[str, float]:
-        """p95 of every gauge — the "how loaded was it" view the
-        bottleneck verdict reads."""
-        out: Dict[str, float] = {}
-        for name, s in self.series.items():
-            if len(s):
-                out[name] = s.percentile(95)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "running" if self.running else "stopped"

@@ -73,6 +73,8 @@ def raw_pingpong_roundtrip(machine: Machine, iterations: int = 100) -> float:
             yield from _raw_recv(n1)
             yield from _raw_send(n1, 0)
 
+    # its own two spawns, not repro.bench's run_programs: this loop is the
+    # raw baseline perflab times, and the am layer sits below repro.bench
     p = sim.spawn(pinger(), name="raw-ping")
     q = sim.spawn(ponger(), name="raw-pong")
     sim.run_until_processes_done([p, q])

@@ -8,6 +8,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.am import attach_spam
+from repro.bench.harness import run_programs
 from repro.hardware import build_sp_machine
 from repro.hardware.params import machine_params
 from repro.mpi import OPTIMIZED, UNOPTIMIZED, attach_mpi, attach_mpif
@@ -52,20 +53,16 @@ def run_nas_kernel(name: str, variant: str, nprocs: int,
                    make_prog: Callable) -> NASResult:
     """Run ``make_prog(machine, mpis, rank)`` on every rank, timed."""
     machine, mpis = build_variant(variant, nprocs)
-    sim = machine.sim
     checks: List[bool] = []
 
-    def wrapped(rank):
-        ok = yield from make_prog(machine, mpis, rank)
+    def wrapped(node):
+        ok = yield from make_prog(machine, mpis, node.id)
         checks.append(bool(ok))
 
-    t0 = sim.now
-    procs = [sim.spawn(wrapped(r), name=f"{name}{r}")
-             for r in range(nprocs)]
-    sim.run_until_processes_done(procs, limit=_LIMIT_US,
-                                 max_events=_MAX_EVENTS)
+    run = run_programs(machine, [wrapped] * nprocs, limit_us=_LIMIT_US,
+                       max_events=_MAX_EVENTS)
     return NASResult(name=name, variant=variant, nprocs=nprocs,
-                     elapsed_s=(sim.now - t0) / 1e6,
+                     elapsed_s=run.elapsed_us / 1e6,
                      verified=len(checks) == nprocs and all(checks))
 
 

@@ -13,6 +13,7 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from repro.am import attach_generic_am, attach_spam
+from repro.bench.harness import run_programs
 from repro.hardware import build_generic_machine, build_sp_machine
 from repro.hardware.machine import Machine
 from repro.hardware.params import machine_params
@@ -75,10 +76,10 @@ def run_app(stack: str, nprocs: int,
             ) -> AppResult:
     """Run ``make_prog(machine, rts, rank)`` on every rank, profiled."""
     machine, rts = build_stack(stack, nprocs)
-    sim = machine.sim
     payload: Dict = {}
 
-    def wrapped(rank):
+    def wrapped(node):
+        rank = node.id
         rt = rts[rank]
         yield from rt.barrier()
         rt.profile.start()
@@ -88,9 +89,8 @@ def run_app(stack: str, nprocs: int,
         if result is not None:
             payload[rank] = result
 
-    procs = [sim.spawn(wrapped(r), name=f"app{r}") for r in range(nprocs)]
-    sim.run_until_processes_done(procs, limit=_LIMIT_US,
-                                 max_events=_MAX_EVENTS)
+    run_programs(machine, [wrapped] * nprocs, limit_us=_LIMIT_US,
+                 max_events=_MAX_EVENTS)
     elapsed = max(rt.profile.total_us for rt in rts)
     return AppResult(stack=stack, elapsed_us=elapsed,
                      splits=[rt.profile.split() for rt in rts],

@@ -19,8 +19,9 @@ After a closing world barrier every rank quiesces through the soak
 harness's :func:`~repro.faults.soak.drain` (its endpoint's
 :meth:`~repro.am.endpoint.SPAM.drained` plus an idle ADI, no packet
 arrival for the same 30 ms grace window), and the run goes through
-:func:`~repro.faults.soak.run_capturing`, so an aborting error becomes a
-violation exactly as it does in a soak.
+:func:`~repro.faults.soak.run_capturing`: like a soak's, its ranks run
+through :func:`repro.bench.harness.run_programs`, and an aborting error
+becomes a violation exactly as it does in a soak.
 """
 
 from __future__ import annotations
@@ -249,7 +250,7 @@ class _CheckCampaign:
             yield from self._op_waitmix(i, op, w, mpi, comm, local)
         elif kind == "coll":
             yield from self._op_coll(i, op, w, mpi, comm, local)
-        else:  # pragma: no cover - generation is exhaustive
+        else:  # generation is exhaustive; a hand-written op list is not
             raise ValueError(f"unknown op kind {kind!r}")
 
     def _op_p2p(self, i, op, w, mpi, comm, local):
@@ -389,9 +390,9 @@ class _CheckCampaign:
 
     # -- the per-rank program -------------------------------------------
 
-    def _program(self, w: int):
+    def _program(self, node):
+        w = node.id
         mpi = self.mpis[w]
-        node = self.machine.nodes[w]
         for i, op in enumerate(self.ops):
             yield from self._run_op(i, op, w)
         yield from mpi.barrier()
@@ -410,9 +411,7 @@ class _CheckCampaign:
     # -- execution ------------------------------------------------------
 
     def run(self) -> float:
-        procs = [self.sim.spawn(self._program(w), name=f"check{w}")
-                 for w in range(self.nodes)]
-        abort = run_capturing(self.sim, procs)
+        abort = run_capturing(self.machine, [self._program] * self.nodes)
         if abort is not None:
             self.aborted = True
             self.violations.append(abort)

@@ -327,6 +327,8 @@ def interrupts() -> Dict[str, Tuple[float, float]]:
             for i in range(n_msgs):
                 yield from am0.request_1(1, handler, i)
 
+        # not run_programs: node 1's victim is spawned first, and
+        # spawning in node order would reorder the run's events
         pv = sim.spawn(victim())
         ps = sim.spawn(sender())
         sim.run_until_processes_done([pv, ps], limit=1e8)

@@ -19,10 +19,11 @@ and its own endpoint reports :meth:`SPAM.drained
 <repro.am.endpoint.SPAM.drained>` with no packet arrival for
 :data:`_DRAIN_GRACE_US`, a window that outlasts the keep-alive backoff.
 The predicate is node-local: a rank reads only its own endpoint, adapter
-and windows.  :func:`drain` and :func:`run_capturing` (which turns an
-aborting error into a violation) are shared with
-:mod:`repro.check.campaign`.  The run then reconciles
-three ledgers against each other:
+and windows.  :func:`drain` and :func:`run_capturing` are shared with
+:mod:`repro.check.campaign`: both harnesses run their ranks through
+:func:`repro.bench.harness.run_programs`, which :func:`run_capturing`
+wraps to turn an aborting error into a violation.  The run then
+reconciles three ledgers against each other:
 
 * the workload's own records (delivery order, memory contents),
 * the protocol state machines (window invariants fail loudly via
@@ -48,10 +49,11 @@ from typing import Callable, Dict, Generator, List, Optional
 
 from repro.am import attach_spam
 from repro.am.constants import CHUNK_BYTES
+from repro.bench.harness import run_programs
 from repro.faults.injector import InjectedFault, install_faults
 from repro.faults.payload import periodic_payload
 from repro.faults.plan import FaultPlan
-from repro.hardware.machine import build_sp_machine
+from repro.hardware.machine import Machine, build_sp_machine
 from repro.obs.core import Observatory
 from repro.sim import Simulator
 from repro.sim.errors import SimulationError
@@ -109,12 +111,13 @@ def drain(sim: Simulator, rx, quiet: Callable[[], bool],
         yield from wait()
 
 
-def run_capturing(sim: Simulator, procs: List) -> Optional[str]:
-    """Run ``procs`` to completion within :data:`_RUN_LIMIT_US`; return
-    the aborting error as a violation string, or None when the run
-    finished."""
+def run_capturing(machine: Machine, programs: List[Callable]
+                  ) -> Optional[str]:
+    """Run one program per node through :func:`run_programs` within
+    :data:`_RUN_LIMIT_US`; return the aborting error as a violation
+    string, or None when the run finished."""
     try:
-        sim.run_until_processes_done(procs, limit=_RUN_LIMIT_US)
+        run_programs(machine, programs, limit_us=_RUN_LIMIT_US)
     except (SimulationError, ValueError, AssertionError) as exc:
         # SimTimeoutError (unbounded recovery, deadlock), window invariant
         # violations (MidChunkAckError &c.) and accounting assertions
@@ -271,10 +274,10 @@ class _Campaign:
 
     # -- the per-rank program ------------------------------------------------
 
-    def _program(self, rank: int):
+    def _program(self, node):
+        rank = node.id
         am = self.ams[rank]
         rt = self.rts[rank]
-        node = self.machine.nodes[rank]
         peer = (rank + 1) % self.nodes
 
         # phase 1: ping-pong around the ring, one in flight per rank
@@ -325,9 +328,7 @@ class _Campaign:
     # -- execution + checks ---------------------------------------------------
 
     def run(self) -> float:
-        procs = [self.sim.spawn(self._program(r), name=f"soak{r}")
-                 for r in range(self.nodes)]
-        abort = run_capturing(self.sim, procs)
+        abort = run_capturing(self.machine, [self._program] * self.nodes)
         if abort is not None:
             self.violations.append(abort)
         for node in self.machine.nodes:

@@ -48,6 +48,14 @@ class TestRunCampaign:
                    for v in r.violations)
         assert any(v.startswith("[alloc[1->2].free]") for v in r.violations)
 
+    def test_aborting_error_is_captured_as_a_violation(self):
+        # an op raising inside a rank stops the run; run_capturing turns
+        # the error into the campaign's one violation
+        r = run_campaign(1, nodes=4, op_list=[{"kind": "bogus",
+                                               "comm": "world"}])
+        assert r.aborted is True
+        assert r.violations == ["ValueError: unknown op kind 'bogus'"]
+
     def test_only_restricts_checkers(self):
         r = run_campaign(1, nodes=4, nops=6, only=["sched"])
         assert r.ok

@@ -87,6 +87,9 @@ class MPL:
         """Blocking receive: returns the message bytes (must fit nbytes)."""
         if src != ANY:
             self._check_task("src", src)
+            if src == self.node.id:
+                # no send can match it: both sends refuse their own task
+                raise ValueError("MPL receive must name a remote task")
         data = yield from self.engine.recv_message(src, tag)
         if len(data) > nbytes:
             raise ValueError(

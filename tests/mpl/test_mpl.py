@@ -92,6 +92,17 @@ class TestBasic:
         with pytest.raises(ValueError):
             run(m, sender())
 
+    def test_recv_from_self_rejected(self):
+        # fails at the call instead of stalling until the credit watchdog
+        m = make()
+
+        def receiver():
+            yield from m.node(0).mpl.mpc_brecv(8, 0)
+
+        with pytest.raises(ValueError,
+                           match="MPL receive must name a remote task"):
+            run(m, receiver())
+
 
 class TestMatching:
     def test_tag_selectivity(self):

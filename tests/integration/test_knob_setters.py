@@ -6,13 +6,13 @@ steps, so it fails here; so does a def whose name nothing mentions.
 
 The scan is by name, over the ``ast`` of ``src/``, ``tests/``,
 ``perflab/``, ``examples/`` and ``benchmarks/``: a call ``x.f(...)``
-counts for every def named ``f``, and ``C(...)`` or
-``super().__init__(...)`` for ``C.__init__``.  A positional argument
-skips the ``self``/``cls`` slot of a method.  A call that forwards
-``*args`` or ``**kw`` counts as setting every parameter, and an ``x=x``
-default (a closure capture) is not a knob.  A name is mentioned by an
-identifier, an attribute or a string that spells it (``__all__``,
-``getattr``); a docstring does not mention anything.
+counts for every def named ``f``, and ``C(...)`` for ``C.__init__``, as
+does ``super().__init__(...)`` in a class that names ``C`` as a base.  A
+positional argument skips the ``self``/``cls`` slot of a method.  A call
+that forwards ``*args`` or ``**kw`` counts as setting every parameter,
+and an ``x=x`` default (a closure capture) is not a knob.  A name is
+mentioned by an identifier, an attribute or a string that spells it
+(``__all__``, ``getattr``); a docstring does not mention anything.
 
 :data:`ALLOWLIST` names the knobs set where a name-based scan cannot see
 it, each with its reason; an entry whose parameter is gone, or that some
@@ -80,7 +80,7 @@ class Def:
     def callers(self):
         """The callee names a call to this def goes by."""
         if self.name == "__init__" and self.klass is not None:
-            return (self.klass, "__init__")
+            return (self.klass,)
         return (self.name,)
 
     def knobs(self):
@@ -119,6 +119,10 @@ def scan():
                     _collect(tree, rel, None, defs)
                 docs = _docstrings(tree)
                 for node in ast.walk(tree):
+                    if isinstance(node, ast.ClassDef):
+                        for call in _super_inits(node):
+                            for base in node.bases:
+                                calls[_name(base)].append(call)
                     if isinstance(node, ast.Call):
                         callee = _name(node.func)
                         if callee is not None:
@@ -134,6 +138,17 @@ def scan():
                         if all(w.isidentifier() for w in words):
                             mentioned.update(words)
     return defs, calls, mentioned
+
+
+def _super_inits(klass):
+    """The ``super().__init__(...)`` calls in ``klass``."""
+    for node in ast.walk(klass):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__init__"
+                and isinstance(node.func.value, ast.Call)
+                and _name(node.func.value.func) == "super"):
+            yield node
 
 
 def _collect(node, rel, klass, out):

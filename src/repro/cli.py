@@ -4,18 +4,18 @@ Usage::
 
     spam-bench list                     # what can be run
     spam-bench roundtrip                # §2.3 latencies
-        [--iters N] [--stats] [--trace-out FILE [--trace-format jsonl]]
+        [--iters N] [--stats] [--trace-out FILE]
         [--report-dir DIR | --no-report]
     spam-bench table2|table3|table4|table6
     spam-bench fig3|fig7|fig8|fig9|fig10|fig11
     spam-bench table5 [--keys 2048]
     spam-bench nas [BT|FT|LU|MG|SP]
     spam-bench inspect FILE...          # validate + summarize traces/reports
-    spam-bench validate FILE...         # schema validation only (CI gate)
+                                        # (exit 1 on any problem: CI's gate)
     spam-bench profile [--quick] [--period-us 50] [--topk 5]
                                         # metrics sampler + critical-path
                                         # attribution over three workloads
-    spam-bench soak --seed 7 --loss 0.05 [--chaos]
+    spam-bench soak --seed 7 --loss 0.05 [--chaos] [--trace-out FILE]
                                         # chaos campaign vs the reliability layer
     spam-bench check --seeds 20 [--loss 0.01] [--shrink]
                                         # randomized conformance campaigns
@@ -23,8 +23,11 @@ Usage::
 
 Table-style experiments also leave a machine-readable
 ``BENCH_<experiment>.json`` report next to the ASCII table (suppress with
-``--no-report``); ``roundtrip --trace-out`` dumps the full message-span
-trace in Chrome trace-event or JSONL form (see docs/observability.md).
+``--no-report``); ``roundtrip``, ``profile`` and ``soak`` take
+``--trace-out`` to dump the run's message spans (and gauge series, where
+a sampler ran) as a Chrome trace, the one trace format; ``inspect``
+validates traces and reports and re-derives the per-stage breakdown from
+a trace (see docs/observability.md).
 
 The table and figure commands print the claim rows of
 :mod:`repro.claims` — paper value, measured value, bound and status —
@@ -34,6 +37,7 @@ that ``pytest benchmarks/`` checks.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.bench.report import fmt_series, fmt_table
@@ -47,28 +51,39 @@ EXPERIMENT_COMMANDS = ("roundtrip", "table2", "table3", "table4", "table5",
 NAS_KERNELS = ("BT", "FT", "LU", "MG", "SP")
 
 
-def _check_report_dir(args) -> None:
-    """Fail before running anything if the report could not be written.
-
-    A missing or read-only ``--report-dir`` would otherwise surface only
-    after the whole experiment had run.  Same message as the late failure
-    in :func:`_write_report`.
-    """
-    if getattr(args, "no_report", True):
-        return
+def _check_dir(what: str, d: str, path: str) -> None:
+    """Fail unless a file can be created in directory ``d`` and ``path``
+    is not itself another directory, naming ``path`` the way the late
+    failure when writing ``what`` would."""
     import errno
-    import os
     import tempfile
 
-    d = args.report_dir
     try:
         if not os.path.isdir(d):
             code = errno.ENOTDIR if os.path.exists(d) else errno.ENOENT
-            raise OSError(code, os.strerror(code), d)
+            raise OSError(code, os.strerror(code), path)
+        if path != d and os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         with tempfile.TemporaryFile(dir=d):
             pass
     except OSError as e:
-        raise SystemExit(f"spam-bench: cannot write report: {e}")
+        raise SystemExit(f"spam-bench: cannot write {what}: {e}")
+
+
+def _check_outputs(args) -> None:
+    """Fail before running anything if the report or the trace could not
+    be written.
+
+    A missing or read-only ``--report-dir``, or a ``--trace-out`` in a
+    missing directory or naming one, would otherwise surface only after
+    the whole experiment had run.  Same messages as the late failures in
+    :func:`_write_report` and :func:`_write_trace`.
+    """
+    if not getattr(args, "no_report", True):
+        _check_dir("report", args.report_dir, args.report_dir)
+    trace = getattr(args, "trace_out", None)
+    if trace:
+        _check_dir("trace", os.path.dirname(trace) or ".", trace)
 
 
 def _write_report(args, experiment, entries, obs=None, extra=None) -> None:
@@ -82,6 +97,16 @@ def _write_report(args, experiment, entries, obs=None, extra=None) -> None:
     except OSError as e:
         raise SystemExit(f"spam-bench: cannot write report: {e}")
     print(f"report: {path}")
+
+
+def _write_trace(obs, path: str) -> None:
+    from repro.obs import write_chrome_trace
+
+    try:
+        write_chrome_trace(obs, path)
+    except OSError as e:
+        raise SystemExit(f"spam-bench: cannot write trace: {e}")
+    print(f"trace: {path}")
 
 
 def _print_data(name: str, result) -> None:
@@ -137,16 +162,7 @@ def _observed_roundtrip(args):
                         [(k, round(v, 2)) for k, v in
                          obs.hist("am.rtt_us").snapshot().items()]))
     if args.trace_out:
-        from repro.obs import write_chrome_trace, write_jsonl
-
-        try:
-            if args.trace_format == "jsonl":
-                write_jsonl(obs, args.trace_out)
-            else:
-                write_chrome_trace(obs, args.trace_out)
-        except OSError as e:
-            raise SystemExit(f"spam-bench: cannot write trace: {e}")
-        print(f"trace: {args.trace_out} ({args.trace_format})")
+        _write_trace(obs, args.trace_out)
     return obs, {"iterations": args.iters, "attribution": att}
 
 
@@ -188,13 +204,7 @@ def cmd_profile(args) -> int:
                        topk=args.topk)
     print(render_dashboard(data))
     if args.trace_out:
-        from repro.obs import write_chrome_trace
-
-        try:
-            write_chrome_trace(data["obs"], args.trace_out)
-        except OSError as e:
-            raise SystemExit(f"spam-bench: cannot write trace: {e}")
-        print(f"trace: {args.trace_out} (chrome, with counter tracks)")
+        _write_trace(data["obs"], args.trace_out)
     _write_report(args, "obsprofile", data["entries"], obs=data["obs"],
                   extra={"profile": data["profile"]})
     if not data["ok"]:
@@ -205,27 +215,6 @@ def cmd_profile(args) -> int:
               f"or the soak leg saw violations")
         return 1
     return 0
-
-
-def cmd_validate(args) -> int:
-    from repro.obs.schema import sniff_and_validate
-
-    failed = False
-    for path in args.files:
-        try:
-            result = sniff_and_validate(path)
-        except OSError as e:
-            print(f"FAIL  {path}: {e}")
-            failed = True
-            continue
-        if result["problems"]:
-            failed = True
-            print(f"FAIL  {path} ({result['format']})")
-            for p in result["problems"]:
-                print(f"      - {p}")
-        else:
-            print(f"OK    {path} ({result['format']})")
-    return 1 if failed else 0
 
 
 def cmd_soak(args) -> int:
@@ -253,13 +242,7 @@ def cmd_soak(args) -> int:
             line += f", gauge {verdict['gauge']} p95={verdict['gauge_p95']:.3g}"
         print(line)
     if args.trace_out:
-        from repro.obs import write_jsonl
-
-        try:
-            write_jsonl(result.obs, args.trace_out)
-        except OSError as e:
-            raise SystemExit(f"spam-bench: cannot write trace: {e}")
-        print(f"trace: {args.trace_out} (jsonl)")
+        _write_trace(result.obs, args.trace_out)
     entries = [
         ("faults injected", None, float(result.total_injected)),
         ("retransmissions", None, result.counters.get("retransmissions", 0.0)),
@@ -355,20 +338,13 @@ def _inspect_chrome(path: str) -> None:
 
     with open(path) as f:
         obj = json.load(f)
+    other = obj.get("otherData", {})
+    if "spans" in other:
+        print(f"  {other['spans']} spans, "
+              f"{other.get('dropped_spans', 0)} dropped")
     _print_hists("trace events (dur, us)", "event",
                  ((ev["name"], ev["dur"]) for ev in obj["traceEvents"]
                   if ev.get("ph") == "X"))
-
-
-def _inspect_jsonl(path: str) -> None:
-    from repro.obs import critpath_stages, read_jsonl
-
-    meta, spans = read_jsonl(path)
-    print(f"  {len(spans)} spans, {len(meta['phases'])} phase spans, "
-          f"{meta.get('dropped_spans', 0)} dropped")
-    _print_hists("critical-path stages (us)", "stage",
-                 ((f"{stage}:{s.kind}", dur) for s in spans
-                  for stage, dur in critpath_stages(s).items()))
 
 
 def _inspect_report(path: str) -> None:
@@ -404,7 +380,6 @@ def cmd_inspect(args) -> int:
             failures += 1
             continue
         {"chrome-trace": _inspect_chrome,
-         "jsonl": _inspect_jsonl,
          "bench-report": _inspect_report}[res["format"]](path)
     return 1 if failures else 0
 
@@ -457,8 +432,6 @@ def main(argv=None) -> int:
                     help="print stage attribution + rtt histogram")
     pr.add_argument("--trace-out", metavar="FILE", default=None,
                     help="dump the AM ping-pong message trace")
-    pr.add_argument("--trace-format", choices=("chrome", "jsonl"),
-                    default="chrome")
     _add_report_opts(pr)
     for name in ("table2", "table3", "table4"):
         _add_report_opts(sub.add_parser(name))
@@ -469,12 +442,10 @@ def main(argv=None) -> int:
     pn = sub.add_parser("nas")
     pn.add_argument("kernel", nargs="?", default=None, type=str.upper,
                     choices=NAS_KERNELS)
-    pi = sub.add_parser("inspect")
+    pi = sub.add_parser(
+        "inspect", help="validate traces/reports and summarize them "
+                        "(exit 1 on any problem; the CI gate)")
     pi.add_argument("files", nargs="+", metavar="FILE")
-    pv = sub.add_parser(
-        "validate", help="schema-validate traces/reports (exit 1 on any "
-                         "failure; the CI gate)")
-    pv.add_argument("files", nargs="+", metavar="FILE")
     pf = sub.add_parser(
         "profile", help="metrics sampler + critical-path attribution "
                         "over pingpong/bulk/soak workloads")
@@ -504,7 +475,8 @@ def main(argv=None) -> int:
                     help="skip the fault-free reference run "
                          "(disables the recovery-time bound)")
     ps.add_argument("--trace-out", metavar="FILE", default=None,
-                    help="dump the message-span trace (JSONL)")
+                    help="dump the lossy run's Chrome trace (with "
+                         "counter tracks unless the sampler is off)")
     ps.add_argument("--sample-period-us", type=_period_or_off, default=50.0,
                     metavar="US",
                     help="periodic gauge sampler on the lossy run; the "
@@ -529,13 +501,12 @@ def main(argv=None) -> int:
                          "failing op list")
     _add_report_opts(pc)
     args = parser.parse_args(argv)
-    _check_report_dir(args)
+    _check_outputs(args)
 
     dispatch = {
         "list": lambda a: parser.print_help(),
         **{name: cmd_experiment for name in EXPERIMENT_COMMANDS},
         "inspect": cmd_inspect,
-        "validate": cmd_validate,
         "profile": cmd_profile,
         "soak": cmd_soak,
         "check": cmd_check,

@@ -18,8 +18,10 @@ Split-C's profiler — reports into one :class:`Observatory`:
   reconstructs the paper's Table 2 / §2.3 breakdowns from a live run,
   rolls it up per kind, surfaces the slowest exemplars, and names the
   bottleneck stage plus its saturated gauge;
-* **exporters** emit Chrome trace-event JSON (open in Perfetto), JSONL
-  span dumps (lossless round trip), and counter/histogram snapshots.
+* **exporter** emits the Chrome trace-event JSON (open in Perfetto; the
+  one trace format, which ``spam-bench inspect`` validates and reads the
+  stage breakdown back from); counter/histogram snapshots go into bench
+  reports.
 
 Usage::
 
@@ -41,20 +43,11 @@ from repro.obs.critpath import (
     critpath_stages,
     slowest_exemplars,
 )
-from repro.obs.export import (
-    chrome_trace,
-    read_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
+from repro.obs.export import chrome_trace, write_chrome_trace
 from repro.obs.hist import Histogram, percentile
 from repro.obs.metrics import MetricsSampler
-from repro.obs.schema import (
-    validate_bench_report,
-    validate_chrome_trace,
-    validate_jsonl_trace,
-)
-from repro.obs.span import MessageSpan, span_from_dict
+from repro.obs.schema import validate_bench_report, validate_chrome_trace
+from repro.obs.span import MessageSpan
 
 __all__ = [
     "Observatory",
@@ -69,12 +62,8 @@ __all__ = [
     "Histogram",
     "percentile",
     "MessageSpan",
-    "span_from_dict",
     "chrome_trace",
     "write_chrome_trace",
-    "write_jsonl",
-    "read_jsonl",
     "validate_chrome_trace",
-    "validate_jsonl_trace",
     "validate_bench_report",
 ]

@@ -1,22 +1,20 @@
-"""Exporters: Chrome trace-event JSON, JSONL span dumps, snapshots.
+"""Exporter: the Chrome trace-event JSON of one observed run.
 
-Three machine-readable views of one :class:`~repro.obs.core.Observatory`:
-
-* :func:`chrome_trace` — the Chrome trace-event format (the ``{
-  "traceEvents": [...] }`` flavour), loadable in Perfetto / ``about:tracing``
-  with one process row per node plus one for the switch, and thread rows
-  for host / adapter / handler / phase activity.  Each span renders as
-  its :func:`~repro.obs.critpath.critpath_segments`, one slice per
-  stage.  When a :class:`~repro.obs.metrics.MetricsSampler` ran, every
-  gauge series additionally renders as a counter track (``"ph": "C"``)
-  under the process row its ``pid_of`` names.  Timestamps are already
-  microseconds — the simulator's native unit — so no scaling happens.
-* :func:`write_jsonl` / :func:`read_jsonl` — a line-per-span dump that
-  round-trips losslessly back into :class:`~repro.obs.span.MessageSpan`
-  objects, from which ``spam-bench inspect`` re-derives the critical-path
-  stages (it consumes either format).
-* :meth:`Observatory.snapshot` (re-exported here as :func:`snapshot`) —
-  counters + series + histogram summaries for bench reports.
+:func:`chrome_trace` renders one :class:`~repro.obs.core.Observatory` in
+the Chrome trace-event format (the ``{"traceEvents": [...]}`` flavour),
+loadable in Perfetto / ``about:tracing`` with one process row per node
+plus one for the switch, and thread rows for host / adapter / handler /
+phase activity.  Each span renders as its
+:func:`~repro.obs.critpath.critpath_segments`, one slice per stage, so
+``spam-bench inspect`` reads the §2.3 stage breakdown back from the
+slices.  When a :class:`~repro.obs.metrics.MetricsSampler` ran, every
+gauge series additionally renders as a counter track (``"ph": "C"``)
+under the process row its ``pid_of`` names.  Timestamps are already
+microseconds — the simulator's native unit — so no scaling happens.
+``otherData`` carries the span count and every drop counter.
+:func:`write_chrome_trace` writes it to a file; it is the one trace
+format.  Counter and histogram snapshots for bench reports are
+:meth:`Observatory.snapshot`.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from typing import Dict, List, Tuple
 
 from repro.obs.core import Observatory
 from repro.obs.critpath import critpath_segments
-from repro.obs.span import MessageSpan, span_from_dict
 
 #: synthetic "process" holding the switch's per-destination-link rows
 SWITCH_PID = 9999
@@ -60,8 +57,6 @@ _STAGE_TRACK: Dict[str, Tuple[str, int]] = {
     "dispatch": ("dst", TID_HOST),
     "handler": ("dst", TID_HANDLER),
 }
-
-JSONL_SCHEMA = "spam-trace-jsonl/1"
 
 
 def _meta(pid: int, name: str, tid: int = None, tname: str = None) -> List[Dict]:
@@ -149,50 +144,3 @@ def write_chrome_trace(obs: Observatory, path: str) -> str:
         json.dump(chrome_trace(obs), f, indent=1)
     return path
 
-
-def write_jsonl(obs: Observatory, path: str) -> str:
-    """Dump every message span (and phase span) as one JSON object per
-    line; the first line is a schema header."""
-    with open(path, "w") as f:
-        header = {"type": "meta", "schema": JSONL_SCHEMA,
-                  "spans": len(obs.spans),
-                  "dropped_spans": obs.dropped_spans,
-                  "dropped_fault_events": obs.dropped_fault_events,
-                  "dropped_phase_spans": obs.dropped_phase_spans}
-        f.write(json.dumps(header) + "\n")
-        for span in obs.spans.values():
-            f.write(json.dumps({"type": "span", **span.to_dict()}) + "\n")
-        for node, track, name, t0, t1 in obs.phase_spans:
-            f.write(json.dumps({"type": "phase", "node": node,
-                                "track": track, "name": name,
-                                "t0": t0, "t1": t1}) + "\n")
-    return path
-
-
-def read_jsonl(path: str) -> Tuple[Dict, List[MessageSpan]]:
-    """Load a JSONL dump back: ``(meta, spans)``.
-
-    Phase lines are returned inside ``meta["phases"]``.
-    """
-    meta: Dict = {}
-    spans: List[MessageSpan] = []
-    phases: List[Tuple] = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            t = obj.get("type")
-            if t == "meta":
-                meta = obj
-            elif t == "span":
-                spans.append(span_from_dict(obj))
-            elif t == "phase":
-                phases.append((obj["node"], obj["track"], obj["name"],
-                               obj["t0"], obj["t1"]))
-            else:
-                raise ValueError(
-                    f"{path}:{lineno}: unknown line type {t!r}")
-    meta["phases"] = phases
-    return meta, spans

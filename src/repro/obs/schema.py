@@ -2,13 +2,14 @@
 
 The container has no ``jsonschema``, and the formats are small, so the
 checks are hand-rolled: each validator returns a list of problem strings
-(empty means valid).  CI's smoke job and ``spam-bench inspect`` run these
-over freshly emitted files; tests assert on the problem lists directly.
+(empty means valid).  ``spam-bench inspect`` runs these over every file
+it is given and exits 1 on any problem, which makes it CI's artifact
+gate; tests assert on the problem lists directly.
 
 Validated formats:
 
-* Chrome trace-event JSON (object form with ``traceEvents``),
-* the JSONL span dump (``spam-trace-jsonl/1``),
+* Chrome trace-event JSON (object form with ``traceEvents``), the one
+  trace format,
 * ``BENCH_<experiment>.json`` reports (``spam-bench/1``) — with extra
   structural checks for the ``obsprofile`` experiment's ``profile``
   section (per-workload critical-path rollups, exemplars, verdicts).
@@ -64,54 +65,6 @@ def validate_chrome_trace(obj) -> List[str]:
         if len(problems) > 20:
             problems.append("... further problems suppressed")
             break
-    return problems
-
-
-def validate_jsonl_trace(path: str) -> List[str]:
-    """Problems with a JSONL span dump file (empty = valid)."""
-    from repro.obs.export import JSONL_SCHEMA
-
-    problems: List[str] = []
-    saw_meta = saw_span = False
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as e:
-                problems.append(f"line {lineno}: not JSON ({e})")
-                continue
-            t = obj.get("type")
-            if t == "meta":
-                saw_meta = True
-                if obj.get("schema") != JSONL_SCHEMA:
-                    problems.append(
-                        f"line {lineno}: schema {obj.get('schema')!r} != "
-                        f"{JSONL_SCHEMA!r}")
-            elif t == "span":
-                saw_span = True
-                for key in ("trace_id", "src", "dst", "kind", "marks"):
-                    if key not in obj:
-                        problems.append(f"line {lineno}: span missing {key!r}")
-                marks = obj.get("marks", {})
-                if not isinstance(marks, dict) or not all(
-                        _is_num(v) for v in marks.values()):
-                    problems.append(f"line {lineno}: bad marks")
-            elif t == "phase":
-                for key in ("node", "track", "name", "t0", "t1"):
-                    if key not in obj:
-                        problems.append(f"line {lineno}: phase missing {key!r}")
-            else:
-                problems.append(f"line {lineno}: unknown type {t!r}")
-            if len(problems) > 20:
-                problems.append("... further problems suppressed")
-                break
-    if not saw_meta:
-        problems.append("no meta header line")
-    if not saw_span:
-        problems.append("no span lines")
     return problems
 
 
@@ -210,31 +163,21 @@ def sniff_and_validate(path: str) -> Dict:
     """Detect the format of ``path`` and validate it.
 
     Returns ``{"path", "format", "problems"}`` where format is one of
-    ``chrome-trace``, ``jsonl``, ``bench-report``, or ``unknown``.
+    ``chrome-trace``, ``bench-report``, or ``unknown``.  A file that does
+    not parse as JSON (truncated, binary) is ``unknown`` with the parse
+    error as its problem; only an unreadable path raises (``OSError``).
     """
-    with open(path) as f:
-        head = f.read(1)
-    if head == "{":
-        with open(path) as f:
-            first_line = f.readline()
-        # a JSONL file's first line is a complete JSON object; a pretty-
-        # printed trace/report is not
-        try:
-            obj = json.loads(first_line)
-            if isinstance(obj, dict) and obj.get("type") == "meta":
-                return {"path": path, "format": "jsonl",
-                        "problems": validate_jsonl_trace(path)}
-        except ValueError:
-            pass
+    try:
         with open(path) as f:
             obj = json.load(f)
-        if "traceEvents" in obj:
-            return {"path": path, "format": "chrome-trace",
-                    "problems": validate_chrome_trace(obj)}
-        if obj.get("schema") == BENCH_SCHEMA:
-            return {"path": path, "format": "bench-report",
-                    "problems": validate_bench_report(obj)}
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
         return {"path": path, "format": "unknown",
-                "problems": ["unrecognized JSON document"]}
+                "problems": [f"not a JSON document: {e}"]}
+    if isinstance(obj, dict) and "traceEvents" in obj:
+        return {"path": path, "format": "chrome-trace",
+                "problems": validate_chrome_trace(obj)}
+    if isinstance(obj, dict) and obj.get("schema") == BENCH_SCHEMA:
+        return {"path": path, "format": "bench-report",
+                "problems": validate_bench_report(obj)}
     return {"path": path, "format": "unknown",
-            "problems": ["not a JSON document"]}
+            "problems": ["unrecognized JSON document"]}

@@ -122,35 +122,3 @@ class MessageSpan:
             return None
         return e - b
 
-    def to_dict(self) -> Dict:
-        """JSON-serializable form (inverse of :func:`span_from_dict`)."""
-        return {
-            "trace_id": self.trace_id,
-            "src": self.src,
-            "dst": self.dst,
-            "kind": self.kind,
-            "seq": self.seq,
-            "wire_bytes": self.wire_bytes,
-            "marks": dict(self.marks),
-            "retransmits": self.retransmits,
-            "drops": self.drops,
-            "queued_us": self.queued_us,
-            "backoff_us": self.backoff_us,
-        }
-
-
-def span_from_dict(d: Dict) -> MessageSpan:
-    """Rebuild a :class:`MessageSpan` from :meth:`MessageSpan.to_dict`."""
-    return MessageSpan(
-        trace_id=int(d["trace_id"]),
-        src=int(d["src"]),
-        dst=int(d["dst"]),
-        kind=str(d["kind"]),
-        seq=int(d.get("seq", 0)),
-        wire_bytes=int(d.get("wire_bytes", 0)),
-        marks={str(k): float(v) for k, v in d.get("marks", {}).items()},
-        retransmits=int(d.get("retransmits", 0)),
-        drops=int(d.get("drops", 0)),
-        queued_us=float(d.get("queued_us", 0.0)),
-        backoff_us=float(d.get("backoff_us", 0.0)),
-    )

@@ -109,11 +109,11 @@ def test_cli_validate_subcommand(tmp_path, report):
 
     good = tmp_path / "BENCH_obsprofile.json"
     good.write_text(json.dumps(report))
-    assert main(["validate", str(good)]) == 0
+    assert main(["inspect", str(good)]) == 0
 
     bad = tmp_path / "BENCH_broken.json"
     broken = json.loads(json.dumps(report))
     broken["profile"] = "not a dict"
     bad.write_text(json.dumps(broken))
-    assert main(["validate", str(bad)]) != 0
-    assert main(["validate", str(good), str(bad)]) != 0
+    assert main(["inspect", str(bad)]) != 0
+    assert main(["inspect", str(good), str(bad)]) != 0

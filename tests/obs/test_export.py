@@ -1,4 +1,4 @@
-"""Exporter tests: Chrome trace-event output, JSONL round trip, schemas."""
+"""Exporter tests: Chrome trace-event output, format sniffing, schemas."""
 
 import json
 
@@ -9,16 +9,13 @@ from repro.obs import (
     Observatory,
     chrome_trace,
     critpath_stages,
-    read_jsonl,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.obs.export import SWITCH_PID, TID_PHASE
 from repro.obs.schema import (
     sniff_and_validate,
     validate_bench_report,
     validate_chrome_trace,
-    validate_jsonl_trace,
 )
 
 
@@ -85,43 +82,15 @@ class TestChromeTrace:
             assert validate_chrome_trace(json.load(f)) == []
 
 
-class TestJsonlRoundTrip:
-    def test_lossless(self, observed, tmp_path):
-        path = str(tmp_path / "dump.jsonl")
-        write_jsonl(observed, path)
-        meta, spans = read_jsonl(path)
-        assert meta["spans"] == len(observed.spans) == len(spans)
-        assert meta["phases"] == [(0, "phase", "compute", 100.0, 250.0)]
-        originals = list(observed.spans.values())
-        for orig, loaded in zip(originals, spans):
-            assert loaded.to_dict() == orig.to_dict()
-
-    def test_validates(self, observed, tmp_path):
-        path = str(tmp_path / "dump.jsonl")
-        write_jsonl(observed, path)
-        assert validate_jsonl_trace(path) == []
-
-    def test_bad_line_reported(self, tmp_path):
-        path = str(tmp_path / "bad.jsonl")
-        with open(path, "w") as f:
-            f.write('{"type": "meta", "schema": "spam-trace-jsonl/1"}\n')
-            f.write("not json\n")
-        problems = validate_jsonl_trace(path)
-        assert any("not JSON" in p for p in problems)
-        assert any("no span lines" in p for p in problems)
-
-
 class TestSniff:
     def test_detects_all_three_formats(self, observed, tmp_path):
         from repro.bench.benchjson import make_report, write_report
 
         chrome = str(tmp_path / "t.json")
         write_chrome_trace(observed, chrome)
-        jsonl = str(tmp_path / "t.jsonl")
-        write_jsonl(observed, jsonl)
         report = write_report(
             make_report("x", [("a", 1.0, 1.1)]), str(tmp_path))
-        for path, fmt in ((chrome, "chrome-trace"), (jsonl, "jsonl"),
+        for path, fmt in ((chrome, "chrome-trace"),
                           (report, "bench-report")):
             res = sniff_and_validate(path)
             assert res["format"] == fmt

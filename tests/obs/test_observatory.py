@@ -19,8 +19,6 @@ from repro.obs import (
     chrome_trace,
     critpath_rollup,
     critpath_stages,
-    read_jsonl,
-    write_jsonl,
 )
 from repro.sim import Simulator
 
@@ -113,7 +111,7 @@ class TestSpanCollection:
         assert sum(s is not None for s in spans) == 2
         assert obs.dropped_spans == 3
 
-    def test_each_buffer_counts_its_own_overflow(self, tmp_path):
+    def test_each_buffer_counts_its_own_overflow(self):
         obs = Observatory(span_limit=2)
 
         class Pkt:
@@ -129,12 +127,10 @@ class TestSpanCollection:
         assert snap["spans"] == {"recorded": 0, "dropped": 0}
         assert (snap["fault_events"], snap["dropped_fault_events"]) == (2, 1)
         assert (snap["phase_spans"], snap["dropped_phase_spans"]) == (2, 1)
-        path = str(tmp_path / "t.jsonl")
-        write_jsonl(obs, path)
-        for header in (chrome_trace(obs)["otherData"], read_jsonl(path)[0]):
-            assert header["dropped_spans"] == 0
-            assert header["dropped_fault_events"] == 1
-            assert header["dropped_phase_spans"] == 1
+        header = chrome_trace(obs)["otherData"]
+        assert header["dropped_spans"] == 0
+        assert header["dropped_fault_events"] == 1
+        assert header["dropped_phase_spans"] == 1
 
     def test_begin_is_idempotent(self):
         obs = Observatory()

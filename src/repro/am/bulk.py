@@ -13,7 +13,7 @@ bytes and the completion handler fires exactly once when all have landed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.am.constants import CHUNK_BYTES, PACKET_PAYLOAD_BYTES

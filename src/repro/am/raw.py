@@ -16,8 +16,7 @@ from __future__ import annotations
 from repro.hardware.cache import flush_cost
 from repro.hardware.machine import Machine
 from repro.hardware.packet import Packet, PacketKind
-from repro.sim import Simulator
-from repro.sim.primitives import Delay, WaitEvent
+from repro.sim.primitives import WaitEvent
 
 #: host cost of building a raw FIFO entry (header construction and the
 #: FIFO-pointer bookkeeping survive even without sequence numbers)

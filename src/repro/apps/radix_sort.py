@@ -18,7 +18,7 @@ Keys are real int64s and the result is verified globally sorted.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 

@@ -28,7 +28,7 @@ kind           site                        effect
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 #: every fault kind a rule may name, in documentation order

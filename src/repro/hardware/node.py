@@ -11,7 +11,7 @@ initiating the transfer", §1.1).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.hardware.params import HostParams, MachineParams
 from repro.sim import Delay, Simulator

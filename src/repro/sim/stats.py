@@ -14,7 +14,7 @@ observability exporters can embed any registry verbatim.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 
 class Counter:

@@ -13,6 +13,8 @@ that forwards ``*args`` or ``**kw`` counts as setting every parameter,
 and an ``x=x`` default (a closure capture) is not a knob.  A name is
 mentioned by an identifier, an attribute or a string that spells it
 (``__all__``, ``getattr``); a docstring does not mention anything.
+Under the same rule, a name a ``src/repro`` module imports must be
+mentioned in that module (``__future__`` imports excepted).
 
 :data:`ALLOWLIST` names the knobs set where a name-based scan cannot see
 it, each with its reason; an entry whose parameter is gone, or that some
@@ -104,8 +106,9 @@ class Def:
 @lru_cache(maxsize=None)
 def scan():
     """Parse every scanned tree once: the defs of ``src/repro``, the calls
-    by callee name, and how often each name is mentioned."""
-    defs, calls, mentioned = [], defaultdict(list), Counter()
+    by callee name, how often each name is mentioned, and the imports of
+    ``src/repro`` their module never mentions."""
+    defs, calls, mentioned, unused = [], defaultdict(list), Counter(), []
     src = os.path.join(ROOT, "src", "repro")
     for top in SCANNED:
         for dirpath, dirnames, filenames in os.walk(os.path.join(ROOT, top)):
@@ -118,6 +121,7 @@ def scan():
                     rel = os.path.relpath(path, src).replace(os.sep, "/")
                     _collect(tree, rel, None, defs)
                 docs = _docstrings(tree)
+                local = Counter()
                 for node in ast.walk(tree):
                     if isinstance(node, ast.ClassDef):
                         for call in _super_inits(node):
@@ -128,16 +132,34 @@ def scan():
                         if callee is not None:
                             calls[callee].append(node)
                     elif isinstance(node, ast.Name):
-                        mentioned[node.id] += 1
+                        local[node.id] += 1
                     elif isinstance(node, ast.Attribute):
-                        mentioned[node.attr] += 1
+                        local[node.attr] += 1
                     elif (isinstance(node, ast.Constant)
                           and isinstance(node.value, str)
                           and id(node) not in docs):
                         words = node.value.split(".")
                         if all(w.isidentifier() for w in words):
-                            mentioned.update(words)
-    return defs, calls, mentioned
+                            local.update(words)
+                mentioned.update(local)
+                if path.startswith(src + os.sep):
+                    unused += [f"{rel}:{line} {name}"
+                               for name, line in _imported(tree)
+                               if not local[name]]
+    return defs, calls, mentioned, unused
+
+
+def _imported(tree):
+    """``(bound name, line)`` of every import in ``tree`` but
+    ``__future__``'s."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield a.asname or a.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module != "__future__":
+            for a in node.names:
+                yield a.asname or a.name, node.lineno
 
 
 def _super_inits(klass):
@@ -179,7 +201,7 @@ def _sets(calls, names, position, keyword):
 
 def knobs():
     """``{(path, def, parameter): set by some call}`` over ``src/repro``."""
-    defs, calls, _ = scan()
+    defs, calls, _, _ = scan()
     return {(d.path, d.name, param): _sets(calls, d.callers(), pos, param)
             for d in defs for param, pos in d.knobs()}
 
@@ -195,7 +217,7 @@ def test_every_knob_has_a_setter():
 
 
 def test_every_def_is_mentioned():
-    defs, _, mentioned = scan()
+    defs, _, mentioned, _ = scan()
     unmentioned = sorted(
         f"{d.path}::{d.name}" for d in defs
         if not (d.name.startswith("__") and d.name.endswith("__"))
@@ -211,3 +233,8 @@ def test_allowlist_is_not_stale():
     now_set = sorted(k for k in ALLOWLIST if found[k])
     assert not now_set, f"allowlisted parameters a call now sets: " \
         f"{_fmt(now_set)}"
+
+
+def test_every_import_is_mentioned():
+    unused = scan()[3]
+    assert not unused, f"imports their module never mentions: {unused}"

@@ -11,6 +11,12 @@ component carries a ``check`` attribute that defaults to ``None``, and
 every hook site is guarded by ``if self.check is not None`` — disabled
 checking costs one attribute load on the hot path and nothing else.
 
+:mod:`repro.check.campaign` holds the one fault harness: a runner that
+executes an op list on every rank of a fresh SP machine and checks it.
+:func:`run_campaign` drives it with seeded random MPI op lists under the
+sanitizer, :func:`repro.faults.run_soak` with the soak's fixed op list,
+and :func:`shrink_failure` reduces a failing op list of either kind.
+
 See ``docs/checking.md`` for the invariant catalogue and campaign usage.
 """
 

@@ -14,11 +14,12 @@ package exists to *prove* it under sustained, adversarial conditions:
   records every injection so tests can reconcile them against the
   observability layer's fault events;
 * :func:`install_faults` — wire a plan into a built machine;
-* :func:`run_soak` — the chaos soak harness behind ``spam-bench soak``
-  and ``tests/integration/test_chaos_soak.py``: ping-pong, bulk
-  transfer, and a Split-C workload under loss, asserting exactly-once
-  in-order delivery, window invariants, bounded recovery time, and
-  clean fault accounting.
+* :func:`run_soak` — the chaos soak behind ``spam-bench soak`` and
+  ``tests/integration/test_chaos_soak.py``: a fixed op list (ping-pong
+  rounds, a multi-chunk store/get, a Split-C phase) on
+  :mod:`repro.check.campaign`'s runner under a fault plan, asserting
+  exactly-once in-order delivery, window invariants, clean fault
+  accounting and, its own policy, bounded recovery time.
 
 See ``docs/faults.md`` for usage and ``docs/protocol.md`` for the
 failure model each fault kind exercises.

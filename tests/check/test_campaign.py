@@ -49,7 +49,7 @@ class TestRunCampaign:
         assert any(v.startswith("[alloc[1->2].free]") for v in r.violations)
 
     def test_aborting_error_is_captured_as_a_violation(self):
-        # an op raising inside a rank stops the run; run_capturing turns
+        # an op raising inside a rank stops the run; the runner turns
         # the error into the campaign's one violation
         r = run_campaign(1, nodes=4, op_list=[{"kind": "bogus",
                                                "comm": "world"}])

@@ -1,9 +1,10 @@
 """The shared periodic-payload helper against both callers' formulas.
 
-``check.campaign._pattern`` and ``faults.soak._pattern`` verify received
+``check.campaign._pattern`` (the MPI ops) and
+``check.campaign._ring_pattern`` (the soak's ring ops) verify received
 bytes against these patterns, and both build them from one tile-slicing
 helper.  A wrong tile offset would corrupt sender and verifier alike and
-pass every campaign, so the bytes themselves are pinned here against the
+pass every run, so the bytes themselves are pinned here against the
 byte-by-byte formulas.
 """
 
@@ -12,7 +13,6 @@ import random
 import pytest
 
 from repro.check import campaign
-from repro.faults import soak
 from repro.faults.payload import PERIOD, periodic_payload
 
 #: lengths around one period, multiples of it, and the sizes the
@@ -46,7 +46,8 @@ def test_soak_pattern_matches_its_formula():
     cases = [(rank, n) for n in EDGE_LENGTHS for rank in (0, 1, 2, 100, 115)]
     cases += [(rng.randrange(400), rng.randrange(3000)) for _ in range(200)]
     for rank, n in cases:
-        assert soak._pattern(rank, n) == soak_bytes(rank, n), (rank, n)
+        assert campaign._ring_pattern(rank, n) == soak_bytes(rank, n), \
+            (rank, n)
 
 
 def test_every_rotation_of_every_step():

@@ -7,6 +7,7 @@ from repro.sim import (
     DeadlockError,
     Simulator,
     SimTimeoutError,
+    SimulationError,
     WaitEvent,
 )
 
@@ -239,6 +240,35 @@ class TestProcesses:
         sim.spawn(bad())
         with pytest.raises(ValueError, match="boom"):
             sim.run()
+
+    def test_bad_yield_finishes_the_process(self):
+        sim = Simulator()
+
+        def bad():
+            yield 5
+
+        p = sim.spawn(bad(), name="bad")
+        with pytest.raises(SimulationError,
+                           match="process 'bad' yielded 5; expected"):
+            sim.run_until_processes_done([p])
+        assert p.finished and isinstance(p.error, SimulationError)
+        assert sim.now == 0.0
+
+    def test_bad_yield_is_not_thrown_into_the_generator(self):
+        # a generator that swallowed the error used to lose its next
+        # yield, leaving the run to return at t=0 as if all were well
+        sim = Simulator()
+
+        def swallowing():
+            try:
+                yield 5
+            except SimulationError:
+                yield Delay(1.0)
+
+        p = sim.spawn(swallowing(), name="swallow")
+        with pytest.raises(SimulationError, match="'swallow' yielded 5"):
+            sim.run()
+        assert p.finished and isinstance(p.error, SimulationError)
 
     def test_done_event_fires_with_return_value(self):
         sim = Simulator()

@@ -61,7 +61,6 @@ _GET_REQUEST = PacketKind.GET_REQUEST
 _ACK = PacketKind.ACK
 _NACK = PacketKind.NACK
 _KEEPALIVE = PacketKind.KEEPALIVE
-_RAW = PacketKind.RAW
 
 #: send-FIFO backpressure retry: the adapter drains an entry every ~6.5 us
 _FIFO_BACKOFF = Delay(3.3)
@@ -132,8 +131,6 @@ class SPAM(ActiveMessages):
         self._bulk_recv: Dict[Tuple[int, int], BulkRecvState] = {}
         #: bulk send ops with chunks still to transmit
         self._active_sends: List[BulkSendOp] = []
-        #: raw (flow-control-free) packets land here for repro.am.raw
-        self._raw_inbox: Deque[Packet] = deque()
         #: blocking-get completion events, keyed like _bulk_recv
         self._get_waiters: Dict[Tuple[int, int], Any] = {}
         self._sendable_ops_dirty = False
@@ -188,7 +185,6 @@ class SPAM(ActiveMessages):
         # observability objects resolved once per hub (the hub is attached
         # before traffic starts and never swapped mid-run)
         self._occ_hist = None
-        self._occ_series = self.stats.series("window_occupancy")
         self._handler_hist = None
 
     # ------------------------------------------------------------------
@@ -286,14 +282,12 @@ class SPAM(ActiveMessages):
         return st
 
     def _note_occupancy(self, win: "SendWindow") -> None:
-        """Sample sliding-window occupancy into the observability layer
-        (histogram for percentile queries + a time series on this
-        endpoint's registry).  Callers test ``adapter.obs`` first."""
+        """Sample sliding-window occupancy into the observability layer's
+        histogram.  Callers test ``adapter.obs`` first."""
         h = self._occ_hist
         if h is None:
             h = self._occ_hist = self.adapter.obs.hist("am.window_occupancy")
         h.observe(win.in_flight)
-        self._occ_series.record(self.sim.now, win.in_flight)
 
     def _request(self, dst: int, handler: Callable, args: Tuple[int, ...]):
         node = self.node
@@ -627,10 +621,8 @@ class SPAM(ActiveMessages):
             yield from self._process_nack(pkt)
         elif kind is _KEEPALIVE:
             yield from self._process_keepalive(pkt)
-        elif kind is _RAW:
-            self._raw_inbox.append(pkt)
-        else:  # pragma: no cover - exhaustive
-            raise AssertionError(f"unhandled packet kind {kind}")
+        else:  # RAW: repro.am.raw reads those off the adapter itself
+            raise AssertionError(f"unhandled packet kind {kind.name}")
 
     def _apply_acks(self, pkt: Packet):
         # unrolled over the two channels: this runs for every packet

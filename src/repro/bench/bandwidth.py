@@ -31,18 +31,16 @@ MODES = ("am_store", "am_get", "mpl_send_reply",
 
 
 def _measure_am(mode: str, n: int, total: int,
-                params: Optional[MachineParams] = None, obs=None,
-                sample_period_us: Optional[float] = None
-                ) -> Tuple[int, float]:
+                params: Optional[MachineParams] = None) -> Tuple[int, float]:
     """The one two-node AM stream: node 0 moves ~``total`` bytes to node
     1 in ``n``-byte ``mode`` ops while node 1 serves the network.
 
-    ``params``, ``obs`` and ``sample_period_us`` pick the machine as
-    :func:`~repro.bench.harness.am_pair` does.  Returns ``(count,
-    elapsed_us)``: bandwidth is ``count * n / elapsed_us`` (bytes/us ==
-    MB/s), the mean blocking-op latency ``elapsed_us / count``.
+    ``params`` picks the machine as :func:`~repro.bench.harness.am_pair`
+    does.  Returns ``(count, elapsed_us)``: bandwidth is ``count * n /
+    elapsed_us`` (bytes/us == MB/s), the mean blocking-op latency
+    ``elapsed_us / count``.
     """
-    machine = am_pair(params, obs, sample_period_us)
+    machine = am_pair(params)
     src = machine.node(0).memory.alloc(max(n, 1))
     dst = machine.node(1).memory.alloc(max(n, 1))
     count = max(1, total // max(n, 1))

@@ -69,13 +69,9 @@ def run_programs(
     return NodeProgramSet(machine, procs, sim.now - t0)
 
 
-def am_pair(params: Optional[MachineParams] = None, obs=None,
-            sample_period_us: Optional[float] = None) -> Machine:
+def am_pair(params: Optional[MachineParams] = None, obs=None) -> Machine:
     """Two nodes of ``params`` (SP thin nodes by default, or any Table 4
-    peer) with AM attached.
-
-    An Observatory ``obs`` is attached before AM, and its gauge sampler
-    started at ``sample_period_us`` when given.
+    peer) with AM attached; an Observatory ``obs`` is attached before AM.
     """
     sim = Simulator()
     if params is None or params.nodes_kind == "sp":
@@ -85,8 +81,6 @@ def am_pair(params: Optional[MachineParams] = None, obs=None,
     if obs is not None:
         obs.attach(machine)
     attach_am(machine)
-    if sample_period_us is not None:
-        obs.start_sampler(period_us=sample_period_us)
     return machine
 
 

@@ -14,7 +14,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.am import raw_pingpong_roundtrip
 from repro.bench.bandwidth import _measure_mpl
@@ -90,15 +89,13 @@ def _am_pingpong(machine, words: int, iterations: int) -> RoundTrip:
 
 
 def am_roundtrip(words: int = 1, iterations: int = 200,
-                 machine_name: str = "sp-thin", obs=None,
-                 sample_period_us: Optional[float] = None) -> RoundTrip:
+                 machine_name: str = "sp-thin", obs=None) -> RoundTrip:
     """AM M-word round trip (paper: 51.0 us at one word on thin nodes);
-    ``obs`` and ``sample_period_us`` attach as in
-    :func:`~repro.bench.harness.am_pair`."""
+    ``obs`` attaches as in :func:`~repro.bench.harness.am_pair`."""
     if not 1 <= words <= 4:
         raise ValueError("AM carries 1..4 word arguments")
     _check_iterations(iterations)
-    machine = am_pair(machine_params(machine_name), obs, sample_period_us)
+    machine = am_pair(machine_params(machine_name), obs)
     return _am_pingpong(machine, words, iterations)
 
 

@@ -21,7 +21,8 @@ checks still run: the ops' own payload, status and delivery checks, the
 sanitizer's, the protocol end state (no unacked window, partial assembly
 or active bulk op) and the fault ledgers (every injected fault in the
 observatory's fault events by trace_id; every lossy one with a
-``packet_dropped`` event).
+``packet_dropped`` event; past the observatory's cap, only the faults it
+had room for).
 """
 from __future__ import annotations
 
@@ -610,18 +611,22 @@ class _Run:
                 f"never completed")
 
     def reconcile_faults(self) -> None:
-        """Every injected fault must be visible in the obs ledger."""
+        """Every injected fault must be visible in the obs ledger, up to
+        the first one the full ledger had no room for."""
         if self.injector is None:
             return
         events = self.obs.fault_events
+        room = self.obs.faults_before_full
         seen = {(ev["kind"], ev["trace_id"], ev["t"]) for ev in events}
         dropped = {ev["trace_id"] for ev in events
                    if ev["kind"] == "packet_dropped"}
-        for f in self.injector.injected:
+        for i, f in enumerate(self.injector.injected):
             if f.trace_id <= 0:
                 self.violations.append(
                     f"injected {f.kind} on {f.src}->{f.dst} seq {f.seq} "
                     f"at t={f.t:.1f} hit an untraced packet (no trace_id)")
+                continue
+            if room is not None and i >= room:
                 continue
             if (f.kind, f.trace_id, f.t) not in seen:
                 self.violations.append(

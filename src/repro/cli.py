@@ -3,8 +3,9 @@
 Usage::
 
     spam-bench list                     # what can be run
-    spam-bench roundtrip                # §2.3 latencies
-        [--iters N] [--stats] [--trace-out FILE]
+    spam-bench roundtrip                # §2.3 latencies; exit 1 unless
+        [--iters N] [--stats]           # the critical path explains
+        [--trace-out FILE]              # 95-105 % of the AM round trip
         [--report-dir DIR | --no-report]
     spam-bench table2|table3|table4|table6
     spam-bench fig3|fig7|fig8|fig9|fig10|fig11
@@ -12,9 +13,6 @@ Usage::
     spam-bench nas [BT|FT|LU|MG|SP]
     spam-bench inspect FILE...          # validate + summarize traces/reports
                                         # (exit 1 on any problem: CI's gate)
-    spam-bench profile [--quick] [--period-us 50] [--topk 5]
-                                        # metrics sampler + critical-path
-                                        # attribution over three workloads
     spam-bench soak --seed 7 --loss 0.05 [--chaos] [--trace-out FILE]
                                         # chaos campaign vs the reliability layer
     spam-bench check --seeds 20 [--loss 0.01] [--shrink]
@@ -23,9 +21,9 @@ Usage::
 
 Table-style experiments also leave a machine-readable
 ``BENCH_<experiment>.json`` report next to the ASCII table (suppress with
-``--no-report``); ``roundtrip``, ``profile`` and ``soak`` take
-``--trace-out`` to dump the run's message spans (and gauge series, where
-a sampler ran) as a Chrome trace, the one trace format; ``inspect``
+``--no-report``); ``roundtrip`` and ``soak`` take ``--trace-out`` to
+dump the run's message spans (and gauge series, where a sampler ran) as
+a Chrome trace, the one trace format; ``inspect``
 validates traces and reports and re-derives the per-stage breakdown from
 a trace (see docs/observability.md).
 
@@ -166,10 +164,15 @@ def _observed_roundtrip(args):
     return obs, {"iterations": args.iters, "attribution": att}
 
 
-def cmd_experiment(args) -> None:
+def cmd_experiment(args) -> int:
     """Run one experiment of :mod:`repro.claims` and print its claim rows
     (the rows ``pytest benchmarks/`` checks) with paper value, measured
-    value, bound and status."""
+    value, bound and status.
+
+    ``roundtrip`` fails (1) when the critical path explains less than
+    :data:`~repro.obs.critpath.COVERAGE_FLOOR` or more than
+    :data:`~repro.obs.critpath.COVERAGE_CEIL` of the observed AM round
+    trip."""
     from repro import claims
 
     name = "table6" if args.cmd == "nas" else args.cmd
@@ -190,30 +193,16 @@ def cmd_experiment(args) -> None:
         obs, extra = _observed_roundtrip(args)
     _write_report(args, name, claims.report_entries(rows), obs=obs,
                   extra=extra)
+    if extra is not None:
+        from repro.obs.critpath import COVERAGE_CEIL, COVERAGE_FLOOR
 
-
-def cmd_profile(args) -> int:
-    from repro.bench.profile import (
-        COVERAGE_CEIL,
-        COVERAGE_FLOOR,
-        render_dashboard,
-        run_profile,
-    )
-
-    data = run_profile(quick=args.quick, period_us=args.period_us,
-                       topk=args.topk)
-    print(render_dashboard(data))
-    if args.trace_out:
-        _write_trace(data["obs"], args.trace_out)
-    _write_report(args, "obsprofile", data["entries"], obs=data["obs"],
-                  extra={"profile": data["profile"]})
-    if not data["ok"]:
-        cov = data["profile"]["workloads"]["pingpong"]["coverage"]
-        print(f"FAIL: attribution coverage "
-              f"{cov['coverage'] * 100.0:.1f}% outside "
-              f"{COVERAGE_FLOOR * 100.0:.0f}-{COVERAGE_CEIL * 100.0:.0f}%, "
-              f"or the soak leg saw violations")
-        return 1
+        cov = extra["attribution"]["coverage"]
+        if not COVERAGE_FLOOR <= cov <= COVERAGE_CEIL:
+            print(f"FAIL: attribution coverage {cov * 100.0:.1f}% of the "
+                  f"measured AM round trip, outside "
+                  f"{COVERAGE_FLOOR * 100.0:.0f}-"
+                  f"{COVERAGE_CEIL * 100.0:.0f}%")
+            return 1
     return 0
 
 
@@ -398,15 +387,12 @@ def _rate(s: str) -> float:
     return v
 
 
-def _period(s: str) -> float:
-    v = float(s)
-    if not 0.0 < v < float("inf"):
-        raise argparse.ArgumentTypeError(f"{s} is not a positive period")
-    return v
-
-
 def _period_or_off(s: str) -> float:
-    return 0.0 if float(s) == 0.0 else _period(s)
+    v = float(s)
+    if v != 0.0 and not 0.0 < v < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"{s} is neither 0 (off) nor a positive period")
+    return v
 
 
 def _add_report_opts(p) -> None:
@@ -446,20 +432,6 @@ def main(argv=None) -> int:
         "inspect", help="validate traces/reports and summarize them "
                         "(exit 1 on any problem; the CI gate)")
     pi.add_argument("files", nargs="+", metavar="FILE")
-    pf = sub.add_parser(
-        "profile", help="metrics sampler + critical-path attribution "
-                        "over pingpong/bulk/soak workloads")
-    pf.add_argument("--quick", action="store_true",
-                    help="reduced workloads (CI smoke)")
-    pf.add_argument("--period-us", type=_period, default=50.0,
-                    help="gauge sampling period in simulated us "
-                         "(default 50)")
-    pf.add_argument("--topk", type=_positive_int, default=5,
-                    help="slowest-message exemplars per workload")
-    pf.add_argument("--trace-out", metavar="FILE", default=None,
-                    help="dump the ping-pong Chrome trace with counter "
-                         "tracks")
-    _add_report_opts(pf)
     ps = sub.add_parser(
         "soak", help="chaos soak: full AM workload under injected faults")
     ps.add_argument("--seed", type=int, default=7,
@@ -507,7 +479,6 @@ def main(argv=None) -> int:
         "list": lambda a: parser.print_help(),
         **{name: cmd_experiment for name in EXPERIMENT_COMMANDS},
         "inspect": cmd_inspect,
-        "profile": cmd_profile,
         "soak": cmd_soak,
         "check": cmd_check,
     }

@@ -16,8 +16,8 @@ Split-C's profiler — reports into one :class:`Observatory`:
   decomposition of a span — staging / queueing / DMA+wire / switch /
   poll / dispatch / handler / retransmit-backoff time — which
   reconstructs the paper's Table 2 / §2.3 breakdowns from a live run,
-  rolls it up per kind, surfaces the slowest exemplars, and names the
-  bottleneck stage plus its saturated gauge;
+  rolls it up per kind, and names the bottleneck stage plus its
+  saturated gauge;
 * **exporter** emits the Chrome trace-event JSON (open in Perfetto; the
   one trace format, which ``spam-bench inspect`` validates and reads the
   stage breakdown back from); counter/histogram snapshots go into bench
@@ -41,7 +41,6 @@ from repro.obs.critpath import (
     critpath_rollup,
     critpath_segments,
     critpath_stages,
-    slowest_exemplars,
 )
 from repro.obs.export import chrome_trace, write_chrome_trace
 from repro.obs.hist import Histogram, percentile
@@ -56,7 +55,6 @@ __all__ = [
     "critpath_segments",
     "critpath_stages",
     "critpath_rollup",
-    "slowest_exemplars",
     "bottleneck_verdict",
     "attribution_coverage",
     "Histogram",

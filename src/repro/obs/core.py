@@ -34,7 +34,9 @@ class Observatory:
         self.spans: Dict[int, MessageSpan] = {}
         #: safety valve: each of the three buffers (spans, fault events,
         #: phase spans) holds at most this many entries, and counts what
-        #: it refuses under its own ``dropped_*`` name
+        #: it refuses under its own ``dropped_*`` name; the fault ledger
+        #: also keeps, past it, the next drop of each packet it holds an
+        #: undropped fault of
         self.span_limit = span_limit
         self.dropped_spans = 0
         self.dropped_fault_events = 0
@@ -46,6 +48,15 @@ class Observatory:
         #: (``packet_dropped``), each tagged with the victim's trace_id so
         #: chaos campaigns can reconcile injections against observations
         self.fault_events: List[Dict] = []
+        #: how many injected faults had been reported (:meth:`fault`) when
+        #: the fault ledger first refused an event; None while it has
+        #: refused none.  The ledger holds the events of exactly those
+        #: faults, and the drop that answers each lossy one
+        self.faults_before_full: Optional[int] = None
+        self._faults_reported = 0
+        #: once full: trace ids of held faults a drop may still answer (a
+        #: corrupted packet is dropped at the receiver, after its fault)
+        self._awaiting_drop: Optional[set] = None
         #: periodic gauge sampler (:class:`repro.obs.metrics.MetricsSampler`),
         #: None until :meth:`start_sampler` — the metrics side is opt-in
         #: even when spans are being traced
@@ -129,6 +140,8 @@ class Observatory:
 
         Idempotent: a packet that already carries a trace id keeps its
         span (retransmissions re-enter the TX path with the same id).
+        Past ``span_limit`` the packet is still stamped, so its faults
+        stay attributable, but no span is stored.
         """
         # direct loads with AttributeError fallbacks: this runs per
         # message, and a 3-arg getattr costs ~2x a plain load (the except
@@ -139,14 +152,14 @@ class Observatory:
             tid = 0
         if tid:
             return self.spans.get(tid)
-        if len(self.spans) >= self.span_limit:
-            self.dropped_spans += 1
-            return None
         tid = self._next_trace
         self._next_trace += 1
         try:
             pkt.trace_id = tid
         except AttributeError:     # message type without a trace_id slot
+            return None
+        if len(self.spans) >= self.span_limit:
+            self.dropped_spans += 1
             return None
         kind_obj = getattr(pkt, "kind", None)
         kind = self._kind_names.get(kind_obj) if kind_obj is not None else None
@@ -216,24 +229,44 @@ class Observatory:
     def fault(self, pkt, kind: str, t: float, detail: str = "") -> None:
         """An injected fault fired against ``pkt`` (called by the
         :class:`~repro.faults.injector.FaultInjector`)."""
+        self._faults_reported += 1
         self._fault_event(kind, pkt, t, detail)
 
     def _fault_event(self, kind: str, pkt, t: Optional[float],
                      detail: str) -> None:
+        tid = getattr(pkt, "trace_id", 0)
         if len(self.fault_events) >= self.span_limit:
-            self.dropped_fault_events += 1
-            return
+            awaiting = self._awaiting_drop
+            if awaiting is None:
+                awaiting = self._ledger_full(kind)
+            if kind != "packet_dropped" or tid not in awaiting:
+                self.dropped_fault_events += 1
+                return
+            awaiting.discard(tid)
         self.fault_events.append({
             "kind": kind,
             "t": t,
             "packet_kind": getattr(getattr(pkt, "kind", None), "name",
                                    str(getattr(pkt, "kind", "?"))),
-            "trace_id": getattr(pkt, "trace_id", 0),
+            "trace_id": tid,
             "seq": getattr(pkt, "seq", 0),
             "src": getattr(pkt, "src", -1),
             "dst": getattr(pkt, "dst", -1),
             "detail": detail,
         })
+
+    def _ledger_full(self, kind: str) -> set:
+        """The fault ledger refuses its first event, a ``kind`` one: note
+        how many faults it holds, and which of them no drop answered yet."""
+        self.faults_before_full = (self._faults_reported
+                                   - (kind != "packet_dropped"))
+        awaiting = self._awaiting_drop = set()
+        for ev in self.fault_events:
+            if ev["kind"] == "packet_dropped":
+                awaiting.discard(ev["trace_id"])
+            else:
+                awaiting.add(ev["trace_id"])
+        return awaiting
 
     # ------------------------------------------------------------------
     # histograms + phase spans
@@ -261,18 +294,13 @@ class Observatory:
         return [s for s in self.spans.values() if s.kind == kind]
 
     def snapshot(self) -> Dict:
-        """One JSON-serializable snapshot: merged counters, time series,
-        and histogram summaries (the exporters' ``stats`` section)."""
+        """One JSON-serializable snapshot: merged counters and histogram
+        summaries (the exporters' ``stats`` section)."""
         counters: Dict[str, float] = {}
-        series: Dict[str, Dict] = {}
         for reg in self._all_registries():
             counters.update(reg.snapshot())
-            snap_series = getattr(reg, "snapshot_series", None)
-            if snap_series is not None:
-                series.update(snap_series())
         snap = {
             "counters": dict(sorted(counters.items())),
-            "series": dict(sorted(series.items())),
             "histograms": {name: h.snapshot()
                            for name, h in sorted(self.histograms.items())},
             "spans": {

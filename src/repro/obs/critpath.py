@@ -2,7 +2,7 @@
 
 The span layer records absolute-time *marks*; this module turns them
 into the paper's §2.3-style decomposition, the one stage vector every
-consumer reads (the rollups, ``spam-bench profile``/``soak``/``check``,
+consumer reads (the rollups, ``spam-bench roundtrip``/``soak``/``check``,
 the Chrome-trace slices and ``spam-bench inspect``).  TX queueing is
 separated from go-back-N recovery backoff, and the switch interval is
 separated into destination-link queueing vs. hardware latency, so the
@@ -28,8 +28,9 @@ stage                     what the time is
 :func:`critpath_segments` places each stage on the timeline.  The stages
 tile ``begin → end`` exactly (each boundary mark is shared), also for a
 retransmitted packet, so per-kind sums over a request/reply pair
-reproduce the measured RTT — ``spam-bench profile`` requires the
-attribution to cover the AM ping-pong round trip within ±5%.
+reproduce the measured RTT — ``spam-bench roundtrip`` fails unless the
+attribution covers the AM ping-pong round trip within ±5%
+(:data:`COVERAGE_FLOOR`, :data:`COVERAGE_CEIL`).
 
 Pure functions over an :class:`~repro.obs.core.Observatory` (or a plain
 span iterable); imports nothing from the simulator or hardware.
@@ -167,35 +168,6 @@ def critpath_rollup(source, by_kind: bool = True) -> Dict[str, Dict]:
     return out
 
 
-def slowest_exemplars(source, k: int = 5) -> List[Dict]:
-    """The ``k`` slowest completed spans, each with its full mark
-    timeline and critical-path decomposition — the "show me one bad
-    message" view of the rollup."""
-    ranked: List[Tuple[float, MessageSpan]] = []
-    for span in _spans(source):
-        total = span.total_us()
-        if total is not None:
-            ranked.append((total, span))
-    ranked.sort(key=lambda pair: (-pair[0], pair[1].trace_id))
-    out = []
-    for total, span in ranked[:k]:
-        out.append({
-            "trace_id": span.trace_id,
-            "kind": span.kind,
-            "src": span.src,
-            "dst": span.dst,
-            "seq": span.seq,
-            "wire_bytes": span.wire_bytes,
-            "total_us": total,
-            "retransmits": span.retransmits,
-            "drops": span.drops,
-            "marks": dict(sorted(span.marks.items(),
-                                 key=lambda kv: kv[1])),
-            "stages": critpath_stages(span),
-        })
-    return out
-
-
 def bottleneck_verdict(rollup: Dict[str, Dict], metrics=None) -> Dict:
     """Name the dominant critical-path stage over all messages and the
     gauge behind it.
@@ -230,6 +202,12 @@ def bottleneck_verdict(rollup: Dict[str, Dict], metrics=None) -> Dict:
             verdict["gauge_p95"] = best_p95
             verdict["gauge_max"] = metrics.series[best_name].max()
     return verdict
+
+
+#: attribution must explain at least this fraction of the measured RTT
+COVERAGE_FLOOR = 0.95
+#: ... and at most this one (beyond it, time is counted twice)
+COVERAGE_CEIL = 1.05
 
 
 def attribution_coverage(source, measured_rtt_us: float) -> Dict:

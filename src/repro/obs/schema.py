@@ -10,9 +10,7 @@ Validated formats:
 
 * Chrome trace-event JSON (object form with ``traceEvents``), the one
   trace format,
-* ``BENCH_<experiment>.json`` reports (``spam-bench/1``) — with extra
-  structural checks for the ``obsprofile`` experiment's ``profile``
-  section (per-workload critical-path rollups, exemplars, verdicts).
+* ``BENCH_<experiment>.json`` reports (``spam-bench/1``).
 """
 
 from __future__ import annotations
@@ -100,62 +98,6 @@ def validate_bench_report(obj) -> List[str]:
             for section in ("counters", "histograms"):
                 if section in stats and not isinstance(stats[section], dict):
                     problems.append(f"stats.{section} not an object")
-    if obj.get("experiment") == "obsprofile":
-        problems.extend(_validate_profile_section(obj.get("profile")))
-    return problems
-
-
-def _validate_profile_section(profile) -> List[str]:
-    """Structural checks for the ``obsprofile`` report's ``profile``
-    section: per-workload critical-path rollups, bottleneck verdicts,
-    and slowest-message exemplars."""
-    if not isinstance(profile, dict):
-        return ["obsprofile report: 'profile' section missing or not "
-                "an object"]
-    problems: List[str] = []
-    if not _is_num(profile.get("period_us")):
-        problems.append("profile.period_us not numeric")
-    workloads = profile.get("workloads")
-    if not isinstance(workloads, dict) or not workloads:
-        return problems + ["profile.workloads missing or empty"]
-    for wname, w in workloads.items():
-        where = f"profile.workloads.{wname}"
-        if not isinstance(w, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        rollup = w.get("rollup")
-        if not isinstance(rollup, dict) or "ALL" not in rollup:
-            problems.append(f"{where}.rollup missing 'ALL' kind")
-        else:
-            for stage, cell in rollup["ALL"].items():
-                for key in ("count", "total_us", "mean_us", "max_us",
-                            "share"):
-                    if not _is_num(cell.get(key)):
-                        problems.append(
-                            f"{where}.rollup.ALL.{stage}: {key!r} "
-                            "not numeric")
-                        break
-        verdict = w.get("verdict")
-        if not isinstance(verdict, dict) or "stage" not in verdict:
-            problems.append(f"{where}.verdict missing 'stage'")
-        exemplars = w.get("exemplars")
-        if not isinstance(exemplars, list):
-            problems.append(f"{where}.exemplars not a list")
-        else:
-            for i, ex in enumerate(exemplars):
-                if (not isinstance(ex, dict)
-                        or not _is_num(ex.get("total_us"))
-                        or not isinstance(ex.get("marks"), dict)
-                        or not isinstance(ex.get("stages"), dict)):
-                    problems.append(f"{where}.exemplars[{i}] malformed")
-                    break
-        cov = w.get("coverage")
-        if cov is not None and (not isinstance(cov, dict)
-                                or not _is_num(cov.get("coverage"))):
-            problems.append(f"{where}.coverage.coverage not numeric")
-        if len(problems) > 20:
-            problems.append("... further problems suppressed")
-            break
     return problems
 
 

@@ -1,4 +1,5 @@
-"""Statistics collection: counters and time series keyed by name.
+"""Statistics collection: named counters, and the time series the
+gauge sampler records into.
 
 Protocol layers record events ("packets_sent", "retransmissions",
 "explicit_acks") into a :class:`StatRegistry`; tests and benchmarks read
@@ -7,8 +8,8 @@ zero retransmissions, or that lazy FIFO popping reduced MicroChannel
 accesses).
 
 Distribution queries (percentiles) delegate to :mod:`repro.obs.hist`, and
-both counters and series snapshot to plain JSON-serializable dicts so the
-observability exporters can embed any registry verbatim.
+counters and series snapshot to plain JSON-serializable dicts so the
+observability exporters can embed them verbatim.
 """
 
 from __future__ import annotations
@@ -121,12 +122,11 @@ class TimeSeries:
 
 
 class StatRegistry:
-    """Namespace of counters and time series for one component."""
+    """Namespace of counters for one component."""
 
     def __init__(self, prefix: str = ""):
         self.prefix = prefix
         self._counters: Dict[str, Counter] = {}
-        self._series: Dict[str, TimeSeries] = {}
 
     @property
     def counters(self) -> Dict[str, Counter]:
@@ -140,16 +140,6 @@ class StatRegistry:
         if c is None:
             c = self._counters[name] = Counter(self.prefix + name)
         return c
-
-    def series(self, name: str,
-               capacity: Optional[int] = None) -> TimeSeries:
-        """Get-or-create a series.  ``capacity`` bounds a **new** series
-        as a ring buffer; an existing series keeps its original bound."""
-        s = self._series.get(name)
-        if s is None:
-            s = self._series[name] = TimeSeries(self.prefix + name,
-                                                capacity=capacity)
-        return s
 
     def count(self, name: str, n: int = 1) -> None:
         # hot path: open-coded counter() + add() (called per packet)
@@ -168,12 +158,6 @@ class StatRegistry:
         and JSON-serializable (plain ints/floats only)."""
         return {c.name: c.value
                 for _key, c in sorted(self._counters.items())}
-
-    def snapshot_series(self) -> Dict[str, Dict[str, float]]:
-        """Per-series summaries keyed by full name, sorted; the series
-        counterpart of :meth:`snapshot` for the observability exporters."""
-        return {s.name: s.snapshot()
-                for _key, s in sorted(self._series.items())}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"StatRegistry({self.prefix!r}, {self.snapshot()})"

@@ -188,3 +188,14 @@ class TestWideNodeAM:
         # wide nodes: coarser flush granularity, slightly slower PIO —
         # within a microsecond of thin (Fig 10's story)
         assert abs(wide - thin) < 1.5
+
+
+def test_raw_packet_reaching_spam_is_an_unhandled_kind():
+    """Raw packets are read off the adapter by ``repro.am.raw``; SPAM keeps
+    no inbox for them, so one that reaches its dispatch is a named error."""
+    from repro.hardware.packet import Packet, PacketKind
+
+    am0, _am1 = attach_spam(build_sp_machine(Simulator(), 2))
+    with pytest.raises(AssertionError,
+                       match="^unhandled packet kind RAW$"):
+        next(am0._process(Packet(src=1, dst=0, kind=PacketKind.RAW)))

@@ -53,10 +53,10 @@ def test_unwritable_report_dir_fails_at_argument_time(tmp_path, argv, bad):
     (["check", "--seeds", "3", "--loss", "2", "--no-report"], "--loss"),
     (["check", "--seeds", "1", "--loss", "-0.5", "--no-report"], "--loss"),
     (["soak", "--loss", "1.5", "--no-report"], "--loss"),
-    (["profile", "--quick", "--period-us", "0", "--no-report"],
-     "--period-us"),
-    (["profile", "--quick", "--period-us", "-2", "--no-report"],
-     "--period-us"),
+    (["soak", "--sample-period-us", "inf", "--no-report"],
+     "--sample-period-us"),
+    (["soak", "--sample-period-us", "nan", "--no-report"],
+     "--sample-period-us"),
     (["soak", "--sample-period-us", "-3", "--no-report"],
      "--sample-period-us"),
     (["nas", "XX"], "kernel"),

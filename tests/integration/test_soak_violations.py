@@ -6,7 +6,9 @@ runner.  Each test breaks one promise the runner checks — a handler that
 loses or repeats a round, a corrupted byte, a wrong allreduce, a run cut
 mid-transfer, a fault the observatory never saw, a recovery that takes
 too long — and asserts that the message names its rank, peer or trace.
-The last test shrinks a broken soak to the one op that breaks it.
+One runs a correct soak past a full observatory and expects no
+complaint.  The last test shrinks a broken soak to the one op that
+breaks it.
 
 The runs are 2-node soaks with a few rounds and the gauge sampler off,
 so the file stays well under a second.
@@ -133,14 +135,39 @@ def test_run_cut_mid_transfer_reports_the_end_state(monkeypatch):
 
 
 def test_fault_on_an_untraced_packet_is_named(monkeypatch):
-    # a hub whose span table is full after 20 messages leaves every
-    # later packet untraced
+    # a hub that never stamps the first packet it is shown, and a plan
+    # that drops exactly that packet (the only one without a trace id)
+    begin = Observatory.begin_message
+    skipped = []
+
+    def begin_but_the_first(self, pkt, t):
+        if not skipped:
+            skipped.append(pkt)
+        if pkt is skipped[0]:
+            return None
+        return begin(self, pkt, t)
+
+    monkeypatch.setattr(Observatory, "begin_message", begin_but_the_first)
+    plan = FaultPlan(seed=3, rules=(
+        FaultRule(kind="drop", budget=1, trace_ids=frozenset({0})),))
+    r = _soak(plan=plan)
+    pkt = skipped[0]
+    assert r.violations == [
+        f"injected drop on {pkt.src}->{pkt.dst} seq {pkt.seq} at "
+        f"t={r.injected[0].t:.1f} hit an untraced packet (no trace_id)"]
+
+
+def test_full_observatory_raises_no_false_complaint(monkeypatch):
+    # 20 spans and 20 fault events fill up early in a 20 %-loss soak;
+    # every later packet still has a trace id, and the faults the full
+    # ledger had no room for are not expected in it
     monkeypatch.setattr(campaign, "Observatory",
                         lambda: Observatory(span_limit=20))
     r = _soak(loss=0.2)
-    hits = _only(r.violations, "hit an untraced packet (no trace_id)")
-    assert all(v.startswith("injected drop on ") and "->" in v
-               and " seq " in v for v in hits)
+    assert r.obs.dropped_spans > 0
+    assert r.obs.dropped_fault_events > 0
+    assert 0 < r.obs.faults_before_full < r.total_injected
+    assert r.violations == []
 
 
 def test_fault_missing_from_obs_is_named(forget_first_fault):

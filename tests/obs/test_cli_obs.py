@@ -45,6 +45,29 @@ class TestRoundtripFlags:
         assert list(tmp_path.iterdir()) == []
 
 
+def test_over_and_under_attribution_fail_the_gate(monkeypatch, capsys):
+    """``roundtrip`` exits 1 when the critical path explains less than 95%
+    of the measured round trip (time unexplained) or more than 105% (time
+    counted twice), and 0 inside the band."""
+    import repro.obs.critpath as critpath
+
+    real = critpath.attribution_coverage
+    for factor, rc in ((1.2, 1), (0.8, 1), (1.04, 0), (0.96, 0)):
+        monkeypatch.setattr(
+            critpath, "attribution_coverage",
+            lambda obs, rtt, f=factor: real(obs, rtt / f))
+        assert main(["roundtrip", "--iters", "10", "--no-report"]) == rc
+        fails = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("FAIL")]
+        if rc:
+            (line,) = fails
+            assert "attribution coverage" in line
+            assert f"{factor * 100.0:.0f}." in line
+            assert "outside 95-105%" in line
+        else:
+            assert fails == []
+
+
 class TestTableReports:
     def test_table2_report(self, tmp_path):
         assert main(["table2", "--report-dir", str(tmp_path)]) == 0
@@ -91,9 +114,8 @@ class TestInspect:
 
 @pytest.mark.parametrize("argv", [
     ["roundtrip", "--iters", "5"],
-    ["profile", "--quick"],
     ["soak"],
-], ids=["roundtrip", "profile", "soak"])
+], ids=["roundtrip", "soak"])
 @pytest.mark.parametrize("bad", ["missing-dir", "a-dir"])
 def test_unwritable_trace_out_fails_before_the_run(tmp_path, capsys, argv,
                                                    bad):

@@ -91,10 +91,10 @@ class TestSnapshot:
         _mean, obs = observed_roundtrip
         json.dumps(obs.snapshot())
 
-    def test_snapshot_includes_series(self, observed_roundtrip):
+    def test_snapshot_includes_window_occupancy(self, observed_roundtrip):
         _mean, obs = observed_roundtrip
         snap = obs.snapshot()
-        occ = snap["series"]["am[0].window_occupancy"]
+        occ = snap["histograms"]["am.window_occupancy"]
         assert occ["count"] > 0
 
 

@@ -4,7 +4,8 @@ table, and the ``span_limit`` safety valve.
 The valve bounds each of the hub's three buffers (spans, fault events,
 phase spans) and counts what each one refuses under its own name —
 chaos campaigns treat a refused span as a sign the run outgrew its
-tracing budget.
+tracing budget.  Past it, a packet still gets a trace id, and the fault
+ledger still takes the drop it is owed for a fault it holds.
 """
 
 from repro.hardware.packet import Packet, PacketKind
@@ -32,14 +33,17 @@ def test_full_sampling_reconciles_every_fault():
 # span_limit valve
 # ---------------------------------------------------------------------------
 
-def test_limit_dropped_packet_keeps_no_trace_id():
+def test_limit_dropped_packet_still_gets_a_trace_id():
     obs = Observatory(span_limit=1)
     kept, dropped = _pkt(0), _pkt(1)
     assert obs.begin_message(kept, 0.0) is not None
     assert obs.begin_message(dropped, 1.0) is None
-    # the valve refuses *before* stamping: the packet stays anonymous
-    assert dropped.trace_id == 0
+    # stamped but not stored: its faults stay attributable, its marks go
+    # nowhere, and a retransmission is not refused (or counted) again
+    assert dropped.trace_id == kept.trace_id + 1
     assert obs.mark_packet(dropped, "visible", 2.0) is None
+    assert obs.begin_message(dropped, 3.0) is None
+    assert obs.dropped_spans == 1
 
 
 def test_fault_event_buffer_shares_the_safety_valve():
@@ -52,3 +56,22 @@ def test_fault_event_buffer_shares_the_safety_valve():
     # counted as a refused fault event, not as a refused span
     assert obs.dropped_fault_events == 1
     assert obs.dropped_spans == 0
+
+
+def test_full_fault_ledger_keeps_the_drop_a_held_fault_is_owed():
+    obs = Observatory(span_limit=2)
+    held, late = _pkt(0), _pkt(1)
+    held.trace_id, late.trace_id = 1, 2
+    obs.fault(held, "corrupt", 1.0)
+    obs.fault(late, "drop", 2.0)
+    assert obs.faults_before_full is None
+    obs.packet_dropped(late, "fault_drop")   # full, but owed to fault 2
+    assert obs.faults_before_full == 2
+    obs.fault(late, "drop", 3.0)             # refused: no room for faults
+    obs.packet_dropped(late, "fault_drop")   # refused: fault 2 got its drop
+    obs.packet_dropped(held, "crc")          # kept: owed to fault 1
+    obs.packet_dropped(held, "crc")          # refused: owed only once
+    assert [(e["kind"], e["trace_id"]) for e in obs.fault_events] == [
+        ("corrupt", 1), ("drop", 2), ("packet_dropped", 2),
+        ("packet_dropped", 1)]
+    assert obs.dropped_fault_events == 3

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import TIMED_OUT, Delay, Simulator, Timeout
-from repro.sim.stats import StatRegistry
+from repro.sim.stats import StatRegistry, TimeSeries
 
 
 class TestDelay:
@@ -91,8 +91,7 @@ class TestStats:
         assert list(reg.snapshot().items()) == [("a", 2), ("b", 1)]
 
     def test_series(self):
-        reg = StatRegistry()
-        s = reg.series("depth")
+        s = TimeSeries("depth")
         s.record(0.0, 1.0)
         s.record(1.0, 3.0)
         assert s.mean() == 2.0
@@ -101,14 +100,14 @@ class TestStats:
 
     def test_empty_series_mean_raises(self):
         with pytest.raises(ValueError):
-            StatRegistry().series("empty").mean()
+            TimeSeries("empty").mean()
 
     def test_empty_series_max_raises_named_error(self):
         with pytest.raises(ValueError, match="'w.empty' is empty"):
-            StatRegistry("w.").series("empty").max()
+            TimeSeries("w.empty").max()
 
     def test_series_percentile(self):
-        s = StatRegistry().series("lat")
+        s = TimeSeries("lat")
         for i, v in enumerate([10.0, 20.0, 30.0, 40.0]):
             s.record(float(i), v)
         assert s.percentile(50) == 20.0
@@ -118,25 +117,9 @@ class TestStats:
 
     def test_empty_series_percentile_raises_named_error(self):
         with pytest.raises(ValueError, match="'empty' is empty"):
-            StatRegistry().series("empty").percentile(50)
+            TimeSeries("empty").percentile(50)
 
     def test_snapshot_uses_prefixed_names(self):
         reg = StatRegistry("am[0].")
         reg.count("packets", 3)
         assert reg.snapshot() == {"am[0].packets": 3}
-
-    def test_snapshot_series(self):
-        reg = StatRegistry("am[0].")
-        s = reg.series("occ")
-        s.record(0.0, 1.0)
-        s.record(1.0, 3.0)
-        snap = reg.snapshot_series()
-        assert set(snap) == {"am[0].occ"}
-        assert snap["am[0].occ"]["count"] == 2
-        assert snap["am[0].occ"]["mean"] == 2.0
-        assert snap["am[0].occ"]["last"] == 3.0
-
-    def test_snapshot_series_empty_series(self):
-        reg = StatRegistry()
-        reg.series("quiet")
-        assert reg.snapshot_series() == {"quiet": {"count": 0}}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.stats import StatRegistry, TimeSeries
+from repro.sim.stats import TimeSeries
 
 
 def test_capacity_must_be_positive():
@@ -58,15 +58,3 @@ def test_snapshot_percentiles_match_per_quantile_queries():
 def test_empty_snapshot_is_count_zero():
     assert TimeSeries("empty").snapshot() == {"count": 0}
     assert TimeSeries("empty", capacity=4).snapshot() == {"count": 0}
-
-
-def test_registry_series_capacity_applies_to_new_series_only():
-    reg = StatRegistry("sw.")
-    s = reg.series("queue", capacity=2)
-    for i in range(4):
-        s.record(float(i), float(i))
-    assert len(s) == 2 and s.dropped_samples == 2
-    # re-request with a different capacity: the existing bound sticks
-    again = reg.series("queue", capacity=100)
-    assert again is s
-    assert again.capacity == 2

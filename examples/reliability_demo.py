@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Watching §2.2's flow control recover from injected packet loss.
 
-The switch's fault injector drops a configurable fraction of data packets;
-the sliding-window protocol (sequence numbers, NACK-triggered go-back-N,
-keep-alive probes for tail losses) must still deliver a large store intact
-— and the protocol statistics show exactly how it did it.
+A seeded ``FaultPlan`` drops a configurable fraction of data packets in
+the switch (``install_faults``, the one fault path the soak and the
+campaigns use too); the sliding-window protocol (sequence numbers,
+NACK-triggered go-back-N, keep-alive probes for tail losses) must still
+deliver a large store intact — and the protocol statistics show exactly
+how it did it.
 
 Run:  python examples/reliability_demo.py  [drop_percent]
 """
@@ -12,28 +14,10 @@ Run:  python examples/reliability_demo.py  [drop_percent]
 import sys
 
 from repro.am import attach_spam
+from repro.faults import FaultPlan, FaultRule, install_faults
 from repro.hardware import build_sp_machine
 from repro.hardware.packet import PacketKind
 from repro.sim import Simulator
-
-
-class RandomishDrop:
-    """Deterministic pseudo-random dropper (no RNG: reproducible runs)."""
-
-    def __init__(self, percent: float):
-        self.period = max(2, int(100 / max(percent, 0.01)))
-        self.count = 0
-        self.dropped = 0
-
-    def __call__(self, pkt) -> bool:
-        if pkt.kind not in (PacketKind.STORE_DATA, PacketKind.GET_DATA):
-            return False
-        self.count += 1
-        # a mixing pattern so drops land irregularly
-        if (self.count * 2654435761) % (self.period * 997) < 997:
-            self.dropped += 1
-            return True
-        return False
 
 
 def main() -> None:
@@ -41,8 +25,10 @@ def main() -> None:
     sim = Simulator()
     machine = build_sp_machine(sim, 2)
     am0, am1 = attach_spam(machine)
-    dropper = RandomishDrop(percent)
-    machine.switch.fault_injector = dropper
+    # the same seed drops the same packets on every run
+    inj = install_faults(machine, FaultPlan(seed=1, rules=(
+        FaultRule("drop", rate=percent / 100, packet_kinds=frozenset(
+            {PacketKind.STORE_DATA, PacketKind.GET_DATA})),)))
 
     N = 256 * 1024
     pattern = bytes((7 * i) % 256 for i in range(N))
@@ -70,7 +56,7 @@ def main() -> None:
     ok = machine.node(1).memory.read(dst, N) == pattern
     print(f"data intact after recovery: {ok}")
     assert ok
-    print(f"\npackets dropped by the fault injector : {dropper.dropped}")
+    print(f"\npackets dropped by the fault injector : {len(inj.injected)}")
     s0, s1 = am0.stats, am1.stats
     print(f"go-back-N retransmissions (sender)     : "
           f"{s0.get('retransmissions')}")

@@ -16,7 +16,7 @@ that per-fragment overhead shows up for medium messages.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.am.handler import (
     ActiveMessages,
@@ -25,7 +25,7 @@ from repro.am.handler import (
     OpHandle,
 )
 from repro.hardware.packet import PACKET_HEADER_BYTES
-from repro.sim.primitives import TIMED_OUT, Timeout
+from repro.sim.primitives import wait_for_arrival
 from repro.sim.stats import StatRegistry
 
 
@@ -114,8 +114,7 @@ class GenericAM(ActiveMessages):
     # -- bulk ------------------------------------------------------------
 
     def store_async(self, dst, local_addr, remote_addr, nbytes,
-                    handler: Callable = None, arg: int = 0,
-                    completion_fn: Optional[Callable] = None):
+                    handler: Callable = None, arg: int = 0):
         """Non-blocking bulk store; returns a handle with a .done event."""
         self._check_transfer("store", nbytes, 0)
         hid = self.handlers.register(handler) if handler is not None else -1
@@ -123,8 +122,6 @@ class GenericAM(ActiveMessages):
         data = self.node.memory.read(local_addr, nbytes)
         done = self.sim.event(f"gam[{self.node.id}].store")
         handle = OpHandle(done)
-        if completion_fn is not None:
-            done.add_waiter(lambda _v: completion_fn(handle))
         if nbytes == 0:
             done.succeed(None)
             return handle
@@ -229,16 +226,10 @@ class GenericAM(ActiveMessages):
             raise AssertionError(type(msg))
 
     def _wait_progress(self):
-        if self.nic.host_recv_available() == 0:
-            ev = self.nic.arrival_event()
-            # generous guard: peers may sit in near-second compute phases
-            # (a CM-5 128x128 dgemm costs ~0.8 s of simulated time) and
-            # bulk-store acks trail their data; a true hang is caught by
-            # the simulator's deadlock detection anyway
-            res = yield Timeout(ev, 5_000_000.0)
-            if res is TIMED_OUT:
-                raise RuntimeError(
-                    f"generic AM on node {self.node.id} stalled 5 s with "
-                    "no arrivals (reliable fabric should never stall)"
-                )
+        # generous guard: peers may sit in near-second compute phases
+        # (a CM-5 128x128 dgemm costs ~0.8 s of simulated time) and
+        # bulk-store acks trail their data; a true hang is caught by
+        # the simulator's deadlock detection anyway
+        yield from wait_for_arrival(self.nic, 5_000_000.0, "generic AM",
+                                    self.node.id)
         yield from self.poll()

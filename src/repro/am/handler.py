@@ -51,9 +51,6 @@ class HandlerTable:
         except IndexError:
             raise KeyError(f"no handler registered with id {hid}") from None
 
-    def __len__(self) -> int:
-        return len(self._handlers)
-
 
 _NO_REQUESTS = "handlers may not issue requests; reply via the token"
 

@@ -125,7 +125,6 @@ def radix_sort_program(machine, rts, rank: int, keys: np.ndarray,
                 pairs[1::2] = cur[sel]
                 if q == rank:
                     nxt[dest_slot[sel]] = cur[sel]
-                    rt.stores_sent_bytes += 0
                     continue
                 pbuf = mem.alloc(2 * cnt * WORD)
                 mem.write(pbuf, pairs.tobytes())

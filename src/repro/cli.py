@@ -27,6 +27,10 @@ a Chrome trace, the one trace format; ``inspect``
 validates traces and reports and re-derives the per-stage breakdown from
 a trace (see docs/observability.md).
 
+Exit status 1 means a gate failed (``roundtrip``, ``inspect``, ``soak``,
+``check``); 141 means the reader closed stdout (``... | head``), as for
+a tool that SIGPIPE ended.
+
 The table and figure commands print the claim rows of
 :mod:`repro.claims` — paper value, measured value, bound and status —
 that ``pytest benchmarks/`` checks.
@@ -482,7 +486,16 @@ def main(argv=None) -> int:
         "soak": cmd_soak,
         "check": cmd_check,
     }
-    return dispatch[args.cmd or "list"](args) or 0
+    try:
+        return dispatch[args.cmd or "list"](args) or 0
+    except BrokenPipeError:
+        # the reader closed stdout (``spam-bench inspect ... | head``):
+        # point stdout at devnull so the exit flush cannot raise again,
+        # and exit as a tool killed by SIGPIPE does, apart from a gate's 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -8,13 +8,17 @@ the *destination* link when several senders converge on one receiver —
 which is exactly the situation the paper calls out for MPICH's generic
 ``MPI_Alltoall`` in the FT benchmark (§4.4).
 
-A fault-injection hook supports the test suite's packet-loss campaigns
-(the flow-control layer must recover via NACK/go-back-N).
+Fabric faults come from one place: the ``faults`` attribute, a
+:class:`~repro.faults.injector.FaultInjector` that ``install_faults``
+builds from a seeded ``FaultPlan``.  It drops, duplicates, reorders or
+corrupts at most one way per packet and records each fault in its ledger,
+so every loss test, soak and campaign drives the §2.2 recovery through
+the same path.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.hardware.packet import Packet
 from repro.hardware.params import SwitchParams
@@ -44,12 +48,10 @@ class Switch:
         self.obs = None
         #: queue-wait histogram resolved once per hub (hot path)
         self._queue_hist = None
-        #: optional hook: return True to drop this packet in the fabric
-        self.fault_injector: Optional[Callable[[Packet], bool]] = None
         #: optional :class:`~repro.faults.injector.FaultInjector` (set by
         #: ``install_faults``; duck-typed so the hardware stays
-        #: independent of ``repro.faults``): richer fabric faults —
-        #: drop, duplicate, reorder, corrupt
+        #: independent of ``repro.faults``): the fabric's one fault
+        #: source — drop, duplicate, reorder or corrupt, one per packet
         self.faults = None
         #: packets accepted but not yet handed to a destination adapter;
         #: quiesce predicates need this — a machine is not drained while
@@ -80,40 +82,29 @@ class Switch:
         if packet.dst not in adapters:
             raise KeyError(f"packet addressed to unattached node {packet.dst}")
         self._c_packets_routed.value += 1
-        if self.fault_injector is not None and self.fault_injector(packet):
-            self.stats.count("packets_dropped_fault")
-            if self.obs is not None:
-                self.obs.packet_dropped(packet, "fault_injector")
-            return
         reorder_hold = 0.0
         duplicate: Optional[Packet] = None
         dup_delay = 0.0
         if self.faults is not None:
             act = self.faults.at_switch(packet, self.sim.now)
             if act is not None:
-                # ``at_switch`` returns a single action or a list of them
-                # (stock FaultInjector fires at most one rule per packet;
-                # custom injectors may combine, e.g. reorder + duplicate).
-                acts = act if isinstance(act, (list, tuple)) else (act,)
-                for act in acts:
-                    if act.kind == "drop":
-                        self.stats.count("packets_dropped_fault")
-                        if self.obs is not None:
-                            self.obs.packet_dropped(packet, "fault_drop")
-                        return
-                    if act.kind == "corrupt":
-                        # the corrupted clone travels instead of the
-                        # original; the receive adapter's CRC check will
-                        # reject it
-                        packet = act.packet
-                        self.stats.count("packets_corrupted_fault")
-                    elif act.kind == "reorder":
-                        reorder_hold = act.delay_us
-                        self.stats.count("packets_reordered_fault")
-                    elif act.kind == "duplicate":
-                        duplicate = act.packet
-                        dup_delay = act.delay_us
-                        self.stats.count("packets_duplicated_fault")
+                if act.kind == "drop":
+                    self.stats.count("packets_dropped_fault")
+                    if self.obs is not None:
+                        self.obs.packet_dropped(packet, "fault_drop")
+                    return
+                if act.kind == "corrupt":
+                    # the corrupted clone travels instead of the original;
+                    # the receive adapter's CRC check will reject it
+                    packet = act.packet
+                    self.stats.count("packets_corrupted_fault")
+                elif act.kind == "reorder":
+                    reorder_hold = act.delay_us
+                    self.stats.count("packets_reordered_fault")
+                elif act.kind == "duplicate":
+                    duplicate = act.packet
+                    dup_delay = act.delay_us
+                    self.stats.count("packets_duplicated_fault")
         dst = packet.dst
         dlf = self._dest_link_free
         wire_time = packet.wire_bytes / self._link_rate
@@ -141,10 +132,8 @@ class Switch:
             # delay, but it still occupies the destination link for its own
             # wire time — otherwise the duplicate overlaps the next
             # packet's serialization and the link briefly carries two
-            # packets at once.  A reorder rule targets the *original*
-            # packet, so the copy is delivered without its hold; queueing
-            # behind earlier traffic counts toward ``dest_link_queued``
-            # like any other packet.
+            # packets at once.  Queueing behind earlier traffic counts
+            # toward ``dest_link_queued`` like any other packet.
             dup_dst = duplicate.dst
             dup_ready = start + dup_delay
             dup_link_free = dlf[dup_dst]

@@ -31,7 +31,7 @@ from repro.mpi.request import Request
 from repro.mpi.status import matches
 from repro.mpl.api import MPLCosts
 from repro.mpl.engine import MPLEngine
-from repro.sim.primitives import TIMED_OUT, Timeout
+from repro.sim.primitives import wait_for_arrival
 from repro.sim.stats import StatRegistry
 
 #: MPL-tag space for MPI-F's own protocol traffic
@@ -210,12 +210,8 @@ class MPIFDevice:
         return None
 
     def _wait_progress(self):
-        if self.node.adapter.host_recv_available() == 0:
-            ev = self.node.adapter.arrival_event()
-            res = yield Timeout(ev, 1_000_000.0)
-            if res is TIMED_OUT:
-                raise RuntimeError(
-                    f"MPI-F on node {self.node.id} stalled 1 s")
+        yield from wait_for_arrival(self.node.adapter, 1_000_000.0, "MPI-F",
+                                    self.node.id)
         yield from self.progress()
 
 

@@ -21,7 +21,7 @@ runtime runs unmodified on top.
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from repro.am.handler import (
     ActiveMessages,
@@ -30,7 +30,7 @@ from repro.am.handler import (
     OpHandle,
 )
 from repro.mpl.api import MPL
-from repro.sim.primitives import TIMED_OUT, Timeout
+from repro.sim.primitives import wait_for_arrival
 from repro.sim.stats import StatRegistry
 
 #: MPL tags reserved for the AM emulation
@@ -89,16 +89,13 @@ class MPLAM(ActiveMessages):
     # -- bulk ----------------------------------------------------------------
 
     def store_async(self, dst, local_addr, remote_addr, nbytes,
-                    handler: Callable = None, arg: int = 0,
-                    completion_fn: Optional[Callable] = None):
+                    handler: Callable = None, arg: int = 0):
         """Non-blocking bulk store over MPL; handle completes on the ack."""
         self._check_transfer("store", nbytes, 0)
         hid = self.handlers.register(handler) if handler is not None else -1
         token = self._take_token()
         done = self.sim.event(f"mplam[{self.node.id}].store")
         handle = OpHandle(done)
-        if completion_fn is not None:
-            done.add_waiter(lambda _v: completion_fn(handle))
         if nbytes == 0:
             done.succeed(None)
             return handle
@@ -204,15 +201,10 @@ class MPLAM(ActiveMessages):
             raise AssertionError(hex(tag))
 
     def _wait_progress(self):
-        if self.node.adapter.host_recv_available() == 0:
-            ev = self.node.adapter.arrival_event()
-            # long guard: peers may be deep in a charged compute phase
-            # (a 128x128 dgemm costs ~100 ms of simulated time)
-            res = yield Timeout(ev, 5_000_000.0)
-            if res is TIMED_OUT:
-                raise RuntimeError(
-                    f"AM-over-MPL on node {self.node.id} stalled 5 s"
-                )
+        # long guard: peers may be deep in a charged compute phase
+        # (a 128x128 dgemm costs ~100 ms of simulated time)
+        yield from wait_for_arrival(self.node.adapter, 5_000_000.0,
+                                    "AM-over-MPL", self.node.id)
         yield from self.poll()
 
 

@@ -14,7 +14,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.hardware.cache import flush_cost
 from repro.hardware.packet import Packet, PacketKind
-from repro.sim.primitives import TIMED_OUT, Delay, Timeout
+from repro.sim.primitives import Delay, wait_for_arrival
 from repro.sim.stats import StatRegistry
 
 #: MPL's leaner data-packet framing: 22 bytes of header + the 8-byte
@@ -195,12 +195,6 @@ class MPLEngine:
         self.stats.count("credits_returned", n)
 
     def _wait_progress(self):
-        if self.adapter.host_recv_available() == 0:
-            ev = self.adapter.arrival_event()
-            res = yield Timeout(ev, 1_000_000.0)
-            if res is TIMED_OUT:
-                raise RuntimeError(
-                    f"MPL on node {self.node.id} stalled 1 s; "
-                    "credit deadlock?"
-                )
+        yield from wait_for_arrival(self.adapter, 1_000_000.0, "MPL",
+                                    self.node.id)
         yield from self.poll()

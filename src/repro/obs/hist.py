@@ -103,8 +103,5 @@ class Histogram:
             "max": self.max(),
         }
 
-    def __len__(self) -> int:
-        return len(self._values)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Histogram({self.name!r}, n={self.count})"

@@ -84,9 +84,6 @@ class MessageSpan:
                 f"{self.kind} {self.src}->{self.dst} seq={self.seq}, "
                 f"marks={len(self.marks)})")
 
-    def mark(self, name: str, t: float) -> None:
-        self.marks[name] = t
-
     def retransmit(self, dma_start: float) -> None:
         """The packet re-enters the TX path at ``dma_start`` (go-back-N).
 

@@ -117,3 +117,19 @@ class Timeout:
 
 TIMED_OUT = object()
 
+
+
+def wait_for_arrival(device, timeout_us: float, name: str, node_id: int):
+    """The idle wait of a polling transport other than SP AM.
+
+    ``device`` is an adapter or NIC with ``host_recv_available()`` and
+    ``arrival_event()``.  If it holds nothing, sleep until its next
+    arrival; if none comes within ``timeout_us``, raise ``RuntimeError``
+    naming the transport ``name`` and ``node_id``.
+    """
+    if device.host_recv_available() == 0:
+        res = yield Timeout(device.arrival_event(), timeout_us)
+        if res is TIMED_OUT:
+            raise RuntimeError(
+                f"{name} on node {node_id} stalled {timeout_us / 1e6:g} s "
+                "with no arrivals")

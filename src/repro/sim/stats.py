@@ -27,9 +27,6 @@ class Counter:
         self.name = name
         self.value = 0
 
-    def add(self, n: int = 1) -> None:
-        self.value += n
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Counter({self.name}={self.value})"
 

@@ -1,4 +1,4 @@
-"""Global pointers: (processor, address) pairs with pointer arithmetic."""
+"""Global pointers: (processor, address) pairs."""
 
 from __future__ import annotations
 
@@ -6,21 +6,12 @@ from typing import NamedTuple
 
 
 class GlobalPtr(NamedTuple):
-    """A Split-C global pointer.
-
-    Arithmetic moves the address on the same processor (Split-C's global
-    pointer arithmetic; *spread* pointers that stripe across processors
-    are built by the apps from plain index math).
-    """
+    """A Split-C global pointer.  Offsets are built from plain address
+    math (``GlobalPtr(p, base + off)``), and *spread* pointers that
+    stripe across processors from plain index math, by the apps."""
 
     proc: int
     addr: int
-
-    def __add__(self, nbytes: int) -> "GlobalPtr":  # type: ignore[override]
-        return GlobalPtr(self.proc, self.addr + nbytes)
-
-    def __sub__(self, nbytes: int) -> "GlobalPtr":
-        return GlobalPtr(self.proc, self.addr - nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"GP({self.proc}:{self.addr:#x})"

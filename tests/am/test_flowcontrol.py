@@ -1,7 +1,9 @@
 """Reliability under loss: NACK go-back-N, keep-alive, FIFO overflow (§2.2).
 
-The switch's fault injector drops chosen packets; the protocol must still
-deliver everything exactly once, in order — and the stats must show it
+A count-triggered ``FaultPlan`` drops chosen packets in the switch: one
+``FaultRule`` per loss, ``after=n-1, budget=1`` for the n-th matching
+packet, ``tests.faults.rules.every_kth`` for every k-th.  The protocol
+must still deliver everything exactly once, in order — and the stats must show it
 recovered the way the paper describes (NACK-triggered retransmission,
 keep-alive probes for tail losses).
 """
@@ -9,53 +11,22 @@ keep-alive probes for tail losses).
 import pytest
 
 from repro.am.constants import CHUNK_BYTES
+from repro.faults import FaultPlan, FaultRule, install_faults
 from repro.hardware.packet import PacketKind
 from tests.am.conftest import run_pair, serve
+from tests.faults.rules import every_kth
 
 
 def _payload(n, seed=0):
     return bytes((i * 31 + seed) % 256 for i in range(n))
 
 
-class DropNth:
-    """Drop the n-th data packet (one-shot)."""
-
-    def __init__(self, n, kinds=None):
-        self.n = n
-        self.count = 0
-        self.kinds = kinds
-
-    def __call__(self, pkt):
-        if self.kinds is not None and pkt.kind not in self.kinds:
-            return False
-        self.count += 1
-        return self.count == self.n
-
-
-class DropEvery:
-    """Drop every k-th matching packet, up to a budget."""
-
-    def __init__(self, k, budget, kinds=None):
-        self.k = k
-        self.budget = budget
-        self.count = 0
-        self.dropped = 0
-        self.kinds = kinds
-
-    def __call__(self, pkt):
-        if self.kinds is not None and pkt.kind not in self.kinds:
-            return False
-        self.count += 1
-        if self.count % self.k == 0 and self.dropped < self.budget:
-            self.dropped += 1
-            return True
-        return False
-
-
 class TestLossRecovery:
     def test_dropped_request_is_retransmitted(self, sp2):
         m, am0, am1 = sp2
-        m.switch.fault_injector = DropNth(3, kinds={PacketKind.REQUEST})
+        inj = install_faults(m, FaultPlan(seed=0, rules=(
+            FaultRule("drop", packet_kinds=frozenset({PacketKind.REQUEST}),
+                      after=2, budget=1),)))
         seen = []
 
         def handler(token, i):
@@ -75,10 +46,13 @@ class TestLossRecovery:
         assert seen == list(range(n))
         assert am0.stats.get("retransmissions") > 0
         assert am1.stats.get("nacks_sent") >= 1
+        assert len(inj.injected) == 1
 
     def test_dropped_store_packet_recovers_with_correct_data(self, sp2):
         m, am0, am1 = sp2
-        m.switch.fault_injector = DropNth(20, kinds={PacketKind.STORE_DATA})
+        inj = install_faults(m, FaultPlan(seed=0, rules=(
+            FaultRule("drop", packet_kinds=frozenset({PacketKind.STORE_DATA}),
+                      after=19, budget=1),)))
         n = 2 * CHUNK_BYTES + 500
         data = _payload(n)
         src = m.node(0).memory.alloc(n)
@@ -93,11 +67,12 @@ class TestLossRecovery:
         run_pair(m, sender(), serve(am1, flag), limit=1e8)
         assert m.node(1).memory.read(dst, n) == data
         assert am0.stats.get("retransmissions") > 0
+        assert len(inj.injected) == 1
 
     def test_repeated_losses_still_exactly_once(self, sp2):
         m, am0, am1 = sp2
-        m.switch.fault_injector = DropEvery(7, budget=15,
-                                            kinds={PacketKind.REQUEST})
+        inj = install_faults(m, FaultPlan(seed=0, rules=every_kth(
+            7, 15, kinds={PacketKind.REQUEST})))
         seen = []
 
         def handler(token, i):
@@ -115,13 +90,16 @@ class TestLossRecovery:
 
         run_pair(m, sender(), receiver(), wait_both=True, limit=1e9)
         assert seen == list(range(n))
+        assert len(inj.injected) == 15
 
     def test_lost_tail_packet_recovered_by_keepalive(self, sp2):
         """If the LAST packet is lost there is no subsequent packet to
         trigger a NACK; only the keep-alive probe can recover it."""
         m, am0, am1 = sp2
         # drop the very first request — and nothing follows it
-        m.switch.fault_injector = DropNth(1, kinds={PacketKind.REQUEST})
+        inj = install_faults(m, FaultPlan(seed=0, rules=(
+            FaultRule("drop", packet_kinds=frozenset({PacketKind.REQUEST}),
+                      budget=1),)))
         seen = []
 
         def handler(token, i):
@@ -139,11 +117,14 @@ class TestLossRecovery:
         assert seen == [0]
         assert am0.stats.get("keepalives_sent") >= 1
         assert am1.stats.get("keepalive_nacks_sent") >= 1
+        assert len(inj.injected) == 1
 
     def test_lost_ack_recovered(self, sp2):
         """Chunk acks may be lost too; sender's keep-alive re-solicits."""
         m, am0, am1 = sp2
-        m.switch.fault_injector = DropNth(1, kinds={PacketKind.ACK})
+        inj = install_faults(m, FaultPlan(seed=0, rules=(
+            FaultRule("drop", packet_kinds=frozenset({PacketKind.ACK}),
+                      budget=1),)))
         n = 1000
         data = _payload(n)
         src = m.node(0).memory.alloc(n)
@@ -158,6 +139,7 @@ class TestLossRecovery:
         run_pair(m, sender(), serve(am1, flag), limit=1e8)
         assert m.node(1).memory.read(dst, n) == data
         assert flag[0] == 1
+        assert len(inj.injected) == 1
 
     def test_nack_storm_suppressed(self, sp2):
         """One gap followed by a full chunk of wrong-sequence packets ->
@@ -165,7 +147,9 @@ class TestLossRecovery:
         m, am0, am1 = sp2
         # drop one packet of chunk 0 so every packet of chunk 1 arrives
         # with the wrong (too-high) sequence number
-        m.switch.fault_injector = DropNth(5, kinds={PacketKind.STORE_DATA})
+        inj = install_faults(m, FaultPlan(seed=0, rules=(
+            FaultRule("drop", packet_kinds=frozenset({PacketKind.STORE_DATA}),
+                      after=4, budget=1),)))
         n = 2 * CHUNK_BYTES
         src = m.node(0).memory.alloc(n)
         dst = m.node(1).memory.alloc(n)
@@ -178,6 +162,7 @@ class TestLossRecovery:
         run_pair(m, sender(), serve(am1, flag), limit=1e8)
         assert am1.stats.get("nacks_sent") == 1
         assert am1.stats.get("nacks_suppressed") >= 10
+        assert len(inj.injected) == 1
 
     def test_intra_chunk_loss_recovered_by_stall_nack(self, sp2):
         """A loss inside a chunk produces no wrong-sequence arrival at all
@@ -185,7 +170,9 @@ class TestLossRecovery:
         never fires.  The receiver's stalled-assembly watchdog must NACK
         well before the sender's 400 us keep-alive would."""
         m, am0, am1 = sp2
-        m.switch.fault_injector = DropNth(5, kinds={PacketKind.STORE_DATA})
+        inj = install_faults(m, FaultPlan(seed=0, rules=(
+            FaultRule("drop", packet_kinds=frozenset({PacketKind.STORE_DATA}),
+                      after=4, budget=1),)))
         n = CHUNK_BYTES
         data = _payload(n)
         src = m.node(0).memory.alloc(n)
@@ -206,6 +193,7 @@ class TestLossRecovery:
         # finished within a couple of stall timeouts
         assert am0.stats.get("keepalives_sent") == 0
         assert m.sim.now < 3 * am1.costs.assembly_stall_timeout + 500
+        assert len(inj.injected) == 1
 
     def test_retransmit_does_not_alias_saved_packets(self, sp2):
         """Regression: retransmission used to push the retransmission
@@ -214,8 +202,6 @@ class TestLossRecovery:
         second retransmission of the *same* aliased objects while the first
         copies were still in flight through ``sim.at`` callbacks.  Clones
         must go on the wire; the saved copies must stay pristine."""
-        from repro.faults import FaultPlan, FaultRule, install_faults
-
         m, am0, am1 = sp2
         install_faults(m, FaultPlan(seed=3, rules=(
             # lose a mid-chunk data packet to force go-back-N...

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import FaultPlan, FaultRule, install_faults
 from repro.hardware import build_sp_machine
 from repro.hardware.packet import Packet, PacketKind
 from repro.hardware.params import machine_params, with_overrides
@@ -103,16 +104,18 @@ class TestOverflowAndFaults:
         assert dropped == 160 - 128
         assert rx.host_recv_available() == 128
 
-    def test_fault_injector_drops_selected_packets(self):
+    def test_fault_plan_drops_selected_packets(self):
         sim = Simulator()
         m = build_sp_machine(sim, 2)
-        m.switch.fault_injector = lambda p: p.seq % 3 == 0
+        inj = install_faults(m, FaultPlan(seed=0, rules=(
+            FaultRule("drop", seqs=frozenset({0, 3, 6})),)))
         send_n(m, 9, small_packet)
         sim.run()
         rx = m.node(1).adapter
         got = [rx.host_recv_consume().seq for _ in range(rx.host_recv_available())]
         assert got == [1, 2, 4, 5, 7, 8]
         assert m.switch.stats.get("packets_dropped_fault") == 3
+        assert [f.seq for f in inj.injected] == [0, 3, 6]
 
     def test_dest_link_contention_serializes(self):
         # two senders blasting one receiver: arrival rate is capped by the

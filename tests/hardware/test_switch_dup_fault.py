@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.hardware.packet import Packet, PacketKind
 from repro.hardware.params import machine_params
 from repro.hardware.switch import Switch
@@ -27,42 +28,28 @@ class _RecordingAdapter:
         self.arrivals.append((self.sim.now, packet))
 
 
-class _DuplicateOnce:
-    """Duck-typed FaultInjector: duplicate the first packet seen."""
-
-    def __init__(self, delay_us=0.0):
-        self.delay_us = delay_us
-        self.done = False
-
-    def at_switch(self, packet, now):
-        if self.done:
-            return None
-        self.done = True
-        return SimpleNamespace(kind="duplicate", packet=packet.clone(),
-                               delay_us=self.delay_us)
-
-    def at_rx(self, packet, now):  # pragma: no cover - not exercised
-        return False
-
-
 def _full_packet(seq=0):
     return Packet(src=0, dst=1, kind=PacketKind.STORE_DATA, seq=seq,
                   payload=b"d" * 224)
 
 
-def _setup(faults=None):
+def _setup(dup_delay_us=None):
+    """A bare 2-node switch; with ``dup_delay_us``, its injector
+    duplicates the first packet, the copy trailing by that delay."""
     sim = Simulator()
     params = machine_params("sp-thin").switch
     sw = Switch(sim, params)
     rx = _RecordingAdapter(sim)
     sw.attach(0, _RecordingAdapter(sim))
     sw.attach(1, rx)
-    sw.faults = faults
+    if dup_delay_us is not None:
+        sw.faults = FaultInjector(FaultPlan(seed=0, rules=(
+            FaultRule("duplicate", budget=1, delay_us=dup_delay_us),)))
     return sim, sw, rx, params
 
 
 def test_duplicate_charges_dest_link_wire_time():
-    sim, sw, rx, params = _setup(_DuplicateOnce())
+    sim, sw, rx, params = _setup(dup_delay_us=0.0)
     wire_time = _full_packet().wire_bytes / params.link_rate
 
     sw.inject(_full_packet(seq=0), wire_exit_time=0.0)
@@ -77,6 +64,8 @@ def test_duplicate_charges_dest_link_wire_time():
     sw.inject(_full_packet(seq=1), wire_exit_time=0.0)
     assert sw._dest_link_free[1] == pytest.approx(3 * wire_time)
     assert sw.stats.get("dest_link_queued") == 2
+    # the rule's budget of one spent on the first packet alone
+    assert [f.seq for f in sw.faults.injected] == [0]
 
     sim.run()
     times = sorted(t for t, _ in rx.arrivals)
@@ -86,19 +75,20 @@ def test_duplicate_charges_dest_link_wire_time():
 
 
 def test_duplicate_with_delay_starts_no_earlier_than_its_hold():
-    sim, sw, rx, params = _setup(_DuplicateOnce(delay_us=50.0))
+    sim, sw, rx, params = _setup(dup_delay_us=50.0)
     wire_time = _full_packet().wire_bytes / params.link_rate
 
     sw.inject(_full_packet(seq=0), wire_exit_time=0.0)
     # the stray copy trails by the rule's delay, then serializes
     assert sw._dest_link_free[1] == pytest.approx(50.0 + wire_time)
+    assert len(sw.faults.injected) == 1
     sim.run()
     times = sorted(t for t, _ in rx.arrivals)
     assert times[1] == pytest.approx(50.0 + params.latency)
 
 
 def test_no_fault_leaves_link_accounting_unchanged():
-    sim, sw, rx, params = _setup(faults=None)
+    sim, sw, rx, params = _setup()
     wire_time = _full_packet().wire_bytes / params.link_rate
     sw.inject(_full_packet(seq=0), wire_exit_time=0.0)
     assert sw._dest_link_free[1] == pytest.approx(wire_time)
@@ -124,64 +114,22 @@ def test_duplicate_wire_time_counted_in_link_busy():
     time must show up in the per-link utilization gauge's source counter
     (``link_busy_us``) — previously only ``_dest_link_free`` was charged
     and utilization undercounted under duplicate faults."""
-    sim, sw, rx, params = _setup(_DuplicateOnce())
+    sim, sw, rx, params = _setup(dup_delay_us=0.0)
     sw.obs = _ObsStub()
     wire_time = _full_packet().wire_bytes / params.link_rate
 
     sw.inject(_full_packet(seq=0), wire_exit_time=0.0)
     # original + duplicate each serialize once on link 1
     assert sw.link_busy_us[1] == pytest.approx(2 * wire_time)
+    assert len(sw.faults.injected) == 1
 
     sim.run()
     assert len(rx.arrivals) == 2
 
 
 def test_duplicate_link_busy_untraced_stays_zero():
-    sim, sw, rx, params = _setup(_DuplicateOnce())
+    sim, sw, rx, params = _setup(dup_delay_us=0.0)
     sw.inject(_full_packet(seq=0), wire_exit_time=0.0)
     # without an Observatory the gauge source is never touched (hot path)
     assert sw.link_busy_us[1] == 0.0
-
-
-class _ReorderAndDuplicate:
-    """Duck-typed injector combining two rules on the first packet —
-    exercises the list-of-actions form of ``at_switch``."""
-
-    def __init__(self, hold_us):
-        self.hold_us = hold_us
-        self.done = False
-
-    def at_switch(self, packet, now):
-        if self.done:
-            return None
-        self.done = True
-        return [
-            SimpleNamespace(kind="reorder", delay_us=self.hold_us),
-            SimpleNamespace(kind="duplicate", packet=packet.clone(),
-                            delay_us=0.0),
-        ]
-
-    def at_rx(self, packet, now):  # pragma: no cover - not exercised
-        return False
-
-
-def test_duplicate_does_not_inherit_reorder_hold():
-    """Regression: a reorder rule targets the *original* packet; the
-    fabric's stray copy must be delivered without the hold (it used to
-    inherit it and arrive ``reorder_hold`` late)."""
-    hold = 40.0
-    sim, sw, rx, params = _setup(_ReorderAndDuplicate(hold_us=hold))
-    wire_time = _full_packet().wire_bytes / params.link_rate
-
-    sw.inject(_full_packet(seq=0), wire_exit_time=0.0)
-    # dup (delay 0) queues behind the original's serialization slot
-    assert sw.stats.get("dest_link_queued") == 1
-    assert sw.stats.get("packets_reordered_fault") == 1
-    assert sw.stats.get("packets_duplicated_fault") == 1
-
-    sim.run()
-    times = sorted(t for t, _ in rx.arrivals)
-    assert len(times) == 2
-    # the un-held duplicate overtakes the held original
-    assert times[0] == pytest.approx(wire_time + params.latency)
-    assert times[1] == pytest.approx(params.latency + hold)
+    assert len(sw.faults.injected) == 1

@@ -31,6 +31,29 @@ def test_soak_single_node_exits_with_the_message():
     assert "Traceback" not in proc.stderr
 
 
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    """``spam-bench inspect ... | head`` whose reader is gone: the status
+    a tool that SIGPIPE ended reports, not the gate's 1 or a traceback."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    trace = tmp_path / "trace.json"
+    subprocess.run(
+        [sys.executable, "-m", "repro.cli", "roundtrip", "--iters", "2",
+         "--no-report", "--trace-out", str(trace)],
+        capture_output=True, env=env, timeout=60, check=True)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        # unbuffered, so the first print meets the closed pipe inside main
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "inspect", str(trace)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(env, PYTHONUNBUFFERED="1"), timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [["soak"], ["check", "--seeds", "1"]])
 @pytest.mark.parametrize("bad", ["missing", "a_file"])
 def test_unwritable_report_dir_fails_at_argument_time(tmp_path, argv, bad):

@@ -11,10 +11,12 @@ import pytest
 from repro.am import attach_spam
 from repro.apps.nas import run_bt, run_mg
 from repro.apps.sample_sort import run_sample_sort
+from repro.faults import FaultPlan, install_faults
 from repro.hardware import build_sp_machine
 from repro.hardware.packet import PacketKind
 from repro.mpi import OPTIMIZED, attach_mpi
 from repro.sim import Simulator
+from tests.faults.rules import every_kth
 
 
 class TestDeterminism:
@@ -38,10 +40,7 @@ class TestDeterminism:
         def run():
             sim = Simulator()
             m = build_sp_machine(sim, 2)
-            count = [0]
-            m.switch.fault_injector = (
-                lambda p: (count.__setitem__(0, count[0] + 1)
-                           or count[0] % 11 == 0))
+            inj = install_faults(m, FaultPlan(seed=0, rules=every_kth(11, 40)))
             am0, am1 = attach_spam(m)
             n = 30_000
             src = m.node(0).memory.alloc(n)
@@ -59,9 +58,11 @@ class TestDeterminism:
             p = sim.spawn(sender())
             q = sim.spawn(receiver())
             sim.run_until_processes_done([p, q], limit=1e9)
-            return sim.now, am0.stats.snapshot()
+            return sim.now, am0.stats.snapshot(), len(inj.injected)
 
-        assert run() == run()
+        first = run()
+        assert first == run()
+        assert first[2] == 37
 
 
 class TestLossUnderMPI:
@@ -71,22 +72,15 @@ class TestLossUnderMPI:
     def _lossy_machine(self, nprocs, period):
         sim = Simulator()
         m = build_sp_machine(sim, nprocs)
-        counter = [0]
-
-        def drop_some(pkt):
-            if pkt.kind in (PacketKind.STORE_DATA, PacketKind.REQUEST,
-                            PacketKind.REPLY):
-                counter[0] += 1
-                return counter[0] % period == 0
-            return False
-
-        m.switch.fault_injector = drop_some
+        inj = install_faults(m, FaultPlan(seed=0, rules=every_kth(
+            period, 8, kinds={PacketKind.STORE_DATA, PacketKind.REQUEST,
+                              PacketKind.REPLY})))
         attach_spam(m)
-        return m, attach_mpi(m, OPTIMIZED), counter
+        return m, attach_mpi(m, OPTIMIZED), inj
 
     @pytest.mark.parametrize("period", [23, 61])
     def test_mpi_p2p_survives_loss(self, period):
-        m, mpis, counter = self._lossy_machine(2, period)
+        m, mpis, inj = self._lossy_machine(2, period)
         payloads = [bytes([i]) * (100 + 137 * i) for i in range(12)]
         out = []
 
@@ -105,6 +99,7 @@ class TestLossUnderMPI:
         m.sim.run_until_processes_done(procs, limit=1e9,
                                        max_events=50_000_000)
         assert out == payloads
+        assert len(inj.injected) == {23: 2, 61: 0}[period]
         # with the denser drop pattern, the AM layer must actually have
         # recovered something (sparser patterns may see zero drops)
         if period < 30:
@@ -114,7 +109,7 @@ class TestLossUnderMPI:
     def test_mpi_collectives_survive_loss(self):
         import numpy as np
 
-        m, mpis, _ = self._lossy_machine(4, 31)
+        m, mpis, inj = self._lossy_machine(4, 31)
         out = {}
 
         def prog(rank):
@@ -129,18 +124,16 @@ class TestLossUnderMPI:
         m.sim.run_until_processes_done(procs, limit=1e9,
                                        max_events=50_000_000)
         assert all(v == 10.0 for v in out.values())
+        assert len(inj.injected) == 0
 
     def test_loss_costs_time_but_not_correctness(self):
         """The same transfer, lossless vs lossy: identical data, strictly
         more simulated time under loss."""
-        def run(period):
+        def run(drops):
             sim = Simulator()
             m = build_sp_machine(sim, 2)
-            if period:
-                cnt = [0]
-                m.switch.fault_injector = (
-                    lambda p: p.kind == PacketKind.STORE_DATA
-                    and (cnt.__setitem__(0, cnt[0] + 1) or cnt[0] % period == 0))
+            inj = install_faults(m, FaultPlan(seed=0, rules=every_kth(
+                17, drops, kinds={PacketKind.STORE_DATA})))
             am0, am1 = attach_spam(m)
             n = 40_000
             data = bytes(i % 251 for i in range(n))
@@ -160,12 +153,14 @@ class TestLossUnderMPI:
             p = sim.spawn(sender())
             q = sim.spawn(receiver())
             sim.run_until_processes_done([p, q], limit=1e9)
-            return sim.now, m.node(1).memory.read(dst, n) == data
+            return (sim.now, m.node(1).memory.read(dst, n) == data,
+                    len(inj.injected))
 
-        t_clean, ok_clean = run(None)
-        t_lossy, ok_lossy = run(17)
+        t_clean, ok_clean, dropped_clean = run(0)
+        t_lossy, ok_lossy, dropped_lossy = run(40)
         assert ok_clean and ok_lossy
         assert t_lossy > t_clean
+        assert (dropped_clean, dropped_lossy) == (0, 30)
 
 
 class TestMixedTraffic:

@@ -188,6 +188,17 @@ class TestFlowControl:
         assert results[1] == [0] * 10
 
 
+def test_brecv_from_a_silent_task_fails_after_one_second():
+    m = make()
+    with pytest.raises(RuntimeError,
+                       match=r"^MPL on node 0 stalled 1 s with no arrivals$"):
+        m.sim.run_until_processes_done(
+            [m.sim.spawn(m.node(0).mpl.mpc_brecv(4, 1), name="mpl0")],
+            limit=1e7)
+    # the 1 s timer starts once the receive is posted, a few us in
+    assert 1_000_000.0 <= m.sim.now < 1_000_100.0
+
+
 CALLS = {
     "bsend": lambda mpl, task: mpl.mpc_bsend(b"x", task),
     "send": lambda mpl, task: mpl.mpc_send(b"x", task),
@@ -198,7 +209,7 @@ CASES = [  # (call, its task argument, a value outside 0..1)
     ("bsend", "dst", 5),   # returned; the switch raised a KeyError later
     ("bsend", "dst", -1),
     ("send", "dst", 2),
-    ("brecv", "src", 9),   # stalled 1 s, then blamed a credit deadlock
+    ("brecv", "src", 9),   # stalled 1 s, then raised a RuntimeError
     ("brecv", "src", -2),
 ]
 

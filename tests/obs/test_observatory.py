@@ -9,6 +9,7 @@ import pytest
 
 from repro.am import attach_spam
 from repro.bench.pingpong import am_roundtrip
+from repro.faults import FaultPlan, FaultRule, install_faults
 from repro.hardware import build_sp_machine
 from repro.hardware.packet import PacketKind
 from repro.obs import (
@@ -155,15 +156,9 @@ class TestSpanCollection:
         sim = Simulator()
         m = build_sp_machine(sim, 2)
         obs = Observatory().attach(m)
-        dropped = {"n": 0}
-
-        def drop_first_request(pkt):
-            if pkt.kind == PacketKind.REQUEST and dropped["n"] == 0:
-                dropped["n"] += 1
-                return True
-            return False
-
-        m.switch.fault_injector = drop_first_request
+        inj = install_faults(m, FaultPlan(seed=0, rules=(
+            FaultRule("drop", packet_kinds=frozenset({PacketKind.REQUEST}),
+                      budget=1),)))
         am0, am1 = attach_spam(m)
         got = [0]
 
@@ -186,6 +181,7 @@ class TestSpanCollection:
         assert len(requests) == 1
         assert requests[0].drops == 1
         assert requests[0].retransmits >= 1
+        assert [f.trace_id for f in inj.injected] == [requests[0].trace_id]
 
     def test_phase_spans_recorded(self):
         obs = Observatory()

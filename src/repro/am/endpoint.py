@@ -47,7 +47,7 @@ from repro.am.window import RecvWindow, SendWindow
 from repro.hardware.cache import copy_cost, flush_cost
 from repro.hardware.packet import Packet, PacketKind
 from repro.hardware.params import PACKET_HEADER_BYTES
-from repro.sim.primitives import TIMED_OUT, Delay, Event, Timeout
+from repro.sim.primitives import TIMED_OUT, Delay, Event, Timeout, Until
 from repro.sim.stats import StatRegistry
 
 # PacketKind members as module constants: the receive path compares the
@@ -66,21 +66,33 @@ _KEEPALIVE = PacketKind.KEEPALIVE
 _FIFO_BACKOFF = Delay(3.3)
 
 
-class _DelayCache(dict):
-    """One shared :class:`Delay` per size: ``cache[n]`` is
-    ``Delay(cost(n))``, built on first use.
-
-    The per-message host charges are yielded from these instead of a
-    fresh ``Delay`` each: the engine only reads ``duration`` and the cost
-    tables are frozen.  A hit is a plain dict subscript, not a Python
-    call.
-    """
+class _CostCache(dict):
+    """One host charge per size: ``cache[n]`` is ``cost(n)``, computed on
+    first use.  A hit is a plain dict subscript, not a Python call; the
+    cost tables are frozen, so an entry never goes stale."""
 
     __slots__ = ("_cost",)
 
     def __init__(self, cost: Callable[[int], float]):
         super().__init__()
         self._cost = cost
+
+    def __missing__(self, n: int) -> float:
+        c = self[n] = self._cost(n)
+        return c
+
+
+class _DelayCache(_CostCache):
+    """One shared :class:`Delay` per size: ``cache[n]`` is
+    ``Delay(cost(n))``, built on first use.
+
+    The per-message host charges are yielded from these instead of a
+    fresh ``Delay`` each: the engine only reads ``duration``.  A charge
+    stretch adds plain costs to its local clock and takes them from a
+    :class:`_CostCache` instead.
+    """
+
+    __slots__ = ()
 
     def __missing__(self, n: int) -> Delay:
         d = self[n] = Delay(self._cost(n))
@@ -149,14 +161,13 @@ class SPAM(ActiveMessages):
         self._poll_empty_delay = Delay(self.host.poll_empty)
         self._poll_pkt_delay = Delay(self.host.poll_per_packet)
         self._save_retx_delay = Delay(self.costs.save_retransmit)
-        self._mc_pio_delay = Delay(self.host.mc_pio)
         # the bulk path's per-packet charges: build + flush one send-FIFO
         # entry of n wire bytes; copy one received n-byte payload into the
         # user buffer
         costs, host = self.costs, self.host
-        self._stage_delays = _DelayCache(
+        self._stage_costs = _CostCache(
             lambda n: costs.store_per_packet + flush_cost(n, host))
-        self._copy_delays = _DelayCache(
+        self._copy_costs = _CostCache(
             lambda n: costs.bulk_recv_fixed + copy_cost(n, host))
         # the small-message charges, keyed by word-argument count: build +
         # flush a request entry + its length PIO; a reply's handler-side
@@ -437,8 +448,18 @@ class SPAM(ActiveMessages):
 
         The packets are built in one pass before the first yield, so both
         piggybacked acks are read once for the whole chunk (nothing can
-        move them in between), and each packet's staging charge is a
-        shared per-wire-size ``Delay``.
+        move them in between).  The staging charges are one charge
+        stretch: each goes on the local clock ``tl`` in the order a chain
+        of ``Delay`` yields would have added it, and the process yields
+        (``Until(tl)``) only where another component can observe the
+        instant — before each arm, which starts the adapter's TX service;
+        before a FIFO-full backoff; and, under an Observatory, which
+        numbers packets in staging order across nodes, before each
+        staging.  A packet is staged at its own ``tl``, unseen by the
+        adapter, which takes armed packets only.  Until the next arm only
+        the adapter's takes move the send FIFO, so its occupancy now
+        bounds the one at ``tl`` from above: "not full" now means not
+        full then, and "full" now is re-checked at ``tl``.
         """
         seq = win.allocate(npk)
         if self.adapter.obs is not None:
@@ -464,28 +485,41 @@ class SPAM(ActiveMessages):
         node = self.node
         adapter = self.adapter
         fifo = adapter.send_fifo
+        obs = adapter.obs
+        c_staged = adapter._c_tx_staged
         mc_pio = self.host.mc_pio
-        mc_pio_delay = self._mc_pio_delay
         arm_batch = self.ARM_BATCH
-        stage_delays = self._stage_delays
+        stage_costs = self._stage_costs
+        sim = self.sim
+        tl = sim.now
         for p in packets:
-            # inlined node.compute: one generator frame less per packet
-            d = stage_delays[p.wire_bytes]
-            node.cpu_busy_us += d.duration
-            yield d
-            while fifo.occupied >= fifo.entries:
-                # send-FIFO backpressure: wait for the adapter to drain one
-                # entry (it transmits every ~6.5 us)
-                yield _FIFO_BACKOFF
-            adapter.host_stage(p)
+            d = stage_costs[p.wire_bytes]
+            node.cpu_busy_us += d
+            tl += d
+            if obs is not None or fifo.occupied >= fifo.entries:
+                # sync: an Observatory numbers packets in staging order
+                # across nodes; and on send-FIFO backpressure, wait from
+                # tl for the adapter to drain one entry (it transmits
+                # every ~6.5 us)
+                yield Until(tl)
+                while fifo.occupied >= fifo.entries:
+                    yield _FIFO_BACKOFF
+                tl = sim.now
+            # adapter.host_stage(p), open-coded at the local clock
+            fifo.stage(p)
+            c_staged.value += 1
+            if obs is not None:
+                obs.packet_staged(p, tl)
             staged += 1
             if staged % arm_batch == 0:
                 node.cpu_busy_us += mc_pio
-                yield mc_pio_delay
+                tl += mc_pio
+                yield Until(tl)
                 adapter.host_arm()
         if staged % arm_batch:
             node.cpu_busy_us += mc_pio
-            yield mc_pio_delay
+            tl += mc_pio
+            yield Until(tl)
             adapter.host_arm()
         win.save(seq, packets)
         peer.pending_units[op.channel].append((seq + npk, op, idx))
@@ -505,15 +539,24 @@ class SPAM(ActiveMessages):
         from this frame, so resuming after them crosses one nested
         generator fewer.  Only the rare completion handler, NACK and chunk
         ack drop into one.
+
+        A data packet's poll charge and copy charge are one charge stretch
+        ending in one ``Until``.  The stretch syncs (yields at the end of
+        the poll charge) first where that instant is observable: when the
+        piggybacked acks advance a send window, which can complete an op
+        and fire its event, and on a ``duplicate`` or ``nack`` verdict.
+        Inside the stretch the local clock stands for ``sim.now``.
         """
         handled = 0
+        sim = self.sim
         node = self.node
         memory = node.memory
         adapter = self.adapter
         fifo = adapter.recv_fifo
         visible = fifo.visible
         pkt_delay = self._poll_pkt_delay
-        copy_delays = self._copy_delays
+        poll_us = pkt_delay.duration
+        copy_costs = self._copy_costs
         peers = self._peers
         bulk_recv = self._bulk_recv
         while visible:
@@ -521,59 +564,34 @@ class SPAM(ActiveMessages):
                 pkt = fifo.consume()
             else:
                 pkt = adapter.host_recv_consume()
-            node.cpu_busy_us += pkt_delay.duration
-            yield pkt_delay
+            node.cpu_busy_us += poll_us
             kind = pkt.kind
-            small = kind is _REQUEST or kind is _REPLY
-            if not small and kind is not _STORE_DATA and kind is not _GET_DATA:
-                yield from self._process(pkt)
-            else:
-                self._apply_acks(pkt)
+            if kind is _STORE_DATA or kind is _GET_DATA:
+                tl = sim.now + poll_us
                 src = pkt.src
                 peer = peers.get(src)  # inlined _peer fast path
                 if peer is None:
                     peer = self._peer(src)
+                s_req, s_rep = peer.send
+                synced = pkt.ack_req > s_req.base or pkt.ack_rep > s_rep.base
+                if synced:
+                    yield Until(tl)
+                    self._apply_acks(pkt)
                 rwin = peer.recv[pkt.channel]
                 verdict = rwin.accept(pkt)[0]
-                if small:
-                    if verdict == "deliver":
-                        fn = self.handlers.lookup(pkt.handler)
-                        token = ReplyToken(self, src)
-                        obs = adapter.obs
-                        t0 = self.sim.now
-                        if obs is not None:
-                            obs.mark_packet(pkt, "handler_start", t0)
-                        self._in_handler = True
-                        try:
-                            result = fn(token, *pkt.args)
-                            if type(result) is GeneratorType:
-                                yield from result
-                        finally:
-                            self._in_handler = False
-                        if obs is not None:
-                            obs.mark_packet(pkt, "handler_end", self.sim.now)
-                            h = self._handler_hist
-                            if h is None:
-                                h = self._handler_hist = obs.hist(
-                                    "am.handler_us")
-                            h.observe(self.sim.now - t0)
-                        self._c_handlers_run.value += 1
-                    elif verdict == "duplicate":
-                        self.stats.count("duplicates_dropped")
-                    elif verdict == "nack":
-                        yield from self._send_nack(src, rwin)
-                elif verdict == "partial" or verdict == "deliver":
+                if verdict == "partial" or verdict == "deliver":
                     if verdict == "partial":
                         # feed the stalled-assembly watchdog (§2.2
                         # gap-less loss)
-                        rwin.assembly_progress_t = self.sim.now
+                        rwin.assembly_progress_t = tl
                     # copy payload out of the FIFO entry into the user
                     # buffer (inlined node.compute)
                     payload = pkt.payload
                     npay = len(payload)
-                    d = copy_delays[npay]
-                    node.cpu_busy_us += d.duration
-                    yield d
+                    d = copy_costs[npay]
+                    node.cpu_busy_us += d
+                    tl += d
+                    yield Until(tl)
                     memory.write(pkt.addr + pkt.offset, payload)
                     key = (src, pkt.op_token)
                     st = bulk_recv.get(key)
@@ -588,16 +606,57 @@ class SPAM(ActiveMessages):
                         # one explicit acknowledgement per chunk (§2.2)
                         yield from self._send_ack(src)
                         self.stats.count("chunk_acks_sent")
-                elif verdict == "duplicate":
-                    if rwin._assembly is not None:
-                        # duplicates count as watchdog progress too: they
-                        # mean the sender's go-back-N burst is in flight,
-                        # so NACKing again would only trigger another
-                        # redundant full-window retransmission
-                        rwin.assembly_progress_t = self.sim.now
-                    self.stats.count("duplicates_dropped")
                 else:
+                    if not synced:
+                        yield Until(tl)
+                    if verdict == "duplicate":
+                        if rwin._assembly is not None:
+                            # duplicates count as watchdog progress too:
+                            # they mean the sender's go-back-N burst is in
+                            # flight, so NACKing again would only trigger
+                            # another redundant full-window retransmission
+                            rwin.assembly_progress_t = tl
+                        self.stats.count("duplicates_dropped")
+                    else:
+                        yield from self._send_nack(src, rwin)
+            elif kind is _REQUEST or kind is _REPLY:
+                yield pkt_delay
+                self._apply_acks(pkt)
+                src = pkt.src
+                peer = peers.get(src)  # inlined _peer fast path
+                if peer is None:
+                    peer = self._peer(src)
+                rwin = peer.recv[pkt.channel]
+                verdict = rwin.accept(pkt)[0]
+                if verdict == "deliver":
+                    fn = self.handlers.lookup(pkt.handler)
+                    token = ReplyToken(self, src)
+                    obs = adapter.obs
+                    t0 = sim.now
+                    if obs is not None:
+                        obs.mark_packet(pkt, "handler_start", t0)
+                    self._in_handler = True
+                    try:
+                        result = fn(token, *pkt.args)
+                        if type(result) is GeneratorType:
+                            yield from result
+                    finally:
+                        self._in_handler = False
+                    if obs is not None:
+                        obs.mark_packet(pkt, "handler_end", sim.now)
+                        h = self._handler_hist
+                        if h is None:
+                            h = self._handler_hist = obs.hist(
+                                "am.handler_us")
+                        h.observe(sim.now - t0)
+                    self._c_handlers_run.value += 1
+                elif verdict == "duplicate":
+                    self.stats.count("duplicates_dropped")
+                elif verdict == "nack":
                     yield from self._send_nack(src, rwin)
+            else:
+                yield pkt_delay
+                yield from self._process(pkt)
             handled += 1
             if fifo.pending_pop >= fifo.lazy_pop_batch:  # should_pop()
                 # lazy pop: flush the consumed entries + one PIO (§2.1)
@@ -758,10 +817,11 @@ class SPAM(ActiveMessages):
             for old in peer.send[channel].unacked_from(ack):
                 while not self.adapter.host_can_stage(1):
                     if self.adapter.send_fifo.staged_count:
-                        # the FIFO may be full of our own staged-but-unarmed
-                        # retransmissions: arm them or the adapter never
-                        # drains and this loop waits forever (a go-back-N
-                        # burst can exceed the whole send FIFO)
+                        # the FIFO may hold our own staged-but-unarmed
+                        # retransmissions: arm them before waiting, not at
+                        # the burst's next ARM_BATCH arm (a FIFO holds at
+                        # least ARM_BATCH entries, so a full one always
+                        # holds an armed packet and this loop ends)
                         yield from self.node.compute(self.host.mc_pio)
                         self.adapter.host_arm()
                     yield Delay(2.0)

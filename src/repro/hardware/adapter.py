@@ -21,6 +21,7 @@ polling); this module charges only adapter-side time.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Optional
 
 from repro.hardware.fifo import RecvFIFO, SendFIFO
@@ -90,6 +91,14 @@ class TB2Adapter:
         # bound once: these are scheduled per packet
         self._tx_service_cb = self._tx_service
         self._deliver_cb = self._deliver
+        self._land_cb = self._land
+        #: the simulator's heap, which a packet accepted ahead goes
+        #: straight into (its instant is not ``now`` plus a delay)
+        self._queue = sim._queue
+        #: hand-off-path packets to this adapter still in the fabric
+        #: (maintained by the switch); while any is, no packet is
+        #: accepted ahead of it
+        self.handoffs = 0
 
     # ------------------------------------------------------------------
     # Host-facing API (costs are charged by the calling software layer)
@@ -256,7 +265,59 @@ class TB2Adapter:
                 span.marks["visible"] = visible_at
         sim.at(visible_at, self._deliver_cb, packet)
 
+    def accept_ahead(self, packet: Packet, arrive_at: float) -> bool:
+        """Switch-facing, at injection: accept now a packet that reaches
+        this adapter at ``arrive_at``, and schedule its one event, the
+        moment it becomes visible to the host.
+
+        The switch asks only for a packet no fault can touch, with an
+        unstamped CRC and no hand-off-path packet to this adapter ahead of
+        it.  Then what :meth:`on_wire_arrival` would decide at
+        ``arrive_at`` is already known: arrivals here keep injection order
+        and host pops only lower the receive FIFO's occupancy, so a slot
+        free now is free then, and the RX DMA queue sees the same packets
+        in the same order.  The slot is reserved now and the RX timing
+        computed now, with the two ``sim.at`` round trips' arithmetic, so
+        every instant is the float the hand-off path gives.  Returns False,
+        accepting nothing, when a fault injector is planted here or the
+        FIFO is full now; the switch then hands the packet off at
+        ``arrive_at``.
+        """
+        if self.faults is not None or not self.recv_fifo.reserve():
+            return False
+        sim = self.sim
+        now = sim.now
+        # on_wire_arrival's RX timing, open-coded (one call less per
+        # packet: tests/am/test_host_budget.py), at the instant its
+        # hand-off would run by sim.at's arithmetic (the wire exit is
+        # never behind the clock)
+        now = now + (arrive_at - now)
+        dma = packet.wire_bytes / self._mc_dma_rate
+        rx_free = self._rx_free
+        start = now if now > rx_free else rx_free
+        occ = self._i860_rx_occupancy
+        self._rx_free = start + (dma if dma > occ else occ)
+        visible_at = start + dma + self._i860_rx_latency
+        self._c_rx_packets.value += 1
+        if self.obs is not None:
+            span = self.obs.spans.get(packet.trace_id)  # inlined mark_packet
+            if span is not None:
+                span.marks["visible"] = visible_at
+        sim._seq = seq = sim._seq + 1
+        heappush(self._queue, [now + (visible_at - now), seq, self._land_cb,
+                               (packet,)])
+        return True
+
     def _deliver(self, packet: Packet) -> None:
+        self.recv_fifo.deliver(packet)
+        ev = self._arrival_event
+        if ev is not None and not ev._ok:  # Event.triggered, per arrival
+            ev.succeed(packet)
+
+    def _land(self, packet: Packet) -> None:
+        """The one event of a packet accepted ahead: it leaves the
+        switch's in-flight count and becomes visible."""
+        self.switch.in_flight -= 1
         self.recv_fifo.deliver(packet)
         ev = self._arrival_event
         if ev is not None and not ev._ok:  # Event.triggered, per arrival

@@ -53,9 +53,10 @@ class Switch:
         #: independent of ``repro.faults``): the fabric's one fault
         #: source — drop, duplicate, reorder or corrupt, one per packet
         self.faults = None
-        #: packets accepted but not yet handed to a destination adapter;
-        #: quiesce predicates need this — a machine is not drained while
-        #: the fabric still holds traffic nobody's FIFO shows yet
+        #: packets accepted and not yet handed to a destination adapter
+        #: (a hand-off-path packet) or not yet visible to its host (a
+        #: one-event packet, whose adapter counts it down when it lands);
+        #: the metrics sampler's ``switch.in_flight`` gauge
         self.in_flight = 0
         #: cumulative wire time serialized onto each destination link
         #: (µs); only accumulated under an attached Observatory — the
@@ -77,7 +78,16 @@ class Switch:
         """Accept a packet whose input-link serialization completes at
         ``wire_exit_time`` (sender adapter computed it); deliver it to the
         destination adapter after switch latency plus any destination-link
-        queueing."""
+        queueing.
+
+        Most packets take one event from here to the receiving host: when
+        no fault injector can act on the packet, its CRC is unstamped, no
+        hand-off-path packet to its destination is still in the fabric,
+        and the destination's receive FIFO has room now, the adapter
+        accepts it ahead (:meth:`TB2Adapter.accept_ahead`).  Otherwise a
+        ``_hand_off`` event gives it to the adapter's
+        :meth:`~TB2Adapter.on_wire_arrival` at ``deliver_at``.
+        """
         adapters = self._adapters
         if packet.dst not in adapters:
             raise KeyError(f"packet addressed to unattached node {packet.dst}")
@@ -85,8 +95,9 @@ class Switch:
         reorder_hold = 0.0
         duplicate: Optional[Packet] = None
         dup_delay = 0.0
-        if self.faults is not None:
-            act = self.faults.at_switch(packet, self.sim.now)
+        faults = self.faults
+        if faults is not None:
+            act = faults.at_switch(packet, self.sim.now)
             if act is not None:
                 if act.kind == "drop":
                     self.stats.count("packets_dropped_fault")
@@ -126,7 +137,12 @@ class Switch:
                 span.marks["sw_deliver"] = deliver_at
                 span.queued_us += queueing
         self.in_flight += 1
-        self._at(deliver_at, self._hand_off_cb, adapters[dst], packet)
+        adapter = adapters[dst]
+        if (faults is None and not adapter.handoffs and packet.checksum < 0
+                and adapter.accept_ahead(packet, deliver_at)):
+            return  # one-event delivery: duplicate is None without faults
+        adapter.handoffs += 1
+        self._at(deliver_at, self._hand_off_cb, adapter, packet)
         if duplicate is not None:
             # The fabric's stray copy trails the original by the rule's
             # delay, but it still occupies the destination link for its own
@@ -145,11 +161,14 @@ class Switch:
             if self.obs is not None:
                 self.link_busy_us[dup_dst] += wire_time
             self.in_flight += 1
+            dup_adapter = adapters[dup_dst]
+            dup_adapter.handoffs += 1
             self._at(dup_start + self._latency, self._hand_off_cb,
-                     adapters[dup_dst], duplicate)
+                     dup_adapter, duplicate)
 
     def _hand_off(self, adapter, packet: Packet) -> None:
         self.in_flight -= 1
+        adapter.handoffs -= 1
         adapter.on_wire_arrival(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

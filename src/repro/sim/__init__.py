@@ -16,12 +16,14 @@ Public surface::
     Process         a running coroutine registered with a simulator
     Event           one-shot or reusable signal processes can wait on
     Delay(t)        yield instruction: advance this process's clock by t
+    Until(t)        yield instruction: resume at absolute time t
     WaitEvent(ev)   yield instruction: block until ``ev`` fires
 """
 
 from repro.sim.engine import Simulator
 from repro.sim.errors import DeadlockError, SimulationError, SimTimeoutError
-from repro.sim.primitives import TIMED_OUT, Delay, Event, Timeout, WaitEvent
+from repro.sim.primitives import (TIMED_OUT, Delay, Event, Timeout, Until,
+                                  WaitEvent)
 from repro.sim.process import Process
 from repro.sim.stats import Counter, StatRegistry, TimeSeries
 
@@ -30,6 +32,7 @@ __all__ = [
     "Process",
     "Event",
     "Delay",
+    "Until",
     "WaitEvent",
     "Timeout",
     "TIMED_OUT",

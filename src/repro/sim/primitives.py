@@ -6,6 +6,8 @@ instances of the classes below:
 * ``Delay(t)`` — suspend for ``t`` microseconds of simulated time.  ``t``
   may be zero (yield the CPU at the current instant; other events scheduled
   at the same time run first).
+* ``Until(t)`` — suspend until absolute simulated time ``t`` (``t >=
+  now``): the one yield that ends a stretch of fused host charges.
 * ``WaitEvent(ev)`` — suspend until ``ev.succeed(...)`` is called.  The
   value passed to ``succeed`` becomes the value of the ``yield`` expression.
 
@@ -35,6 +37,26 @@ class Delay:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Delay({self.duration})"
+
+
+class Until:
+    """Resume the yielding process at absolute simulated time ``time``.
+
+    The end of a *charge stretch*: a process that owes several host
+    charges in a row, with nothing in between that another component can
+    observe, adds them to a local clock (``tl += d``, in the order the
+    ``Delay`` chain would have) and yields once.  The resume lands on the
+    very float the chain would have reached.  A ``time`` behind the clock,
+    or NaN, ends the process with a :class:`SimulationError`.
+    """
+
+    __slots__ = ("time",)
+
+    def __init__(self, time: float):
+        self.time = time
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"Until({self.time})"
 
 
 class Event:

@@ -1,8 +1,8 @@
 """Coroutine processes: node software running on simulated time.
 
 A *process* wraps a generator.  The generator yields instructions
-(:class:`~repro.sim.primitives.Delay`, ``WaitEvent``, ``Timeout``) and the
-process object drives it from engine callbacks.  Sub-procedures compose
+(:class:`~repro.sim.primitives.Delay`, ``Until``, ``WaitEvent``,
+``Timeout``) and the process object drives it from engine callbacks.  Sub-procedures compose
 with ``yield from``, so protocol layers stack naturally::
 
     def app(node):
@@ -13,8 +13,8 @@ with ``yield from``, so protocol layers stack naturally::
 When the generator returns, the process's :attr:`done` event fires with the
 return value (``StopIteration.value``).
 
-A ``Delay`` whose resume would be the run loop's next event anyway is run
-in place, without a heap round trip (see :meth:`Process._step`): the
+A ``Delay`` or ``Until`` whose resume would be the run loop's next event
+anyway is run in place, without a heap round trip (see :meth:`Process._step`): the
 process keeps running until another event comes first, and every event
 digest stays what the heap gives.
 """
@@ -26,7 +26,8 @@ from typing import Any, Generator, Optional
 
 from repro.sim.errors import ProcessKilled, SimulationError
 from repro.sim.engine import NO_HORIZON
-from repro.sim.primitives import TIMED_OUT, Delay, Event, Timeout, WaitEvent
+from repro.sim.primitives import (TIMED_OUT, Delay, Event, Timeout, Until,
+                                  WaitEvent)
 
 
 class Process:
@@ -63,8 +64,10 @@ class Process:
     def _step(self, send_value: Any = None) -> None:
         """Resume the generator and act on what it yields.
 
-        A ``Delay`` resume at ``t = now + duration`` normally becomes the
-        heap entry ``[t, seq, _resume, ()]``.  When the run loop would pop
+        A ``Delay`` resume at ``t = now + duration``, or an ``Until`` resume
+        at its absolute ``t``, normally becomes the heap entry
+        ``[t, seq, _resume, ()]``; ``seq`` is drawn when the process
+        yields.  When the run loop would pop
         that very entry next — nothing live is queued at or before ``t``,
         ``t`` is within its horizon (``sim._horizon``) and its event budget
         (``sim._stop``) is not spent — the resume runs here instead (the
@@ -102,45 +105,59 @@ class Process:
                     sim.schedule(instr.duration, self._resume)
                     return
                 t = sim.now + instr.duration
-                sim._seq = seq = sim._seq + 1
-                # everything queued at or before t comes before (t, seq)
-                while queue and queue[0][0] <= t:
-                    if queue[0][2] is not None or not t <= sim._horizon:
-                        break  # a live entry comes first: queue the resume
-                    # a tombstone: discard it, as the run loop would next
-                    entry = heappop(queue)
-                    sim.stale_events_skipped += 1
-                    sim._stale_pending -= 1
-                    if sim.check is not None:
-                        sim.check.on_stale(entry)
-                else:
-                    # (t, seq) is the next event: run it here if the run
-                    # loop's horizon and event budget allow
-                    if t <= sim._horizon and sim.events_executed < sim._stop:
-                        sim.now = t
-                        sim.events_executed += 1
-                        if sim.check is not None:
-                            sim.check.on_execute([t, seq, self._resume, ()])
-                        send_value = None
-                        continue
-                # no args: a plain-Delay resume sends None, and skipping the
-                # (None,) pack/unpack matters at one resume per event
-                heappush(queue, [t, seq, self._resume, ()])
+            elif cls is Until:
+                t = instr.time
+                if not t >= sim.now:  # behind the clock, or NaN
+                    exc = SimulationError(
+                        f"process {self.name!r} yielded {instr!r} at "
+                        f"now={sim.now}: the clock cannot move backwards")
+                    self._finish(None, exc)
+                    raise exc
+                if queue is None:
+                    sim.schedule(t - sim.now, self._resume)
+                    return
             elif cls is WaitEvent:
                 self._waiting = True
                 sim._blocked_processes += 1
                 instr.event.add_waiter(self._resume)
+                return
             elif cls is Timeout:
                 self._wait_with_timeout(instr)
+                return
             else:
                 # a bad yield ends the process with the error, like an
                 # exception out of its generator
                 exc = SimulationError(
                     f"process {self.name!r} yielded {instr!r}; expected "
-                    "Delay, WaitEvent, or Timeout"
+                    "Delay, Until, WaitEvent, or Timeout"
                 )
                 self._finish(None, exc)
                 raise exc
+            # a timed resume at t: the run-ahead, or the heap
+            sim._seq = seq = sim._seq + 1
+            # everything queued at or before t comes before (t, seq)
+            while queue and queue[0][0] <= t:
+                if queue[0][2] is not None or not t <= sim._horizon:
+                    break  # a live entry comes first: queue the resume
+                # a tombstone: discard it, as the run loop would next
+                entry = heappop(queue)
+                sim.stale_events_skipped += 1
+                sim._stale_pending -= 1
+                if sim.check is not None:
+                    sim.check.on_stale(entry)
+            else:
+                # (t, seq) is the next event: run it here if the run
+                # loop's horizon and event budget allow
+                if t <= sim._horizon and sim.events_executed < sim._stop:
+                    sim.now = t
+                    sim.events_executed += 1
+                    if sim.check is not None:
+                        sim.check.on_execute([t, seq, self._resume, ()])
+                    send_value = None
+                    continue
+            # no args: a timed resume sends None, and skipping the (None,)
+            # pack/unpack matters at one resume per event
+            heappush(queue, [t, seq, self._resume, ()])
             return
 
     def _wait_with_timeout(self, instr: Timeout) -> None:

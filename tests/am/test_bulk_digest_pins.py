@@ -16,10 +16,17 @@ from repro.check import EventDigest
 from repro.faults import FaultPlan, FaultRule, install_faults
 from repro.hardware import build_sp_machine
 from repro.sim import Simulator
+from tests.timeline import Timeline
 
-#: recorded at the commit before the flattened bulk receive loop
-LOSSLESS_DIGEST = "952d0ac86a3c097e6a62ad760105b2d5"
-LOSSY_DIGEST = "79ddbc9f3c5651cc4785e8968bc7ef31"
+#: re-pinned when bulk host charges were fused and packets delivered in
+#: one event (before: 952d0ac8..., 79ddbc9f..., recorded at the commit
+#: before the flattened bulk receive loop); the timelines did not move
+LOSSLESS_DIGEST = "3fb6b87efce084c5b9ff22b9cb7a60dc"
+LOSSY_DIGEST = "c7226c5f1105d0b2565bd1f6a07fbed1"
+#: what the machine did (``tests.timeline``), recorded before bulk host
+#: charges were fused and packets delivered in one event
+LOSSLESS_TIMELINE = "6dfdea7ffd422c9018fe77b9ff12f461"
+LOSSY_TIMELINE = "89e3f5e99fac8ec951c32d036652be67"
 
 #: drop, duplicate, reorder and corrupt, seeded: every run replays exactly
 LOSSY_PLAN = FaultPlan(seed=5, rules=(
@@ -30,9 +37,15 @@ LOSSY_PLAN = FaultPlan(seed=5, rules=(
 ))
 
 def _run(plan=None):
+    with Timeline() as timeline:
+        return _run_traced(timeline, plan)
+
+
+def _run_traced(timeline, plan):
     sim = Simulator()
     digest = sim.check = EventDigest()
     machine = build_sp_machine(sim, 2)
+    timeline.watch(machine)
     am0, am1 = attach_spam(machine)
     if plan is not None:
         install_faults(machine, plan)
@@ -71,18 +84,20 @@ def _run(plan=None):
         for key, value in am.stats.snapshot().items():
             name = key.rsplit(".", 1)[-1]
             counters[name] = counters.get(name, 0) + value
-    return digest.hexdigest(), counters
+    return digest.hexdigest(), timeline.hexdigest(), counters
 
 
 def test_lossless_bulk_digest_is_pinned():
-    digest, counters = _run()
+    digest, timeline, counters = _run()
     assert counters.get("retransmissions", 0) == 0
+    assert timeline == LOSSLESS_TIMELINE
     assert digest == LOSSLESS_DIGEST
 
 
 def test_lossy_bulk_digest_is_pinned():
-    digest, counters = _run(LOSSY_PLAN)
+    digest, timeline, counters = _run(LOSSY_PLAN)
     # the branches the flattened receive loop re-implements
     for name in ("duplicates_dropped", "nacks_sent", "stall_nacks_sent"):
         assert counters.get(name, 0) > 0, name
+    assert timeline == LOSSY_TIMELINE
     assert digest == LOSSY_DIGEST

@@ -321,6 +321,96 @@ class TestOverflowRecovery:
         assert m.node(1).adapter.stats.get("rx_dropped_overflow") == 0
 
 
+class TestSendFifoFullArms:
+    """The send-FIFO-full arms of the recovery paths, on an 8-entry FIFO.
+
+    Each test fails if its arm is deleted.  Without the wait in
+    ``SPAM._send_control`` the chunk ack is staged into a full FIFO.  The
+    arm in ``SPAM._process_nack`` arms the burst's staged retransmissions
+    before it waits for room.  It is no longer what keeps the burst live:
+    the burst also arms every ``ARM_BATCH`` packets, and a FIFO holds at
+    least ``ARM_BATCH`` entries, so a full FIFO always holds an armed
+    packet the adapter will drain.  Deleting the arm delays those
+    retransmissions, and the store's completion, by 1 us: the test pins
+    that instant.
+    """
+
+    LIMIT_US = 1e5
+
+    def _machine(self):
+        from repro.am import attach_spam
+        from repro.hardware import build_sp_machine
+        from repro.hardware.params import machine_params, with_overrides
+        from repro.sim import Simulator
+
+        sim = Simulator()
+        m = build_sp_machine(sim, 2, with_overrides(
+            machine_params("sp-thin"), send_fifo_entries=8))
+        return (m,) + tuple(attach_spam(m))
+
+    def test_go_back_n_burst_arms_its_own_retransmissions(self):
+        """PR 2's deadlock fix: a burst longer than the FIFO arms what it
+        staged before it waits for room."""
+        m, am0, am1 = self._machine()
+        inj = install_faults(m, FaultPlan(seed=0, rules=(
+            FaultRule("drop", packet_kinds=frozenset({PacketKind.STORE_DATA}),
+                      after=10, budget=1),)))
+        n = 2 * CHUNK_BYTES
+        data = _payload(n)
+        src = m.node(0).memory.alloc(n)
+        dst = m.node(1).memory.alloc(n)
+        m.node(0).memory.write(src, data)
+        flag = [0]
+
+        def sender():
+            yield from am0.store(1, src, dst, n)
+            flag[0] = 1
+
+        run_pair(m, sender(), serve(am1, flag), limit=self.LIMIT_US)
+        assert m.node(1).memory.read(dst, n) == data
+        assert len(inj.injected) == 1
+        # a go-back-N burst several times the FIFO's 8 entries
+        assert am0.stats.get("retransmissions") > 8
+        assert m.sim.now == 1407.0000000000057
+
+    def test_control_packet_waits_for_room(self):
+        """Node 1 keeps its FIFO full with its own stores while node 0's
+        chunk lands: the chunk ack waits for a free entry."""
+        m, am0, am1 = self._machine()
+        n = CHUNK_BYTES
+        data = _payload(n)
+        mem0, mem1 = m.node(0).memory, m.node(1).memory
+        src0, dst1 = mem0.alloc(n), mem1.alloc(n)
+        src1, dst0, got = mem1.alloc(n), mem0.alloc(n), mem1.alloc(64)
+        mem0.write(src0, data)
+        mem1.write(src1, data)
+        done = [0, 0]
+
+        def node0():
+            yield from am0.store(1, src0, dst1, n)
+            done[0] = 1
+            while not done[1]:
+                yield from am0._wait_progress()
+
+        def node1():
+            ops = []
+            for _ in range(3):
+                ops.append((yield from am1.store_async(0, src1, dst0, n)))
+                # a full FIFO makes get_async serve the network first
+                yield from am1.get_async(0, src0, got, 64)
+            for op in ops:
+                yield from am1.wait_op(op)
+            done[1] = 1
+            while not done[0]:
+                yield from am1._wait_progress()
+
+        run_pair(m, node0(), node1(), wait_both=True, limit=self.LIMIT_US)
+        assert mem1.read(dst1, n) == data
+        assert mem0.read(dst0, n) == data
+        # one ack per chunk landed here: the store's and three gets'
+        assert am1.stats.get("chunk_acks_sent") == 4
+
+
 class TestChunkPipeline:
     def test_chunk_pacing_matches_figure_2(self, sp2):
         """Chunk N goes out only after the ack for chunk N-2 (Fig. 2):

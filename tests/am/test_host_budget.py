@@ -3,7 +3,8 @@
 The paper's Table 2 is a per-message ledger of host cost; this is the
 same ledger for the simulator's own interpreter time.  Three programs run
 on two nodes under ``cProfile``: a blocking 3-chunk ``store`` + ``get``
-(the eager bulk path, counted per packet the adapters put on the wire),
+(the eager bulk path, counted per packet the adapters put on the wire,
+together with the simulator events each packet costs),
 one-word ``request_1`` / ``reply_1`` ping-pong (the small-message path
 and the idle wait, counted per round trip), and a one-way stream of
 Split-C ``store_word`` calls ended by ``store_sync`` (the fine-grain
@@ -36,23 +37,32 @@ from repro.splitc import GlobalPtr, attach_splitc
 #: hardware was 18.39 before the CRC moved to the corrupting path and the
 #: retransmission buffer stopped cloning; am was 20.64 before the duty
 #: pass stopped checking for AM-level rendezvous work; sim was 15.27
-#: before a Delay resume that is the next event ran without the heap)
-BUDGET = {"sim": 10.45, "hardware": 15.42, "am": 20.29}
+#: before a Delay resume that is the next event ran without the heap;
+#: sim 10.45, hardware 15.42 and am 20.29 before bulk host charges were
+#: fused and packets delivered in one event)
+BUDGET = {"sim": 8.18, "hardware": 13.45, "am": 11.75}
+
+#: simulator events per packet sent on the same program (measured 4.336;
+#: 7.269 before bulk host charges were fused and packets delivered in one
+#: event: ROADMAP item 15's ratchet)
+EVENTS_PER_PACKET_BUDGET = 4.34
 
 #: calls per ping-pong round trip, by layer (measured; before the
 #: small-message fast paths: sim 71.42, hardware 49.97, am 95.03 here, and
 #: 160.1 / 86.0 / 117.0 per op on perflab's ``am-pingpong``, which adds
 #: its probes; hardware was 38.0 before the CRC left the staging path;
-#: sim was 52.13 before the Delay run-ahead)
-PINGPONG_BUDGET = {"sim": 30.16, "hardware": 32.0, "am": 57.09}
+#: sim was 52.13 before the Delay run-ahead; sim 30.16 and hardware 32.0
+#: before packets were delivered in one event)
+PINGPONG_BUDGET = {"sim": 26.16, "hardware": 30.0, "am": 57.09}
 
 PINGPONG_ITERS = 200
 
 #: calls per one-way ``store_word``, by layer, and simulator events per
-#: store (measured, rounded up at the second decimal: 19.109, 19.052,
-#: 23.123 and 10.279 events; ROADMAP item 13's ratchet leg)
-STORE_WORD_BUDGET = {"sim": 19.11, "hardware": 19.06, "am": 23.13}
-STORE_WORD_EVENTS_BUDGET = 10.28
+#: store (measured, rounded up at the second decimal: 16.095, 17.997,
+#: 23.123 and 9.224 events; ROADMAP item 13's ratchet leg; 19.109, 19.052
+#: and 10.279 events before packets were delivered in one event)
+STORE_WORD_BUDGET = {"sim": 16.10, "hardware": 18.0, "am": 23.13}
+STORE_WORD_EVENTS_BUDGET = 9.23
 
 STORE_WORDS = 1000
 
@@ -89,7 +99,8 @@ def _calls_per_packet():
     assert mem0.read(back, nbytes) == mem0.read(src, nbytes)
     packets = sum(node.adapter.stats.snapshot()[f"tb2[{node.id}].tx_packets"]
                   for node in machine.nodes)
-    return {layer: n / packets for layer, n in calls.items()}
+    return ({layer: n / packets for layer, n in calls.items()},
+            sim.events_executed / packets)
 
 
 def _calls_per_round_trip():
@@ -177,9 +188,17 @@ def per_packet():
 
 @pytest.mark.parametrize("layer", sorted(BUDGET))
 def test_calls_per_packet_within_budget(per_packet, layer):
-    assert per_packet[layer] <= BUDGET[layer], (
-        f"{layer}: {per_packet[layer]:.3f} calls/packet over the "
+    calls, _events = per_packet
+    assert calls[layer] <= BUDGET[layer], (
+        f"{layer}: {calls[layer]:.3f} calls/packet over the "
         f"{BUDGET[layer]} budget")
+
+
+def test_events_per_packet_within_budget(per_packet):
+    _calls, events = per_packet
+    assert events <= EVENTS_PER_PACKET_BUDGET, (
+        f"{events:.3f} events/packet over the {EVENTS_PER_PACKET_BUDGET} "
+        f"budget")
 
 
 def test_counts_are_deterministic(per_packet):

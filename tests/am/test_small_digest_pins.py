@@ -23,11 +23,20 @@ from repro.faults import FaultPlan, FaultRule, install_faults
 from repro.hardware import build_sp_machine
 from repro.hardware.params import machine_params, with_overrides
 from repro.sim import Simulator
+from tests.timeline import Timeline
 
-#: recorded at the commit before the small-message fast paths
-PINGPONG_DIGEST = "9dfb16b3c1ac24bb960b9bc93ff47cab"
-DEFERRED_DIGEST = "30e6e90657311900d5d874fea49b4917"
+#: recorded at the commit before the small-message fast paths; the
+#: lossless two re-pinned when bulk host charges were fused and packets
+#: delivered in one event (before: 9dfb16b3..., 30e6e906...), while the
+#: timelines did not move
+PINGPONG_DIGEST = "579295998db9e4bbc9fa16646e5a7ce1"
+DEFERRED_DIGEST = "00d0283a6b033a03edf35417c7862741"
 LOSSY_DIGEST = "4922efa7ad2cbec7039a6a035e850d09"
+#: what the machine did (``tests.timeline``), recorded before bulk host
+#: charges were fused and packets delivered in one event
+PINGPONG_TIMELINE = "2ee0dd99c4d1e1eeb25acf805b65674c"
+DEFERRED_TIMELINE = "f9e5481626d72d55ced83b10084b35a1"
+LOSSY_TIMELINE = "9156ed3e75e493caf40a88805033df2a"
 
 #: drop, duplicate, reorder and corrupt, seeded: every run replays exactly
 LOSSY_PLAN = FaultPlan(seed=5, rules=(
@@ -42,11 +51,17 @@ MESSAGES = 160
 def _run(burst, params=None, plan=None, store_chunks=0):
     """``MESSAGES`` requests from node 0 to node 1, ``burst`` at a time,
     each waiting for its burst's replies, while node 1 keeps storing
-    ``store_chunks`` chunks to node 0; returns the digest and the
-    endpoints' summed counters."""
+    ``store_chunks`` chunks to node 0; returns the event digest, the
+    timeline digest and the endpoints' summed counters."""
+    with Timeline() as timeline:
+        return _run_traced(timeline, burst, params, plan, store_chunks)
+
+
+def _run_traced(timeline, burst, params, plan, store_chunks):
     sim = Simulator()
     digest = sim.check = EventDigest()
     machine = build_sp_machine(sim, 2, params)
+    timeline.watch(machine)
     am0, am1 = attach_spam(machine)
     if plan is not None:
         install_faults(machine, plan)
@@ -102,27 +117,31 @@ def _run(burst, params=None, plan=None, store_chunks=0):
         for key, value in am.stats.snapshot().items():
             name = key.rsplit(".", 1)[-1]
             counters[name] = counters.get(name, 0) + value
-    return digest.hexdigest(), counters
+    return digest.hexdigest(), timeline.hexdigest(), counters
 
 
 def test_pingpong_digest_is_pinned():
-    digest, counters = _run(burst=1)
+    digest, timeline, counters = _run(burst=1)
     assert counters["handlers_run"] == 2 * MESSAGES
     assert counters.get("retransmissions", 0) == 0
+    assert timeline == PINGPONG_TIMELINE
     assert digest == PINGPONG_DIGEST
 
 
 def test_deferred_reply_digest_is_pinned():
     small_fifo = with_overrides(machine_params("sp-thin"), send_fifo_entries=8)
-    digest, counters = _run(burst=8, params=small_fifo, store_chunks=1)
+    digest, timeline, counters = _run(burst=8, params=small_fifo,
+                                      store_chunks=1)
     assert counters["replies_deferred"] > 0
     assert counters["replies_sent"] == MESSAGES
+    assert timeline == DEFERRED_TIMELINE
     assert digest == DEFERRED_DIGEST
 
 
 def test_lossy_digest_is_pinned():
-    digest, counters = _run(burst=4, plan=LOSSY_PLAN)
+    digest, timeline, counters = _run(burst=4, plan=LOSSY_PLAN)
     assert counters.get("retransmissions", 0) > 0
     assert (counters.get("nacks_sent", 0)
             + counters.get("keepalive_nacks_sent", 0)) > 0
+    assert timeline == LOSSY_TIMELINE
     assert digest == LOSSY_DIGEST

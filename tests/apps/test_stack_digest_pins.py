@@ -23,29 +23,48 @@ from repro.apps.workloads import STACKS, build_stack
 from repro.check import EventDigest
 from repro.splitc import GlobalPtr
 from tests.am.test_api_conformance import all_stacks, portable_program
+from tests.timeline import Timeline
 
 NPROCS = 4
 #: bulk bytes per rank: two SP chunks, many 1 KB generic-AM fragments
 BULK = 10_000
 
-#: stack -> (event digest, final simulated us), recorded before the AM
-#: implementations shared one front end
+#: stack -> (event digest, final simulated us, timeline digest); the
+#: clocks were recorded before the AM implementations shared one front
+#: end, the timelines (``tests.timeline``) before bulk host charges were
+#: fused and packets delivered in one event.  That change re-pinned the
+#: event digests of the TB2 stacks (before: sp-am 9fd2bd58..., sp-mpl
+#: d017a83f..., spam 349d29f4..., mpl-shim a821724b...)
 SPLITC_PINS = {
-    "sp-am": ("9fd2bd58e347ac50852fbb615fa7b3a4", 2280.4800000000105),
-    "sp-mpl": ("d017a83f46cfb54e31e6f1395e431009", 4381.1955555555605),
-    "cm5": ("65edc2e79d81093df701013bc9ee4447", 3237.680000000001),
-    "meiko": ("7a40d476cf800bbe6cb3c17ecd0877a2", 1364.5000000000005),
-    "unet": ("d2ff0ff818bc051fc0c01c8af1fcf27e", 2908.8518796992457),
+    "sp-am": ("7c0aad1001cc8efa46f35cd4b09023eb", 2280.4800000000105,
+              "05646b22b265d2b38f9e853a624aff52"),
+    "sp-mpl": ("ed018b4668b296792ae2a6918d51cf9f", 4381.1955555555605,
+               "97acbeef5efd7e376d0e35a5c8c74307"),
+    "cm5": ("65edc2e79d81093df701013bc9ee4447", 3237.680000000001,
+            "78c3fc8b25df5826556bfc62c7e6939b"),
+    "meiko": ("7a40d476cf800bbe6cb3c17ecd0877a2", 1364.5000000000005,
+              "9350bebc5c467699252d49a8a7d5bc4f"),
+    "unet": ("d2ff0ff818bc051fc0c01c8af1fcf27e", 2908.8518796992457,
+             "901458539bd0d7d4fb6d89d928ca478a"),
 }
 PORTABLE_PINS = {
-    "spam": ("349d29f4796fd76a764e24e4e2188e89", 381.4333333333334),
-    "generic": ("24e79333e0b909bd1795e74a09c95c68", 711.5600000000002),
-    "mpl-shim": ("a821724b23dc8582333fcb22bd06e48e", 672.2533333333337),
+    "spam": ("9b9b85dbc5705929f37c4dcd9573f3b4", 381.4333333333334,
+             "f9a6e6c7e630c2c788f6142ee1f08578"),
+    "generic": ("24e79333e0b909bd1795e74a09c95c68", 711.5600000000002,
+                "5b77d7ce8b4349b8b55f9f7f315254ad"),
+    "mpl-shim": ("c55f427b353439e7f35fd8882496dcfd", 672.2533333333337,
+                 "e700a3e76b3ffdc0d0f01f46939859bc"),
 }
 
 
 def _splitc_run(stack):
+    with Timeline() as timeline:
+        return _splitc_run_traced(timeline, stack)
+
+
+def _splitc_run_traced(timeline, stack):
     machine, rts = build_stack(stack, NPROCS)
+    timeline.watch(machine)
     sim = machine.sim
     digest = sim.check = EventDigest()
     data = [bytes((r * 31 + i) % 251 for i in range(BULK))
@@ -93,7 +112,7 @@ def _splitc_run(stack):
         assert mem.read(base + 3 * BULK, BULK) == data[left]
         assert struct.unpack("<q", mem.read(base + 4 * BULK, 8))[0] \
             == (r + 1) % NPROCS
-    return digest.hexdigest(), sim.now
+    return digest.hexdigest(), sim.now, timeline.hexdigest()
 
 
 @pytest.mark.parametrize("stack", STACKS)
@@ -103,7 +122,10 @@ def test_splitc_program_pinned(stack):
 
 @pytest.mark.parametrize("stack", sorted(PORTABLE_PINS))
 def test_portable_program_pinned(stack):
-    machine, ams = all_stacks()[stack]
-    digest = machine.sim.check = EventDigest()
-    end = portable_program(machine, ams)
-    assert (digest.hexdigest(), end) == PORTABLE_PINS[stack]
+    with Timeline() as timeline:
+        machine, ams = all_stacks()[stack]
+        timeline.watch(machine)
+        digest = machine.sim.check = EventDigest()
+        end = portable_program(machine, ams)
+    assert (digest.hexdigest(), end, timeline.hexdigest()) \
+        == PORTABLE_PINS[stack]

@@ -24,7 +24,8 @@ NBYTES = 3 * CHUNK_BYTES
 
 
 class _CrcScope:
-    """Wraps both adapters' ``host_stage`` and ``on_wire_arrival``.
+    """Wraps both adapters' send-FIFO ``stage`` (every path that writes a
+    packet into the send FIFO goes through it) and ``on_wire_arrival``.
 
     Staged packets are remembered by identity (their field values at
     staging) and by value, since a fabric ``duplicate`` delivers a copy
@@ -39,7 +40,8 @@ class _CrcScope:
             self._wrap(node.adapter)
 
     def _wrap(self, adapter):
-        stage, arrive = adapter.host_stage, adapter.on_wire_arrival
+        fifo = adapter.send_fifo
+        stage, arrive = fifo.stage, adapter.on_wire_arrival
 
         def host_stage(pkt):
             stage(pkt)
@@ -61,7 +63,7 @@ class _CrcScope:
                 self.stamped_arrivals += 1
             arrive(pkt)
 
-        adapter.host_stage = host_stage
+        fifo.stage = host_stage
         adapter.on_wire_arrival = on_wire_arrival
 
 

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     Delay,
@@ -8,6 +10,7 @@ from repro.sim import (
     Simulator,
     SimTimeoutError,
     SimulationError,
+    Until,
     WaitEvent,
 )
 
@@ -270,6 +273,22 @@ class TestProcesses:
             sim.run()
         assert p.finished and isinstance(p.error, SimulationError)
 
+    @pytest.mark.parametrize("when", [-1e-9, float("nan")],
+                             ids=["behind", "nan"])
+    def test_until_behind_the_clock_finishes_the_process(self, when):
+        sim = Simulator()
+
+        def late():
+            yield Delay(2.0)
+            yield Until(sim.now + when)
+
+        p = sim.spawn(late(), name="late")
+        with pytest.raises(SimulationError,
+                           match="process 'late' yielded Until"):
+            sim.run_until_processes_done([p])
+        assert p.finished and isinstance(p.error, SimulationError)
+        assert sim.now == 2.0
+
     def test_done_event_fires_with_return_value(self):
         sim = Simulator()
 
@@ -311,6 +330,62 @@ class TestProcesses:
         p = sim.spawn(slow())
         with pytest.raises(SimTimeoutError):
             sim.run_until_processes_done([p], limit=10.0)
+
+
+class TestUntil:
+    """``Until(t)`` ends a charge stretch: the charges go on a local clock
+    in the order a ``Delay`` chain adds them, and the one resume lands on
+    the chain's float."""
+
+    # wide ranges: ``now + (t - now)`` differs from ``t`` mostly when t is
+    # many times now, which is why Until must not round-trip through a
+    # delay
+    @settings(max_examples=300, deadline=None)
+    @example(start=9895.35406387021,
+             charges=[192.55918663304328, 685335.5662199876])
+    @given(start=st.floats(0.0, 1e7), charges=st.lists(
+        st.floats(0.0, 1e9), min_size=1, max_size=12))
+    def test_a_stretch_ends_where_the_delay_chain_does(self, start,
+                                                       charges):
+        ends = []
+        for fused in (False, True):
+            sim = Simulator()
+
+            def proc():
+                yield Delay(start)
+                if fused:
+                    tl = sim.now
+                    for d in charges:
+                        tl += d
+                    yield Until(tl)
+                else:
+                    for d in charges:
+                        yield Delay(d)
+                ends.append(sim.now)
+
+            sim.spawn(proc())
+            sim.run()
+        assert ends[0] == ends[1]
+
+    def test_until_takes_its_seq_when_it_yields(self):
+        sim = Simulator()
+        log = []
+
+        def proc():
+            yield Until(3.0)  # drawn after the callback's: runs after it
+            log.append(("p", sim.now))
+            sim.schedule(0.0, lambda: log.append(("now", sim.now)))
+            yield Until(3.0)  # now itself: after what is queued at now
+            log.append(("p", sim.now))
+            yield Until(10.0)
+            log.append(("p", sim.now))
+
+        sim.spawn(proc())
+        sim.schedule(3.0, lambda: log.append(("cb", sim.now)))
+        sim.run()
+        assert log == [("cb", 3.0), ("p", 3.0), ("now", 3.0), ("p", 3.0),
+                       ("p", 10.0)]
+        assert sim.events_executed == 6
 
 
 class TestDeterminism:

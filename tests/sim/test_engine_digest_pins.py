@@ -7,6 +7,12 @@ through :class:`repro.check.EventDigest`: three AM workloads (one-word
 ping-pong, blocking store + get, 4-rank ``store_async`` all-to-all)
 driven one ``step()`` at a time, with their exact final clocks, and a
 lossy soak — timers, tombstones, go-back-N — driven at full speed.
+
+Each also pins its timeline (``tests.timeline``): what the machine did,
+which must hold when a change re-pins the event digests.  The event
+digests were re-pinned when bulk host charges were fused and packets
+delivered in one event; before, ping-pong e90cc310..., bulk 12bc4095...,
+all-to-all e9f1f0ac..., soak ca79b018... at 6104 events.
 """
 
 from repro.am import attach_am
@@ -14,6 +20,7 @@ from repro.check import EventDigest
 from repro.faults import run_soak
 from repro.hardware.machine import build_machine
 from repro.sim import Simulator
+from tests.timeline import Timeline
 
 
 def _machine(sim, nodes):
@@ -23,7 +30,7 @@ def _machine(sim, nodes):
 
 
 def _build_pingpong(sim, iterations):
-    _, (am0, am1) = _machine(sim, 2)
+    machine, (am0, am1) = _machine(sim, 2)
     got, served = [0], [0]
 
     def reply_handler(token, x):
@@ -46,7 +53,7 @@ def _build_pingpong(sim, iterations):
 
     p = sim.spawn(pinger(), name="ping")
     sim.spawn(ponger(), name="pong")
-    return [p]
+    return machine, [p]
 
 
 def _build_bulk(sim, nbytes):
@@ -71,7 +78,7 @@ def _build_bulk(sim, nbytes):
 
     p = sim.spawn(mover(), name="bulk")
     sim.spawn(server(), name="bulk-server")
-    return [p]
+    return machine, [p]
 
 
 def _build_alltoall(sim, nodes, nbytes):
@@ -99,40 +106,56 @@ def _build_alltoall(sim, nodes, nbytes):
         while len(done_from[r]) < nodes - 1:
             yield from am._wait_progress()
 
-    return [sim.spawn(rank(r), name=f"a2a{r}") for r in range(nodes)]
+    return machine, [sim.spawn(rank(r), name=f"a2a{r}")
+                     for r in range(nodes)]
 
 
 def _step_digest(build, *sizes):
-    """Drive a workload one ``step()`` at a time until its procs finish."""
-    sim = Simulator()
-    procs = build(sim, *sizes)
-    digest = sim.check = EventDigest()
-    while not all(p.finished for p in procs):
-        assert sim.step(), "queue drained with processes unfinished"
-    return digest.hexdigest(), sim.now
+    """Drive a workload one ``step()`` at a time until its procs finish;
+    returns the event digest, the final clock and the timeline digest."""
+    with Timeline() as timeline:
+        sim = Simulator()
+        machine, procs = build(sim, *sizes)
+        timeline.watch(machine)
+        digest = sim.check = EventDigest()
+        while not all(p.finished for p in procs):
+            assert sim.step(), "queue drained with processes unfinished"
+    return digest.hexdigest(), sim.now, timeline.hexdigest()
 
 
 def test_pingpong_step_digest_is_pinned():
     assert _step_digest(_build_pingpong, 200) == (
-        "e90cc310fb633dc5ba7827ae77def458", 10040.00000000017)
+        "282a2a560cdb4dc0aa0f2a5275110e2f", 10040.00000000017,
+        "2704c310771a26f5d065fb284bfac177")
 
 
 def test_bulk_step_digest_is_pinned():
     assert _step_digest(_build_bulk, 32_768) == (
-        "12bc4095d53527cee4b9b0c0a260c925", 2101.580000000017)
+        "a249079e022361ad5b39f30eed2eec91", 2101.580000000017,
+        "3fda231ec067359510ccd9569679f982")
 
 
 def test_alltoall_step_digest_is_pinned():
     assert _step_digest(_build_alltoall, 4, 2_048) == (
-        "e9f1f0acac857388d874da99b456caba", 356.50000000000057)
+        "2e91f0b5bf938cbd58564afd24c19ef6", 356.50000000000057,
+        "7d66bc809e756337d8bc98a2d51b139e")
+
+
+def _soak_run():
+    """The lossy soak at full speed; run_soak builds its machine inside,
+    so its timeline holds the process finish times only."""
+    rec = EventDigest()
+    with Timeline() as timeline:
+        res = run_soak(seed=11, loss=0.01, nodes=3, pingpong=20,
+                       compare_clean=False, sim_check=rec)
+    return rec, res, timeline.hexdigest()
 
 
 def test_soak_run_digest_is_pinned():
-    rec = EventDigest()
-    res = run_soak(seed=11, loss=0.01, nodes=3, pingpong=20,
-                   compare_clean=False, sim_check=rec)
+    rec, res, timeline = _soak_run()
     assert not res.violations
     sim = res.obs.machine.sim
     assert sim.stale_events_skipped > 0
+    assert timeline == "d198d07db7000a1f9e0dd5ae30c67516"
     assert (rec.hexdigest(), res.elapsed_us, sim.events_executed) == (
-        "ca79b018703715d524fdd0438127f567", 55647.45083333338, 6104)
+        "71808adb16ec7668d8836e4c0aecb29f", 55647.45083333338, 5659)

@@ -47,7 +47,8 @@ from repro.am.window import RecvWindow, SendWindow
 from repro.hardware.cache import copy_cost, flush_cost
 from repro.hardware.packet import Packet, PacketKind
 from repro.hardware.params import PACKET_HEADER_BYTES
-from repro.sim.primitives import TIMED_OUT, Delay, Event, Timeout, Until
+from repro.sim.primitives import (TIMED_OUT, Delay, Event, Timeout, Until,
+                                  WaitEvent)
 from repro.sim.stats import StatRegistry
 
 # PacketKind members as module constants: the receive path compares the
@@ -190,6 +191,7 @@ class SPAM(ActiveMessages):
         # every snapshot, report and sampler layout
         self._c_idle_pop_flushes = None
         self._idle_wait = Timeout(None, 0.0)
+        self._idle_block = WaitEvent(None)
         self._c_requests_sent = self.stats.counter("requests_sent")
         self._c_replies_sent = self.stats.counter("replies_sent")
         self._c_handlers_run = self.stats.counter("handlers_run")
@@ -276,8 +278,9 @@ class SPAM(ActiveMessages):
         # inlined node.compute(poll_empty): no generator frame per poll
         self.node.cpu_busy_us += self._poll_empty_delay.duration
         yield self._poll_empty_delay
-        if self.adapter.recv_fifo.visible or self._duties_pending():
-            return (yield from self._drain())
+        slots = self.adapter.recv_fifo.slots
+        if (slots and slots[0][0] <= self.sim.now) or self._duties_pending():
+            return (yield from self._drain(self.sim.now))
         return 0  # an empty drain: skip its generator
 
     # ------------------------------------------------------------------
@@ -337,8 +340,9 @@ class SPAM(ActiveMessages):
         d = self._poll_empty_delay
         node.cpu_busy_us += d.duration
         yield d
-        if adapter.recv_fifo.visible or self._duties_pending():
-            yield from self._drain()
+        slots = adapter.recv_fifo.slots
+        if (slots and slots[0][0] <= self.sim.now) or self._duties_pending():
+            yield from self._drain(self.sim.now)
 
     def _send_reply(self, dst: int, handler: Callable, args: Tuple[int, ...]):
         """Reply path — runs inside a handler."""
@@ -530,8 +534,10 @@ class SPAM(ActiveMessages):
     # the poll loop
     # ------------------------------------------------------------------
 
-    def _drain(self):
-        """Consume arrived packets + perform flow-control duties.
+    def _drain(self, tl: float):
+        """Consume arrived packets + perform flow-control duties, from
+        the local clock ``tl``: now, or now plus an empty-poll charge not
+        yet yielded.
 
         Requests, replies and eager bulk data (STORE_DATA / GET_DATA, 36
         packets per chunk) are handled in this loop rather than in
@@ -540,34 +546,52 @@ class SPAM(ActiveMessages):
         generator fewer.  Only the rare completion handler, NACK and chunk
         ack drop into one.
 
-        A data packet's poll charge and copy charge are one charge stretch
-        ending in one ``Until``.  The stretch syncs (yields at the end of
-        the poll charge) first where that instant is observable: when the
-        piggybacked acks advance a send window, which can complete an op
-        and fire its event, and on a ``duplicate`` or ``nack`` verdict.
-        Inside the stretch the local clock stands for ``sim.now``.
+        Consecutive data packets are one charge stretch: their poll and
+        copy charges go on the local clock ``tl``, which stands for
+        ``sim.now`` inside it, and a slot is visible when its stamp is at
+        or before ``tl``.  The stretch syncs (``Until(tl)``) only where
+        another component can observe the instant: before a lazy pop;
+        before a chunk completion or a chunk ack; before applying
+        piggybacked acks that advance a send window, which can complete an
+        op and fire its event; on a ``duplicate`` or ``nack`` verdict;
+        before a non-data packet; under an Observatory, before every
+        consume; and when no slot is visible at ``tl``.  A packet accepted
+        after the stretch began joins the FIFO behind every slot already
+        queued, so the stretch can miss one only when it sees nothing
+        visible: it then syncs and looks again.  The stretch relies on one
+        process polling the endpoint.
         """
         handled = 0
         sim = self.sim
         node = self.node
         memory = node.memory
         adapter = self.adapter
+        obs = adapter.obs
         fifo = adapter.recv_fifo
-        visible = fifo.visible
+        slots = fifo.slots
         pkt_delay = self._poll_pkt_delay
         poll_us = pkt_delay.duration
         copy_costs = self._copy_costs
         peers = self._peers
         bulk_recv = self._bulk_recv
-        while visible:
-            if adapter.obs is None:
+        while True:
+            if not slots or slots[0][0] > tl:
+                if tl == sim.now:
+                    break
+                # nothing visible at the local clock: sync, look again
+                yield Until(tl)
+                if not slots or slots[0][0] > tl:
+                    break
+            if obs is None:
                 pkt = fifo.consume()
             else:
+                if tl != sim.now:
+                    yield Until(tl)
                 pkt = adapter.host_recv_consume()
             node.cpu_busy_us += poll_us
             kind = pkt.kind
             if kind is _STORE_DATA or kind is _GET_DATA:
-                tl = sim.now + poll_us
+                tl += poll_us
                 src = pkt.src
                 peer = peers.get(src)  # inlined _peer fast path
                 if peer is None:
@@ -591,7 +615,6 @@ class SPAM(ActiveMessages):
                     d = copy_costs[npay]
                     node.cpu_busy_us += d
                     tl += d
-                    yield Until(tl)
                     memory.write(pkt.addr + pkt.offset, payload)
                     key = (src, pkt.op_token)
                     st = bulk_recv.get(key)
@@ -601,11 +624,16 @@ class SPAM(ActiveMessages):
                             total_len=pkt.total_len, handler=pkt.handler,
                             handler_args=pkt.args)
                     if st.add(npay):
+                        yield Until(tl)
                         yield from self._bulk_complete(pkt, key, st)
+                        tl = sim.now
                     if verdict == "deliver":
+                        if tl != sim.now:
+                            yield Until(tl)
                         # one explicit acknowledgement per chunk (§2.2)
                         yield from self._send_ack(src)
                         self.stats.count("chunk_acks_sent")
+                        tl = sim.now
                 else:
                     if not synced:
                         yield Until(tl)
@@ -619,7 +647,10 @@ class SPAM(ActiveMessages):
                         self.stats.count("duplicates_dropped")
                     else:
                         yield from self._send_nack(src, rwin)
+                        tl = sim.now
             elif kind is _REQUEST or kind is _REPLY:
+                if tl != sim.now:
+                    yield Until(tl)
                 yield pkt_delay
                 self._apply_acks(pkt)
                 src = pkt.src
@@ -631,7 +662,6 @@ class SPAM(ActiveMessages):
                 if verdict == "deliver":
                     fn = self.handlers.lookup(pkt.handler)
                     token = ReplyToken(self, src)
-                    obs = adapter.obs
                     t0 = sim.now
                     if obs is not None:
                         obs.mark_packet(pkt, "handler_start", t0)
@@ -654,15 +684,20 @@ class SPAM(ActiveMessages):
                     self.stats.count("duplicates_dropped")
                 elif verdict == "nack":
                     yield from self._send_nack(src, rwin)
+                tl = sim.now
             else:
+                if tl != sim.now:
+                    yield Until(tl)
                 yield pkt_delay
                 yield from self._process(pkt)
+                tl = sim.now
             handled += 1
             if fifo.pending_pop >= fifo.lazy_pop_batch:  # should_pop()
                 # lazy pop: flush the consumed entries + one PIO (§2.1)
-                d = self._pop_delays[fifo.pending_pop]
-                node.cpu_busy_us += d.duration  # inlined node.compute
-                yield d
+                d = self._pop_delays[fifo.pending_pop].duration
+                node.cpu_busy_us += d  # inlined node.compute
+                tl += d
+                yield Until(tl)
                 adapter.host_recv_pop_batch()
         if self._duties_pending():
             yield from self._do_duties()
@@ -936,22 +971,18 @@ class SPAM(ActiveMessages):
         """Is nothing on this endpoint awaiting recovery or service?
 
         Node-local: no active sends or deferred replies; the send FIFO
-        empty; no receive-FIFO slot visible or mid-DMA; and per peer, no
-        unacked send window and no partial chunk assembly.  Traffic still
-        in the fabric is not visible here; a quiesce loop sees it as a
-        packet arrival.
+        empty; no receive-FIFO slot queued (visible or mid-DMA); and per
+        peer, no unacked send window and no partial chunk assembly.
+        Traffic still in the fabric is not visible here; a quiesce loop
+        sees it as a packet arrival.
         """
         if self._active_sends or self._deferred_replies:
             return False
         adapter = self.adapter
         if adapter.send_fifo.occupied > 0:
             return False
-        rf = adapter.recv_fifo
-        visible = len(rf.visible)
-        if visible > 0:
-            return False
-        if rf.occupied != visible + rf.pending_pop:
-            return False  # a packet is mid-RX-DMA
+        if adapter.recv_fifo.slots:
+            return False  # a packet is visible or mid-RX-DMA
         # open-coded window-field reads (vs the has_unacked /
         # has_partial_assembly properties): this runs on every idle wake
         for peer in self._peers.values():
@@ -973,21 +1004,39 @@ class SPAM(ActiveMessages):
 
     def _wait_progress(self):
         """Blocked on credit / acks / completion: service the network; if
-        idle, sleep until the next arrival (equivalent in simulated time
-        to the paper's poll spinning) with a keep-alive timeout."""
+        idle, sleep until the next landing (equivalent in simulated time
+        to the paper's poll spinning) with a keep-alive timeout.
+
+        The sleep ends at the first stamp after now, by the arrival
+        event: with a packet already accepted ahead, its ``_land`` is
+        queued now, in the packet's place in the event order, and when
+        that landing comes before the keep-alive no timer is queued at
+        all.  A packet on the hand-off path lands by its own ``_deliver``,
+        and its sleeper keeps the timer (the soak's sampler counts live
+        heap entries).
+
+        The wake is an event, not an ``Until``, because a host resumed at
+        the stamp would take its place among same-instant ties from when
+        it fell asleep, not from when the packet landed: in Split-C's
+        symmetric programs two hosts then trade places at a shared
+        destination link (Table 5 moved).
+        """
         adapter = self.adapter
         rf = adapter.recv_fifo
+        slots = rf.slots
         node = self.node
-        if not rf.visible:
+        sim = self.sim
+        d = self._poll_empty_delay
+        if not slots or slots[0][0] > sim.now:
             if rf.pending_pop > 0:
                 # going idle: return consumed receive-FIFO slots to the
                 # adapter even below the lazy-pop batch, so a near-full
                 # FIFO can't keep dropping the very retransmissions that
                 # would drain it (inlined node.compute: on a bulk stream
                 # this runs about once per three packets received)
-                d = self._pop_delays[rf.pending_pop]
-                node.cpu_busy_us += d.duration
-                yield d
+                p = self._pop_delays[rf.pending_pop]
+                node.cpu_busy_us += p.duration
+                yield p
                 adapter.host_recv_pop_batch()
                 c = self._c_idle_pop_flushes
                 if c is None:
@@ -1000,28 +1049,60 @@ class SPAM(ActiveMessages):
                 # a chunk is mid-reassembly: wake early enough for the
                 # stalled-assembly watchdog regardless of backoff
                 timeout = min(timeout, stall_cap)
-            # inlined adapter.arrival_event(): one per idle wait
+            # inlined adapter.arrival_event(): the event fires at the
+            # first stamp after now.  A slot that became visible during
+            # the idle pop above is left for a later landing to find:
+            # that oversleep is recorded in ROADMAP item 1
             ev = adapter._arrival_event
             if ev is None or ev._ok:
                 ev = adapter._arrival_event = Event(
-                    self.sim, adapter._arrival_event_name)
-            # one Timeout per endpoint, re-aimed per wait: the process
-            # reads both fields as it blocks and keeps no reference
-            wait = self._idle_wait
-            wait.event = ev
-            wait.duration = timeout
-            res = yield wait
-            if res is TIMED_OUT:
-                yield from self._send_keepalives()
-                self._keepalive_backoff = min(self._keepalive_backoff * 2,
-                                              64.0)
-        # inlined poll() (blocked software never runs inside a handler):
-        # empty-poll charge + drain without the extra generator frame
-        d = self._poll_empty_delay
+                    sim, adapter._arrival_event_name)
+            now = sim.now
+            land = None
+            if slots:
+                for slot in slots:
+                    if slot[0] > now:
+                        if slot[1] is not None:  # accepted ahead
+                            land = slot[0]
+                            if not adapter._landing:
+                                adapter._land_at(slot)
+                        break
+            if land is not None and land <= now + timeout:
+                # the landing comes first (at a tie too: the keep-alive
+                # timer would be queued after it), so no timer
+                wait = self._idle_block
+                wait.event = ev
+                yield wait
+            else:
+                # one Timeout per endpoint, re-aimed per wait: the
+                # process reads both fields as it blocks and keeps no
+                # reference
+                wait = self._idle_wait
+                wait.event = ev
+                wait.duration = timeout
+                res = yield wait
+                if res is TIMED_OUT:
+                    yield from self._send_keepalives()
+                    self._keepalive_backoff = min(
+                        self._keepalive_backoff * 2, 64.0)
+        # inlined poll() (blocked software never runs inside a handler)
         node.cpu_busy_us += d.duration
+        if slots:
+            head = slots[0]
+            if head[0] <= sim.now:
+                kind = head[2].kind
+                if kind is _STORE_DATA or kind is _GET_DATA:
+                    # bulk data, which a charge stretch takes without a
+                    # sync: the empty-poll charge opens the drain's
+                    # stretch
+                    yield from self._drain(sim.now + d.duration)
+                else:
+                    yield d
+                    yield from self._drain(sim.now)
+                return
         yield d
         # re-check visibility after the yield (arrivals may have landed);
         # an idle spin with no packets and no duties skips the _drain
         # generator entirely — it would be a pure no-op
-        if rf.visible or self._duties_pending():
-            yield from self._drain()
+        if (slots and slots[0][0] <= sim.now) or self._duties_pending():
+            yield from self._drain(sim.now)

@@ -111,7 +111,8 @@ class SendFifoCheck(_Check):
 
 class RecvFifoCheck(_Check):
     """Slot conservation of the receive FIFO: reserve → deliver →
-    consume → pop, with ``occupied`` always reserved-minus-popped."""
+    consume → pop, with ``occupied`` always reserved-minus-popped, and
+    slots queued in stamp order (RX DMA is one engine)."""
 
     kind = "fifo"
 
@@ -122,6 +123,8 @@ class RecvFifoCheck(_Check):
         self.delivered = 0
         self.consumed = 0
         self.popped = 0
+        #: the stamp of the last slot delivered
+        self.last_stamp = float("-inf")
 
     def _conserved(self, op, fifo):
         expect = self.reserved - self.popped
@@ -145,6 +148,11 @@ class RecvFifoCheck(_Check):
             self.fail("deliver", "deliver without a reserved slot "
                       f"({self.delivered} delivered > {self.reserved} "
                       f"reserved)")
+        stamp = fifo.slots[-1][0]
+        if stamp < self.last_stamp:
+            self.fail("deliver", f"slot stamped {stamp} queued after one "
+                                 f"stamped {self.last_stamp}")
+        self.last_stamp = stamp
 
     def on_consume(self, fifo):
         self.checks += 1
@@ -166,11 +174,11 @@ class RecvFifoCheck(_Check):
         """No slot may stay occupied once traffic has drained."""
         self.checks += 1
         fifo = self.fifo
-        held = len(fifo.visible) + fifo.pending_pop
+        held = len(fifo.slots) + fifo.pending_pop
         if fifo.occupied != held:
             self.fail("quiescence",
                       f"slot leak: occupied={fifo.occupied} but only "
-                      f"{len(fifo.visible)} visible + {fifo.pending_pop} "
+                      f"{len(fifo.slots)} queued + {fifo.pending_pop} "
                       f"pending pop remain")
 
 

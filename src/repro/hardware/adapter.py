@@ -13,7 +13,10 @@ Receive path: the MSMU accepts a packet from the switch; if the receive
 FIFO is full the packet is **dropped** (input-buffer overflow — the loss
 case §2.2's flow control exists for).  Otherwise the adapter DMAs it into
 the host-resident receive queue, where it becomes visible to polling
-software after the RX latency.
+software after the RX latency.  The packet enters the receive FIFO when it
+is accepted, stamped with that visible instant; a polling host compares
+the stamp with its clock, and an event marks the instant only where a
+host is blocked on :meth:`TB2Adapter.arrival_event`.
 
 Software above charges its own CPU costs (cache flushes, PIO stores,
 polling); this module charges only adapter-side time.
@@ -92,13 +95,18 @@ class TB2Adapter:
         self._tx_service_cb = self._tx_service
         self._deliver_cb = self._deliver
         self._land_cb = self._land
-        #: the simulator's heap, which a packet accepted ahead goes
-        #: straight into (its instant is not ``now`` plus a delay)
+        #: the simulator's heap, which a ``_land`` goes straight into (its
+        #: instant is a stamp, not ``now`` plus a delay)
         self._queue = sim._queue
+        #: a ``_land`` is queued (at most one at a time)
+        self._landing = False
         #: hand-off-path packets to this adapter still in the fabric
         #: (maintained by the switch); while any is, no packet is
         #: accepted ahead of it
         self.handoffs = 0
+        # a drained Simulator.run ends at the last stamp, as it would at
+        # a landing event
+        sim._stamp_sources.append(self._last_stamp)
 
     # ------------------------------------------------------------------
     # Host-facing API (costs are charged by the calling software layer)
@@ -134,7 +142,7 @@ class TB2Adapter:
 
     def host_recv_consume(self) -> Packet:
         """Read the head packet out of the receive queue (host copy cost is
-        charged by the poller)."""
+        charged by the poller, which has seen it visible)."""
         pkt = self.recv_fifo.consume()
         if self.obs is not None:
             span = self.obs.spans.get(pkt.trace_id)  # inlined mark_packet
@@ -156,19 +164,48 @@ class TB2Adapter:
         return freed
 
     def host_recv_available(self) -> int:
-        """Packets visible to the host right now."""
-        return len(self.recv_fifo.visible)
+        """Packets visible to the host right now: slots stamped at or
+        before the clock."""
+        now = self.sim.now
+        n = 0
+        for slot in self.recv_fifo.slots:
+            if slot[0] > now:
+                break
+            n += 1
+        return n
 
     def arrival_event(self) -> Event:
-        """A one-shot event that fires at the next packet delivery.
+        """A one-shot event that fires at the next packet landing: the
+        first stamp after now.
 
         Blocking software (e.g. a store waiting for its ack) waits on this
         instead of burning simulated poll cycles; the timing is identical
-        because nothing else runs on the node's CPU meanwhile.
+        because nothing else runs on the node's CPU meanwhile.  Asking for
+        it queues the ``_land`` that fires it, if a slot is already
+        accepted and not yet visible.
         """
-        if self._arrival_event is None or self._arrival_event.triggered:
-            self._arrival_event = self.sim.event(self._arrival_event_name)
-        return self._arrival_event
+        ev = self._arrival_event
+        if ev is None or ev._ok:
+            ev = self._arrival_event = Event(self.sim,
+                                             self._arrival_event_name)
+        if not self._landing:
+            now = self.sim.now
+            for slot in self.recv_fifo.slots:
+                if slot[0] > now:
+                    self._land_at(slot)
+                    break
+        return ev
+
+    def _land_at(self, slot: tuple) -> None:
+        """Queue the ``_land`` that fires the arrival event when receive
+        ``slot`` becomes visible, in the slot's place in the event order,
+        unless it came by the hand-off path, whose ``_deliver`` fires
+        it."""
+        if slot[1] is None:
+            return
+        self._landing = True
+        # the slot is the callback's arguments: _land(stamp, order, packet)
+        heappush(self._queue, [slot[0], slot[1], self._land_cb, slot])
 
     # ------------------------------------------------------------------
     # TX service loop (adapter side)
@@ -263,12 +300,15 @@ class TB2Adapter:
             span = self.obs.spans.get(packet.trace_id)  # inlined mark_packet
             if span is not None:
                 span.marks["visible"] = visible_at
-        sim.at(visible_at, self._deliver_cb, packet)
+        # the stamp is the instant sim.at's arithmetic gives _deliver; no
+        # order: that event, not a _land, marks the landing
+        stamp = sim.at(visible_at, self._deliver_cb, packet)[0]
+        self.recv_fifo.deliver(packet, stamp, None)
 
     def accept_ahead(self, packet: Packet, arrive_at: float) -> bool:
         """Switch-facing, at injection: accept now a packet that reaches
-        this adapter at ``arrive_at``, and schedule its one event, the
-        moment it becomes visible to the host.
+        this adapter at ``arrive_at``, and queue it in the receive FIFO
+        stamped with the instant it becomes visible to the host.
 
         The switch asks only for a packet no fault can touch, with an
         unstamped CRC and no hand-off-path packet to this adapter ahead of
@@ -277,13 +317,16 @@ class TB2Adapter:
         and host pops only lower the receive FIFO's occupancy, so a slot
         free now is free then, and the RX DMA queue sees the same packets
         in the same order.  The slot is reserved now and the RX timing
-        computed now, with the two ``sim.at`` round trips' arithmetic, so
-        every instant is the float the hand-off path gives.  Returns False,
-        accepting nothing, when a fault injector is planted here or the
-        FIFO is full now; the switch then hands the packet off at
+        computed now, with the arithmetic of the hand-off path's two
+        ``sim.at`` round trips, so the stamp is the float that path gives.
+        No event is spent on the packet unless a host is blocked on the
+        arrival event with no landing queued (:meth:`_land_at`).  Returns
+        False, accepting nothing, when a fault injector is planted here or
+        the FIFO is full now; the switch then hands the packet off at
         ``arrive_at``.
         """
-        if self.faults is not None or not self.recv_fifo.reserve():
+        rf = self.recv_fifo
+        if self.faults is not None or not rf.reserve():
             return False
         sim = self.sim
         now = sim.now
@@ -303,29 +346,48 @@ class TB2Adapter:
             span = self.obs.spans.get(packet.trace_id)  # inlined mark_packet
             if span is not None:
                 span.marks["visible"] = visible_at
+        # the stamp is the instant, and seq the place in the event order,
+        # that a landing event queued now would take
+        stamp = now + (visible_at - now)
         sim._seq = seq = sim._seq + 1
-        heappush(self._queue, [now + (visible_at - now), seq, self._land_cb,
-                               (packet,)])
+        # rf.deliver(packet, stamp, seq), open-coded (one call less per
+        # packet)
+        slot = (stamp, seq, packet)
+        rf.slots.append(slot)
+        if rf.check is not None:
+            rf.check.on_deliver(rf)
+        ev = self._arrival_event
+        if ev is not None and not ev._ok and not self._landing:
+            # a host sleeps on the arrival event and no landing is
+            # queued: queue this slot's (_land_at, open-coded)
+            self._landing = True
+            heappush(self._queue, [stamp, seq, self._land_cb, slot])
         return True
 
     def _deliver(self, packet: Packet) -> None:
-        self.recv_fifo.deliver(packet)
+        """A hand-off-path packet becomes visible: fire the arrival
+        event."""
         ev = self._arrival_event
         if ev is not None and not ev._ok:  # Event.triggered, per arrival
             ev.succeed(packet)
 
-    def _land(self, packet: Packet) -> None:
-        """The one event of a packet accepted ahead: it leaves the
-        switch's in-flight count and becomes visible."""
-        self.switch.in_flight -= 1
-        self.recv_fifo.deliver(packet)
+    def _land(self, stamp: float, order: int, packet: Packet) -> None:
+        """The first slot a blocked host has not seen, ``(stamp, order,
+        packet)``, becomes visible: fire the arrival event."""
+        self._landing = False
         ev = self._arrival_event
-        if ev is not None and not ev._ok:  # Event.triggered, per arrival
+        if ev is not None and not ev._ok:  # Event.triggered, per landing
             ev.succeed(packet)
+
+    def _last_stamp(self) -> float:
+        """The stamp of the last slot queued (0.0 with none): the instant
+        a drained ``Simulator.run`` ends at, at the latest."""
+        slots = self.recv_fifo.slots
+        return slots[-1][0] if slots else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"TB2Adapter(node={self.node_id}, "
             f"tx_staged={self.send_fifo.occupied}, "
-            f"rx_visible={len(self.recv_fifo.visible)})"
+            f"rx_slots={len(self.recv_fifo.slots)})"
         )

@@ -10,14 +10,20 @@ The receive FIFO is filled by the adapter via DMA and drained by the host;
 the host *pops* entries lazily — it tells the adapter that slots are free
 only every ``lazy_pop_batch`` consumed packets, because each pop is a ~1 us
 MicroChannel access.  Capacity accounting therefore distinguishes
-*occupied* (delivered or in flight, not yet returned to the adapter) from
-*consumed* (read by the host but not yet popped).
+*occupied* (accepted, not yet returned to the adapter) from *consumed*
+(read by the host but not yet popped).
+
+A packet enters the receive FIFO when the adapter accepts it, stamped with
+the instant its RX DMA completes.  The host sees a slot once its clock
+reaches the stamp: visibility is a function of the clock, not an event.
+Slots are accepted in RX-DMA order, so the stamps never decrease from head
+to tail.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, Optional, Tuple
 
 from repro.hardware.packet import Packet
 
@@ -93,18 +99,24 @@ class RecvFIFO:
             raise ValueError("lazy_pop_batch must be positive")
         self.capacity = capacity
         self.lazy_pop_batch = lazy_pop_batch
-        #: slots charged against capacity (in-flight through RX DMA or
-        #: delivered-but-not-popped)
+        #: slots charged against capacity (accepted and not yet popped)
         self.occupied = 0
-        #: packets visible to the host, in delivery order
-        self.visible: Deque[Packet] = deque()
+        #: accepted packets the host has not consumed, in RX-DMA order,
+        #: as ``(stamp, order, packet)``: the instant the packet becomes
+        #: visible to the host, and its place in the simulator's event
+        #: order (the ``seq`` an event queued when it was accepted would
+        #: carry; a landing at the stamp keeps it, so same-instant ties
+        #: order as they did when every packet landed by its own event).
+        #: A packet whose landing is an event of its own has no order
+        self.slots: Deque[Tuple[float, Optional[int], Packet]] = deque()
         #: consumed by the host but not yet popped back to the adapter
         self.pending_pop = 0
         #: slot-conservation checker (repro.check), None when unchecked
         self.check = None
 
     def reserve(self) -> bool:
-        """Adapter side, at wire arrival: claim a slot or report overflow."""
+        """Adapter side, on accepting a packet: claim a slot or report
+        overflow."""
         if self.occupied >= self.capacity:
             return False
         self.occupied += 1
@@ -112,25 +124,29 @@ class RecvFIFO:
             self.check.on_reserve(self)
         return True
 
-    def deliver(self, packet: Packet) -> None:
-        """Adapter side, at RX-DMA completion: make the packet host-visible."""
-        self.visible.append(packet)
+    def deliver(self, packet: Packet, visible_at: float,
+                order: Optional[int]) -> None:
+        """Adapter side, right after :meth:`reserve`: queue the packet,
+        stamped with the instant its RX DMA completes and its place in the
+        event order."""
+        self.slots.append((visible_at, order, packet))
         if self.check is not None:
             self.check.on_deliver(self)
 
     def peek(self) -> Optional[Packet]:
-        return self.visible[0] if self.visible else None
+        return self.slots[0][2] if self.slots else None
 
     def consume(self) -> Packet:
         """Host side: read the head packet out of the queue.
 
-        Returns the packet; the slot stays occupied until :meth:`should_pop`
-        triggers a batched pop.
+        The caller has seen the head visible (its stamp at or before the
+        host's clock).  Returns the packet; the slot stays occupied until
+        :meth:`should_pop` triggers a batched pop.
         """
-        if not self.visible:
+        if not self.slots:
             raise IndexError("receive FIFO empty")
         self.pending_pop += 1
-        pkt = self.visible.popleft()
+        pkt = self.slots.popleft()[2]
         if self.check is not None:
             self.check.on_consume(self)
         return pkt

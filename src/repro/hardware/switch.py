@@ -53,11 +53,6 @@ class Switch:
         #: independent of ``repro.faults``): the fabric's one fault
         #: source — drop, duplicate, reorder or corrupt, one per packet
         self.faults = None
-        #: packets accepted and not yet handed to a destination adapter
-        #: (a hand-off-path packet) or not yet visible to its host (a
-        #: one-event packet, whose adapter counts it down when it lands);
-        #: the metrics sampler's ``switch.in_flight`` gauge
-        self.in_flight = 0
         #: cumulative wire time serialized onto each destination link
         #: (µs); only accumulated under an attached Observatory — the
         #: metrics sampler differences it into per-link utilization
@@ -74,18 +69,38 @@ class Switch:
     def node_count(self) -> int:
         return len(self._adapters)
 
+    @property
+    def in_flight(self) -> int:
+        """Packets injected and not yet handed to their destination
+        adapter (hand-off path), or accepted ahead and not yet visible to
+        its host: the metrics sampler's ``switch.in_flight`` gauge.  The
+        sampler reads it before the events of its instant, so a packet
+        stamped at that very instant still counts."""
+        now = self.sim.now
+        n = 0
+        for adapter in self._adapters.values():
+            # hand-off packets in the fabric, plus the slots accepted
+            # ahead (those with an order) and stamped from now on
+            n += adapter.handoffs
+            for stamp, order, _packet in reversed(adapter.recv_fifo.slots):
+                if stamp < now:
+                    break
+                if order is not None:
+                    n += 1
+        return n
+
     def inject(self, packet: Packet, wire_exit_time: float) -> None:
         """Accept a packet whose input-link serialization completes at
         ``wire_exit_time`` (sender adapter computed it); deliver it to the
         destination adapter after switch latency plus any destination-link
         queueing.
 
-        Most packets take one event from here to the receiving host: when
+        Most packets take no event from here to the receiving host: when
         no fault injector can act on the packet, its CRC is unstamped, no
         hand-off-path packet to its destination is still in the fabric,
         and the destination's receive FIFO has room now, the adapter
-        accepts it ahead (:meth:`TB2Adapter.accept_ahead`).  Otherwise a
-        ``_hand_off`` event gives it to the adapter's
+        accepts it ahead (:meth:`TB2Adapter.accept_ahead`) into a stamped
+        slot.  Otherwise a ``_hand_off`` event gives it to the adapter's
         :meth:`~TB2Adapter.on_wire_arrival` at ``deliver_at``.
         """
         adapters = self._adapters
@@ -136,7 +151,6 @@ class Switch:
             if span is not None:
                 span.marks["sw_deliver"] = deliver_at
                 span.queued_us += queueing
-        self.in_flight += 1
         adapter = adapters[dst]
         if (faults is None and not adapter.handoffs and packet.checksum < 0
                 and adapter.accept_ahead(packet, deliver_at)):
@@ -160,14 +174,12 @@ class Switch:
             self.stats.count("dup_link_charged")
             if self.obs is not None:
                 self.link_busy_us[dup_dst] += wire_time
-            self.in_flight += 1
             dup_adapter = adapters[dup_dst]
             dup_adapter.handoffs += 1
             self._at(dup_start + self._latency, self._hand_off_cb,
                      dup_adapter, duplicate)
 
     def _hand_off(self, adapter, packet: Packet) -> None:
-        self.in_flight -= 1
         adapter.handoffs -= 1
         adapter.on_wire_arrival(packet)
 

@@ -8,7 +8,8 @@ module answers *which resource was loaded when*.  A
 cancellable timer and snapshots gauges across every layer into bounded
 ring-buffer :class:`~repro.sim.stats.TimeSeries`:
 
-* send/receive FIFO occupancy and host-visible backlog, per node;
+* send/receive FIFO occupancy and host-visible backlog (slots whose
+  stamp has passed), per node;
 * go-back-N window in-flight (and the tightest remaining credit), per
   node, summed over peers and channels;
 * ``Switch.in_flight`` and the scheduler's ``live_pending_count()``;
@@ -69,6 +70,22 @@ def _utilization_of(read_busy: Callable[[], float], last_busy: Dict,
         last = last_busy.get(name, 0.0)
         last_busy[name] = busy
         return (busy - last) / period_us
+    return getter
+
+
+def _landed_of(rf, sim) -> Callable[[], int]:
+    """Getter: the receive-FIFO slots whose stamp lies before now.  A
+    tick runs ahead of every event of its instant, so a slot stamped at
+    that very instant has not landed yet."""
+    slots = rf.slots
+    def getter() -> int:
+        now = sim.now
+        n = 0
+        for slot in slots:
+            if slot[0] >= now:
+                break
+            n += 1
+        return n
     return getter
 
 
@@ -218,7 +235,7 @@ class MetricsSampler:
                 probe(f"n{nid}.send_fifo", nid, lambda sf=sf: sf.occupied)
                 probe(f"n{nid}.recv_fifo", nid, lambda rf=rf: rf.occupied)
                 probe(f"n{nid}.recv_visible", nid,
-                      lambda rf=rf: len(rf.visible))
+                      _landed_of(rf, self.sim))
                 util(f"n{nid}.tx_util", nid,
                      lambda adapter=adapter: adapter.tx_busy_us)
             am = getattr(node, "am", None)

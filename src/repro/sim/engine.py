@@ -163,7 +163,7 @@ class Simulator:
         "now", "_seq", "_useq", "_blocked_processes",
         "events_executed", "stale_events_skipped",
         "_stale_pending", "_queue", "check", "last_event",
-        "_horizon", "_stop",
+        "_horizon", "_stop", "_stamp_sources",
     )
 
     def __init__(self) -> None:
@@ -193,6 +193,12 @@ class Simulator:
         #: processes, the horizon is ``NO_HORIZON``.
         self._horizon = NO_HORIZON
         self._stop = 0
+        #: callables that each return the latest instant of something
+        #: decided ahead that needs no event (a receive-FIFO slot stamped
+        #: with the instant it becomes visible, which a polling host
+        #: checks against its clock): a :meth:`run` that drains the queue
+        #: ends there, not before it, as if each were an event
+        self._stamp_sources: List[Callable[[], float]] = []
 
     # -- scheduling -------------------------------------------------------
 
@@ -322,7 +328,8 @@ class Simulator:
         max_events: Optional[int] = None,
         check_deadlock: bool = True,
     ) -> float:
-        """Drain the event queue.
+        """Drain the event queue, then move the clock on to the latest
+        instant a stamp source reports (``_stamp_sources``).
 
         :param until: stop once simulated time would pass this point; events
             at exactly ``until`` still execute.  Must not lie behind
@@ -347,6 +354,15 @@ class Simulator:
                 return until
             raise SimTimeoutError(
                 f"exceeded max_events={max_events} at t={self.now:.3f}us")
+        last = self.now
+        for latest in self._stamp_sources:
+            t = latest()
+            if t > last:
+                last = t
+        if until is not None and last > until:
+            self.now = until
+            return until
+        self.now = last
         if check_deadlock and self._blocked_processes > 0:
             raise DeadlockError(
                 f"event queue drained at t={self.now:.3f}us with "

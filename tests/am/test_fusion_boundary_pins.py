@@ -1,15 +1,18 @@
-"""Pinned scenarios at every boundary of the fused host charges and the
-one-event delivery.
+"""Pinned scenarios at every boundary of the fused host charges, the
+one-event delivery and the stamped receive FIFO.
 
 SPAM's bulk send and receive paths run their host charges as charge
 stretches that yield only where another component can observe the
-instant, and the switch hands most packets to the receiving host in one
-event (docs/architecture.md, "Fused host charges and one-event
-delivery").  Each scenario below sits on one sync point or one
-precondition.  It pins its timeline (``tests.timeline``), recorded before
-either shortcut existed, so the shortcuts must reproduce the machine
-exactly; and its event digest, which moves with them.  Each also asserts
-that its boundary is really reached:
+instant; the switch hands most packets to the receiving adapter at
+injection, and the adapter queues each packet stamped with the instant
+the host may see it, with no event unless a host is blocked on the
+arrival event (docs/architecture.md, "Fused host charges and one-event
+delivery" and "The stamped receive FIFO").  Each scenario below sits on
+one sync point or one precondition.  It pins its timeline
+(``tests.timeline``), recorded before the shortcut it exercises existed,
+so the shortcuts must reproduce the machine exactly; and its event
+digest, which moves with them.  Each also asserts that its boundary is
+really reached:
 
 * the send FIFO fills in the middle of an arm batch (an 8-entry FIFO, a
   3-chunk store): the stretch syncs before its backoff;
@@ -21,10 +24,18 @@ that its boundary is really reached:
 * a host pop lands between a packet's injection and its arrival: the
   packet found the receive FIFO full at injection and room at arrival;
 * a hand-off-path packet is in flight ahead of a packet the receive FIFO
-  has room for: the second waits behind the first on the hand-off path.
+  has room for: the second waits behind the first on the hand-off path;
+* a receive stretch over a backlog ends at a lazy pop;
+* on the hand-off path, a packet becomes visible inside a receive
+  stretch: the stretch sees no slot visible at its local clock, syncs,
+  and then finds the packet;
+* a SPAM host falls asleep after its packet was accepted: the sleep
+  queues the packet's landing, and the landing wakes it;
+* an MPL receiver blocks in ``wait_for_arrival`` after its packet was
+  accepted, and a landing at the stamp wakes it.
 """
 
-from collections import Counter
+from collections import Counter, deque
 
 from repro.am import attach_spam
 from repro.am.constants import CHUNK_BYTES
@@ -33,23 +44,42 @@ from repro.faults import FaultPlan, FaultRule, install_faults
 from repro.hardware import build_sp_machine
 from repro.hardware.packet import PacketKind
 from repro.hardware.params import machine_params, with_overrides
+from repro.mpl import attach_mpl
 from repro.sim import Simulator, WaitEvent
 from tests.timeline import Timeline
 
 #: scenario -> (event digest, timeline digest); the timelines were
 #: recorded before bulk host charges were fused and packets delivered in
-#: one event
+#: one event.  The event digests were re-pinned when receive-FIFO slots
+#: were stamped (before: send-fifo-full 3dcdd3c9..., ack-mid-drain
+#: 636b0547..., rx-drop-at-arrival 38f583ef..., pop-before-arrival
+#: 6ff3d02b..., handoff-ahead 1674cc61...)
 PINS = {
-    "send-fifo-full": ("3dcdd3c961201bdeb1e260f75c41fa23",
+    "send-fifo-full": ("72769215064984eceb4913d9d82ad61a",
                        "a8a33f501997a9dd5b7831f2b7b90cd1"),
-    "ack-mid-drain": ("636b0547cc5dfa751d2f66cad8a76626",
+    "ack-mid-drain": ("77df6549bfdd1551f0df12f9df22c8d6",
                       "8db2f822eaa23523c9cc9a78ab7c8669"),
-    "rx-drop-at-arrival": ("38f583ef16bd1acc85e873c4e0d38e53",
+    "rx-drop-at-arrival": ("97379d8cda8b38890fd0dbcb38902d60",
                            "189a3f1a18182408876035b2a97be5b6"),
-    "pop-before-arrival": ("6ff3d02b745dc93eb6a3e7f15500d00e",
+    "pop-before-arrival": ("539d22c790553d79fb181788cf20b991",
                            "cbf16d757e0642cbd230ea6009e8d4d0"),
-    "handoff-ahead": ("1674cc61b6c752c98af72962cf2b19a7",
+    "handoff-ahead": ("6927d3258a79645b52fc0594448c02c3",
                       "900041d6125707ac6f41f2ae4fc8666d"),
+}
+#: the stamped-FIFO scenarios (event digest, timeline digest); the
+#: timelines were recorded before receive-FIFO slots were stamped, with
+#: the event digests stretch-ends-at-pop a1bfdfac..., handoff-in-stretch
+#: 5178ff02..., asleep-after-accept 7d5a1dae..., and mpl-wait-at-stamp the
+#: same as now: a landing keeps its packet's place in the event order
+STAMP_PINS = {
+    "stretch-ends-at-pop": ("dd81dc4c445ff7353082b258d41b7232",
+                            "53b638896e490aa6d63287b1435900e6"),
+    "handoff-in-stretch": ("54ab75170b52d66264d2f8be697bb78b",
+                           "1f0cbb48838ab2af9ff6e73c62c9bb54"),
+    "asleep-after-accept": ("a2a2c827e34916578c425592ac7788bc",
+                       "3cba5808bbd0b20e4eb179895a89037a"),
+    "mpl-wait-at-stamp": ("76a4929ab00e29cfdf452d6f6f9d4d3b",
+                          "3c899ca68871dbbc99f30ca17e93cdb7"),
 }
 
 
@@ -58,18 +88,24 @@ def _params(**adapter):
 
 
 class _CallCounts(EventDigest):
-    """An event digest that also counts executed events by callback."""
+    """An event digest that also counts executed events by callback, and
+    an adapter's by callback and node."""
 
-    __slots__ = ("calls",)
+    __slots__ = ("calls", "by_node")
 
     def __init__(self):
         super().__init__()
         self.calls = Counter()
+        self.by_node = Counter()
 
     def on_execute(self, entry):
         super().on_execute(entry)
         fn = entry[2]
-        self.calls[getattr(fn, "__qualname__", type(fn).__name__)] += 1
+        name = getattr(fn, "__qualname__", type(fn).__name__)
+        self.calls[name] += 1
+        nid = getattr(getattr(fn, "__self__", None), "node_id", None)
+        if nid is not None:
+            self.by_node[name, nid] += 1
 
 
 class _FillTap:
@@ -87,6 +123,62 @@ class _FillTap:
 
     def on_take(self, fifo):
         pass
+
+
+class _RxTap:
+    """A receive FIFO's ``check`` hook, chained in front of the one that
+    was there: logs each consume as ``(events executed, clock, stamp,
+    accepted at, slots left)`` and each pop as ``"pop"``; the server adds
+    ``"wait"`` before each of its waits."""
+
+    def __init__(self, sim, inner):
+        self._sim = sim
+        self._inner = inner
+        #: (stamp, accepted at) of each queued slot
+        self._queued = deque()
+        self.log = []
+
+    def on_reserve(self, fifo):
+        self._inner.on_reserve(fifo)
+
+    def on_deliver(self, fifo):
+        self._queued.append((fifo.slots[-1][0], self._sim.now))
+        self._inner.on_deliver(fifo)
+
+    def on_consume(self, fifo):
+        stamp, accepted = self._queued.popleft()
+        sim = self._sim
+        self.log.append((sim.events_executed, sim.now, stamp, accepted,
+                         len(fifo.slots)))
+        self._inner.on_consume(fifo)
+
+    def on_pop(self, fifo, freed):
+        self.log.append("pop")
+        self._inner.on_pop(fifo, freed)
+
+
+def _consumes(log):
+    """Pairs of consecutive log entries that are both consumes: the
+    second followed the first in the same drain, with no pop between."""
+    return [(a, b) for a, b in zip(log, log[1:])
+            if isinstance(a, tuple) and isinstance(b, tuple)]
+
+
+def _stretch_pops(log):
+    """Pops right after two consumes that ran in one event: a receive
+    stretch that ended at the pop."""
+    return sum(1 for a, b, pop in zip(log, log[1:], log[2:])
+               if pop == "pop" and isinstance(a, tuple)
+               and isinstance(b, tuple) and a[0] == b[0])
+
+
+def _found_after_sync(log):
+    """Consumes, in the drain of the consume before them, of a packet
+    accepted after it, when that consume had left no slot queued: the
+    stretch saw nothing visible at its local clock, synced, and found the
+    packet."""
+    return sum(1 for a, b in _consumes(log)
+               if a[4] == 0 and b[3] > a[1])
 
 
 def _watch_injections(machine):
@@ -111,13 +203,13 @@ def _watch_injections(machine):
 
 
 def _run(params=None, plan=None, store_chunks=3, get_chunks=0,
-         watch=True):
+         late_us=0.0, watch=True):
     """Node 0 runs ``store_async`` of ``store_chunks`` chunks to node 1,
     then a blocking ``get`` of ``get_chunks`` chunks back, then waits for
     the store.  A marker process finishes when ``store_async`` returns, a
-    watcher when the store's event fires.  Node 1 serves until node 0 is
-    done.  With ``watch``, the run's
-    boundaries are counted too."""
+    watcher when the store's event fires.  Node 1 computes for
+    ``late_us``, then serves until node 0 is done.  With ``watch``, the
+    run's boundaries are counted too."""
     with Timeline() as timeline:
         sim = Simulator()
         digest = sim.check = _CallCounts()
@@ -129,6 +221,9 @@ def _run(params=None, plan=None, store_chunks=3, get_chunks=0,
             injected = install_faults(machine, plan).injected
         fill = _FillTap()
         seen = Counter()
+        rf1 = machine.node(1).adapter.recv_fifo
+        rx = rf1.check = _RxTap(sim, rf1.check)
+        sleeps = Counter()
         if watch:
             machine.node(0).adapter.send_fifo.check = fill
             seen = _watch_injections(machine)
@@ -160,8 +255,21 @@ def _run(params=None, plan=None, store_chunks=3, get_chunks=0,
             yield WaitEvent(op.done)
 
         def server():
+            if late_us:
+                yield from machine.node(1).compute(late_us)
+            by_node = digest.by_node
+            a1 = machine.node(1).adapter
             while not sender.finished:
+                slots = rf1.slots
+                # nothing visible, a packet already accepted, and no
+                # landing queued for it
+                asleep = (slots and slots[0][0] > sim.now
+                          and not a1._landing)
+                lands = by_node["TB2Adapter._land", 1]
+                rx.log.append("wait")
                 yield from am1._wait_progress()
+                if asleep and by_node["TB2Adapter._land", 1] > lands:
+                    sleeps["at_stamp"] += 1
 
         sender = sim.spawn(mover(), name="mover")
         procs = [sender, sim.spawn(server(), name="server")]
@@ -177,7 +285,9 @@ def _run(params=None, plan=None, store_chunks=3, get_chunks=0,
         return {"digest": digest.hexdigest(),
                 "timeline": timeline.hexdigest(), "calls": digest.calls,
                 "counters": counters, "filled": fill.filled, "seen": seen,
-                "injected": [f.packet_kind for f in injected]}
+                "injected": [f.packet_kind for f in injected],
+                "rx": rx.log,
+                "sleeps": sleeps["at_stamp"]}
 
 
 #: scenario -> keyword arguments of :func:`_run`
@@ -194,7 +304,59 @@ SCENARIOS = {
         recv_fifo_entries_per_node=3, lazy_pop_batch=2), store_chunks=2),
     "handoff-ahead": dict(params=_params(
         recv_fifo_entries_per_node=4, lazy_pop_batch=4), store_chunks=2),
+    # node 1 starts serving late, with a backlog in its receive FIFO
+    "stretch-ends-at-pop": dict(store_chunks=2, late_us=300.0),
+    # the same, with a fault injector planted whose rule never fires:
+    # every packet takes the hand-off path
+    "handoff-in-stretch": dict(store_chunks=3, late_us=300.0,
+                               plan=FaultPlan(seed=0, rules=(FaultRule(
+                                   "drop", packet_kinds=frozenset(
+                                       {PacketKind.MPL_DATA})),))),
+    "asleep-after-accept": dict(store_chunks=1),
 }
+
+
+def _run_mpl():
+    """Node 0 sends three one-word MPL messages to node 1, which computes
+    for 20 us and then receives them in turn: it blocks in
+    ``wait_for_arrival`` for each."""
+    late_us, messages = 20.0, 3
+    with Timeline() as timeline:
+        sim = Simulator()
+        digest = sim.check = _CallCounts()
+        machine = build_sp_machine(sim, 2)
+        timeline.watch(machine)
+        mpl0, mpl1 = attach_mpl(machine)
+        a1 = machine.node(1).adapter
+        blocked = Counter()
+        arrival_event = a1.arrival_event
+
+        def watched_arrival_event():
+            slots = a1.recv_fifo.slots
+            if slots and slots[0][0] > sim.now:
+                blocked["accepted"] += 1
+            return arrival_event()
+
+        a1.arrival_event = watched_arrival_event
+        got = []
+
+        def sender():
+            for i in range(messages):
+                yield from mpl0.mpc_bsend(bytes([i + 1]) * 4, 1, tag=i)
+
+        def receiver():
+            yield from machine.node(1).compute(late_us)
+            for i in range(messages):
+                got.append((yield from mpl1.mpc_brecv(4, 0, tag=i)))
+
+        procs = [sim.spawn(sender(), name="mpl-sender"),
+                 sim.spawn(receiver(), name="mpl-receiver")]
+        sim.run_until_processes_done(procs, limit=1e8)
+    assert got == [bytes([i + 1]) * 4 for i in range(messages)]
+    return {"digest": digest.hexdigest(), "timeline": timeline.hexdigest(),
+            "calls": digest.calls,
+            "lands": digest.by_node["TB2Adapter._land", 1],
+            "blocked": blocked["accepted"]}
 
 
 def _pinned(name):
@@ -239,4 +401,41 @@ def test_handoff_in_flight_holds_the_next_packet():
     assert run["seen"]["behind_handoff"] > 0
     assert run["calls"]["Switch._hand_off"] == (
         run["seen"]["full"] + run["seen"]["behind_handoff"])
-    assert run["calls"]["TB2Adapter._land"] > 0
+    # and the packets that came ahead were accepted at injection
+    counters = run["counters"]
+    assert counters["rx_packets"] > (run["calls"]["Switch._hand_off"]
+                                     - counters["rx_dropped_overflow"])
+
+
+def _stamp_pinned(name):
+    if name == "mpl-wait-at-stamp":
+        run = _run_mpl()
+    else:
+        run = _run(**SCENARIOS[name])
+    assert (run["digest"], run["timeline"]) == STAMP_PINS[name]
+    return run
+
+
+def test_receive_stretch_ends_at_lazy_pop():
+    run = _stamp_pinned("stretch-ends-at-pop")
+    assert _stretch_pops(run["rx"]) > 0
+
+
+def test_handoff_packet_found_after_empty_sync():
+    run = _stamp_pinned("handoff-in-stretch")
+    # every packet took the hand-off path
+    assert run["calls"]["Switch._hand_off"] == run["counters"]["rx_packets"]
+    assert _found_after_sync(run["rx"]) > 0
+
+
+def test_spam_host_asleep_on_an_accepted_packet():
+    run = _stamp_pinned("asleep-after-accept")
+    # waits that began with a packet accepted, not yet visible and with
+    # no landing queued, and that a landing at node 1 ended
+    assert run["sleeps"] > 0
+
+
+def test_mpl_waiter_wakes_at_a_stamped_arrival():
+    run = _stamp_pinned("mpl-wait-at-stamp")
+    assert run["blocked"] > 0
+    assert run["lands"] > 0

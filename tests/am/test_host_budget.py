@@ -39,30 +39,34 @@ from repro.splitc import GlobalPtr, attach_splitc
 #: pass stopped checking for AM-level rendezvous work; sim was 15.27
 #: before a Delay resume that is the next event ran without the heap;
 #: sim 10.45, hardware 15.42 and am 20.29 before bulk host charges were
-#: fused and packets delivered in one event)
-BUDGET = {"sim": 8.18, "hardware": 13.45, "am": 11.75}
+#: fused and packets delivered in one event; sim 8.18, hardware 13.45 and
+#: am 11.75 before receive-FIFO slots were stamped)
+BUDGET = {"sim": 4.68, "hardware": 12.12, "am": 9.70}
 
-#: simulator events per packet sent on the same program (measured 4.336;
+#: simulator events per packet sent on the same program (measured 2.731;
 #: 7.269 before bulk host charges were fused and packets delivered in one
-#: event: ROADMAP item 15's ratchet)
-EVENTS_PER_PACKET_BUDGET = 4.34
+#: event, 4.336 before receive-FIFO slots were stamped: ROADMAP item 15's
+#: ratchet)
+EVENTS_PER_PACKET_BUDGET = 2.74
 
 #: calls per ping-pong round trip, by layer (measured; before the
 #: small-message fast paths: sim 71.42, hardware 49.97, am 95.03 here, and
 #: 160.1 / 86.0 / 117.0 per op on perflab's ``am-pingpong``, which adds
 #: its probes; hardware was 38.0 before the CRC left the staging path;
 #: sim was 52.13 before the Delay run-ahead; sim 30.16 and hardware 32.0
-#: before packets were delivered in one event)
-PINGPONG_BUDGET = {"sim": 26.16, "hardware": 30.0, "am": 57.09}
+#: before packets were delivered in one event; hardware 30.0 before
+#: receive-FIFO slots were stamped)
+PINGPONG_BUDGET = {"sim": 26.16, "hardware": 28.0, "am": 57.09}
 
 PINGPONG_ITERS = 200
 
 #: calls per one-way ``store_word``, by layer, and simulator events per
-#: store (measured, rounded up at the second decimal: 16.095, 17.997,
-#: 23.123 and 9.224 events; ROADMAP item 13's ratchet leg; 19.109, 19.052
-#: and 10.279 events before packets were delivered in one event)
-STORE_WORD_BUDGET = {"sim": 16.10, "hardware": 18.0, "am": 23.13}
-STORE_WORD_EVENTS_BUDGET = 9.23
+#: store (measured, rounded up at the second decimal: 10.108, 17.883,
+#: 23.123 and 9.169 events; ROADMAP item 13's ratchet leg; 19.109, 19.052
+#: and 10.279 events before packets were delivered in one event; 16.095,
+#: 17.997 and 9.224 events before receive-FIFO slots were stamped)
+STORE_WORD_BUDGET = {"sim": 10.11, "hardware": 17.89, "am": 23.13}
+STORE_WORD_EVENTS_BUDGET = 9.17
 
 STORE_WORDS = 1000
 

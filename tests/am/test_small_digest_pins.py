@@ -27,10 +27,11 @@ from tests.timeline import Timeline
 
 #: recorded at the commit before the small-message fast paths; the
 #: lossless two re-pinned when bulk host charges were fused and packets
-#: delivered in one event (before: 9dfb16b3..., 30e6e906...), while the
-#: timelines did not move
+#: delivered in one event (before: 9dfb16b3..., 30e6e906...), the
+#: deferred one again when receive-FIFO slots were stamped (before:
+#: 00d0283a...), while the timelines did not move
 PINGPONG_DIGEST = "579295998db9e4bbc9fa16646e5a7ce1"
-DEFERRED_DIGEST = "00d0283a6b033a03edf35417c7862741"
+DEFERRED_DIGEST = "1fa992223c2c53d00b7893ff338a3c76"
 LOSSY_DIGEST = "4922efa7ad2cbec7039a6a035e850d09"
 #: what the machine did (``tests.timeline``), recorded before bulk host
 #: charges were fused and packets delivered in one event

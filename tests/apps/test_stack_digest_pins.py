@@ -34,11 +34,13 @@ BULK = 10_000
 #: end, the timelines (``tests.timeline``) before bulk host charges were
 #: fused and packets delivered in one event.  That change re-pinned the
 #: event digests of the TB2 stacks (before: sp-am 9fd2bd58..., sp-mpl
-#: d017a83f..., spam 349d29f4..., mpl-shim a821724b...)
+#: d017a83f..., spam 349d29f4..., mpl-shim a821724b...), and so did
+#: stamping the receive-FIFO slots (before: sp-am 7c0aad10..., sp-mpl
+#: ed018b46..., spam 9b9b85db..., mpl-shim c55f427b...)
 SPLITC_PINS = {
-    "sp-am": ("7c0aad1001cc8efa46f35cd4b09023eb", 2280.4800000000105,
+    "sp-am": ("ee632237dcbd77fcb8004018a58d6f52", 2280.4800000000105,
               "05646b22b265d2b38f9e853a624aff52"),
-    "sp-mpl": ("ed018b4668b296792ae2a6918d51cf9f", 4381.1955555555605,
+    "sp-mpl": ("1898a778c7d739e6b526710e57128ad7", 4381.1955555555605,
                "97acbeef5efd7e376d0e35a5c8c74307"),
     "cm5": ("65edc2e79d81093df701013bc9ee4447", 3237.680000000001,
             "78c3fc8b25df5826556bfc62c7e6939b"),
@@ -48,11 +50,11 @@ SPLITC_PINS = {
              "901458539bd0d7d4fb6d89d928ca478a"),
 }
 PORTABLE_PINS = {
-    "spam": ("9b9b85dbc5705929f37c4dcd9573f3b4", 381.4333333333334,
+    "spam": ("c9a2980647a090f2f803dcd322e67d08", 381.4333333333334,
              "f9a6e6c7e630c2c788f6142ee1f08578"),
     "generic": ("24e79333e0b909bd1795e74a09c95c68", 711.5600000000002,
                 "5b77d7ce8b4349b8b55f9f7f315254ad"),
-    "mpl-shim": ("c55f427b353439e7f35fd8882496dcfd", 672.2533333333337,
+    "mpl-shim": ("899d79e793823d55b4750366975b6ec8", 672.2533333333337,
                  "e700a3e76b3ffdc0d0f01f46939859bc"),
 }
 

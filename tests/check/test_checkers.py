@@ -86,7 +86,7 @@ class TestRecvFifoCheck:
         f.check = ck
         for i in range(4):
             assert f.reserve()
-            f.deliver(pkt(i))
+            f.deliver(pkt(i), float(i), i)
         for _ in range(4):
             f.consume()
             if f.should_pop():
@@ -100,7 +100,17 @@ class TestRecvFifoCheck:
         f.check = RecvFifoCheck(Sanitizer(), "recv_fifo[t]", f)
         with pytest.raises(InvariantViolation,
                            match=r"\[recv_fifo\[t\]\.deliver\].*reserved"):
-            f.deliver(pkt())
+            f.deliver(pkt(), 0.0, 0)
+
+    def test_slot_out_of_stamp_order_caught(self):
+        f = RecvFIFO(capacity=8)
+        f.check = RecvFifoCheck(Sanitizer(), "recv_fifo[t]", f)
+        f.reserve()
+        f.deliver(pkt(0), 5.0, 0)
+        f.reserve()
+        with pytest.raises(InvariantViolation,
+                           match=r"\.deliver\].*stamped 4\.0 queued after"):
+            f.deliver(pkt(1), 4.0, 1)
 
     def test_slot_leak_caught_at_quiescence(self):
         f = RecvFIFO(capacity=8)

@@ -72,7 +72,7 @@ class TestRecvFIFO:
         f = RecvFIFO(capacity=8)
         for i in range(3):
             f.reserve()
-            f.deliver(pkt(i))
+            f.deliver(pkt(i), float(i), i)
         assert f.peek().seq == 0
         assert [f.consume().seq for _ in range(3)] == [0, 1, 2]
         with pytest.raises(IndexError):
@@ -82,7 +82,7 @@ class TestRecvFIFO:
         f = RecvFIFO(capacity=4, lazy_pop_batch=3)
         for i in range(4):
             f.reserve()
-            f.deliver(pkt(i))
+            f.deliver(pkt(i), float(i), i)
         assert not f.reserve()
         f.consume()
         # consumed but not popped: capacity still held

@@ -49,7 +49,7 @@ class WalkingSampler(MetricsSampler):
                 rf = adapter.recv_fifo
                 self._series(f"n{nid}.recv_fifo", nid).record(t, rf.occupied)
                 self._series(f"n{nid}.recv_visible", nid).record(
-                    t, len(rf.visible))
+                    t, sum(1 for slot in rf.slots if slot[0] < t))
                 self._util(f"n{nid}.tx_util", nid, t, adapter.tx_busy_us)
             am = getattr(node, "am", None)
             if am is not None:

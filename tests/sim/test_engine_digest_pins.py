@@ -12,7 +12,10 @@ Each also pins its timeline (``tests.timeline``): what the machine did,
 which must hold when a change re-pins the event digests.  The event
 digests were re-pinned when bulk host charges were fused and packets
 delivered in one event; before, ping-pong e90cc310..., bulk 12bc4095...,
-all-to-all e9f1f0ac..., soak ca79b018... at 6104 events.
+all-to-all e9f1f0ac..., soak ca79b018... at 6104 events.  They were
+re-pinned again when receive-FIFO slots were stamped; before, bulk
+a249079e..., all-to-all 2e91f0b5..., soak 71808adb... at 5659 events
+(ping-pong did not move).
 """
 
 from repro.am import attach_am
@@ -131,13 +134,13 @@ def test_pingpong_step_digest_is_pinned():
 
 def test_bulk_step_digest_is_pinned():
     assert _step_digest(_build_bulk, 32_768) == (
-        "a249079e022361ad5b39f30eed2eec91", 2101.580000000017,
+        "b65408375209668dc4f04f878f9c7e35", 2101.580000000017,
         "3fda231ec067359510ccd9569679f982")
 
 
 def test_alltoall_step_digest_is_pinned():
     assert _step_digest(_build_alltoall, 4, 2_048) == (
-        "2e91f0b5bf938cbd58564afd24c19ef6", 356.50000000000057,
+        "ab75223a6948a484bd9d4cc55bedf2db", 356.50000000000057,
         "7d66bc809e756337d8bc98a2d51b139e")
 
 
@@ -158,4 +161,4 @@ def test_soak_run_digest_is_pinned():
     assert sim.stale_events_skipped > 0
     assert timeline == "d198d07db7000a1f9e0dd5ae30c67516"
     assert (rec.hexdigest(), res.elapsed_us, sim.events_executed) == (
-        "71808adb16ec7668d8836e4c0aecb29f", 55647.45083333338, 5659)
+        "38dd2ad72afd3cc3d0f73c3b07f0b696", 55647.45083333338, 5655)

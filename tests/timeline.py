@@ -6,8 +6,10 @@ spends fewer or different events on the same machine behaviour.  A
 :class:`Timeline` hashes the behaviour itself:
 
 * per node, every packet that lands in its TB2 receive FIFO, as
-  ``(time, src, kind, seq, offset)``, read through the FIFO's ``check``
-  hook at the moment the packet becomes visible to the host;
+  ``(time, src, kind, seq, offset)``.  It is read through the FIFO's
+  ``check`` hook when the adapter queues the packet, and ``time`` is its
+  stamp: the instant it becomes visible to the host.  A packet counts
+  once the run's clock has reached its stamp;
 * every process's finish time, with its name.
 
 Two runs with the same timeline digest delivered the same packets to the
@@ -39,15 +41,14 @@ class _FifoTap:
     """A receive FIFO's ``check`` hook that logs each delivery, then hands
     every call on to the checker that was there before (if any)."""
 
-    def __init__(self, sim, log, inner):
-        self._sim = sim
+    def __init__(self, log, inner):
         self._log = log
         self._inner = inner
 
     def on_deliver(self, fifo):
-        p = fifo.visible[-1]
-        self._log.append(_DELIVERY(self._sim.now, p.src, int(p.kind),
-                                   p.seq, p.offset))
+        stamp, _order, p = fifo.slots[-1]
+        self._log.append((stamp, _DELIVERY(stamp, p.src, int(p.kind),
+                                           p.seq, p.offset)))
         if self._inner is not None:
             self._inner.on_deliver(fifo)
 
@@ -68,8 +69,11 @@ class Timeline:
     """Per-node delivery timelines plus process finish times, hashed."""
 
     def __init__(self):
-        #: node id -> packed deliveries, in delivery order
+        #: node id -> (stamp, packed delivery), in delivery order
         self.deliveries = {}
+        #: node id -> its simulator, whose clock says which stamps the
+        #: run reached
+        self._sims = {}
         #: (process name, finish time), in finish order
         self.finishes = []
         self._saved_finish = None
@@ -82,7 +86,8 @@ class Timeline:
             if fifo is None:
                 continue
             log = self.deliveries.setdefault(node.id, [])
-            fifo.check = _FifoTap(machine.sim, log, fifo.check)
+            self._sims[node.id] = machine.sim
+            fifo.check = _FifoTap(log, fifo.check)
         return self
 
     def __enter__(self):
@@ -104,8 +109,10 @@ class Timeline:
         h = hashlib.blake2b(digest_size=16)
         for nid in sorted(self.deliveries):
             h.update(_DELIVERY(-1.0, nid, 0, 0, 0))
-            for record in self.deliveries[nid]:
-                h.update(record)
+            now = self._sims[nid].now
+            for stamp, record in self.deliveries[nid]:
+                if stamp <= now:
+                    h.update(record)
         # by name then time: same-instant finishes may swap order when a
         # fused stretch takes its seq earlier, and that is not behaviour
         for name, t in sorted(self.finishes):

@@ -241,7 +241,7 @@ class SPAM(ActiveMessages):
         c = self.costs
         peer = self._peer(dst)
         win = peer.send[REQUEST_CHANNEL]
-        while not (win.can_send(1) and self.adapter.host_can_stage(1)):
+        while not (win.can_send(1) and self.adapter.host_can_stage()):
             yield from self._wait_progress()
         hid = self.handlers.register(handler) if handler is not None else -1
         token = self._take_token()
@@ -279,7 +279,9 @@ class SPAM(ActiveMessages):
         self.node.cpu_busy_us += self._poll_empty_delay.duration
         yield self._poll_empty_delay
         slots = self.adapter.recv_fifo.slots
-        if (slots and slots[0][0] <= self.sim.now) or self._duties_pending():
+        # a pending packet may have arrived: the drain settles it
+        if ((slots and slots[0][0] <= self.sim.now) or self.adapter.pending
+                or self._duties_pending()):
             return (yield from self._drain(self.sim.now))
         return 0  # an empty drain: skip its generator
 
@@ -341,7 +343,8 @@ class SPAM(ActiveMessages):
         node.cpu_busy_us += d.duration
         yield d
         slots = adapter.recv_fifo.slots
-        if (slots and slots[0][0] <= self.sim.now) or self._duties_pending():
+        if ((slots and slots[0][0] <= self.sim.now) or adapter.pending
+                or self._duties_pending()):
             yield from self._drain(self.sim.now)
 
     def _send_reply(self, dst: int, handler: Callable, args: Tuple[int, ...]):
@@ -555,11 +558,11 @@ class SPAM(ActiveMessages):
         piggybacked acks that advance a send window, which can complete an
         op and fire its event; on a ``duplicate`` or ``nack`` verdict;
         before a non-data packet; under an Observatory, before every
-        consume; and when no slot is visible at ``tl``.  A packet accepted
+        consume; and when no slot is visible at ``tl``.  A packet settled
         after the stretch began joins the FIFO behind every slot already
         queued, so the stretch can miss one only when it sees nothing
-        visible: it then syncs and looks again.  The stretch relies on one
-        process polling the endpoint.
+        visible: it then syncs, settles what has arrived and looks again.
+        The stretch relies on one process polling the endpoint.
         """
         handled = 0
         sim = self.sim
@@ -576,10 +579,11 @@ class SPAM(ActiveMessages):
         bulk_recv = self._bulk_recv
         while True:
             if not slots or slots[0][0] > tl:
-                if tl == sim.now:
-                    break
-                # nothing visible at the local clock: sync, look again
-                yield Until(tl)
+                if tl != sim.now:
+                    # nothing visible at the local clock: sync, look again
+                    yield Until(tl)
+                if not slots and adapter.pending:
+                    adapter.settle(tl)
                 if not slots or slots[0][0] > tl:
                     break
             if obs is None:
@@ -812,7 +816,7 @@ class SPAM(ActiveMessages):
     def _send_control(self, dst: int, kind: PacketKind):
         c = self.costs
         peer = self._peer(dst)
-        while not self.adapter.host_can_stage(1):
+        while not self.adapter.host_can_stage():
             yield Delay(2.0)
         pkt = Packet(src=self.node.id, dst=dst, kind=kind)
         self._stamp_acks(pkt, peer)
@@ -838,9 +842,9 @@ class SPAM(ActiveMessages):
         """Go-back-N: retransmit saved packets the peer reports missing.
 
         Fresh clones go on the wire: the saved packets are the earlier
-        transmissions themselves (maybe still referenced by in-flight
-        ``sim.at`` callbacks) and must never be aliased by a packet whose
-        ack fields are being re-stamped.
+        transmissions themselves (maybe still held in flight, pending at
+        the receiving adapter or in its receive FIFO) and must never be
+        aliased by a packet whose ack fields are being re-stamped.
         """
         yield from self.node.compute(self.costs.nack_process)
         peer = self._peer(pkt.src)
@@ -850,7 +854,7 @@ class SPAM(ActiveMessages):
             if ack < 0:
                 continue
             for old in peer.send[channel].unacked_from(ack):
-                while not self.adapter.host_can_stage(1):
+                while not self.adapter.host_can_stage():
                     if self.adapter.send_fifo.staged_count:
                         # the FIFO may hold our own staged-but-unarmed
                         # retransmissions: arm them before waiting, not at
@@ -909,7 +913,7 @@ class SPAM(ActiveMessages):
         while self._deferred_replies:
             dst, hid, args = self._deferred_replies[0]
             win = self._peer(dst).send[REPLY_CHANNEL]
-            if not (win.can_send(1) and self.adapter.host_can_stage(1)):
+            if not (win.can_send(1) and self.adapter.host_can_stage()):
                 break
             self._deferred_replies.popleft()
             yield from self._emit_reply(dst, hid, args)
@@ -971,8 +975,8 @@ class SPAM(ActiveMessages):
         """Is nothing on this endpoint awaiting recovery or service?
 
         Node-local: no active sends or deferred replies; the send FIFO
-        empty; no receive-FIFO slot queued (visible or mid-DMA); and per
-        peer, no unacked send window and no partial chunk assembly.
+        empty; no receive-FIFO slot queued (visible, mid-DMA or arrived);
+        and per peer, no unacked send window and no partial chunk assembly.
         Traffic still in the fabric is not visible here; a quiesce loop
         sees it as a packet arrival.
         """
@@ -981,6 +985,8 @@ class SPAM(ActiveMessages):
         adapter = self.adapter
         if adapter.send_fifo.occupied > 0:
             return False
+        if adapter.pending:
+            adapter.settle(self.sim.now)
         if adapter.recv_fifo.slots:
             return False  # a packet is visible or mid-RX-DMA
         # open-coded window-field reads (vs the has_unacked /
@@ -1008,12 +1014,12 @@ class SPAM(ActiveMessages):
         to the paper's poll spinning) with a keep-alive timeout.
 
         The sleep ends at the first stamp after now, by the arrival
-        event: with a packet already accepted ahead, its ``_land`` is
-        queued now, in the packet's place in the event order, and when
+        event: with a packet already settled into a slot, its ``_land``
+        is queued now, in the packet's place in the event order, and when
         that landing comes before the keep-alive no timer is queued at
-        all.  A packet on the hand-off path lands by its own ``_deliver``,
-        and its sleeper keeps the timer (the soak's sampler counts live
-        heap entries).
+        all.  With only a pending packet ahead, a ``_land`` at its arrival
+        settles it there, and the sleeper keeps the timer: the packet may
+        still be dropped at a full FIFO.
 
         The wake is an event, not an ``Until``, because a host resumed at
         the stamp would take its place among same-instant ties from when
@@ -1027,6 +1033,8 @@ class SPAM(ActiveMessages):
         node = self.node
         sim = self.sim
         d = self._poll_empty_delay
+        if not slots and adapter.pending:
+            adapter.settle(sim.now)
         if not slots or slots[0][0] > sim.now:
             if rf.pending_pop > 0:
                 # going idle: return consumed receive-FIFO slots to the
@@ -1052,21 +1060,22 @@ class SPAM(ActiveMessages):
             # inlined adapter.arrival_event(): the event fires at the
             # first stamp after now.  A slot that became visible during
             # the idle pop above is left for a later landing to find:
-            # that oversleep is recorded in ROADMAP item 1
+            # that oversleep is recorded in ROADMAP item 23
             ev = adapter._arrival_event
             if ev is None or ev._ok:
                 ev = adapter._arrival_event = Event(
                     sim, adapter._arrival_event_name)
             now = sim.now
             land = None
-            if slots:
-                for slot in slots:
-                    if slot[0] > now:
-                        if slot[1] is not None:  # accepted ahead
-                            land = slot[0]
-                            if not adapter._landing:
-                                adapter._land_at(slot)
-                        break
+            for slot in slots:
+                if slot[0] > now:
+                    land = slot[0]
+                    if not adapter._landing:
+                        adapter._land_at(slot)
+                    break
+            else:
+                if adapter.pending:
+                    adapter._arm(now)
             if land is not None and land <= now + timeout:
                 # the landing comes first (at a tie too: the keep-alive
                 # timer would be queued after it), so no timer
@@ -1087,6 +1096,8 @@ class SPAM(ActiveMessages):
                         self._keepalive_backoff * 2, 64.0)
         # inlined poll() (blocked software never runs inside a handler)
         node.cpu_busy_us += d.duration
+        if not slots and adapter.pending:
+            adapter.settle(sim.now)
         if slots:
             head = slots[0]
             if head[0] <= sim.now:
@@ -1101,8 +1112,9 @@ class SPAM(ActiveMessages):
                     yield from self._drain(sim.now)
                 return
         yield d
-        # re-check visibility after the yield (arrivals may have landed);
-        # an idle spin with no packets and no duties skips the _drain
-        # generator entirely — it would be a pure no-op
-        if (slots and slots[0][0] <= sim.now) or self._duties_pending():
+        # re-check visibility after the yield (arrivals may have landed,
+        # or be pending); an idle spin with no packets and no duties skips
+        # the _drain generator entirely — it would be a pure no-op
+        if ((slots and slots[0][0] <= sim.now) or adapter.pending
+                or self._duties_pending()):
             yield from self._drain(sim.now)

@@ -9,14 +9,15 @@ link.  Each service is modelled with an *occupancy* (pacing the next
 packet — set by the larger of DMA time, i860 per-packet work, and wire
 serialization) and a *latency* (this packet's transit).
 
-Receive path: the MSMU accepts a packet from the switch; if the receive
-FIFO is full the packet is **dropped** (input-buffer overflow — the loss
-case §2.2's flow control exists for).  Otherwise the adapter DMAs it into
-the host-resident receive queue, where it becomes visible to polling
-software after the RX latency.  The packet enters the receive FIFO when it
-is accepted, stamped with that visible instant; a polling host compares
-the stamp with its clock, and an event marks the instant only where a
-host is blocked on :meth:`TB2Adapter.arrival_event`.
+Receive path: the switch hands every packet over at injection
+(:meth:`TB2Adapter.accept`).  A packet that fails the CRC is **dropped**,
+and so is one that finds the receive FIFO full when it arrives
+(input-buffer overflow — the loss case §2.2's flow control exists for).
+Otherwise the adapter DMAs it into the host-resident receive queue, where
+it becomes visible to polling software after the RX latency: it enters
+the receive FIFO stamped with that instant, a polling host compares the
+stamp with its clock, and an event marks the instant only where a host is
+blocked on :meth:`TB2Adapter.arrival_event`.
 
 Software above charges its own CPU costs (cache flushes, PIO stores,
 polling); this module charges only adapter-side time.
@@ -24,8 +25,9 @@ polling); this module charges only adapter-side time.
 
 from __future__ import annotations
 
+from bisect import insort
 from heapq import heappush
-from typing import Optional
+from typing import List, Optional
 
 from repro.hardware.fifo import RecvFIFO, SendFIFO
 from repro.hardware.packet import Packet
@@ -93,28 +95,28 @@ class TB2Adapter:
         self._arrival_event_name = f"tb2[{node_id}].arrival"
         # bound once: these are scheduled per packet
         self._tx_service_cb = self._tx_service
-        self._deliver_cb = self._deliver
         self._land_cb = self._land
         #: the simulator's heap, which a ``_land`` goes straight into (its
-        #: instant is a stamp, not ``now`` plus a delay)
+        #: instant is a stamp or an arrival, not ``now`` plus a delay)
         self._queue = sim._queue
-        #: a ``_land`` is queued (at most one at a time)
+        #: a slot's ``_land`` is queued (at most one at a time)
         self._landing = False
-        #: hand-off-path packets to this adapter still in the fabric
-        #: (maintained by the switch); while any is, no packet is
-        #: accepted ahead of it
-        self.handoffs = 0
-        # a drained Simulator.run ends at the last stamp, as it would at
-        # a landing event
+        #: accepted, not yet settled: ``[arrive, order, packet, marked]``
+        #: in ``(arrive, order)`` order, ``marked`` once a ``_land`` is
+        #: queued at the arrival
+        self.pending: List[list] = []
+        #: the latest arrival of a packet dropped here
+        self._last_drop = 0.0
+        # a drained Simulator.run ends at the last stamp or drop
         sim._stamp_sources.append(self._last_stamp)
 
     # ------------------------------------------------------------------
     # Host-facing API (costs are charged by the calling software layer)
     # ------------------------------------------------------------------
 
-    def host_can_stage(self, n: int = 1) -> bool:
-        """Whether the send FIFO has ``n`` free entries."""
-        return self.send_fifo.free_entries >= n
+    def host_can_stage(self) -> bool:
+        """Whether the send FIFO has a free entry."""
+        return self.send_fifo.free_entries > 0
 
     def host_stage(self, packet: Packet) -> None:
         """Write one packet into the next send-FIFO entry.
@@ -155,7 +157,10 @@ class TB2Adapter:
         return self.recv_fifo.should_pop()
 
     def host_recv_pop_batch(self) -> int:
-        """Return consumed entries to the adapter (caller charges ~1 us PIO)."""
+        """Return consumed entries to the adapter (caller charges ~1 us
+        PIO), once what arrived before the pop is settled."""
+        if self.pending:
+            self.settle(self.sim.now)
         freed = self.recv_fifo.pop_batch()
         c = self._c_rx_pop_pio
         if c is None:
@@ -167,6 +172,8 @@ class TB2Adapter:
         """Packets visible to the host right now: slots stamped at or
         before the clock."""
         now = self.sim.now
+        if self.pending:
+            self.settle(now)
         n = 0
         for slot in self.recv_fifo.slots:
             if slot[0] > now:
@@ -181,28 +188,38 @@ class TB2Adapter:
         Blocking software (e.g. a store waiting for its ack) waits on this
         instead of burning simulated poll cycles; the timing is identical
         because nothing else runs on the node's CPU meanwhile.  Asking for
-        it queues the ``_land`` that fires it, if a slot is already
-        accepted and not yet visible.
+        it queues the ``_land`` that fires it (:meth:`_arm`).
         """
         ev = self._arrival_event
         if ev is None or ev._ok:
             ev = self._arrival_event = Event(self.sim,
                                              self._arrival_event_name)
-        if not self._landing:
-            now = self.sim.now
-            for slot in self.recv_fifo.slots:
-                if slot[0] > now:
-                    self._land_at(slot)
-                    break
+        self._arm(self.sim.now)
         return ev
 
-    def _land_at(self, slot: tuple) -> None:
-        """Queue the ``_land`` that fires the arrival event when receive
-        ``slot`` becomes visible, in the slot's place in the event order,
-        unless it came by the hand-off path, whose ``_deliver`` fires
-        it."""
-        if slot[1] is None:
+    def _arm(self, now: float) -> None:
+        """Settle what has arrived by ``now``, then queue the ``_land`` a
+        blocked host needs next, unless a slot's is queued: at the first
+        slot stamped after ``now``, else at the first pending packet's
+        arrival, to settle it there."""
+        if self.pending:
+            self.settle(now)
+        if self._landing:
             return
+        for slot in self.recv_fifo.slots:
+            if slot[0] > now:
+                self._land_at(slot)
+                return
+        pending = self.pending
+        if pending and not pending[0][3]:
+            head = pending[0]
+            head[3] = True
+            heappush(self._queue, [head[0], head[1], self._land_cb,
+                                   (head[0], head[1], None)])
+
+    def _land_at(self, slot: tuple) -> None:
+        """Queue the ``_land`` that fires the arrival event when ``slot``
+        becomes visible, in the slot's place in the event order."""
         self._landing = True
         # the slot is the callback's arguments: _land(stamp, order, packet)
         heappush(self._queue, [slot[0], slot[1], self._land_cb, slot])
@@ -265,125 +282,139 @@ class TB2Adapter:
     # RX path (called by the switch)
     # ------------------------------------------------------------------
 
-    def on_wire_arrival(self, packet: Packet) -> None:
-        """Switch-facing: accept or drop (CRC failure, FIFO overflow)."""
+    def accept(self, packet: Packet, arrive_at: float) -> None:
+        """Switch-facing, at injection: take a packet that reaches this
+        adapter at ``arrive_at``.
+
+        The CRC verdict and the injected ``rx_overflow`` draw depend on
+        nothing before the arrival, so they are decided here, and the
+        packet's place in the event order is drawn.  The packet is settled
+        at once if no pending packet arrives before it, none injected
+        later can overtake it (only a fabric hold past the destination
+        link's next packet allows that), and the receive FIFO has room
+        now: arrivals then come in injection order and host pops only
+        free slots, so the FIFO verdict and the RX DMA at the arrival are
+        known.  Otherwise it joins :attr:`pending` for :meth:`settle`.
+        """
+        sim = self.sim
+        now = sim.now
+        # the instant an event queued now for arrive_at would run at
+        arrive = now + (arrive_at - now)
         # inlined checksum_ok: -1 (one compare) unless the corrupt fault
         # stamped the CRC of the contents it then damaged
         cs = packet.checksum
         if cs >= 0 and cs != packet.compute_checksum():
-            # Hardware CRC check: a packet corrupted in the fabric is
-            # discarded here, indistinguishable from a loss to the layers
-            # above — §2.2's go-back-N recovers it.
-            self.stats.count("rx_dropped_corrupt")
-            if self.obs is not None:
-                self.obs.packet_dropped(packet, "crc")
+            # a packet corrupted in the fabric is discarded,
+            # indistinguishable from a loss to the layers above
+            self._drop(packet, arrive, "rx_dropped_corrupt", "crc")
             return
-        sim = self.sim
-        now = sim.now
-        if ((self.faults is not None and self.faults.at_rx(packet, now))
-                or not self.recv_fifo.reserve()):
-            # Input-buffer overflow (real or injected): the packet is
-            # lost; §2.2's sequence numbers + NACK machinery must
-            # recover it.
-            self.stats.count("rx_dropped_overflow")
-            if self.obs is not None:
-                self.obs.packet_dropped(packet, "overflow")
+        if self.faults is not None and self.faults.at_rx(packet, now):
+            self._drop(packet, arrive, "rx_dropped_overflow", "overflow")
             return
-        dma = packet.wire_bytes / self._mc_dma_rate
-        rx_free = self._rx_free
-        start = now if now > rx_free else rx_free
-        occ = self._i860_rx_occupancy
-        self._rx_free = start + (dma if dma > occ else occ)
-        visible_at = start + dma + self._i860_rx_latency
-        self._c_rx_packets.value += 1
-        if self.obs is not None:
-            span = self.obs.spans.get(packet.trace_id)  # inlined mark_packet
-            if span is not None:
-                span.marks["visible"] = visible_at
-        # the stamp is the instant sim.at's arithmetic gives _deliver; no
-        # order: that event, not a _land, marks the landing
-        stamp = sim.at(visible_at, self._deliver_cb, packet)[0]
-        self.recv_fifo.deliver(packet, stamp, None)
-
-    def accept_ahead(self, packet: Packet, arrive_at: float) -> bool:
-        """Switch-facing, at injection: accept now a packet that reaches
-        this adapter at ``arrive_at``, and queue it in the receive FIFO
-        stamped with the instant it becomes visible to the host.
-
-        The switch asks only for a packet no fault can touch, with an
-        unstamped CRC and no hand-off-path packet to this adapter ahead of
-        it.  Then what :meth:`on_wire_arrival` would decide at
-        ``arrive_at`` is already known: arrivals here keep injection order
-        and host pops only lower the receive FIFO's occupancy, so a slot
-        free now is free then, and the RX DMA queue sees the same packets
-        in the same order.  The slot is reserved now and the RX timing
-        computed now, with the arithmetic of the hand-off path's two
-        ``sim.at`` round trips, so the stamp is the float that path gives.
-        No event is spent on the packet unless a host is blocked on the
-        arrival event with no landing queued (:meth:`_land_at`).  Returns
-        False, accepting nothing, when a fault injector is planted here or
-        the FIFO is full now; the switch then hands the packet off at
-        ``arrive_at``.
-        """
+        sim._seq = order = sim._seq + 1
+        pending = self.pending
         rf = self.recv_fifo
-        if self.faults is not None or not rf.reserve():
-            return False
-        sim = self.sim
-        now = sim.now
-        # on_wire_arrival's RX timing, open-coded (one call less per
-        # packet: tests/am/test_host_budget.py), at the instant its
-        # hand-off would run by sim.at's arithmetic (the wire exit is
-        # never behind the clock)
-        now = now + (arrive_at - now)
-        dma = packet.wire_bytes / self._mc_dma_rate
-        rx_free = self._rx_free
-        start = now if now > rx_free else rx_free
-        occ = self._i860_rx_occupancy
-        self._rx_free = start + (dma if dma > occ else occ)
-        visible_at = start + dma + self._i860_rx_latency
-        self._c_rx_packets.value += 1
-        if self.obs is not None:
-            span = self.obs.spans.get(packet.trace_id)  # inlined mark_packet
-            if span is not None:
-                span.marks["visible"] = visible_at
-        # the stamp is the instant, and seq the place in the event order,
-        # that a landing event queued now would take
-        stamp = now + (visible_at - now)
-        sim._seq = seq = sim._seq + 1
-        # rf.deliver(packet, stamp, seq), open-coded (one call less per
-        # packet)
-        slot = (stamp, seq, packet)
-        rf.slots.append(slot)
+        switch = self.switch
+        if ((pending and pending[0][0] <= arrive)
+                or arrive > (switch._dest_link_free[self.node_id]
+                             + switch._latency)
+                or rf.occupied >= rf.capacity):
+            entry = [arrive, order, packet, False]
+            if pending and entry < pending[-1]:
+                insort(pending, entry)  # ahead of a held packet
+            else:
+                pending.append(entry)
+            ev = self._arrival_event
+            if ev is not None and not ev._ok:
+                self._arm(now)
+            return
+        # rf.reserve(), open-coded (one call less per packet:
+        # tests/am/test_host_budget.py)
+        rf.occupied += 1
         if rf.check is not None:
-            rf.check.on_deliver(rf)
+            rf.check.on_reserve(rf)
+        slot = self._dma(packet, arrive, order)
         ev = self._arrival_event
         if ev is not None and not ev._ok and not self._landing:
             # a host sleeps on the arrival event and no landing is
             # queued: queue this slot's (_land_at, open-coded)
             self._landing = True
-            heappush(self._queue, [stamp, seq, self._land_cb, slot])
-        return True
+            heappush(self._queue, [slot[0], order, self._land_cb, slot])
 
-    def _deliver(self, packet: Packet) -> None:
-        """A hand-off-path packet becomes visible: fire the arrival
-        event."""
+    def settle(self, until: float) -> None:
+        """Settle the pending packets that arrive by ``until``, in order:
+        the FIFO verdict at the arrival, then the RX DMA.  Every read of
+        the FIFO that could see one, and every host pop, settles first."""
+        pending = self.pending
+        rf = self.recv_fifo
+        n = 0
+        for arrive, order, packet, _marked in pending:
+            if arrive > until:
+                break
+            n += 1
+            if rf.reserve():
+                self._dma(packet, arrive, order)
+            else:  # input-buffer overflow
+                self._drop(packet, arrive, "rx_dropped_overflow",
+                           "overflow")
+        del pending[:n]
+
+    def _dma(self, packet: Packet, arrive: float, order: int) -> tuple:
+        """RX DMA into a reserved slot: queue and return the slot, stamped
+        with the instant the host can see the packet."""
+        dma = packet.wire_bytes / self._mc_dma_rate
+        rx_free = self._rx_free
+        start = arrive if arrive > rx_free else rx_free
+        occ = self._i860_rx_occupancy
+        self._rx_free = start + (dma if dma > occ else occ)
+        visible_at = start + dma + self._i860_rx_latency
+        self._c_rx_packets.value += 1
+        if self.obs is not None:
+            span = self.obs.spans.get(packet.trace_id)  # inlined mark_packet
+            if span is not None:
+                span.marks["visible"] = visible_at
+        # the instant an event queued at the arrival would run at
+        slot = (arrive + (visible_at - arrive), order, packet)
+        rf = self.recv_fifo
+        rf.slots.append(slot)
+        if rf.check is not None:
+            rf.check.on_deliver(rf)
+        return slot
+
+    def _drop(self, packet: Packet, arrive: float, counter: str,
+              reason: str) -> None:
+        self.stats.count(counter)
+        if arrive > self._last_drop:
+            self._last_drop = arrive
+        if self.obs is not None:
+            self.obs.packet_dropped(packet, reason)
+
+    def _land(self, when: float, order: int,
+              packet: Optional[Packet]) -> None:
+        """A landing at ``(when, order)``: a slot a blocked host has not
+        seen becomes visible, so fire the arrival event; or, without a
+        packet, a pending packet arrives, so settle it and re-arm."""
         ev = self._arrival_event
-        if ev is not None and not ev._ok:  # Event.triggered, per arrival
-            ev.succeed(packet)
-
-    def _land(self, stamp: float, order: int, packet: Packet) -> None:
-        """The first slot a blocked host has not seen, ``(stamp, order,
-        packet)``, becomes visible: fire the arrival event."""
+        if packet is None:
+            self.settle(when)
+            if ev is not None and not ev._ok:
+                self._arm(when)
+            return
         self._landing = False
-        ev = self._arrival_event
         if ev is not None and not ev._ok:  # Event.triggered, per landing
             ev.succeed(packet)
 
-    def _last_stamp(self) -> float:
-        """The stamp of the last slot queued (0.0 with none): the instant
-        a drained ``Simulator.run`` ends at, at the latest."""
+    def _last_stamp(self, until: float) -> float:
+        """Where a drained ``Simulator.run(until)`` ends, at the latest:
+        the last stamp or drop once arrivals by ``until`` are settled."""
+        pending = self.pending
+        if pending:
+            self.settle(until)
+            if pending:
+                return pending[-1][0]  # past ``until``
         slots = self.recv_fifo.slots
-        return slots[-1][0] if slots else 0.0
+        last = slots[-1][0] if slots else 0.0
+        return last if last > self._last_drop else self._last_drop
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

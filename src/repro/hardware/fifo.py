@@ -13,11 +13,11 @@ MicroChannel access.  Capacity accounting therefore distinguishes
 *occupied* (accepted, not yet returned to the adapter) from *consumed*
 (read by the host but not yet popped).
 
-A packet enters the receive FIFO when the adapter accepts it, stamped with
-the instant its RX DMA completes.  The host sees a slot once its clock
-reaches the stamp: visibility is a function of the clock, not an event.
-Slots are accepted in RX-DMA order, so the stamps never decrease from head
-to tail.
+A packet enters the receive FIFO when the adapter settles it, stamped
+with the instant its RX DMA completes.  The host sees a slot once its
+clock reaches the stamp: visibility is a function of the clock, not an
+event.  Slots are settled in RX-DMA order, so the stamps never decrease
+from head to tail.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ class SendFIFO:
         return self.entries - self.occupied
 
     @property
-    def armed_count(self) -> int:
-        return len(self._armed)
-
-    @property
     def staged_count(self) -> int:
         return len(self._staged)
 
@@ -65,13 +61,11 @@ class SendFIFO:
         if self.check is not None:
             self.check.on_stage(self)
 
-    def arm(self, count: Optional[int] = None) -> int:
-        """Set length-array slots for the next ``count`` staged packets
-        (all of them if None).  Returns how many were armed.  The caller
-        charges one MicroChannel PIO for the whole batch."""
-        if count is not None and count < 0:
-            raise ValueError(f"cannot arm a negative packet count ({count})")
-        n = len(self._staged) if count is None else min(count, len(self._staged))
+    def arm(self) -> int:
+        """Set length-array slots for every staged packet.  Returns how
+        many were armed.  The caller charges one MicroChannel PIO for the
+        whole batch."""
+        n = len(self._staged)
         for _ in range(n):
             self._armed.append(self._staged.popleft())
         if self.check is not None:
@@ -99,23 +93,21 @@ class RecvFIFO:
             raise ValueError("lazy_pop_batch must be positive")
         self.capacity = capacity
         self.lazy_pop_batch = lazy_pop_batch
-        #: slots charged against capacity (accepted and not yet popped)
+        #: slots charged against capacity (settled and not yet popped)
         self.occupied = 0
-        #: accepted packets the host has not consumed, in RX-DMA order,
+        #: settled packets the host has not consumed, in RX-DMA order,
         #: as ``(stamp, order, packet)``: the instant the packet becomes
         #: visible to the host, and its place in the simulator's event
-        #: order (the ``seq`` an event queued when it was accepted would
-        #: carry; a landing at the stamp keeps it, so same-instant ties
-        #: order as they did when every packet landed by its own event).
-        #: A packet whose landing is an event of its own has no order
-        self.slots: Deque[Tuple[float, Optional[int], Packet]] = deque()
+        #: order (the ``seq`` drawn when the switch handed it over; a
+        #: landing at the stamp keeps it, so same-instant ties go by it)
+        self.slots: Deque[Tuple[float, int, Packet]] = deque()
         #: consumed by the host but not yet popped back to the adapter
         self.pending_pop = 0
         #: slot-conservation checker (repro.check), None when unchecked
         self.check = None
 
     def reserve(self) -> bool:
-        """Adapter side, on accepting a packet: claim a slot or report
+        """Adapter side, on settling a packet: claim a slot or report
         overflow."""
         if self.occupied >= self.capacity:
             return False
@@ -123,18 +115,6 @@ class RecvFIFO:
         if self.check is not None:
             self.check.on_reserve(self)
         return True
-
-    def deliver(self, packet: Packet, visible_at: float,
-                order: Optional[int]) -> None:
-        """Adapter side, right after :meth:`reserve`: queue the packet,
-        stamped with the instant its RX DMA completes and its place in the
-        event order."""
-        self.slots.append((visible_at, order, packet))
-        if self.check is not None:
-            self.check.on_deliver(self)
-
-    def peek(self) -> Optional[Packet]:
-        return self.slots[0][2] if self.slots else None
 
     def consume(self) -> Packet:
         """Host side: read the head packet out of the queue.

@@ -11,9 +11,8 @@ which is exactly the situation the paper calls out for MPICH's generic
 Fabric faults come from one place: the ``faults`` attribute, a
 :class:`~repro.faults.injector.FaultInjector` that ``install_faults``
 builds from a seeded ``FaultPlan``.  It drops, duplicates, reorders or
-corrupts at most one way per packet and records each fault in its ledger,
-so every loss test, soak and campaign drives the §2.2 recovery through
-the same path.
+corrupts at most one way per packet and records each fault in its ledger;
+every packet then takes the one delivery path the fault-free claims take.
 """
 
 from __future__ import annotations
@@ -41,9 +40,6 @@ class Switch:
         # per-packet constants (SwitchParams is frozen, so never stale)
         self._latency = params.latency
         self._link_rate = params.link_rate
-        # delivery scheduling, resolved once (hot path)
-        self._at = sim.at
-        self._hand_off_cb = self._hand_off
         #: observability hub (set by Observatory.attach; None = untraced)
         self.obs = None
         #: queue-wait histogram resolved once per hub (hot path)
@@ -71,22 +67,22 @@ class Switch:
 
     @property
     def in_flight(self) -> int:
-        """Packets injected and not yet handed to their destination
-        adapter (hand-off path), or accepted ahead and not yet visible to
-        its host: the metrics sampler's ``switch.in_flight`` gauge.  The
-        sampler reads it before the events of its instant, so a packet
-        stamped at that very instant still counts."""
+        """Packets injected and not yet visible to their host (pending,
+        or in a slot stamped from now on, once arrivals are settled): the
+        metrics sampler's ``switch.in_flight`` gauge.  The sampler reads
+        it before the events of its instant, so a packet stamped at that
+        very instant still counts."""
         now = self.sim.now
         n = 0
         for adapter in self._adapters.values():
-            # hand-off packets in the fabric, plus the slots accepted
-            # ahead (those with an order) and stamped from now on
-            n += adapter.handoffs
-            for stamp, order, _packet in reversed(adapter.recv_fifo.slots):
-                if stamp < now:
+            pending = adapter.pending
+            if pending:
+                adapter.settle(now)
+                n += len(pending)
+            for slot in reversed(adapter.recv_fifo.slots):
+                if slot[0] < now:
                     break
-                if order is not None:
-                    n += 1
+                n += 1
         return n
 
     def inject(self, packet: Packet, wire_exit_time: float) -> None:
@@ -95,13 +91,10 @@ class Switch:
         destination adapter after switch latency plus any destination-link
         queueing.
 
-        Most packets take no event from here to the receiving host: when
-        no fault injector can act on the packet, its CRC is unstamped, no
-        hand-off-path packet to its destination is still in the fabric,
-        and the destination's receive FIFO has room now, the adapter
-        accepts it ahead (:meth:`TB2Adapter.accept_ahead`) into a stamped
-        slot.  Otherwise a ``_hand_off`` event gives it to the adapter's
-        :meth:`~TB2Adapter.on_wire_arrival` at ``deliver_at``.
+        The fabric's fault, if any, is decided here.  Every packet that
+        survives it, and a duplicate's stray copy, goes to the destination
+        adapter's :meth:`~TB2Adapter.accept` at once, with the instant it
+        arrives there: no event is spent on the packet in the fabric.
         """
         adapters = self._adapters
         if packet.dst not in adapters:
@@ -151,12 +144,7 @@ class Switch:
             if span is not None:
                 span.marks["sw_deliver"] = deliver_at
                 span.queued_us += queueing
-        adapter = adapters[dst]
-        if (faults is None and not adapter.handoffs and packet.checksum < 0
-                and adapter.accept_ahead(packet, deliver_at)):
-            return  # one-event delivery: duplicate is None without faults
-        adapter.handoffs += 1
-        self._at(deliver_at, self._hand_off_cb, adapter, packet)
+        adapters[dst].accept(packet, deliver_at)
         if duplicate is not None:
             # The fabric's stray copy trails the original by the rule's
             # delay, but it still occupies the destination link for its own
@@ -174,14 +162,7 @@ class Switch:
             self.stats.count("dup_link_charged")
             if self.obs is not None:
                 self.link_busy_us[dup_dst] += wire_time
-            dup_adapter = adapters[dup_dst]
-            dup_adapter.handoffs += 1
-            self._at(dup_start + self._latency, self._hand_off_cb,
-                     dup_adapter, duplicate)
-
-    def _hand_off(self, adapter, packet: Packet) -> None:
-        adapter.handoffs -= 1
-        adapter.on_wire_arrival(packet)
+            adapters[dup_dst].accept(duplicate, dup_start + self._latency)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Switch({self.node_count} nodes)"

@@ -102,7 +102,7 @@ class MPLEngine:
             yield from self.node.compute(
                 c.per_packet + flush_cost(pkt.wire_bytes, self.host)
             )
-            while not self.adapter.host_can_stage(1):
+            while not self.adapter.host_can_stage():
                 yield Delay(6.6)
             self.adapter.host_stage(pkt)
             self._credits_used[dst] = self._credits_used.get(dst, 0) + 1
@@ -188,7 +188,7 @@ class MPLEngine:
         yield from self.node.compute(
             self.costs.credit_cost + self.host.mc_pio
         )
-        while not self.adapter.host_can_stage(1):
+        while not self.adapter.host_can_stage():
             yield Delay(6.6)
         self.adapter.host_stage(ack)
         self.adapter.host_arm()

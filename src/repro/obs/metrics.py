@@ -141,6 +141,9 @@ class MetricsSampler:
             (node.id, getattr(node, "adapter", None), node)
             for node in machine.nodes
         ]
+        #: the TB2 adapters, whose arrivals a tick settles first
+        self._tb2 = [adapter for _nid, adapter, _node in self._nodes
+                     if hasattr(adapter, "settle")]
         #: one ``(series.record, getter)`` pair per live gauge, in the
         #: order a walk of the machine visits them; a tick is one pass
         #: over this list.  Rebuilt by :meth:`_compile` whenever
@@ -261,6 +264,9 @@ class MetricsSampler:
     def _tick(self) -> None:
         t = self.sim.now
         self.samples_taken += 1
+        for adapter in self._tb2:
+            if adapter.pending:
+                adapter.settle(t)
         if self._layout() != self._compiled_layout:
             self._compile()
         for record, getter in self._probes:

@@ -197,8 +197,9 @@ class Simulator:
         #: decided ahead that needs no event (a receive-FIFO slot stamped
         #: with the instant it becomes visible, which a polling host
         #: checks against its clock): a :meth:`run` that drains the queue
-        #: ends there, not before it, as if each were an event
-        self._stamp_sources: List[Callable[[], float]] = []
+        #: ends there, not before it, as if each were an event.  Each is
+        #: called with the run's horizon
+        self._stamp_sources: List[Callable[[float], float]] = []
 
     # -- scheduling -------------------------------------------------------
 
@@ -221,24 +222,11 @@ class Simulator:
         return entry
 
     def at(self, when: float, fn: Callable[..., None], *args: Any) -> list:
-        """Run ``fn(*args)`` at absolute simulated time ``when``.
-
-        Body mirrors :meth:`schedule` (the switch calls this twice per
-        packet hand-off) including the ``now + (when - now)`` round-trip,
-        which is not a float identity — timestamps must stay bit-identical
-        to the delegating form.
-        """
-        delay = when - self.now
-        if not delay >= 0.0:  # negative or NaN
-            if delay != delay:
-                raise ValueError("cannot schedule at a NaN time")
-            if delay < -NEGATIVE_DELAY_EPSILON:
-                raise ValueError(f"cannot schedule in the past (delay={delay})")
-            delay = 0.0  # accumulated float error, not intent
-        self._seq += 1
-        entry = [self.now + delay, self._seq, fn, args]
-        heappush(self._queue, entry)
-        return entry
+        """Run ``fn(*args)`` at absolute simulated time ``when``: the
+        entry :meth:`schedule` queues for the delay ``when - now`` (so it
+        runs at ``now + (when - now)``, which is not a float identity; the
+        receive adapter computes an arrival with the same round trip)."""
+        return self.schedule(when - self.now, fn, *args)
 
     def call_later(self, delay: float, fn: Callable[..., None],
                    *args: Any) -> TimerHandle:
@@ -356,7 +344,7 @@ class Simulator:
                 f"exceeded max_events={max_events} at t={self.now:.3f}us")
         last = self.now
         for latest in self._stamp_sources:
-            t = latest()
+            t = latest(_INF if until is None else until)
             if t > last:
                 last = t
         if until is not None and last > until:

@@ -3,32 +3,36 @@ one-event delivery and the stamped receive FIFO.
 
 SPAM's bulk send and receive paths run their host charges as charge
 stretches that yield only where another component can observe the
-instant; the switch hands most packets to the receiving adapter at
-injection, and the adapter queues each packet stamped with the instant
-the host may see it, with no event unless a host is blocked on the
-arrival event (docs/architecture.md, "Fused host charges and one-event
-delivery" and "The stamped receive FIFO").  Each scenario below sits on
-one sync point or one precondition.  It pins its timeline
-(``tests.timeline``), recorded before the shortcut it exercises existed,
-so the shortcuts must reproduce the machine exactly; and its event
-digest, which moves with them.  Each also asserts that its boundary is
-really reached:
+instant; the switch hands every packet to the receiving adapter at
+injection, and the adapter settles it there or, when it cannot yet, at
+the host's next touch of the receive FIFO, queueing it stamped with the
+instant the host may see it, with no event unless a host is blocked on
+the arrival event (docs/architecture.md, "Fused host charges and
+one-event delivery", "The stamped receive FIFO" and "Acceptance and
+settlement").  Each scenario below sits on one sync point or one
+precondition.  It pins its timeline (``tests.timeline``), recorded
+before the shortcut it exercises existed (the last five while packets
+that could not be accepted at injection were handed to the adapter by
+an event at their arrival), so the shortcuts must reproduce the machine
+exactly; and its event digest, which moves with them.  Each also
+asserts that its boundary is really reached:
 
 * the send FIFO fills in the middle of an arm batch (an 8-entry FIFO, a
   3-chunk store): the stretch syncs before its backoff;
 * a piggybacked ack advances a send window in the middle of a drain and
   completes a store whose explicit chunk ack was dropped: the drain syncs
   before it applies the ack;
-* a receive FIFO near capacity drops packets at arrival, on the hand-off
-  path, exactly where it dropped them before;
+* a receive FIFO near capacity drops packets at arrival, settled lazily,
+  exactly where it dropped them before;
 * a host pop lands between a packet's injection and its arrival: the
   packet found the receive FIFO full at injection and room at arrival;
-* a hand-off-path packet is in flight ahead of a packet the receive FIFO
-  has room for: the second waits behind the first on the hand-off path;
+* a pending packet is ahead of a packet the receive FIFO has room for:
+  the second waits behind the first, and a drain that found the FIFO
+  empty syncs, settles and finds it;
 * a receive stretch over a backlog ends at a lazy pop;
-* on the hand-off path, a packet becomes visible inside a receive
-  stretch: the stretch sees no slot visible at its local clock, syncs,
-  and then finds the packet;
+* a fault plan is planted whose rule never fires: every packet is still
+  settled at injection, and the stretch's timeline is the one the
+  plan's packets took when they were handed over at their arrival;
 * a SPAM host falls asleep after its packet was accepted: the sleep
   queues the packet's landing, and the landing wakes it;
 * an MPL receiver blocks in ``wait_for_arrival`` after its packet was
@@ -53,28 +57,33 @@ from tests.timeline import Timeline
 #: one event.  The event digests were re-pinned when receive-FIFO slots
 #: were stamped (before: send-fifo-full 3dcdd3c9..., ack-mid-drain
 #: 636b0547..., rx-drop-at-arrival 38f583ef..., pop-before-arrival
-#: 6ff3d02b..., handoff-ahead 1674cc61...)
+#: 6ff3d02b..., handoff-ahead 1674cc61...), and again when every packet
+#: was accepted at injection and settled lazily (before: ack-mid-drain
+#: 77df6549..., rx-drop-at-arrival 97379d8c..., pop-before-arrival
+#: 539d22c7..., handoff-ahead 6927d325...)
 PINS = {
     "send-fifo-full": ("72769215064984eceb4913d9d82ad61a",
                        "a8a33f501997a9dd5b7831f2b7b90cd1"),
-    "ack-mid-drain": ("77df6549bfdd1551f0df12f9df22c8d6",
+    "ack-mid-drain": ("352788ed0ddc29fa42cfc39cec4b0126",
                       "8db2f822eaa23523c9cc9a78ab7c8669"),
-    "rx-drop-at-arrival": ("97379d8cda8b38890fd0dbcb38902d60",
+    "rx-drop-at-arrival": ("3db2a16554ee4b98df813d36e5e74fa1",
                            "189a3f1a18182408876035b2a97be5b6"),
-    "pop-before-arrival": ("539d22c790553d79fb181788cf20b991",
+    "pop-before-arrival": ("038c50bff5fa800c4a6d4802165c3774",
                            "cbf16d757e0642cbd230ea6009e8d4d0"),
-    "handoff-ahead": ("6927d3258a79645b52fc0594448c02c3",
+    "handoff-ahead": ("b89cdbab96bd8d9ea99855063096f186",
                       "900041d6125707ac6f41f2ae4fc8666d"),
 }
 #: the stamped-FIFO scenarios (event digest, timeline digest); the
 #: timelines were recorded before receive-FIFO slots were stamped, with
 #: the event digests stretch-ends-at-pop a1bfdfac..., handoff-in-stretch
 #: 5178ff02..., asleep-after-accept 7d5a1dae..., and mpl-wait-at-stamp the
-#: same as now: a landing keeps its packet's place in the event order
+#: same as now: a landing keeps its packet's place in the event order.
+#: handoff-in-stretch was re-pinned (before: 54ab7517...) when an
+#: injector that acts on no packet stopped diverting packets
 STAMP_PINS = {
     "stretch-ends-at-pop": ("dd81dc4c445ff7353082b258d41b7232",
                             "53b638896e490aa6d63287b1435900e6"),
-    "handoff-in-stretch": ("54ab75170b52d66264d2f8be697bb78b",
+    "handoff-in-stretch": ("ba1218704617f20381f04767a392d7c9",
                            "1f0cbb48838ab2af9ff6e73c62c9bb54"),
     "asleep-after-accept": ("a2a2c827e34916578c425592ac7788bc",
                        "3cba5808bbd0b20e4eb179895a89037a"),
@@ -128,13 +137,13 @@ class _FillTap:
 class _RxTap:
     """A receive FIFO's ``check`` hook, chained in front of the one that
     was there: logs each consume as ``(events executed, clock, stamp,
-    accepted at, slots left)`` and each pop as ``"pop"``; the server adds
+    settled at, slots left)`` and each pop as ``"pop"``; the server adds
     ``"wait"`` before each of its waits."""
 
     def __init__(self, sim, inner):
         self._sim = sim
         self._inner = inner
-        #: (stamp, accepted at) of each queued slot
+        #: (stamp, settled at) of each queued slot
         self._queued = deque()
         self.log = []
 
@@ -146,9 +155,9 @@ class _RxTap:
         self._inner.on_deliver(fifo)
 
     def on_consume(self, fifo):
-        stamp, accepted = self._queued.popleft()
+        stamp, settled = self._queued.popleft()
         sim = self._sim
-        self.log.append((sim.events_executed, sim.now, stamp, accepted,
+        self.log.append((sim.events_executed, sim.now, stamp, settled,
                          len(fifo.slots)))
         self._inner.on_consume(fifo)
 
@@ -174,7 +183,7 @@ def _stretch_pops(log):
 
 def _found_after_sync(log):
     """Consumes, in the drain of the consume before them, of a packet
-    accepted after it, when that consume had left no slot queued: the
+    settled after it, when that consume had left no slot queued: the
     stretch saw nothing visible at its local clock, synced, and found the
     packet."""
     return sum(1 for a, b in _consumes(log)
@@ -183,8 +192,9 @@ def _found_after_sync(log):
 
 def _watch_injections(machine):
     """Classify each injection by its destination's state at that
-    instant: receive FIFO full, or room but a hand-off-path packet still
-    in the fabric ahead of it."""
+    instant: receive FIFO full, or room but a pending packet ahead of
+    it; and count the packets each destination settles lazily, after
+    injection, as ``"settled"``."""
     seen = Counter()
     switch = machine.switch
     inject = switch.inject
@@ -194,10 +204,19 @@ def _watch_injections(machine):
         rf = adapter.recv_fifo
         if rf.occupied >= rf.capacity:
             seen["full"] += 1
-        elif adapter.handoffs:
-            seen["behind_handoff"] += 1
+        elif adapter.pending:
+            seen["behind_pending"] += 1
         inject(packet, wire_exit_time)
 
+    for node in machine.nodes:
+        adapter = node.adapter
+
+        def settle(until, adapter=adapter, settle=adapter.settle):
+            before = len(adapter.pending)
+            settle(until)
+            seen["settled"] += before - len(adapter.pending)
+
+        adapter.settle = settle
     switch.inject = watched
     return seen
 
@@ -306,8 +325,7 @@ SCENARIOS = {
         recv_fifo_entries_per_node=4, lazy_pop_batch=4), store_chunks=2),
     # node 1 starts serving late, with a backlog in its receive FIFO
     "stretch-ends-at-pop": dict(store_chunks=2, late_us=300.0),
-    # the same, with a fault injector planted whose rule never fires:
-    # every packet takes the hand-off path
+    # the same, with a fault injector planted whose rule never fires
     "handoff-in-stretch": dict(store_chunks=3, late_us=300.0,
                                plan=FaultPlan(seed=0, rules=(FaultRule(
                                    "drop", packet_kinds=frozenset(
@@ -385,26 +403,33 @@ def test_near_full_rx_fifo_drops_at_arrival():
     run = _pinned("rx-drop-at-arrival")
     assert run["counters"]["rx_dropped_overflow"] == 12
     assert run["seen"]["full"] > 0
-    assert run["calls"]["Switch._hand_off"] > 0
+    # no fault: every drop was a verdict settled after injection
+    assert run["seen"]["settled"] >= 12
 
 
 def test_pop_between_injection_and_arrival():
     run = _pinned("pop-before-arrival")
     # full at injection, yet nothing dropped: a pop made room before the
-    # packet arrived
+    # packet arrived, and the lazily settled verdict saw it
     assert run["seen"]["full"] > 0
+    assert run["seen"]["settled"] > 0
     assert run["counters"]["rx_dropped_overflow"] == 0
 
 
 def test_handoff_in_flight_holds_the_next_packet():
     run = _pinned("handoff-ahead")
-    assert run["seen"]["behind_handoff"] > 0
-    assert run["calls"]["Switch._hand_off"] == (
-        run["seen"]["full"] + run["seen"]["behind_handoff"])
-    # and the packets that came ahead were accepted at injection
+    seen = run["seen"]
+    assert seen["behind_pending"] > 0
+    # every packet that could not be settled at injection was settled
+    # later, in order
+    assert seen["settled"] == seen["full"] + seen["behind_pending"]
+    # and the packets that came ahead were settled at injection
     counters = run["counters"]
-    assert counters["rx_packets"] > (run["calls"]["Switch._hand_off"]
+    assert counters["rx_packets"] > (seen["settled"]
                                      - counters["rx_dropped_overflow"])
+    # a drain that found nothing visible synced, settled what had
+    # arrived, and found a packet
+    assert _found_after_sync(run["rx"]) > 0
 
 
 def _stamp_pinned(name):
@@ -423,9 +448,11 @@ def test_receive_stretch_ends_at_lazy_pop():
 
 def test_handoff_packet_found_after_empty_sync():
     run = _stamp_pinned("handoff-in-stretch")
-    # every packet took the hand-off path
-    assert run["calls"]["Switch._hand_off"] == run["counters"]["rx_packets"]
-    assert _found_after_sync(run["rx"]) > 0
+    # the planted rule fired on nothing, and no packet waited for a
+    # lazy settlement: the plan changed no packet's path
+    assert run["injected"] == []
+    assert run["seen"]["settled"] == 0
+    assert run["counters"]["rx_packets"] == 111
 
 
 def test_spam_host_asleep_on_an_accepted_packet():

@@ -1,4 +1,4 @@
-"""The idle-pop oversleep (ROADMAP item 1).
+"""The idle-pop oversleep (ROADMAP item 23).
 
 ``SPAM._wait_progress`` looks for a visible receive-FIFO slot before its
 idle pop charge and not after it.  A packet that becomes visible during
@@ -20,7 +20,7 @@ from repro.hardware import build_sp_machine
 from repro.sim import Simulator
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a packet that "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 23: a packet that "
                    "lands during the idle pop waits for the next landing")
 def test_no_idle_wait_begins_while_a_packet_is_visible():
     sim = Simulator()

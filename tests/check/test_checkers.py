@@ -42,11 +42,12 @@ class TestSendFifoCheck:
         f = SendFIFO(8)
         ck = SendFifoCheck(Sanitizer(), "send_fifo[t]", f)
         f.check = ck
-        for i in range(5):
+        for i in range(3):
             f.stage(pkt(i))
-        f.arm(3)
-        for _ in range(3):
-            f.take_armed()
+        f.arm()
+        f.take_armed()
+        for i in range(3, 5):
+            f.stage(pkt(i))
         f.arm()
         while f.take_armed() is not None:
             pass
@@ -74,9 +75,16 @@ class TestSendFifoCheck:
                 f.stage(pkt(n))
                 n += 1
             elif op == "arm":
-                f.arm(1)
+                f.arm()
             elif op == "take":
                 f.take_armed()
+
+
+def _queue(f, packet, stamp, order):
+    """The adapter's side of a settled packet: queue its slot, then tell
+    the checker."""
+    f.slots.append((stamp, order, packet))
+    f.check.on_deliver(f)
 
 
 class TestRecvFifoCheck:
@@ -86,7 +94,7 @@ class TestRecvFifoCheck:
         f.check = ck
         for i in range(4):
             assert f.reserve()
-            f.deliver(pkt(i), float(i), i)
+            _queue(f, pkt(i), float(i), i)
         for _ in range(4):
             f.consume()
             if f.should_pop():
@@ -100,17 +108,17 @@ class TestRecvFifoCheck:
         f.check = RecvFifoCheck(Sanitizer(), "recv_fifo[t]", f)
         with pytest.raises(InvariantViolation,
                            match=r"\[recv_fifo\[t\]\.deliver\].*reserved"):
-            f.deliver(pkt(), 0.0, 0)
+            _queue(f, pkt(), 0.0, 0)
 
     def test_slot_out_of_stamp_order_caught(self):
         f = RecvFIFO(capacity=8)
         f.check = RecvFifoCheck(Sanitizer(), "recv_fifo[t]", f)
         f.reserve()
-        f.deliver(pkt(0), 5.0, 0)
+        _queue(f, pkt(0), 5.0, 0)
         f.reserve()
         with pytest.raises(InvariantViolation,
                            match=r"\.deliver\].*stamped 4\.0 queued after"):
-            f.deliver(pkt(1), 4.0, 1)
+            _queue(f, pkt(1), 4.0, 1)
 
     def test_slot_leak_caught_at_quiescence(self):
         f = RecvFIFO(capacity=8)

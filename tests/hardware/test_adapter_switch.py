@@ -144,13 +144,15 @@ class TestSendFifoBackpressure:
         p = machine_params("sp-thin")
         m = build_sp_machine(sim, 2, with_overrides(p, send_fifo_entries=4))
         a = m.node(0).adapter
-        assert a.host_can_stage(4)
+        assert a.host_can_stage()
         for i in range(4):
+            assert a.host_can_stage()
             a.host_stage(small_packet(seq=i))
-        assert not a.host_can_stage(1)
+        assert not a.host_can_stage()
         a.host_arm()
         sim.run()
-        assert a.host_can_stage(4)
+        assert a.host_can_stage()
+        assert a.send_fifo.free_entries == 4
 
 
 class TestArrivalNotification:

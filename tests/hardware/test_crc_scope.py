@@ -25,7 +25,8 @@ NBYTES = 3 * CHUNK_BYTES
 
 class _CrcScope:
     """Wraps both adapters' send-FIFO ``stage`` (every path that writes a
-    packet into the send FIFO goes through it) and ``on_wire_arrival``.
+    packet into the send FIFO goes through it) and ``accept`` (every
+    packet the fabric delivers goes through it).
 
     Staged packets are remembered by identity (their field values at
     staging) and by value, since a fabric ``duplicate`` delivers a copy
@@ -41,7 +42,7 @@ class _CrcScope:
 
     def _wrap(self, adapter):
         fifo = adapter.send_fifo
-        stage, arrive = fifo.stage, adapter.on_wire_arrival
+        stage, accept = fifo.stage, adapter.accept
 
         def host_stage(pkt):
             stage(pkt)
@@ -49,7 +50,7 @@ class _CrcScope:
             self.by_id[id(pkt)] = (pkt, fields)
             self.values.add(fields)
 
-        def on_wire_arrival(pkt):
+        def arrive(pkt, arrive_at):
             if pkt.checksum == -1:
                 fields = _field_values(pkt)
                 staged = self.by_id.get(id(pkt))
@@ -61,10 +62,10 @@ class _CrcScope:
                         f"{pkt!r} changed in flight and arrived unstamped")
             else:
                 self.stamped_arrivals += 1
-            arrive(pkt)
+            accept(pkt, arrive_at)
 
         fifo.stage = host_stage
-        adapter.on_wire_arrival = on_wire_arrival
+        adapter.accept = arrive
 
 
 def _machine():

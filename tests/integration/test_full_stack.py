@@ -71,9 +71,9 @@ class TestLossUnderMPI:
 
     def _lossy_machine(self, nprocs, period, drops):
         """Drops every ``period``-th data, request or reply packet, at most
-        ``drops`` times.  The fault path (every packet handed off at the
-        switch) runs under MPI here, beside the one-event delivery the
-        lossless tests take."""
+        ``drops`` times.  Every packet the rule spares is accepted at
+        injection and settled on the one delivery path the lossless tests
+        take, so §2.2's recovery runs under MPI on the claims' path."""
         sim = Simulator()
         m = build_sp_machine(sim, nprocs)
         inj = install_faults(m, FaultPlan(seed=0, rules=every_kth(

@@ -9,7 +9,8 @@ spends fewer or different events on the same machine behaviour.  A
   ``(time, src, kind, seq, offset)``.  It is read through the FIFO's
   ``check`` hook when the adapter queues the packet, and ``time`` is its
   stamp: the instant it becomes visible to the host.  A packet counts
-  once the run's clock has reached its stamp;
+  once the run's clock has reached its stamp; reading the digest settles
+  what has arrived by then, as any read of the FIFO does;
 * every process's finish time, with its name.
 
 Two runs with the same timeline digest delivered the same packets to the
@@ -71,9 +72,9 @@ class Timeline:
     def __init__(self):
         #: node id -> (stamp, packed delivery), in delivery order
         self.deliveries = {}
-        #: node id -> its simulator, whose clock says which stamps the
-        #: run reached
-        self._sims = {}
+        #: node id -> its adapter, whose clock says which stamps the run
+        #: reached
+        self._adapters = {}
         #: (process name, finish time), in finish order
         self.finishes = []
         self._saved_finish = None
@@ -86,7 +87,7 @@ class Timeline:
             if fifo is None:
                 continue
             log = self.deliveries.setdefault(node.id, [])
-            self._sims[node.id] = machine.sim
+            self._adapters[node.id] = adapter
             fifo.check = _FifoTap(log, fifo.check)
         return self
 
@@ -109,7 +110,9 @@ class Timeline:
         h = hashlib.blake2b(digest_size=16)
         for nid in sorted(self.deliveries):
             h.update(_DELIVERY(-1.0, nid, 0, 0, 0))
-            now = self._sims[nid].now
+            adapter = self._adapters[nid]
+            now = adapter.sim.now
+            adapter.settle(now)
             for stamp, record in self.deliveries[nid]:
                 if stamp <= now:
                     h.update(record)

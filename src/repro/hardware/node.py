@@ -25,16 +25,20 @@ class Memory:
     addr)`` pairs with ordinary arithmetic, and ``am_store`` writes to a
     remote ``addr`` exactly as on the real machine.
 
+    Each segment is an anonymous private ``mmap``: zero-filled by the
+    kernel page by page on first touch, so a node pays resident memory
+    only for the pages its program writes or reads, not for the whole
+    1 MB, and a slice of it is already ``bytes`` (``read`` copies once).
     Segments are never resized once created — numpy arrays returned by
     :meth:`alloc_array` alias the backing store for the lifetime of the
-    simulation (resizing a ``bytearray`` with exported buffers would raise
-    ``BufferError``).  An allocation always lives inside one segment, so
+    simulation.  An allocation always lives inside one segment, so
     in-allocation reads/writes/views are contiguous.
 
-    The first segment is created by the first :meth:`alloc`, not by the
-    constructor: a node that never allocates (every rank of a one-word
-    request ring) holds no backing store, where it used to zero-fill
-    1 MB per node at machine construction.
+    The first segment is created by the first :meth:`alloc` of a
+    nonzero size, not by the constructor: a node that never allocates
+    (every rank of a one-word request ring) maps nothing at all.  A
+    zero-length access is valid at any address in ``[0, brk]``, mapped
+    or not.
     """
 
     _ALIGN = 64        # keep buffers cache-line aligned (flush model)
@@ -42,16 +46,22 @@ class Memory:
 
     def __init__(self):
         self._seg_bases: list[int] = []   # sorted segment base addresses
-        self._segments: list[bytearray] = []
+        self._segments: list[mmap.mmap] = []
         self._brk = 0                     # high-water address
         self._cur_free = 0                # free bytes in the last segment
 
     def _new_segment(self, nbytes: int) -> None:
+        # imported by the first node that allocates, so a run whose nodes
+        # never do does not load the extension module (~36 kB of RSS)
+        import mmap
+
         size = max(self._SEGMENT, nbytes)
         # segments start at aligned addresses, contiguous address space
         base = (self._brk + self._ALIGN - 1) // self._ALIGN * self._ALIGN
         self._seg_bases.append(base)
-        self._segments.append(bytearray(size))
+        # private, not the shared default: a forked child gets a copy, as
+        # of a bytearray, and a first touch faults a little cheaper
+        self._segments.append(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE))
         self._brk = base
         self._cur_free = size
 
@@ -59,6 +69,13 @@ class Memory:
         """(segment, offset) containing [addr, addr+nbytes)."""
         i = bisect_right(self._seg_bases, addr) - 1
         if i < 0:
+            if nbytes == 0 and addr == self._brk:
+                # nothing mapped yet, so brk is 0: the empty access is an
+                # empty slice of a throwaway mapping whose page it never
+                # touches
+                import mmap
+
+                return mmap.mmap(-1, 1), 0
             raise IndexError(
                 f"address {addr:#x} below memory start" if self._segments
                 else f"address {addr:#x} in a memory that has allocated "
@@ -92,7 +109,7 @@ class Memory:
 
     def read(self, addr: int, nbytes: int) -> bytes:
         seg, off = self._locate(addr, nbytes)
-        return bytes(seg[off: off + nbytes])
+        return seg[off: off + nbytes]
 
     def view(self, addr: int, nbytes: int) -> memoryview:
         seg, off = self._locate(addr, nbytes)

@@ -15,16 +15,23 @@ def alloc_script(draw):
 
 def eager_addresses(sizes):
     """The addresses the allocator handed out when its constructor built
-    the first 1 MB segment (the reference for the demand-allocated one)."""
+    the first 1 MB segment (the reference for the demand-allocated one),
+    and the ``(base, size)`` of every segment an allocation landed in:
+    the 1 MB packing, with a segment of its own for an allocation that
+    does not fit the space left."""
     brk, free, out = 0, 1 << 20, []
+    segment, held = (0, 1 << 20), {}
     for n in sizes:
         rounded = -(-n // 64) * 64
         if rounded > free:
             free = max(1 << 20, rounded)   # brk is already 64-aligned
+            segment = (brk, free)
+        if rounded:
+            held[segment] = None           # in order of first use
         out.append(brk)
         brk += rounded
         free -= rounded
-    return out, brk
+    return out, brk, list(held)
 
 
 class TestMemoryProperties:
@@ -34,9 +41,11 @@ class TestMemoryProperties:
         mem = Memory()
         assert mem.brk == 0
         got = [mem.alloc(n) for n in sizes]
-        want, brk = eager_addresses(sizes)
+        want, brk, segments = eager_addresses(sizes)
         assert got == want and mem.brk == brk
         assert all(a % 64 == 0 for a in got)
+        assert [(base, len(seg)) for base, seg in
+                zip(mem._seg_bases, mem._segments)] == segments
 
     @given(sizes=alloc_script())
     @settings(max_examples=60)
@@ -80,7 +89,8 @@ class TestMemoryProperties:
 
     def test_numpy_views_survive_later_allocations(self):
         """The reason Memory is segmented: growing must never invalidate
-        exported numpy views (bytearray resize would raise BufferError)."""
+        exported numpy views (resizing a buffer they alias raises
+        BufferError)."""
         import numpy as np
 
         mem = Memory()

@@ -1,14 +1,36 @@
 """Tests for Node memory, CPU charging, cache model, and machine builders."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.hardware import Machine, build_generic_machine, build_sp_machine
 from repro.hardware.cache import copy_cost, flush_cost, lines_covering
 from repro.hardware.machine import build_machine
 from repro.hardware.node import Memory
 from repro.hardware.params import HostParams, machine_params
 from repro.sim import Simulator
+
+
+RSS_PROGRAM = r"""
+import resource, sys
+from repro.hardware import build_sp_machine
+from repro.sim import Simulator
+
+machine = build_sp_machine(Simulator(), 16)
+block = bytes(range(256)) * 64                 # 16 KB
+unit = 1 if sys.platform == "darwin" else 1024   # ru_maxrss: bytes or KB
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for node in machine.nodes:
+    for _ in range(17):
+        node.memory.write(node.memory.alloc(len(block)), block)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * unit, 16 * 17 * len(block))
+"""
 
 
 class TestMemory:
@@ -51,6 +73,36 @@ class TestMemory:
         assert len(mem._segments) == 1 and mem.brk == 64
         assert mem.read(0, 10) == bytes(10)
 
+    @pytest.mark.parametrize("first", [None, 8, 3 << 20])
+    def test_zero_length_access_anywhere_up_to_brk(self, first):
+        """``alloc(0)`` maps nothing, yet the empty range it returns is as
+        readable, writable and viewable as one in a mapped segment."""
+        mem = Memory()
+        if first is not None:
+            mem.alloc(first)
+        addr = mem.alloc(0)
+        assert addr == mem.brk
+        mem.alloc(100)                    # a non-empty neighbour after it
+        for a in sorted({0, addr, mem.brk}):
+            got = mem.read(a, 0)
+            assert got == b"" and type(got) is bytes
+            mem.write(a, b"")
+            view = mem.view(a, 0)
+            assert len(view) == 0 and not view.readonly
+        assert mem.read(addr, 100) == bytes(100)
+
+    def test_zero_length_access_before_any_segment(self):
+        mem = Memory()
+        assert mem.alloc(0) == 0 and mem.alloc(0) == 0
+        assert mem._segments == [] and mem.brk == 0
+        assert mem.read(0, 0) == b""
+        mem.write(0, b"")
+        assert len(mem.view(0, 0)) == 0
+        # still nothing mapped, and a non-empty access is still refused
+        assert mem._segments == []
+        with pytest.raises(IndexError, match="allocated nothing"):
+            mem.read(0, 1)
+
     def test_initial_parameter_is_gone(self):
         with pytest.raises(TypeError):
             Memory(initial=1 << 16)
@@ -81,6 +133,30 @@ class TestMemory:
         assert peak < 32 << 20
         assert all(n.memory._segments == [] and n.memory.brk == 0
                    for n in machine.nodes)
+
+    def test_resident_memory_follows_the_bytes_written(self):
+        """alltoall-16's buffer shape: 16 nodes, each writing 17 16 KB
+        buffers.  A segment's untouched pages must cost no resident
+        memory, so the peak RSS rises by the 4.25 MB written (plus slack),
+        not by the 16 MB of the segments they sit in."""
+        pytest.importorskip("resource")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        # Linux carries a process's peak RSS across exec, so a child of
+        # this test runner would start from the runner's peak and see no
+        # rise at all: the program runs as the child of a fresh
+        # interpreter instead
+        launcher = ("import subprocess, sys; "
+                    "sys.exit(subprocess.call([sys.executable, '-c', "
+                    "sys.argv[1]]))")
+        proc = subprocess.run([sys.executable, "-c", launcher, RSS_PROGRAM],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        rise, written = map(int, proc.stdout.split())
+        assert written == 16 * 17 * 16384
+        assert 0 < rise <= written + (1 << 20), (rise, written)
 
     def test_negative_alloc_rejected(self):
         with pytest.raises(ValueError):

@@ -171,8 +171,11 @@ def _late_arrivals(**sampler_kw):
                 yield from ams[dst]._wait_progress()
 
         p = sim.spawn(prog(), name="talk")
-        sim.spawn(serve(), name="serve")
+        server = sim.spawn(serve(), name="serve")
         sim.run_until_processes_done([p], limit=1e7)
+        # one poller per endpoint: a server left asleep would poll dst
+        # beside the next talk's process on the same node
+        server.kill()
 
     idle(12.0)                          # AM attached, no peer yet
     talk(0, 1, 6)                       # first peer of nodes 0 and 1
